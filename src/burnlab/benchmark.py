@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ValuationProfile, as_profile
-from .mechanisms import _optimal_strict_price, expected_pq_lottery
+from .distributions import as_profile
+from .mechanisms import _optimal_strict_price, _require_k, expected_pq_lottery
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class BenchmarkResult:
 
 def two_price_benchmark(profile, k: int) -> BenchmarkResult:
     """Exhaustive sweep over candidate price pairs, smallest pair on ties."""
-    if k < 1:
-        raise ValueError("need at least one unit")
+    _require_k(k)
     prof = as_profile(profile)
     cands = np.unique(np.concatenate(([0.0], prof.values)))
     best = -np.inf
@@ -61,8 +60,7 @@ def optimal_p_lottery(profile, k: int) -> tuple[float, float]:
     benchmark; the sweep over {0} union {v_i} attains the supremum over all
     real prices.
     """
-    if k < 1:
-        raise ValueError("need at least one unit")
+    _require_k(k)
     return _optimal_strict_price(as_profile(profile).values, k)
 
 
@@ -76,8 +74,7 @@ def lottery_surplus_identity(profile, subset, k: int, ell: int) -> float:
     rank ell, ell advances past the tied block so the top-ell set is
     unambiguous. Returns 0 when no subset member ranks in the top ell.
     """
-    if k < 1:
-        raise ValueError("need at least one unit")
+    _require_k(k)
     prof = as_profile(profile)
     n = prof.n
     if not 1 <= ell <= n:
@@ -98,7 +95,6 @@ def lottery_surplus_identity(profile, subset, k: int, ell: int) -> float:
 
 def full_surplus(profile, k: int) -> float:
     """Sum of the top min(k, n) values: the transfers-based efficiency target."""
-    if k < 1:
-        raise ValueError("need at least one unit")
+    _require_k(k)
     prof = as_profile(profile)
     return float(prof.sorted[:min(k, prof.n)].sum())

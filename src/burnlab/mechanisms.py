@@ -1,25 +1,27 @@
-"""Concrete allocation mechanisms and their exact expected residual surplus.
+"""The mechanisms of the money-burning setting, each rule written once.
 
 Residual surplus is total allocated value minus all payments; payments here
 are burnt, not collected, so every mechanism tries to allocate well while
-charging as little as incentives allow. The module covers:
+charging as little as incentives allow.
 
-- single-price lotteries (inclusive and strict eligibility variants),
-- two-price lotteries with a blended top price derived from the payment
-  identity,
-- the k-unit Vickrey auction,
-- the prior-dependent optimal mechanism driven by an ironed virtual value,
-- its generalization to arbitrary subset costs and per-agent virtual values,
-- RSOL (random-sampling optimal lottery): learn a price on a random half of
-  the agents, apply it (or Vickrey) to the other half,
-- the 1/3 Vickrey + 2/3 lottery mixture for two agents,
-- the logarithmic price ladder: a random round serves the top 2^j agents at
-  the next value down.
+Each closed-form mechanism is one rowwise marginal rule
+rule(V, k, ...) -> (X, P): rows of V are bid profiles, X holds the win
+probabilities and P the interim expected payments, coin flips integrated
+out. The rules: the lottery at price p (_lottery_rule), the two-price lottery
+(_pq_rule, sure winners paying _blended_price), the top-share rule (Vickrey
+is top-share(k, k), the price ladder the mean of its rungs, the two-agent
+mixture Vickrey/3 + 1/3) and the prior-optimal _bayes_rule. The other views
+derive from the rule: expected_* values are its row residual (_residual),
+runs return its row or with an rng draw from it (_run), and the audit
+interims (audit.py) and the estimator (simlab.py) evaluate it on many rows.
 
-Every expected_* function is an exact expectation over the mechanism's
-internal randomness for a fixed profile. run_* / rng variants realize the coin
-flips; passing rng=None where allowed returns the marginal (interim) outcome
-instead.
+Two closed forms stay on purpose. expected_pq_lottery keeps its scalar
+formula: it is the inner call of the two-price benchmark's O(n^2) pair
+sweep, where the rule-derived value measured three times slower per call
+(n = 8 to 512, 2-core Xeon). RSOL (random-sampling optimal lottery: learn a
+price on a random half of the agents, apply it or Vickrey to the other half)
+has no rowwise rule; its exact value enumerates every halving
+(_rsol_branch_values).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .common import MechanismEval, mc_eval, substream
-from .distributions import ValuationProfile, as_profile
+from .distributions import as_profile
 from .ironing import IronedVirtual
 
 COST_AGENT_CAP = 20
@@ -67,7 +69,63 @@ def _require_k(k: int):
 
 
 # ---------------------------------------------------------------------------
+# views shared by every rule
+
+
+def _residual(V: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Residual surplus sum(v*x - p) of each row of a rule's output."""
+    return (V * X - P).sum(axis=1)
+
+
+def _expected(rule, profile, *args) -> float:
+    """Exact expected residual of one profile: the residual of its rule row."""
+    V = as_profile(profile).values[None, :]
+    return float(_residual(V, *rule(V, *args))[0])
+
+
+def _run(v: np.ndarray, X: np.ndarray, P: np.ndarray, k: int, rng) -> Outcome:
+    """The marginal outcome of a one-row rule output (X, P), or with an rng
+    one draw of it: the sure winners (x = 1) win, the leftover units go to a
+    uniform random part of the lottery band (0 < x < 1), whose winners pay p/x.
+    """
+    x, p = X[0], P[0]
+    if rng is None:
+        return _outcome(v, x, p, "marginal")
+    sure = x == 1.0
+    band = ~sure & (x > 0)
+    alloc = sure * 1.0
+    pay = np.where(sure, p, 0.0)
+    slots = k - int(sure.sum())
+    if slots and band.any():
+        win = rng.choice(np.flatnonzero(band), size=min(slots, int(band.sum())),
+                         replace=False)
+        alloc[win] = 1.0
+        pay[win] = p[win] / x[win]
+    return _outcome(v, alloc, pay, "realized")
+
+
+# ---------------------------------------------------------------------------
 # single-price lotteries
+
+
+def _lottery_rule(V: np.ndarray, k: int, p: float, strict: bool = False):
+    """k units shared uniformly among the m agents with v >= p (v > p when
+    strict), each winning with probability min(k, m)/m; winners pay p."""
+    _require_k(k)
+    if p < 0:
+        raise ValueError("price must be nonnegative")
+    elig = V > p if strict else V >= p
+    m = elig.sum(axis=1, keepdims=True)
+    X = elig * (np.minimum(k, m) / np.maximum(m, 1))
+    return X, X * p
+
+
+def _lottery_value(profile, k: int, p: float, strict: bool) -> float:
+    # the row residual with the common win probability factored out of the
+    # sum, which keeps the values of small profiles exact
+    v = as_profile(profile).values
+    x = _lottery_rule(v[None, :], k, p, strict)[0][0]
+    return float(x.max(initial=0.0) * (v[x > 0] - p).sum())
 
 
 def expected_p_lottery(profile, k: int, p: float) -> float:
@@ -75,15 +133,7 @@ def expected_p_lottery(profile, k: int, p: float) -> float:
 
     Each of the m eligible agents wins with probability min(k, m)/m and pays p.
     """
-    _require_k(k)
-    if p < 0:
-        raise ValueError("price must be nonnegative")
-    v = as_profile(profile).values
-    elig = v >= p
-    m = int(elig.sum())
-    if m == 0:
-        return 0.0
-    return min(k, m) / m * float((v[elig] - p).sum())
+    return _lottery_value(profile, k, p, False)
 
 
 def expected_strict_p_lottery(profile, k: int, p: float) -> float:
@@ -93,15 +143,7 @@ def expected_strict_p_lottery(profile, k: int, p: float) -> float:
     lottery at zero utility; this is the variant whose optimum over p is
     within a factor two of the two-price benchmark.
     """
-    _require_k(k)
-    if p < 0:
-        raise ValueError("price must be nonnegative")
-    v = as_profile(profile).values
-    elig = v > p
-    m = int(elig.sum())
-    if m == 0:
-        return 0.0
-    return min(k, m) / m * float((v[elig] - p).sum())
+    return _lottery_value(profile, k, p, True)
 
 
 def _optimal_strict_price(values: np.ndarray, k: int) -> tuple[float, float]:
@@ -139,6 +181,29 @@ def _pq_split(v: np.ndarray, p: float, q: float):
     return top, band
 
 
+def _blended_price(k, s, t, lo, hi):
+    """Price of the s sure winners above hi when the t agents in (lo, hi]
+    share the other k - s units at lo: by the payment identity, bidding into
+    the band would still win with probability (k - s + 1)/(t + 1)."""
+    return ((k - s + 1) * lo + (s + t - k) * hi) / (t + 1)
+
+
+def _pq_rule(V: np.ndarray, k: int, p: float, q: float):
+    """Two-price lottery, rowwise; expected_pq_lottery states the cases."""
+    _require_k(k)
+    top, band = _pq_split(V, p, q)
+    s = top.sum(axis=1, keepdims=True)
+    t = band.sum(axis=1, keepdims=True)
+    crowded = s > k
+    fits = ~crowded & (s + t <= k)
+    X = np.where(crowded, top * (k / np.maximum(s, 1)),
+                 np.where(fits, top | band,
+                          top + band * ((k - s) / np.maximum(t, 1))))
+    price = np.where(crowded, p,
+                     np.where(top & ~fits, _blended_price(k, s, t, q, p), q))
+    return X, X * price
+
+
 def expected_pq_lottery(profile, k: int, p: float, q: float) -> float:
     """Exact residual surplus of the k-unit two-price lottery.
 
@@ -148,6 +213,8 @@ def expected_pq_lottery(profile, k: int, p: float, q: float) -> float:
     - otherwise the top s win surely at the blended price
       ((k-s+1)q + (s+t-k)p)/(t+1) and the band shares the remaining k-s units
       at price q.
+
+    A scalar form of _pq_rule, kept for the two-price benchmark's pair sweep.
     """
     _require_k(k)
     v = as_profile(profile).values
@@ -158,47 +225,45 @@ def expected_pq_lottery(profile, k: int, p: float, q: float) -> float:
         return k / s * float((v[top] - p).sum())
     if s + t <= k:
         return float((v[top] - q).sum() + (v[band] - q).sum())
-    blended = ((k - s + 1) * q + (s + t - k) * p) / (t + 1)
+    blended = _blended_price(k, s, t, q, p)
     return float((v[top] - blended).sum()) + (k - s) / t * float((v[band] - q).sum())
 
 
 def run_pq_lottery(profile, k: int, p: float, q: float, rng=None) -> Outcome:
     """Two-price lottery outcome; realized with rng, marginal without."""
-    _require_k(k)
     v = as_profile(profile).values
-    top, band = _pq_split(v, p, q)
-    s = int(top.sum())
-    t = int(band.sum())
-    alloc = np.zeros(v.size)
-    pay = np.zeros(v.size)
-    if s > k:
-        if rng is None:
-            alloc[top] = k / s
-            pay[top] = alloc[top] * p
-        else:
-            win = rng.choice(np.flatnonzero(top), size=k, replace=False)
-            alloc[win] = 1.0
-            pay[win] = p
-        return _outcome(v, alloc, pay, "marginal" if rng is None else "realized")
-    if s + t <= k:
-        alloc[top | band] = 1.0
-        pay[top | band] = q
-        return _outcome(v, alloc, pay, "marginal" if rng is None else "realized")
-    blended = ((k - s + 1) * q + (s + t - k) * p) / (t + 1)
-    alloc[top] = 1.0
-    pay[top] = blended
-    if rng is None:
-        alloc[band] = (k - s) / t
-        pay[band] = alloc[band] * q
-        return _outcome(v, alloc, pay, "marginal")
-    win = rng.choice(np.flatnonzero(band), size=k - s, replace=False)
-    alloc[win] = 1.0
-    pay[win] = q
-    return _outcome(v, alloc, pay, "realized")
+    return _run(v, *_pq_rule(v[None, :], k, p, q), k, rng)
 
 
 # ---------------------------------------------------------------------------
-# Vickrey
+# Vickrey and the other top-share rules
+
+
+def _top_share_rule(V: np.ndarray, V_asc: np.ndarray, tops, units: int):
+    """For each size L in tops, the top L agents share `units` units at the
+    L+1-st value (0 if there is none), ties there broken uniformly. V_asc is
+    V sorted along rows; X and P have shape (rows, len(tops), n)."""
+    n = V.shape[1]
+    tau = (V_asc[:, [max(n - L - 1, 0) for L in tops]] if n
+           else np.zeros((V.shape[0], len(tops))))
+    tau[:, [L >= n for L in tops]] = 0.0
+    tau = tau[..., None]
+    above = V[:, None, :] > tau
+    at = V[:, None, :] == tau
+    seats = np.array([[min(L, n)] for L in tops])
+    share = np.array([[min(units, L) / L] for L in tops])
+    in_top = ((seats - above.sum(axis=2, keepdims=True))
+              / np.maximum(at.sum(axis=2, keepdims=True), 1))
+    X = share * (above + at * in_top)
+    return X, X * tau
+
+
+def _vickrey_rule(V: np.ndarray, k: int, V_asc: np.ndarray | None = None):
+    """k-unit Vickrey: the top k win and pay the k+1-st value."""
+    _require_k(k)
+    X, P = _top_share_rule(V, np.sort(V, axis=1) if V_asc is None else V_asc,
+                           [k], k)
+    return X[:, 0], P[:, 0]
 
 
 def vickrey(profile, k: int, rng=None) -> Outcome:
@@ -207,31 +272,8 @@ def vickrey(profile, k: int, rng=None) -> Outcome:
     Ties at the margin break uniformly; marginal mode (rng=None) reports the
     tie-averaged win probabilities and interim payments.
     """
-    _require_k(k)
-    prof = as_profile(profile)
-    v = prof.values
-    n = prof.n
-    alloc = np.zeros(n)
-    pay = np.zeros(n)
-    if n <= k:
-        alloc[:] = 1.0
-        return _outcome(v, alloc, pay, "marginal" if rng is None else "realized")
-    w = prof.nth_highest(k + 1)
-    above = v > w
-    tied = v == w
-    a = int(above.sum())
-    m = int(tied.sum())
-    alloc[above] = 1.0
-    if rng is None:
-        if m:
-            alloc[tied] = (k - a) / m
-        pay[:] = alloc * w
-        return _outcome(v, alloc, pay, "marginal")
-    if k - a:
-        win = rng.choice(np.flatnonzero(tied), size=k - a, replace=False)
-        alloc[win] = 1.0
-    pay[:] = alloc * w
-    return _outcome(v, alloc, pay, "realized")
+    v = as_profile(profile).values
+    return _run(v, *_vickrey_rule(v[None, :], k), k, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +299,6 @@ def _segment_anchors(iv: IronedVirtual):
     return lo, hi
 
 
-def _vickrey_rule(V: np.ndarray, k: int):
-    """Marginal Vickrey allocation and interim payments, rowwise."""
-    rows, n = V.shape
-    if n <= k:
-        return np.ones_like(V, dtype=float), np.zeros_like(V, dtype=float)
-    tau = np.sort(V, axis=1)[:, n - k - 1]
-    above = V > tau[:, None]
-    at = V == tau[:, None]
-    share = (k - above.sum(axis=1)) / at.sum(axis=1)
-    X = above + at * share[:, None]
-    return X, X * tau[:, None]
-
-
 def _bayes_rule(iv: IronedVirtual, V: np.ndarray, k: int):
     """Marginal allocation and payments of the optimal mechanism, rowwise.
 
@@ -283,12 +312,13 @@ def _bayes_rule(iv: IronedVirtual, V: np.ndarray, k: int):
     precision. No support validation: off-support bids get the clipped-grid
     ironed value, which is how the mechanism itself treats them.
     """
-    rows, n = V.shape
+    _require_k(k)
+    n = V.shape[1]
     if n <= k:
-        return np.ones_like(V, dtype=float), np.zeros_like(V, dtype=float)
-    Xv, Pv = _vickrey_rule(V, k)
-    tau = np.sort(V, axis=1)[:, n - k - 1]
-    seg = iv.segment_of(tau)
+        return _vickrey_rule(V, k)
+    V_asc = np.sort(V, axis=1)
+    Xv, Pv = _vickrey_rule(V, k, V_asc)
+    seg = iv.segment_of(V_asc[:, n - k - 1])
     lo_seg, hi_seg = _segment_anchors(iv)
     lo = lo_seg[seg]
     hi = hi_seg[seg]
@@ -302,12 +332,11 @@ def _bayes_rule(iv: IronedVirtual, V: np.ndarray, k: int):
     s = above.sum(axis=1)
     t = np.maximum(tie.sum(axis=1), 1)
     r = (k - s) / t
-    blended = ((k - s + 1) * lo + (s + t - k) * hi) / (t + 1)
+    blended = _blended_price(k, s, t, lo, hi)
     Xb = above * 1.0 + tie * r[:, None]
     Pb = above * blended[:, None] + tie * (r * lo)[:, None]
-    X = np.where(bridged[:, None], Xb, Xv)
-    P = np.where(bridged[:, None], Pb, Pv)
-    return X, P
+    return (np.where(bridged[:, None], Xb, Xv),
+            np.where(bridged[:, None], Pb, Pv))
 
 
 def bayes_optimal_outcome(iv: IronedVirtual, profile, k: int, rng=None) -> Outcome:
@@ -327,23 +356,7 @@ def bayes_optimal_outcome(iv: IronedVirtual, profile, k: int, rng=None) -> Outco
     if prof.n and (v.min() < lo_sup or v.max() > hi_sup):
         raise ValueError(
             f"profile values outside the support {iv.dist.support} of {iv.dist.name}")
-    X, P = _bayes_rule(iv, v[None, :], k)
-    if rng is None:
-        return _outcome(v, X[0], P[0], "marginal")
-    alloc = np.zeros(prof.n)
-    pay = np.zeros(prof.n)
-    sure = X[0] == 1.0
-    alloc[sure] = 1.0
-    pay[sure] = P[0][sure]
-    tie = ~sure & (X[0] > 0)
-    slots = k - int(sure.sum())
-    if slots and tie.any():
-        win = rng.choice(np.flatnonzero(tie), size=min(slots, int(tie.sum())),
-                         replace=False)
-        alloc[win] = 1.0
-        # interim payment is x * lo, so the per-winner charge is lo itself
-        pay[win] = P[0][win] / X[0][win]
-    return _outcome(v, alloc, pay, "realized")
+    return _run(v, *_bayes_rule(iv, v[None, :], k), k, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +525,20 @@ def expected_rsol(profile, k: int, mode: str = "exact",
 # two-agent mixture
 
 
+def _mix_rule(V: np.ndarray, k: int = 1):
+    """1/3 Vickrey, 2/3 free lottery for exactly two agents and one unit."""
+    if V.shape[1] != 2 or k != 1:
+        raise ValueError("the mixture mechanism is defined for n=2, k=1")
+    X, P = _vickrey_rule(V, 1)
+    return X / 3.0 + 1.0 / 3.0, P / 3.0
+
+
 def mixed_vickrey_lottery(profile) -> MechanismEval:
     """1/3 Vickrey, 2/3 free lottery for exactly two agents, one unit.
 
     The expectation telescopes to (2/3) of the higher value.
     """
-    prof = as_profile(profile)
-    if prof.n != 2:
-        raise ValueError("the mixture mechanism is defined for exactly 2 agents")
-    v1, v2 = float(prof.sorted[0]), float(prof.sorted[1])
-    mean = (v1 - v2) / 3.0 + 2.0 / 3.0 * (v1 + v2) / 2.0
-    return MechanismEval(mean, 0.0, "exact", 1, None)
+    return MechanismEval(_expected(_mix_rule, profile), 0.0, "exact", 1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -541,23 +557,21 @@ def _ladder_sizes(n: int, k: int) -> list[int]:
     return [min(1 << j, n) for j in range(lo, hi + 1)]
 
 
-def expected_log_price(profile, k: int) -> float:
-    """Exact expectation of the price-ladder mechanism.
+def _ladder_rule(V: np.ndarray, k: int):
+    """Price ladder: a round size L drawn uniformly from the ladder, then
+    top-share(L, k), so the top L agents share min(k, L) units at the L+1-st
+    value (0 past the end of the profile)."""
+    _require_k(k)
+    sizes = _ladder_sizes(V.shape[1], k)
+    X, P = _top_share_rule(V, np.sort(V, axis=1), sizes, k)
+    return X.mean(axis=1), P.mean(axis=1)
 
-    A round size L is drawn uniformly from the ladder; the top L agents share
-    min(k, L) units at the L+1-st value (0 past the end of the profile).
-    """
+
+def expected_log_price(profile, k: int) -> float:
+    """Exact expectation of the price-ladder mechanism (see _ladder_rule)."""
     _require_k(k)
     prof = as_profile(profile)
-    if prof.n == 0:
-        return 0.0
-    v = prof.sorted
-    total = 0.0
-    sizes = _ladder_sizes(prof.n, k)
-    for L in sizes:
-        price = prof.nth_highest(L + 1)
-        total += min(k, L) / L * (float(v[:L].sum()) - L * price)
-    return total / len(sizes)
+    return _expected(_ladder_rule, prof, k) if prof.n else 0.0
 
 
 def run_log_price(profile, k: int, rng) -> Outcome:

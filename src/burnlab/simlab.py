@@ -19,9 +19,9 @@ from .common import MIN_REPLICATES, VERSION, MechanismEval, mc_eval, substream
 from .distributions import (ValuationProfile, ValueDistribution, as_profile,
                             exponential)
 from .ironing import iron
-from .mechanisms import (_bayes_rule, _vickrey_rule, expected_log_price,
-                         expected_p_lottery, expected_rsol,
-                         mixed_vickrey_lottery)
+from .mechanisms import (_bayes_rule, _ladder_rule, _lottery_rule, _mix_rule,
+                         _residual, _vickrey_rule, expected_log_price,
+                         expected_rsol)
 
 _CHUNK_VALUES = 4_000_000
 
@@ -30,30 +30,15 @@ _CHUNK_VALUES = 4_000_000
 # prior-expectation estimator
 
 
-def _residual_lottery(V: np.ndarray, k: int) -> np.ndarray:
-    n = V.shape[1]
-    return min(k, n) / n * V.sum(axis=1)
-
-
-def _residual_vickrey(V: np.ndarray, k: int) -> np.ndarray:
-    X, P = _vickrey_rule(V, k)
-    return (V * X - P).sum(axis=1)
-
-
-def _residual_mix(V: np.ndarray, k: int) -> np.ndarray:
-    if V.shape[1] != 2 or k != 1:
-        raise ValueError("the mixture mechanism is defined for n=2, k=1")
-    hi = V.max(axis=1)
-    lo = V.min(axis=1)
-    return (hi - lo) / 3.0 + (hi + lo) / 3.0
-
-
-_VECTOR_MECHS = {"lottery": _residual_lottery, "vickrey": _residual_vickrey,
-                 "mix": _residual_mix}
-_PROFILE_MECHS = {
-    "rsol": lambda prof, k: expected_rsol(prof, k, mode="exact").mean,
-    "logprice": expected_log_price,
-    "plottery0": lambda prof, k: expected_p_lottery(prof, k, 0.0),
+# registry name -> marginal rule (V, k, d) -> (X, P), applied to every
+# sampled profile at once; rsol has no rule and is evaluated per profile
+_RULES = {
+    "lottery": lambda V, k, d: _lottery_rule(V, k, 0.0),
+    "plottery0": lambda V, k, d: _lottery_rule(V, k, 0.0),
+    "vickrey": lambda V, k, d: _vickrey_rule(V, k),
+    "bayes": lambda V, k, d: _bayes_rule(iron(d), V, k),
+    "mix": lambda V, k, d: _mix_rule(V, k),
+    "logprice": lambda V, k, d: _ladder_rule(V, k),
 }
 
 
@@ -68,19 +53,14 @@ def estimate(mechanism, d: ValueDistribution, n: int, k: int, reps: int,
         raise ValueError(f"need at least {MIN_REPLICATES} replicates")
     name = mechanism if isinstance(mechanism, str) else getattr(
         mechanism, "__name__", "custom")
+    if mechanism == "rsol":
+        mechanism = lambda prof, k: expected_rsol(prof, k, mode="exact").mean  # noqa: E731
+    elif isinstance(mechanism, str) and mechanism not in _RULES:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
     rng = substream(seed, "estimate", name, n, k)
     V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
     if isinstance(mechanism, str):
-        if mechanism == "bayes":
-            X, P = _bayes_rule(iron(d), V, k)
-            samples = (V * X - P).sum(axis=1)
-        elif mechanism in _VECTOR_MECHS:
-            samples = _VECTOR_MECHS[mechanism](V, k)
-        elif mechanism in _PROFILE_MECHS:
-            fn = _PROFILE_MECHS[mechanism]
-            samples = np.array([fn(ValuationProfile(row), k) for row in V])
-        else:
-            raise ValueError(f"unknown mechanism {mechanism!r}")
+        samples = _residual(V, *_RULES[mechanism](V, k, d))
     else:
         samples = np.array([mechanism(ValuationProfile(row), k) for row in V])
     return mc_eval(samples, seed)
@@ -128,8 +108,7 @@ def experiment_lb43(reps: int, seed: int) -> dict:
     rng = substream(seed, "lb43")
     V = rng.exponential(1.0, size=(reps, 2))
     g = _benchmark_two_exp(V)
-    X, P = _bayes_rule(iron(exponential(1.0)), V, 1)
-    opt = (V * X - P).sum(axis=1)
+    opt = _residual(V, *_bayes_rule(iron(exponential(1.0)), V, 1))
     g_eval = mc_eval(g, seed)
     opt_eval = mc_eval(opt, seed)
     lo = V.min(axis=1)

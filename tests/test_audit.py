@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnlab.audit import (InterimRule, audit_mechanism, audit_profiles,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
-from burnlab.distributions import (exponential, pareto, two_piece, uniform)
+from burnlab.distributions import (ValuationProfile, exponential, pareto,
+                                   two_piece, uniform)
 from burnlab.ironing import iron
-from burnlab.mechanisms import (bayes_optimal_outcome, expected_log_price,
-                                expected_p_lottery, expected_pq_lottery,
-                                expected_rsol, mixed_vickrey_lottery, vickrey)
+from burnlab.mechanisms import (_ladder_sizes, bayes_optimal_outcome,
+                                expected_log_price, expected_p_lottery,
+                                expected_pq_lottery, expected_rsol,
+                                mixed_vickrey_lottery, vickrey)
 
 PRIOR_RULES = ("lottery", "vickrey", "bayes")
 
@@ -120,7 +124,37 @@ def test_audit_mechanism_validation(iv_uniform):
         audit_mechanism("bayes", 1)
     with pytest.raises(ValueError):
         audit_mechanism("pqlottery", 1, p=1.0, q=2.0)
+    # rejected when built, not when a later interim misbehaves
+    for name, k, prices in [("plottery", 1, {"p": -1.0}),
+                            ("pqlottery", 1, {"p": 1.0, "q": -1.0}),
+                            ("vickrey", 0, {}), ("logprice", 0, {}),
+                            ("plottery", 0, {})]:
+        with pytest.raises(ValueError):
+            audit_mechanism(name, k, **prices)
     assert audit_mechanism("bayes", 1, iv=iv_uniform).name == "bayes"
+
+
+def ladder_oracle(values, k):
+    # the ladder from its definition; only the rung sizes come from the
+    # package: each rung L serves the top L at the L+1-st value, min(k, L) units
+    desc = sorted(values, reverse=True)
+    sizes = _ladder_sizes(len(desc), k)
+    total = 0.0
+    for L in sizes:
+        price = desc[L] if L < len(desc) else 0.0
+        total += min(k, L) / L * (sum(desc[:L]) - L * price)
+    return total / len(sizes)
+
+
+@given(st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=1,
+                max_size=8), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_ladder_matches_independent_oracle(vals, k):
+    prof = ValuationProfile(vals)
+    ref = ladder_oracle(vals, k)
+    assert expected_log_price(prof, k) == pytest.approx(ref, rel=1e-12, abs=0)
+    total = interim_total(audit_mechanism("logprice", k), prof)
+    assert total == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

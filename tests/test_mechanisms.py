@@ -115,6 +115,15 @@ def test_vickrey_realized_tie_break():
     assert float(out.payments.max()) == 4.0
 
 
+def test_vickrey_empty_profile():
+    # RSOL runs Vickrey on its serving half, which may be empty
+    rng = substream(0, "empty")
+    state = rng.bit_generator.state
+    for out in (vickrey([], 1), vickrey([], 2, rng=rng)):
+        assert out.allocation.size == 0 and out.residual_surplus == 0.0
+    assert rng.bit_generator.state == state
+
+
 @given(profiles, st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_vickrey_outcome_invariants(prof, k):

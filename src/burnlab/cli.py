@@ -203,8 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Exit status 0 on success, 1 when an audit finds a
+    violation, 2 on bad input (one line on stderr, no traceback)."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"burnlab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

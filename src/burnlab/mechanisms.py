@@ -15,12 +15,9 @@ derive from the rule: expected_* values are its row residual (_residual),
 runs return its row or with an rng draw from it (_run), and the audit
 interims (audit.py) and the estimator (simlab.py) evaluate it on many rows.
 
-Two closed forms stay on purpose. expected_pq_lottery keeps its scalar
-formula: it is the inner call of the two-price benchmark's O(n^2) pair
-sweep, where the rule-derived value measured three times slower per call
-(n = 8 to 512, 2-core Xeon). RSOL (random-sampling optimal lottery: learn a
-price on a random half of the agents, apply it or Vickrey to the other half)
-has no rowwise rule; its exact value enumerates every halving
+One closed form stays on purpose: RSOL (random-sampling optimal lottery:
+learn a price on a random half of the agents, apply it or Vickrey to the
+other half) has no rowwise rule; its exact value enumerates every halving
 (_rsol_branch_values).
 """
 
@@ -171,16 +168,6 @@ def _optimal_strict_price(values: np.ndarray, k: int) -> tuple[float, float]:
 # two-price lotteries
 
 
-def _pq_split(v: np.ndarray, p: float, q: float):
-    if q > p:
-        raise ValueError("need q <= p")
-    if q < 0:
-        raise ValueError("prices must be nonnegative")
-    top = v > p
-    band = (v > q) & ~top
-    return top, band
-
-
 def _blended_price(k, s, t, lo, hi):
     """Price of the s sure winners above hi when the t agents in (lo, hi]
     share the other k - s units at lo: by the payment identity, bidding into
@@ -191,7 +178,12 @@ def _blended_price(k, s, t, lo, hi):
 def _pq_rule(V: np.ndarray, k: int, p: float, q: float):
     """Two-price lottery, rowwise; expected_pq_lottery states the cases."""
     _require_k(k)
-    top, band = _pq_split(V, p, q)
+    if q > p:
+        raise ValueError("need q <= p")
+    if q < 0:
+        raise ValueError("prices must be nonnegative")
+    top = V > p
+    band = (V > q) & ~top
     s = top.sum(axis=1, keepdims=True)
     t = band.sum(axis=1, keepdims=True)
     crowded = s > k
@@ -213,20 +205,8 @@ def expected_pq_lottery(profile, k: int, p: float, q: float) -> float:
     - otherwise the top s win surely at the blended price
       ((k-s+1)q + (s+t-k)p)/(t+1) and the band shares the remaining k-s units
       at price q.
-
-    A scalar form of _pq_rule, kept for the two-price benchmark's pair sweep.
     """
-    _require_k(k)
-    v = as_profile(profile).values
-    top, band = _pq_split(v, p, q)
-    s = int(top.sum())
-    t = int(band.sum())
-    if s > k:
-        return k / s * float((v[top] - p).sum())
-    if s + t <= k:
-        return float((v[top] - q).sum() + (v[band] - q).sum())
-    blended = _blended_price(k, s, t, q, p)
-    return float((v[top] - blended).sum()) + (k - s) / t * float((v[band] - q).sum())
+    return _expected(_pq_rule, profile, k, p, q)
 
 
 def run_pq_lottery(profile, k: int, p: float, q: float, rng=None) -> Outcome:

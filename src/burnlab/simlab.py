@@ -222,6 +222,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.reps < 1:
             raise ValueError("need at least one replicate")
+        if self.dist != "exp(1)":
+            raise ValueError(f"dist = {self.dist}: every experiment fixes "
+                             "its prior, so dist must be exp(1)")
+        if self.experiment == "surplus-gap" and len(self.k) != 1:
+            raise ValueError("k: surplus-gap takes a single k")
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,18 +71,59 @@ def test_candidate_sweep_attains_dense_grid():
                                            float(q)) <= best + 1e-9
 
 
-@pytest.mark.parametrize("vals", [(2.0, 2.0), (1.0, 1.0, 1.0),
-                                  (5.0, 5.0, 3.0, 3.0), (0.0, 0.0)])
-def test_tie_break_smallest_pair(vals):
-    r = two_price_benchmark(vals, 1)
-    cands = np.unique(np.concatenate(([0.0], np.asarray(vals))))
-    winners = []
-    for i, p in enumerate(cands):
-        for q in cands[:i + 1]:
-            value = expected_pq_lottery(vals, 1, float(p), float(q))
-            if abs(value - r.value) <= 1e-12:
-                winners.append((float(p), float(q)))
+def pair_loop(vals, k):
+    # the sweep as a plain loop over {0} union values, one
+    # expected_pq_lottery call per pair
+    cands = np.unique(np.concatenate(([0.0], np.asarray(vals, dtype=float))))
+    return {(float(p), float(q)): expected_pq_lottery(vals, k, float(p), float(q))
+            for i, p in enumerate(cands) for q in cands[:i + 1]}
+
+
+@pytest.mark.parametrize("vals, k", [((2.0, 2.0), 1), ((1.0, 1.0, 1.0), 1),
+                                     ((5.0, 5.0, 3.0, 3.0), 1), ((0.0, 0.0), 1),
+                                     ((0.1, 0.2, 2.3), 3)],
+                         ids=[f"vals{i}" for i in range(5)])
+def test_tie_break_smallest_pair(vals, k):
+    r = two_price_benchmark(vals, k)
+    winners = [pair for pair, value in pair_loop(vals, k).items()
+               if abs(value - r.value) <= 1e-12]
     assert (r.p, r.q) == min(winners)
+
+
+@st.composite
+def sweep_cases(draw):
+    # half the profiles sit on a coarse grid, so they hold ties
+    if draw(st.booleans()):
+        elements = st.integers(0, 8).map(lambda i: i * 1.25)
+    else:
+        elements = st.floats(0.0, 10.0)
+    vals = draw(st.lists(elements, max_size=10))
+    return vals, draw(st.integers(1, len(vals) + 2))
+
+
+@given(sweep_cases())
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_pair_loop(case):
+    vals, k = case
+    r = two_price_benchmark(vals, k)
+    values = pair_loop(vals, k)
+    best = max(values.values())
+    tol = 1e-12 * max(1.0, abs(best))
+    assert abs(r.value - best) <= tol
+    assert (r.p, r.q) == min(pair for pair, value in values.items()
+                             if value >= best - tol)
+
+
+def test_sweep_memory_is_blocked():
+    # the full pair matrix of this profile alone would take about 33 MB
+    vals = np.random.default_rng(7).uniform(0.0, 1.0, 2048)
+    tracemalloc.start()
+    try:
+        two_price_benchmark(vals, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,21 @@ def test_benchmark_row(tmp_path, capsys):
     assert [float(x) for x in row] == [2.5, 1.0, 0.0, 2.0, 0.0, 3.0]
 
 
+@pytest.mark.parametrize("lines, k, message", [
+    (None, "1", "No such file"),
+    (["3.0", "three"], "1", "could not convert"),
+    (["3.0", "1.0"], "0", "need at least one unit"),
+], ids=["missing-file", "non-numeric", "k0"])
+def test_benchmark_bad_input_exit_two(tmp_path, capsys, lines, k, message):
+    prof = (write_profile(tmp_path, lines) if lines
+            else str(tmp_path / "missing.txt"))
+    rc = main(["benchmark", "--profile", prof, "--k", k])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("burnlab: error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -196,6 +211,18 @@ def test_experiment_out_from_config(tmp_path):
     assert rc == 0
     assert target.exists()
     assert "thmub" in target.read_text()
+
+
+@pytest.mark.parametrize("text, key", [("k = 1, 2\n", "k"),
+                                       ("dist = uniform(0,1)\n", "dist")],
+                         ids=["k", "dist"])
+def test_experiment_rejected_key_exit_two(tmp_path, capsys, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = main(["experiment", "--name", "surplus-gap", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"burnlab: error: {key}")
 
 
 # ---------------------------------------------------------------------------

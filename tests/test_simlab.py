@@ -155,6 +155,13 @@ def test_parse_config_errors():
         parse_config("experiment = nosuch")
     with pytest.raises(ValueError):
         parse_config("reps = 0")
+    with pytest.raises(ValueError, match="dist"):
+        parse_config("dist = uniform(0,1)")
+    with pytest.raises(ValueError, match="single k"):
+        parse_config("experiment = surplus-gap\nk = 1, 2")
+    with pytest.raises(ValueError, match="single k"):
+        ExperimentConfig("surplus-gap", k=(1, 2))
+    assert parse_config("experiment = surplus-gap\nk = 2").k == (2,)
     assert "lb43" in EXPERIMENT_NAMES
 
 

@@ -6,12 +6,8 @@ opponent bids fixed and all mechanism randomness integrated out in closed
 form. AuditableMechanism derives it from the mechanism's marginal rule
 (mechanisms.py): one profile row per bid, the bid in the agent's column. The
 interim rule may jump at the opponents' bids and at the rule's fixed edges,
-the lottery prices or the ironed-interval ends.
-
-RSOL keeps its own closed-form interim, an exact loop over the opponents'
-halvings with _vickrey_interim as its helper: RSOL has no marginal rule, and
-the loop's Vickrey branch measured 2.3 times slower when derived from the
-Vickrey rule (n = 8, 2-core Xeon). The loop is most of an audit's time.
+the lottery prices or the ironed-interval ends. RSOL, which has no marginal
+rule, evaluates every halving of the opponents against every bid at once.
 
 On top of the interim rule sit:
 
@@ -30,7 +26,9 @@ deviation scan must flag it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,9 +36,9 @@ from .common import MechanismEval, mc_eval, substream
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
 from .ironing import IronedVirtual, iron
-from .mechanisms import (_bayes_rule, _ladder_rule, _lottery_rule, _mix_rule,
-                         _optimal_strict_price, _pq_rule, _require_k, _residual,
-                         _vickrey_rule)
+from .mechanisms import (_CHUNK_CELLS, _bayes_rule, _halvings, _ladder_rule,
+                         _learned_price, _lottery_rule, _mix_rule, _pq_rule,
+                         _require_k, _residual, _vickrey_rule)
 
 DSIC_TOL = 1e-9
 PROBE_EXACT_CAP = 20
@@ -51,24 +49,15 @@ MIN_IDENTITY_GRID = 256
 # interim adapters
 
 
+@dataclass
 class AuditableMechanism:
-    """Exact interim view of a mechanism for one deviating agent.
+    """Exact interim view of a mechanism: interim(values, i, bids) -> (x, p),
+    agent i's win probability and expected payment per bid; edges are the
+    bids besides the opponents' where it may jump."""
 
-    rule maps a (rows, n) bid array to the marginal (X, P); edges are the
-    bids besides the opponents' where the interim rule may jump.
-    """
-
-    def __init__(self, name: str, rule, edges=()):
-        self.name = name
-        self.rule = rule
-        self.edges = np.asarray(edges, dtype=float)
-
-    def interim(self, values: np.ndarray, i: int, bids: np.ndarray):
-        b = np.asarray(bids, dtype=float)
-        V = np.tile(np.asarray(values, dtype=float), (b.size, 1))
-        V[:, i] = b
-        X, P = self.rule(V)
-        return np.ascontiguousarray(X[:, i]), np.ascontiguousarray(P[:, i])
+    name: str
+    interim: Callable
+    edges: tuple = ()
 
     def breakpoints(self, values: np.ndarray, i: int) -> np.ndarray:
         """Bids where the interim allocation may jump."""
@@ -76,44 +65,49 @@ class AuditableMechanism:
             (np.delete(np.asarray(values, dtype=float), i), self.edges)))
 
 
-def _vickrey_interim(opponents: np.ndarray, k: int, bids: np.ndarray):
-    """Exact interim rule of k-unit Vickrey against fixed opponent bids."""
-    o = np.asarray(opponents, dtype=float)
-    b = np.asarray(bids, dtype=float)
-    if o.size < k:
-        return np.ones_like(b), np.zeros_like(b)
-    o_asc = np.sort(o)
-    thresh = o_asc[o.size - k]
-    above = o.size - np.searchsorted(o_asc, b, side="right")
-    tied = np.searchsorted(o_asc, b, side="right") - np.searchsorted(o_asc, b, side="left")
-    x = np.where(b > thresh, 1.0,
-                 np.where(b == thresh, (k - above) / (tied + 1), 0.0))
-    return x, x * thresh
-
-
-class _RSOL(AuditableMechanism):
-    def __init__(self, k: int):
-        super().__init__("rsol", None)
-        self.k = k
-
-    def interim(self, values, i, bids):
+def _tiled(rule):
+    """A marginal rule's interim: one row per bid, in agent i's column."""
+    def interim(values, i, bids):
         b = np.asarray(bids, dtype=float)
-        o = np.delete(np.asarray(values, dtype=float), i)
-        nop = o.size
-        x = np.zeros_like(b)
-        pay = np.zeros_like(b)
-        for mask in range(1 << nop):
-            in_half = (mask >> np.arange(nop)) & 1 > 0
-            _, p2 = _optimal_strict_price(o[~in_half], self.k)
-            m = int((o[in_half] > p2).sum()) + (b > p2)
-            xl = np.where(b > p2,
-                          np.minimum(self.k, m) / np.maximum(m, 1), 0.0)
-            xv, pv = _vickrey_interim(o[in_half], self.k, b)
-            x += 0.5 * (xl + xv)
-            pay += 0.5 * (xl * p2 + pv)
-        # agent joins the serving half with probability 1/2
-        scale = 0.5 / (1 << nop)
-        return x * scale, pay * scale
+        V = np.tile(np.asarray(values, dtype=float), (b.size, 1))
+        V[:, i] = b
+        X, P = rule(V)
+        return np.ascontiguousarray(X[:, i]), np.ascontiguousarray(P[:, i])
+    return interim
+
+
+def _rsol_interim(k: int, values, i: int, bids):
+    """RSOL's exact interim rule; agent i serves with probability 1/2. Every
+    halving of the opponents (numbered and summed in submission order) meets
+    every bid, in chunks of about _CHUNK_CELLS cells: a bid above the price p
+    the kernel learns outside the serving half joins the lottery of the M
+    serving opponents above p. Vickrey stays a closed form, as tiling
+    _vickrey_rule over (halving, bid) rows measured 5-6 times slower at
+    n = 8: against the k-th highest serving opponent t, a bid above t wins, a
+    bid at t shares the seats the a serving opponents above t leave with the
+    c tied at t, and winners pay t."""
+    _require_k(k)
+    b = np.asarray(bids, dtype=float)
+    o = np.delete(np.asarray(values, dtype=float), i)
+    order = np.argsort(-o, kind="stable")
+    o_desc, halvings = o[order], 1 << o.size
+    per = max(1, _CHUNK_CELLS // max(b.size, o.size, 1))
+    x, pay = np.zeros(b.size), np.zeros(b.size)
+    for h in range(0, halvings, per):
+        serve = _halvings(o.size, h, h + per)[:, order]
+        p = _learned_price(o_desc, ~serve, k)[1][:, None]
+        m = (serve & (o_desc > p)).sum(axis=1, keepdims=True) + 1
+        xl = np.where(b > p, np.minimum(k, m) / m, 0.0)
+        few = serve.sum(axis=1, keepdims=True) < k
+        t = ((serve & (np.cumsum(serve, axis=1) == k)) * o_desc).sum(axis=1, keepdims=True)
+        a = (serve & (o_desc > t)).sum(axis=1, keepdims=True)
+        c = (serve & (o_desc == t)).sum(axis=1, keepdims=True)
+        xv = np.where(few | (b > t), 1.0, np.where(b == t, (k - a) / (c + 1), 0.0))
+        xs, ps = 0.5 * (xl + xv), 0.5 * (xl * p + xv * np.where(few, 0.0, t))
+        # the running sums enter each chunk's first row: chunking keeps the order
+        xs[0], ps[0] = xs[0] + x, ps[0] + pay
+        x, pay = xs.sum(axis=0), ps.sum(axis=0)
+    return x * (0.5 / halvings), pay * (0.5 / halvings)
 
 
 def _first_price_rule(V: np.ndarray, k: int):
@@ -130,28 +124,26 @@ def audit_mechanism(name: str, k: int = 1, *, p: float = 0.0, q: float = 0.0,
     logprice, plus the non-truthful firstprice control. Bad parameters are
     rejected here, before any interim is evaluated.
     """
-    if name == "rsol":
-        _require_k(k)
-        return _RSOL(k)
     if name == "bayes" and iv is None:
         raise ValueError("bayes audit needs an ironed virtual value")
-    ends = [] if iv is None else [e for interval in iv.intervals
-                                  for e in (interval.v_lo, interval.v_hi)]
-    rules = {
-        "plottery": (lambda V: _lottery_rule(V, k, p), [p]),
-        "pqlottery": (lambda V: _pq_rule(V, k, p, q), [q, p]),
-        "vickrey": (lambda V: _vickrey_rule(V, k), []),
-        "bayes": (lambda V: _bayes_rule(iv, V, k), ends),
-        "mix": (lambda V: _mix_rule(V, k), []),
-        "logprice": (lambda V: _ladder_rule(V, k), []),
-        "firstprice": (lambda V: _first_price_rule(V, k), []),
+    ends = () if iv is None else tuple(e for interval in iv.intervals
+                                       for e in (interval.v_lo, interval.v_hi))
+    interims = {
+        "plottery": (_tiled(lambda V: _lottery_rule(V, k, p)), (p,)),
+        "pqlottery": (_tiled(lambda V: _pq_rule(V, k, p, q)), (q, p)),
+        "vickrey": (_tiled(lambda V: _vickrey_rule(V, k)), ()),
+        "bayes": (_tiled(lambda V: _bayes_rule(iv, V, k)), ends),
+        "mix": (_tiled(lambda V: _mix_rule(V, k)), ()),
+        "logprice": (_tiled(lambda V: _ladder_rule(V, k)), ()),
+        "rsol": (functools.partial(_rsol_interim, k), ()),
+        "firstprice": (_tiled(lambda V: _first_price_rule(V, k)), ()),
     }
-    if name not in rules:
+    if name not in interims:
         raise ValueError(f"unknown mechanism {name!r}")
-    rule, edges = rules[name]
-    # each rule checks its own parameters; on no profiles it does nothing else
-    rule(np.empty((0, 2)))
-    return AuditableMechanism(name, rule, edges)
+    interim, edges = interims[name]
+    # each rule checks its own parameters; with no bids it does nothing else
+    interim(np.zeros(2), 0, [])
+    return AuditableMechanism(name, interim, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +394,8 @@ def balanced_sampling_probe(n: int, trials: int = 100_000,
     m = n - 1
     limits = 0.75 * np.arange(2, n + 1)
     if n <= PROBE_EXACT_CAP:
-        masks = np.arange(1 << m, dtype=np.uint32)
-        memb = (masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1
-        counts = np.cumsum(memb.astype(np.int16), axis=1)
-        ok = (counts <= limits).all(axis=1)
-        return float(ok.mean())
+        counts = np.cumsum(_halvings(m, 0, 1 << m), axis=1, dtype=np.int16)
+        return float((counts <= limits).all(axis=1).mean())
     rng = substream(seed, "balanced-probe", n)
     good = 0
     rows = max(1, 2_000_000 // m)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import as_profile
-from .mechanisms import _blended_price, _optimal_strict_price, _require_k
+from .mechanisms import _blended_price, _learned_price, _require_k
 
 # pairs evaluated per block of the two-price sweep; bounds its scratch memory
 _BLOCK_PAIRS = 8192
@@ -110,7 +110,7 @@ def optimal_p_lottery(profile, k: int) -> tuple[float, float]:
     real prices.
     """
     _require_k(k)
-    return _optimal_strict_price(as_profile(profile).values, k)
+    return tuple(map(float, _learned_price(as_profile(profile).sorted, True, k)))
 
 
 def lottery_surplus_identity(profile, subset, k: int, ell: int) -> float:

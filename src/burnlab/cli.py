@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import sys
 
 import numpy as np
@@ -24,8 +23,11 @@ from .mechanisms import (RSOL_EXACT_CAP, bayes_optimal_outcome,
                          mixed_vickrey_lottery, vickrey)
 from .simlab import EXPERIMENT_NAMES, parse_config, run_experiment, write_rows
 
-EVAL_MECHS = ("plottery", "pqlottery", "vickrey", "bayes", "rsol", "mix",
-              "logprice")
+# the optional eval flags each mechanism reads; giving it any other is an error
+EVAL_FLAGS = {"plottery": ("p",), "pqlottery": ("p", "q"), "vickrey": (),
+              "bayes": ("dist", "grid"), "rsol": ("reps", "exact"), "mix": (),
+              "logprice": ()}
+EVAL_MECHS = tuple(EVAL_FLAGS)
 AUDIT_MECHS = EVAL_MECHS + ("firstprice",)
 
 
@@ -38,74 +40,74 @@ def _out_stream(path: str | None):
         yield sys.stdout
 
 
-def _cmd_iron(args) -> int:
-    d = distribution_from_spec(args.dist)
-    iv = iron(d, grid=args.grid)
-    flags = iv.ironed_flag.astype(int)
-    with _out_stream(args.out) as fh:
+def _write_csv(path: str | None, header, rows) -> None:
+    with _out_stream(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["q", "v", "theta", "H", "G", "phibar", "ironed_flag"])
-        for j in range(iv.q.size):
-            writer.writerow([iv.q[j], iv.v[j], iv.theta[j], iv.H[j], iv.G[j],
-                             iv.phibar[j], flags[j]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _cmd_iron(args) -> int:
+    iv = iron(distribution_from_spec(args.dist), grid=args.grid)
+    _write_csv(args.out, ["q", "v", "theta", "H", "G", "phibar", "ironed_flag"],
+               zip(iv.q, iv.v, iv.theta, iv.H, iv.G, iv.phibar,
+                   iv.ironed_flag.astype(int)))
     return 0
 
 
-def _exact(value: float, replicates: int = 1) -> MechanismEval:
-    return MechanismEval(float(value), 0.0, "exact", replicates)
+def _exact(value: float) -> MechanismEval:
+    return MechanismEval(float(value), 0.0, "exact", 1)
 
 
 def _cmd_eval(args) -> int:
+    for flag in sorted({f for flags in EVAL_FLAGS.values() for f in flags}):
+        if getattr(args, flag) is not None and flag not in EVAL_FLAGS[args.mech]:
+            raise ValueError(f"--{flag}: eval --mech {args.mech} does not read it")
+    if args.exact and args.reps is not None:
+        raise ValueError("--exact: exact mode takes no --reps")
     prof = load_profile(args.profile)
     n, k = prof.n, args.k
+    p, q = args.p or 0.0, args.q or 0.0
     params = "-"
     if args.mech == "plottery":
-        ev = _exact(expected_p_lottery(prof, k, args.p))
-        params = f"p={args.p}"
+        ev = _exact(expected_p_lottery(prof, k, p))
+        params = f"p={p}"
     elif args.mech == "pqlottery":
-        ev = _exact(expected_pq_lottery(prof, k, args.p, args.q))
-        params = f"p={args.p};q={args.q}"
+        ev = _exact(expected_pq_lottery(prof, k, p, q))
+        params = f"p={p};q={q}"
     elif args.mech == "vickrey":
         ev = _exact(vickrey(prof, k).residual_surplus)
     elif args.mech == "bayes":
         if not args.dist:
             raise SystemExit("eval --mech bayes requires --dist")
-        iv = iron(distribution_from_spec(args.dist), grid=args.grid)
+        grid = DEFAULT_GRID if args.grid is None else args.grid
+        iv = iron(distribution_from_spec(args.dist), grid=grid)
         ev = _exact(bayes_optimal_outcome(iv, prof, k).residual_surplus)
-        params = f"dist={args.dist};grid={args.grid}"
+        params = f"dist={args.dist};grid={grid}"
     elif args.mech == "rsol":
         exact = args.exact or (args.reps is None and n <= RSOL_EXACT_CAP)
-        if exact:
-            ev = expected_rsol(prof, k, mode="exact")
-            params = "mode=exact"
-        else:
-            reps = args.reps or 10_000
-            ev = expected_rsol(prof, k, mode="mc", reps=reps, seed=args.seed)
-            params = f"mode=mc;reps={reps}"
+        ev = expected_rsol(prof, k, mode="exact" if exact else "mc",
+                           reps=args.reps or 10_000, seed=args.seed)
+        params = "mode=exact" if exact else f"mode=mc;reps={ev.replicates}"
     elif args.mech == "mix":
         if k != 1:
             raise SystemExit("the mixture mechanism allocates a single unit")
         ev = mixed_vickrey_lottery(prof)
     else:
         ev = _exact(expected_log_price(prof, k))
-    with _out_stream(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mech", "n", "k", "params", "expected_residual",
-                         "ci_lo", "ci_hi", "seed"])
-        writer.writerow([args.mech, n, k, params, ev.mean, ev.ci[0], ev.ci[1],
-                         args.seed])
+    _write_csv(args.out, ["mech", "n", "k", "params", "expected_residual",
+                          "ci_lo", "ci_hi", "seed"],
+               [[args.mech, n, k, params, ev.mean, ev.ci[0], ev.ci[1], args.seed]])
     return 0
 
 
 def _cmd_benchmark(args) -> int:
     prof = load_profile(args.profile)
     res = two_price_benchmark(prof, args.k)
-    with _out_stream(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["G", "p", "q", "best_single_value", "best_single_p",
-                         "full_surplus"])
-        writer.writerow([res.value, res.p, res.q, res.single_value,
-                         res.single_p, profile_full_surplus(prof, args.k)])
+    _write_csv(args.out, ["G", "p", "q", "best_single_value", "best_single_p",
+                          "full_surplus"],
+               [[res.value, res.p, res.q, res.single_value, res.single_p,
+                 profile_full_surplus(prof, args.k)]])
     return 0
 
 
@@ -129,17 +131,14 @@ def _cmd_audit(args) -> int:
             worst = max(worst, rep.max_error)
         rows.append([args.mech, idx, "payment", ok, worst])
         all_passed &= dsic.passed and ok
-    with _out_stream(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mech", "profile", "check", "passed", "max_violation"])
-        writer.writerows(rows)
+    _write_csv(args.out, ["mech", "profile", "check", "passed", "max_violation"],
+               rows)
     return 0 if all_passed else 1
 
 
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
-        config = parse_config(fh.read())
-    config = dataclasses.replace(config, experiment=args.name)
+        config = parse_config(fh.read(), experiment=args.name)
     rows = run_experiment(config)
     out = args.out or config.out or None
     with _out_stream(out) as fh:
@@ -166,13 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mech", required=True, choices=EVAL_MECHS)
     p.add_argument("--profile", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=0.0)
+    # optional flags default to None, so that _cmd_eval sees which were given
+    p.add_argument("--p", type=float, help="price (default 0)")
+    p.add_argument("--q", type=float, help="lower price (default 0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", action="store_true", default=None)
     p.add_argument("--dist")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int, help=f"default {DEFAULT_GRID}")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_eval)
 

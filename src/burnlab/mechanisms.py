@@ -15,10 +15,11 @@ derive from the rule: expected_* values are its row residual (_residual),
 runs return its row or with an rng draw from it (_run), and the audit
 interims (audit.py) and the estimator (simlab.py) evaluate it on many rows.
 
-One closed form stays on purpose: RSOL (random-sampling optimal lottery:
-learn a price on a random half of the agents, apply it or Vickrey to the
-other half) has no rowwise rule; its exact value enumerates every halving
-(_rsol_branch_values).
+RSOL (random-sampling optimal lottery: learn a price on a random half of the
+agents, apply it or Vickrey to the other half) has no rowwise rule. Its
+learned price is one kernel, _learned_price, called by the exact value and
+the estimator (through _rsol_values), the realized run, optimal_p_lottery
+and the audit interim.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .ironing import IronedVirtual
 
 COST_AGENT_CAP = 20
 RSOL_EXACT_CAP = 20
+# cells per chunk of the RSOL enumerations; bounds their scratch memory
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -143,25 +146,29 @@ def expected_strict_p_lottery(profile, k: int, p: float) -> float:
     return _lottery_value(profile, k, p, True)
 
 
-def _optimal_strict_price(values: np.ndarray, k: int) -> tuple[float, float]:
-    """Best (value, price) of a strict-eligibility lottery, smallest price on ties.
-
-    Candidates 0 and the values themselves suffice: between consecutive values
-    the lottery value is strictly decreasing in p wherever it is positive.
-    """
-    v = np.sort(np.asarray(values, dtype=float))
-    n = v.size
-    if n == 0:
-        return 0.0, 0.0
-    cands = np.concatenate(([0.0], v))
-    m = n - np.searchsorted(v, cands, side="right")
-    tail = np.concatenate(([0.0], np.cumsum(v[::-1])))
-    tops = tail[m]
-    vals = np.where(m > 0,
-                    np.minimum(k, m) / np.maximum(m, 1) * (tops - m * cands),
-                    0.0)
-    j = int(np.argmax(vals))
-    return float(vals[j]), float(cands[j])
+def _learned_price(V_desc: np.ndarray, pool, k: int):
+    """Best (value, price) of the strict lottery on each row's pool, smallest
+    price on ties; V_desc (nonnegative, sorted descending along the last
+    axis) and the pool mask broadcast. The prices tried are 0 and the row's
+    values: between pool values the lottery value falls in p, so a value
+    outside the pool never beats the next lower price. The pool agents above
+    a price are those ahead of its run of equal values, so prefix counts m
+    and sums (added in descending order) give min(k, m)/m * (sum - m*p) in
+    O(n) per row."""
+    column = V_desc.shape[:-1] + (1,)
+    prices = np.concatenate((V_desc, np.zeros(column)), axis=-1)
+    run_start = prices != np.concatenate((np.full(column, -1.0), V_desc), axis=-1)
+    w = np.where(pool, V_desc, 0.0)
+    ahead = np.concatenate((np.zeros(w.shape[:-1] + (1,)), w), axis=-1)
+    # ahead > 0 counts the pool, as pool agents at 0 are above no price; both
+    # prefixes only grow along the row, so a running max holds each run's start
+    counts, sums = np.cumsum(ahead > 0, axis=-1), np.cumsum(ahead, axis=-1)
+    m = np.maximum.accumulate(np.where(run_start, counts, 0), axis=-1)
+    tops = np.maximum.accumulate(np.where(run_start, sums, 0.0), axis=-1)
+    # with no pool agent above a price (m = 0) its sum is 0 and so is its value
+    vals = np.minimum(k, m) / np.maximum(m, 1) * (tops - m * prices)
+    best = vals.max(axis=-1)
+    return best, np.where(vals == best[..., None], prices, np.inf).min(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,37 +411,48 @@ def bayes_optimal_with_costs(prob: CostProblem, profile, rng=None) -> CostOutcom
 # RSOL
 
 
-def _rsol_branch_values(v_desc: np.ndarray, member: np.ndarray, k: int):
-    """Lottery-branch and Vickrey-branch values for each membership row.
+def _halvings(n: int, start: int, stop: int) -> np.ndarray:
+    """Halvings start..stop-1, capped at 2^n: bit j of the number serves agent j."""
+    masks = np.arange(start, min(stop, 1 << n), dtype=np.uint32)
+    return (masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1 > 0
 
-    v_desc is the profile sorted descending; member is (rows, n) boolean with
-    True marking the serving half. The learned price per row is the optimal
-    strict-lottery price of the complement half.
-    """
-    rows, n = member.shape
-    asc = v_desc[::-1]
-    cands = np.concatenate(([0.0], asc))
-    other = ~member
-    vals2 = np.empty((rows, n + 1))
-    for j, c in enumerate(cands):
-        elig = other & (v_desc[None, :] > c)
-        m2 = elig.sum(axis=1)
-        sum2 = elig @ v_desc
-        vals2[:, j] = np.where(
-            m2 > 0, np.minimum(k, m2) / np.maximum(m2, 1) * (sum2 - m2 * c), 0.0)
-    p2 = cands[np.argmax(vals2, axis=1)]
-    elig1 = member & (v_desc[None, :] > p2[:, None])
-    m1 = elig1.sum(axis=1)
-    sum1 = (elig1 * v_desc[None, :]).sum(axis=1)
+
+def _rsol_values(V_desc: np.ndarray, member: np.ndarray, k: int) -> np.ndarray:
+    """Expected residual of each (profile, halving): a fair coin between the
+    strict lottery at the price the kernel learns on the other half and
+    Vickrey, both on the serving half. V_desc (profiles sorted descending
+    along the last axis) and member (True in the serving half) broadcast."""
+    p2 = _learned_price(V_desc, ~member, k)[1]
+    elig1 = member & (V_desc > p2[..., None])
+    m1 = elig1.sum(axis=-1)
+    sum1 = (elig1 * V_desc).sum(axis=-1)
     lottery = np.where(
         m1 > 0, np.minimum(k, m1) / np.maximum(m1, 1) * (sum1 - m1 * p2), 0.0)
-    rank = np.cumsum(member, axis=1)
-    top = member & (rank <= k)
-    sum_top = (top * v_desc[None, :]).sum(axis=1)
-    marginal = member & (rank == k + 1)
-    w = (marginal * v_desc[None, :]).sum(axis=1)
-    vick = sum_top - np.minimum(rank[:, -1], k) * w
-    return lottery, vick
+    rank = np.cumsum(member, axis=-1)
+    sum_top = ((member & (rank <= k)) * V_desc).sum(axis=-1)
+    w = ((member & (rank == k + 1)) * V_desc).sum(axis=-1)
+    vick = sum_top - np.minimum(rank[..., -1], k) * w
+    return 0.5 * lottery + 0.5 * vick
+
+
+def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
+    """Exact expected RSOL residual of each profile row of V: the mean over
+    all 2^n halvings, in chunks of about _CHUNK_CELLS (profile, halving,
+    agent) cells; each profile's halvings are summed at once."""
+    _require_k(k)
+    rows, n = V.shape
+    if not 1 <= n <= RSOL_EXACT_CAP:
+        raise ValueError(f"exact mode needs 1 to {RSOL_EXACT_CAP} agents")
+    halvings = 1 << n
+    per = min(halvings, _CHUNK_CELLS // n)
+    step = max(1, _CHUNK_CELLS // (per * n))
+    V_desc = np.sort(V, axis=1)[:, None, ::-1]
+    total = np.empty(rows)
+    for r in range(0, rows, step):
+        total[r:r + step] = np.concatenate(
+            [_rsol_values(V_desc[r:r + step], _halvings(n, h, h + per), k)
+             for h in range(0, halvings, per)], axis=1).sum(axis=1)
+    return total / halvings
 
 
 def rsol(profile, k: int, rng) -> Outcome:
@@ -445,15 +463,13 @@ def rsol(profile, k: int, rng) -> Outcome:
     lottery at the learned price or Vickrey, run on the serving half.
     """
     _require_k(k)
-    prof = as_profile(profile)
-    v = prof.values
-    n = prof.n
+    v = as_profile(profile).values
+    n = v.size
     if n == 0:
         raise ValueError("need at least one agent")
     serve = rng.random(n) < 0.5
-    _, p2 = _optimal_strict_price(v[~serve], k)
-    alloc = np.zeros(n)
-    pay = np.zeros(n)
+    p2 = float(_learned_price(np.sort(v[~serve])[::-1], True, k)[1])
+    alloc, pay = np.zeros(n), np.zeros(n)
     if rng.random() < 0.5:
         elig = serve & (v > p2)
         m = int(elig.sum())
@@ -478,27 +494,16 @@ def expected_rsol(profile, k: int, mode: str = "exact",
     """
     _require_k(k)
     prof = as_profile(profile)
-    v = np.sort(prof.values)[::-1]
     n = prof.n
     if n == 0:
         raise ValueError("need at least one agent")
     if mode == "exact":
-        if n > RSOL_EXACT_CAP:
-            raise ValueError(f"exact mode supports at most {RSOL_EXACT_CAP} agents")
-        total = 0.0
-        chunk = 1 << min(n, 16)
-        for start in range(0, 1 << n, chunk):
-            masks = np.arange(start, start + chunk, dtype=np.uint32)
-            member = (masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1 > 0
-            lottery, vick = _rsol_branch_values(v, member, k)
-            total += float((0.5 * lottery + 0.5 * vick).sum())
-        return MechanismEval(total / (1 << n), 0.0, "exact", 1 << n, None)
+        return MechanismEval(float(_rsol_exact(prof.values[None, :], k)[0]),
+                             0.0, "exact", 1 << n, None)
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-    rng = substream(seed, "rsol", n, k)
-    member = rng.random((reps, n)) < 0.5
-    lottery, vick = _rsol_branch_values(v, member, k)
-    return mc_eval(0.5 * lottery + 0.5 * vick, seed)
+    member = substream(seed, "rsol", n, k).random((reps, n)) < 0.5
+    return mc_eval(_rsol_values(prof.sorted, member, k), seed)
 
 
 # ---------------------------------------------------------------------------

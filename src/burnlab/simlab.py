@@ -20,8 +20,8 @@ from .distributions import (ValuationProfile, ValueDistribution, as_profile,
                             exponential)
 from .ironing import iron
 from .mechanisms import (_bayes_rule, _ladder_rule, _lottery_rule, _mix_rule,
-                         _residual, _vickrey_rule, expected_log_price,
-                         expected_rsol)
+                         _residual, _rsol_exact, _vickrey_rule,
+                         expected_log_price, expected_rsol)
 
 _CHUNK_VALUES = 4_000_000
 
@@ -30,37 +30,35 @@ _CHUNK_VALUES = 4_000_000
 # prior-expectation estimator
 
 
-# registry name -> marginal rule (V, k, d) -> (X, P), applied to every
-# sampled profile at once; rsol has no rule and is evaluated per profile
-_RULES = {
-    "lottery": lambda V, k, d: _lottery_rule(V, k, 0.0),
-    "plottery0": lambda V, k, d: _lottery_rule(V, k, 0.0),
-    "vickrey": lambda V, k, d: _vickrey_rule(V, k),
-    "bayes": lambda V, k, d: _bayes_rule(iron(d), V, k),
-    "mix": lambda V, k, d: _mix_rule(V, k),
-    "logprice": lambda V, k, d: _ladder_rule(V, k),
+# registry name -> (V, k, d) -> exact expected residual of every sampled
+# profile at once: its marginal rule's row residual, or rsol's enumeration
+_REGISTRY = {
+    "lottery": lambda V, k, d: _residual(V, *_lottery_rule(V, k, 0.0)),
+    "plottery0": lambda V, k, d: _residual(V, *_lottery_rule(V, k, 0.0)),
+    "vickrey": lambda V, k, d: _residual(V, *_vickrey_rule(V, k)),
+    "bayes": lambda V, k, d: _residual(V, *_bayes_rule(iron(d), V, k)),
+    "mix": lambda V, k, d: _residual(V, *_mix_rule(V, k)),
+    "logprice": lambda V, k, d: _residual(V, *_ladder_rule(V, k)),
+    "rsol": lambda V, k, d: _rsol_exact(V, k),
 }
 
 
 def estimate(mechanism, d: ValueDistribution, n: int, k: int, reps: int,
              seed: int) -> MechanismEval:
-    """MC mean of per-profile exact expected residual over profiles from d.
-
-    mechanism is a registry name (lottery, vickrey, bayes, mix, rsol,
-    logprice, plottery0) or a callable (profile, k) -> expected residual.
-    """
+    """MC mean over profiles from d of each one's exact expected residual,
+    for all profiles at once with a registry name (lottery, vickrey, bayes,
+    mix, rsol, logprice, plottery0), one call per profile with a callable
+    (profile, k) -> expected residual."""
     if reps < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates")
     name = mechanism if isinstance(mechanism, str) else getattr(
         mechanism, "__name__", "custom")
-    if mechanism == "rsol":
-        mechanism = lambda prof, k: expected_rsol(prof, k, mode="exact").mean  # noqa: E731
-    elif isinstance(mechanism, str) and mechanism not in _RULES:
+    if isinstance(mechanism, str) and mechanism not in _REGISTRY:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     rng = substream(seed, "estimate", name, n, k)
     V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
     if isinstance(mechanism, str):
-        samples = _residual(V, *_RULES[mechanism](V, k, d))
+        samples = _REGISTRY[mechanism](V, k, d)
     else:
         samples = np.array([mechanism(ValuationProfile(row), k) for row in V])
     return mc_eval(samples, seed)
@@ -229,8 +227,9 @@ class ExperimentConfig:
             raise ValueError("k: surplus-gap takes a single k")
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat `key = value` config text; # starts a comment."""
+def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
+    """Parse flat `key = value` config text (# starts a comment); experiment
+    overrides the text's own. lb43 takes no n or k."""
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -247,6 +246,11 @@ def parse_config(text: str) -> ExperimentConfig:
             fields[key] = value
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+    if experiment is not None:
+        fields["experiment"] = experiment
+    for key in ("n", "k"):
+        if key in fields and fields.get("experiment", "lb43") == "lb43":
+            raise ValueError(f"{key}: lb43 always runs two agents, one unit")
     return ExperimentConfig(**fields)
 
 

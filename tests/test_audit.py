@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,82 @@ def test_ladder_matches_independent_oracle(vals, k):
     assert expected_log_price(prof, k) == pytest.approx(ref, rel=1e-12, abs=0)
     total = interim_total(audit_mechanism("logprice", k), prof)
     assert total == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def learned_price_oracle(values, k):
+    # the best strict-lottery price over 0 and the values, smallest on ties
+    best, price = -1.0, 0.0
+    for c in sorted({0.0, *values}):
+        elig = [v for v in values if v > c]
+        value = min(k, len(elig)) / len(elig) * sum(v - c for v in elig) if elig else 0.0
+        if value > best:
+            best, price = value, c
+    return price
+
+
+def rsol_interim_oracle(values, i, bids, k):
+    # agent i serves with probability 1/2; per halving of the opponents the
+    # price is learned on the rest, then a fair coin picks the strict lottery
+    # or Vickrey, whose ties at the margin break uniformly
+    opp = [v for j, v in enumerate(values) if j != i]
+    x = [0.0] * len(bids)
+    pay = [0.0] * len(bids)
+    for mask in range(1 << len(opp)):
+        serve = [v for j, v in enumerate(opp) if mask >> j & 1]
+        price = learned_price_oracle(
+            [v for j, v in enumerate(opp) if not mask >> j & 1], k)
+        for idx, b in enumerate(bids):
+            if b > price:
+                m = 1 + sum(v > price for v in serve)
+                x[idx] += 0.5 * min(k, m) / m
+                pay[idx] += 0.5 * min(k, m) / m * price
+            above = sum(v > b for v in serve)
+            tied = sum(v == b for v in serve)
+            win = min(1.0, max(0.0, (k - above) / (tied + 1)))
+            everyone = sorted(serve + [b], reverse=True)
+            x[idx] += 0.5 * win
+            pay[idx] += 0.5 * win * (everyone[k] if len(everyone) > k else 0.0)
+    scale = 0.5 / (1 << len(opp))
+    return np.array(x) * scale, np.array(pay) * scale
+
+
+@given(st.lists(st.integers(0, 8).map(lambda j: j / 4), min_size=1, max_size=6),
+       st.integers(1, 3), st.lists(st.floats(0.0, 2.5), max_size=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rsol_interim_matches_halving_oracle(vals, k, extra, data):
+    # values on a coarse grid, so ties are common; bids at, between and
+    # beside the values
+    i = data.draw(st.integers(0, len(vals) - 1))
+    bids = np.array(sorted({0.0, *vals, *extra, *(v + 0.125 for v in vals)}))
+    x, pay = audit_mechanism("rsol", k).interim(np.array(vals), i, bids)
+    ref_x, ref_pay = rsol_interim_oracle(vals, i, bids, k)
+    np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(pay, ref_pay, rtol=1e-12, atol=1e-12)
+
+
+def test_rsol_interim_chunking_invariant():
+    # thousands of bids split the halvings into many chunks; a handful of
+    # bids takes them in one, with the same sums bit for bit
+    values = np.round(np.random.default_rng(4).random(10) * 8) / 4
+    bids = np.unique(np.concatenate((np.linspace(0.0, 2.5, 3000), values)))
+    mech = audit_mechanism("rsol", 2)
+    x, pay = mech.interim(values, 3, bids)
+    pick = np.searchsorted(bids, values)
+    x_few, pay_few = mech.interim(values, 3, bids[pick])
+    assert np.array_equal(x[pick], x_few) and np.array_equal(pay[pick], pay_few)
+
+
+def test_rsol_interim_memory_is_chunked():
+    # 2^13 halvings x 600 bids would be 39 MB per float array
+    values = np.random.default_rng(3).random(14)
+    mech = audit_mechanism("rsol", 2)
+    tracemalloc.start()
+    try:
+        mech.interim(values, 0, np.linspace(0.0, 1.25, 600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,26 @@ def test_eval_rsol_modes(tmp_path, capsys):
     assert float(row[5]) < float(row[6])
 
 
+@pytest.mark.parametrize("mech, flags, flag", [
+    ("vickrey", ["--p", "2.5", "--q", "9"], "p"),
+    ("plottery", ["--p", "1", "--q", "0"], "q"),
+    ("bayes", ["--dist", "exp(1)", "--p", "0"], "p"),
+    ("logprice", ["--dist", "exp(1)"], "dist"),
+    ("mix", ["--grid", "256"], "grid"),
+    ("pqlottery", ["--reps", "100"], "reps"),
+    ("vickrey", ["--exact"], "exact"),
+    ("rsol", ["--exact", "--reps", "100"], "exact"),
+], ids=["vickrey-p", "plottery-q", "bayes-p", "logprice-dist", "mix-grid",
+        "pqlottery-reps", "vickrey-exact", "rsol-exact-reps"])
+def test_eval_unread_flag_exit_two(tmp_path, capsys, mech, flags, flag):
+    prof = write_profile(tmp_path, [3.0, 1.0])
+    rc = main(["eval", "--mech", mech, "--profile", prof, "--k", "1", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"burnlab: error: --{flag}: ")
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 
@@ -203,6 +223,15 @@ def test_experiment_with_config(tmp_path):
     assert lines[-1] == f"# burnlab {VERSION} seed=3"
 
 
+def test_experiment_lb43_without_n_k(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reps = 1000\nseed = 2\n")
+    rc, out = run_stdout(capsys, ["experiment", "--name", "lb43",
+                                  "--config", str(cfg)])
+    assert rc == 0
+    assert out.splitlines()[1].startswith("lb43,2,1,1000,2,")
+
+
 def test_experiment_out_from_config(tmp_path):
     target = tmp_path / "fromcfg.csv"
     cfg = tmp_path / "run.cfg"
@@ -213,13 +242,17 @@ def test_experiment_out_from_config(tmp_path):
     assert "thmub" in target.read_text()
 
 
-@pytest.mark.parametrize("text, key", [("k = 1, 2\n", "k"),
-                                       ("dist = uniform(0,1)\n", "dist")],
-                         ids=["k", "dist"])
-def test_experiment_rejected_key_exit_two(tmp_path, capsys, text, key):
+@pytest.mark.parametrize("name, text, key", [
+    ("surplus-gap", "k = 1, 2\n", "k"),
+    ("surplus-gap", "dist = uniform(0,1)\n", "dist"),
+    ("lb43", "n = 5\nk = 3\nreps = 1000\n", "n"),
+    ("lb43", "k = 1\n", "k"),
+    ("lb43", "experiment = thmub\nn = 4\n", "n"),
+], ids=["k", "dist", "lb43-n", "lb43-k", "lb43-overrides-text"])
+def test_experiment_rejected_key_exit_two(tmp_path, capsys, name, text, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    rc = main(["experiment", "--name", "surplus-gap", "--config", str(cfg)])
+    rc = main(["experiment", "--name", name, "--config", str(cfg)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith(f"burnlab: error: {key}")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from burnlab.common import substream
 from burnlab.distributions import ValuationProfile
-from burnlab.mechanisms import (CostProblem, bayes_optimal_outcome,
+from burnlab.mechanisms import (CostProblem, _learned_price, bayes_optimal_outcome,
                                 bayes_optimal_with_costs, expected_log_price,
                                 expected_p_lottery, expected_pq_lottery,
                                 expected_rsol, expected_strict_p_lottery,
@@ -232,6 +232,47 @@ def test_costs_capacity_error():
 
 # ---------------------------------------------------------------------------
 # random sampling optimal lottery
+
+
+def strict_scan(values, k):
+    # best strict-lottery (value, price) over the prices 0 and the values,
+    # the smallest price on ties; each value sums the agents above the price
+    # in descending order, as the kernel does
+    best = (-1.0, 0.0)
+    for c in sorted({0.0, *values}):
+        elig = sorted((v for v in values if v > c), reverse=True)
+        m = len(elig)
+        value = min(k, m) / m * (sum(elig) - m * c) if m else 0.0
+        if value > best[0]:
+            best = (value, c)
+    return best
+
+
+@given(st.integers(0, 8), st.integers(1, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_learned_price_matches_scan(n, k, data):
+    # several rows at once; tenths make ties common and rounding visible
+    rows = data.draw(st.integers(1, 4))
+    value_st = st.one_of(st.integers(0, 12).map(lambda j: j / 10),
+                         st.floats(0.0, 10.0))
+    cells = st.lists(st.tuples(value_st, st.booleans()), min_size=n, max_size=n)
+    drawn = [data.draw(cells) for _ in range(rows)]
+    V = -np.sort(-np.array([[v for v, _ in r] for r in drawn]).reshape(rows, n),
+                 axis=1)
+    pool = np.array([[m for _, m in r] for r in drawn], dtype=bool).reshape(rows, n)
+    value, price = _learned_price(V, pool, k)
+    assert value.shape == price.shape == (rows,)
+    for r in range(rows):
+        assert (value[r], price[r]) == strict_scan(list(V[r][pool[r]]), k)
+
+
+def test_learned_price_counts_tied_run_once():
+    # two pool agents at 0.2: the price 0.2 counts only the agents strictly
+    # above it; counting the first 0.2 as well reads one ulp off here
+    V = np.array([1.2, 1.2, 1.2, 0.9, 0.3, 0.2, 0.2, 0.1])
+    pool = np.array([1, 1, 0, 1, 0, 1, 1, 1], dtype=bool)
+    value, price = _learned_price(V, pool, 4)
+    assert (value, price) == strict_scan(list(V[pool]), 4)
 
 
 def test_rsol_exact_oracles():

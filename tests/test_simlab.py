@@ -146,6 +146,17 @@ def test_parse_config_defaults():
     assert cfg.experiment == "lb43" and cfg.n == (32, 1024)
 
 
+def test_parse_config_lb43_takes_no_n_k():
+    # lb43 runs two agents and one unit whatever n and k say
+    for text in ("n = 5", "k = 3", "experiment = lb43\nk = 1"):
+        with pytest.raises(ValueError, match="lb43"):
+            parse_config(text)
+    with pytest.raises(ValueError, match="^n: lb43"):
+        parse_config("experiment = thmub\nn = 4", experiment="lb43")
+    assert parse_config("n = 4", experiment="thmub").n == (4,)
+    assert parse_config("reps = 50", experiment="lb43").experiment == "lb43"
+
+
 def test_parse_config_errors():
     with pytest.raises(ValueError):
         parse_config("volume = 11")

@@ -17,8 +17,8 @@ On top of the interim rule sit:
 - Monte Carlo verification that expected utility equals the expected utility
   virtual value of winners, and that ironing only raises the virtual-value
   objective for monotone rules, on the same batched rules,
-- the split-balance probe: how often a uniform random half that misses the
-  top agent also stays under 3/4 of every prefix.
+- the split-balance probe: the exact chance, counted in O(n^2), that a uniform
+  random half missing the top agent stays under 3/4 of every prefix.
 
 A deliberately non-truthful first-price variant is included as a control; the
 deviation scan must flag it.
@@ -27,6 +27,7 @@ deviation scan must flag it.
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,12 +37,11 @@ from .common import MechanismEval, mc_eval, substream
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
 from .ironing import IronedVirtual, iron
-from .mechanisms import (_CHUNK_CELLS, _bayes_rule, _halvings, _ladder_rule,
-                         _learned_price, _lottery_rule, _mix_rule, _pq_rule,
-                         _require_k, _residual, _vickrey_rule)
+from .mechanisms import (_CHUNK_CELLS, RSOL_EXACT_CAP, _bayes_rule, _halvings,
+                         _ladder_rule, _learned_price, _lottery_rule, _mix_rule,
+                         _pq_rule, _require_k, _residual, _vickrey_rule)
 
 DSIC_TOL = 1e-9
-PROBE_EXACT_CAP = 20
 MIN_IDENTITY_GRID = 256
 
 
@@ -89,6 +89,8 @@ def _rsol_interim(k: int, values, i: int, bids):
     _require_k(k)
     b = np.asarray(bids, dtype=float)
     o = np.delete(np.asarray(values, dtype=float), i)
+    if o.size + 1 > RSOL_EXACT_CAP:
+        raise ValueError(f"rsol audits take at most {RSOL_EXACT_CAP} agents")
     order = np.argsort(-o, kind="stable")
     o_desc, halvings = o[order], 1 << o.size
     per = max(1, _CHUNK_CELLS // max(b.size, o.size, 1))
@@ -380,30 +382,23 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
 # split-balance probe
 
 
-def balanced_sampling_probe(n: int, trials: int = 100_000,
-                            seed: int = 0) -> float:
-    """P(every prefix count n_i <= (3/4)i | top agent not sampled).
+def balanced_sampling_probe(n: int, *, trials: int | None = None,
+                            seed: int | None = None) -> float:
+    """P(every prefix count n_i <= (3/4)i | top agent not sampled), exact.
 
-    Exact enumeration of the 2^(n-1) conditioned subsets up to n = 20, a
-    seeded Monte Carlo estimate beyond.
+    The probabilities of each sampled count among ranks 2..i are carried one
+    rank at a time and cut at the limit (3i)//4: O(n^2) operations in O(n)
+    memory. trials and seed are deprecated and ignored.
     """
+    if trials is not None or seed is not None:
+        warnings.warn("balanced_sampling_probe is exact: trials and seed are "
+                      "ignored", DeprecationWarning, stacklevel=2)
     if n < 1:
         raise ValueError("need at least one agent")
-    if n == 1:
-        return 1.0
-    m = n - 1
-    limits = 0.75 * np.arange(2, n + 1)
-    if n <= PROBE_EXACT_CAP:
-        counts = np.cumsum(_halvings(m, 0, 1 << m), axis=1, dtype=np.int16)
-        return float((counts <= limits).all(axis=1).mean())
-    rng = substream(seed, "balanced-probe", n)
-    good = 0
-    rows = max(1, 2_000_000 // m)
-    done = 0
-    while done < trials:
-        take = min(rows, trials - done)
-        memb = rng.integers(0, 2, size=(take, m), dtype=np.int8)
-        counts = np.cumsum(memb, axis=1, dtype=np.int32)
-        good += int((counts <= limits).all(axis=1).sum())
-        done += take
-    return good / trials
+    w = np.zeros(3 * n // 4 + 1)
+    w[0] = 1.0
+    for i in range(2, n + 1):
+        top = 3 * i // 4 + 1
+        w[1:top] += w[:top - 1]
+        w[:top] /= 2
+    return float(w.sum())

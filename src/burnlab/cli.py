@@ -79,7 +79,7 @@ def _cmd_eval(args) -> int:
         ev = _exact(vickrey(prof, k).residual_surplus)
     elif args.mech == "bayes":
         if not args.dist:
-            raise SystemExit("eval --mech bayes requires --dist")
+            raise ValueError("--dist: eval --mech bayes requires it")
         grid = DEFAULT_GRID if args.grid is None else args.grid
         iv = iron(distribution_from_spec(args.dist), grid=grid)
         ev = _exact(bayes_optimal_outcome(iv, prof, k).residual_surplus)
@@ -90,9 +90,7 @@ def _cmd_eval(args) -> int:
                            reps=args.reps or 10_000, seed=args.seed)
         params = "mode=exact" if exact else f"mode=mc;reps={ev.replicates}"
     elif args.mech == "mix":
-        if k != 1:
-            raise SystemExit("the mixture mechanism allocates a single unit")
-        ev = mixed_vickrey_lottery(prof)
+        ev = mixed_vickrey_lottery(prof, k)
     else:
         ev = _exact(expected_log_price(prof, k))
     _write_csv(args.out, ["mech", "n", "k", "params", "expected_residual",

@@ -518,12 +518,12 @@ def _mix_rule(V: np.ndarray, k: int = 1):
     return X / 3.0 + 1.0 / 3.0, P / 3.0
 
 
-def mixed_vickrey_lottery(profile) -> MechanismEval:
-    """1/3 Vickrey, 2/3 free lottery for exactly two agents, one unit.
+def mixed_vickrey_lottery(profile, k: int = 1) -> MechanismEval:
+    """1/3 Vickrey, 2/3 free lottery for exactly two agents, one unit (k = 1).
 
     The expectation telescopes to (2/3) of the higher value.
     """
-    return MechanismEval(_expected(_mix_rule, profile), 0.0, "exact", 1, None)
+    return MechanismEval(_expected(_mix_rule, profile, k), 0.0, "exact", 1, None)
 
 
 # ---------------------------------------------------------------------------

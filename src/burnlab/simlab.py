@@ -229,7 +229,7 @@ class ExperimentConfig:
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Parse flat `key = value` config text (# starts a comment); experiment
-    overrides the text's own. lb43 takes no n or k."""
+    overrides the text's own. lb43 takes no n or k; rsol-ratio, thmub no reps."""
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -251,6 +251,9 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     for key in ("n", "k"):
         if key in fields and fields.get("experiment", "lb43") == "lb43":
             raise ValueError(f"{key}: lb43 always runs two agents, one unit")
+    if "reps" in fields and fields.get("experiment") in ("rsol-ratio", "thmub"):
+        raise ValueError(f"reps: {fields['experiment']} is exact and draws "
+                         "no replicates")
     return ExperimentConfig(**fields)
 
 

@@ -180,7 +180,7 @@ def test_a9_identity_and_dominance():
                                            iv=iv)
             if not (idr.passed and dom.inequality_passed):
                 failures.append(f"{d.name}/{rule}")
-    probe = balanced_sampling_probe(10 ** 4, trials=10 ** 5, seed=SEED)
+    probe = balanced_sampling_probe(10 ** 4)
     ok = not failures and probe >= 0.9
     detail = (f"12 prior x rule validations at 1e5 reps "
               f"({', '.join(failures) or 'all pass'}), split probe "

@@ -235,6 +235,12 @@ def test_rsol_interim_memory_is_chunked():
     assert peak < 4 * 2 ** 20
 
 
+def test_rsol_interim_rejects_more_than_exact_cap():
+    mech = audit_mechanism("rsol", 1)
+    with pytest.raises(ValueError, match="at most 20 agents"):
+        mech.interim(np.linspace(0.1, 2.0, 21), 0, np.array([0.5]))
+
+
 # ---------------------------------------------------------------------------
 # bayes interim structure
 
@@ -391,11 +397,33 @@ def test_probe_matches_dp_enumeration():
         assert balanced_sampling_probe(n) == exact_prefix_probability(n)
 
 
-def test_probe_mc_branch_consistent():
-    trials = 300_000
-    target = exact_prefix_probability(22)
-    est = balanced_sampling_probe(22, trials=trials, seed=3)
-    assert abs(est - target) <= 4 * np.sqrt(target * (1 - target) / trials)
+def test_probe_matches_dp_oracle_beyond_enumeration():
+    # dyadic values with at most 53 bits: the float count is exact
+    for n in (21, 22, 30, 54):
+        assert balanced_sampling_probe(n) == exact_prefix_probability(n)
+    for n in (64, 200, 1000):
+        target = exact_prefix_probability(n)
+        assert abs(balanced_sampling_probe(n) - target) <= 1e-14 * target
+
+
+@pytest.mark.parametrize("n", [20, 10 ** 4])
+def test_probe_memory_is_linear(n):
+    # enumerating the 2^19 halvings at n = 20 peaked at 78 MB
+    tracemalloc.start()
+    try:
+        balanced_sampling_probe(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": 10}, {"seed": 3},
+                                    {"trials": 10, "seed": 3}])
+def test_probe_trials_and_seed_deprecated(kwargs):
+    with pytest.warns(DeprecationWarning, match="trials and seed"):
+        value = balanced_sampling_probe(30, **kwargs)
+    assert value == balanced_sampling_probe(30)
 
 
 def test_probe_validation():

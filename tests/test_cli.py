@@ -86,9 +86,10 @@ def test_eval_pq_params(tmp_path, capsys):
 
 def test_eval_bayes(tmp_path, capsys):
     prof = write_profile(tmp_path, [3.0, 1.0])
-    with pytest.raises(SystemExit):
-        main(["eval", "--mech", "bayes", "--profile", prof, "--k", "1"])
-    capsys.readouterr()
+    rc = main(["eval", "--mech", "bayes", "--profile", prof, "--k", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "burnlab: error: --dist: eval --mech bayes requires it\n"
     rc, out = run_stdout(capsys, ["eval", "--mech", "bayes",
                                   "--profile", prof, "--k", "1",
                                   "--dist", "exp(1)", "--grid", "256"])
@@ -100,9 +101,11 @@ def test_eval_bayes(tmp_path, capsys):
 
 def test_eval_mix(tmp_path, capsys):
     prof = write_profile(tmp_path, [3.0, 1.0])
-    with pytest.raises(SystemExit):
-        main(["eval", "--mech", "mix", "--profile", prof, "--k", "2"])
-    capsys.readouterr()
+    rc = main(["eval", "--mech", "mix", "--profile", prof, "--k", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("burnlab: error: the mixture mechanism is defined "
+                            "for n=2, k=1\n")
     rc, out = run_stdout(capsys, ["eval", "--mech", "mix", "--profile", prof,
                                   "--k", "1"])
     assert rc == 0
@@ -206,6 +209,15 @@ def test_audit_bayes_smoke(tmp_path):
     assert rc == 0
 
 
+def test_audit_rsol_above_exact_cap_exit_two(tmp_path, capsys):
+    out = tmp_path / "audit.csv"
+    rc = main(["audit", "--mech", "rsol", "--dist", "uniform(0,1)", "--n", "24",
+               "--profiles", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "burnlab: error: rsol audits take at most 20 agents\n"
+
+
 # ---------------------------------------------------------------------------
 # experiment
 
@@ -235,7 +247,7 @@ def test_experiment_lb43_without_n_k(tmp_path, capsys):
 def test_experiment_out_from_config(tmp_path):
     target = tmp_path / "fromcfg.csv"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"n = 4\nk = 1\nreps = 100\nout = {target}\n")
+    cfg.write_text(f"n = 4\nk = 1\nout = {target}\n")
     rc = main(["experiment", "--name", "thmub", "--config", str(cfg)])
     assert rc == 0
     assert target.exists()
@@ -248,7 +260,10 @@ def test_experiment_out_from_config(tmp_path):
     ("lb43", "n = 5\nk = 3\nreps = 1000\n", "n"),
     ("lb43", "k = 1\n", "k"),
     ("lb43", "experiment = thmub\nn = 4\n", "n"),
-], ids=["k", "dist", "lb43-n", "lb43-k", "lb43-overrides-text"])
+    ("rsol-ratio", "n = 4\nreps = 1000\n", "reps"),
+    ("thmub", "reps = 1\n", "reps"),
+], ids=["k", "dist", "lb43-n", "lb43-k", "lb43-overrides-text",
+        "rsol-ratio-reps", "thmub-reps"])
 def test_experiment_rejected_key_exit_two(tmp_path, capsys, name, text, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

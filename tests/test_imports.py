@@ -1,5 +1,7 @@
-"""Every package module uses each name it imports, and every module-level
-private name is used somewhere in the package.
+"""Every package module uses each name it imports, every module-level
+private name is used somewhere in the package, and no module exits with a
+message through SystemExit (bad input is a ValueError that the CLI turns into
+one `burnlab: error:` line and exit status 2).
 
 __init__.py is exempt from the import check: its imports are the package's
 public re-exports.
@@ -68,3 +70,32 @@ def test_no_unreferenced_private_names():
     assert modules
     dead = unreferenced_privates(modules)
     assert not any(dead.values()), {m: n for m, n in dead.items() if n}
+
+
+def message_exits(tree: ast.Module) -> list[int]:
+    """Lines of `raise SystemExit(...)` whose argument is a string literal or
+    an f-string: such an exit prints the message with status 1."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "SystemExit" and node.exc.args
+            and (isinstance(node.exc.args[0], ast.JoinedStr)
+                 or (isinstance(node.exc.args[0], ast.Constant)
+                     and isinstance(node.exc.args[0].value, str)))]
+
+
+def test_message_exits_detector():
+    source = ('raise SystemExit("no")\n'
+              'raise SystemExit(f"no {x}")\n'
+              'raise SystemExit(main())\n'
+              'raise SystemExit(2)\n'
+              'raise ValueError("fine")\n')
+    assert message_exits(ast.parse(source)) == [1, 2]
+
+
+def test_no_message_exits():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: message_exits(ast.parse(p.read_text(), filename=str(p)))
+             for p in modules}
+    assert not any(found.values()), {m: n for m, n in found.items() if n}

@@ -323,6 +323,8 @@ def test_mixture_oracles():
     assert mixed_vickrey_lottery([3.0, 1.0]).mode == "exact"
     with pytest.raises(ValueError):
         mixed_vickrey_lottery([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="k=1"):
+        mixed_vickrey_lottery([3.0, 1.0], 2)
 
 
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0))

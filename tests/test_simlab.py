@@ -126,17 +126,17 @@ def test_thmub_experiment():
 
 def test_parse_config_full():
     text = """
-    # run the ladder experiment
-    experiment = thmub
+    # run the surplus-gap experiment
+    experiment = surplus-gap
     dist = exp(1)
     n = 4, 8,16
-    k = 1,2
+    k = 2
     reps = 1000   # small smoke run
     seed = 7
     out = results.csv
     """
     cfg = parse_config(text)
-    assert cfg == ExperimentConfig("thmub", "exp(1)", (4, 8, 16), (1, 2),
+    assert cfg == ExperimentConfig("surplus-gap", "exp(1)", (4, 8, 16), (2,),
                                    1000, 7, "results.csv")
 
 
@@ -173,6 +173,14 @@ def test_parse_config_errors():
     with pytest.raises(ValueError, match="single k"):
         ExperimentConfig("surplus-gap", k=(1, 2))
     assert parse_config("experiment = surplus-gap\nk = 2").k == (2,)
+    for name in ("rsol-ratio", "thmub"):
+        with pytest.raises(ValueError, match=f"reps: {name}"):
+            parse_config(f"experiment = {name}\nreps = 1")
+        with pytest.raises(ValueError, match=f"reps: {name}"):
+            parse_config("reps = 1000", experiment=name)
+        assert parse_config("n = 4", experiment=name).reps == 100_000
+        assert ExperimentConfig(name, reps=1).reps == 1
+    assert parse_config("reps = 5", experiment="surplus-gap").reps == 5
     assert "lb43" in EXPERIMENT_NAMES
 
 

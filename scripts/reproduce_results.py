@@ -25,12 +25,10 @@ def main() -> int:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     reps_big = 10_000 if args.quick else 1_000_000
-    reps_mid = 10_000 if args.quick else 100_000
 
     configs = [
         ExperimentConfig("lb43", reps=reps_big, seed=args.seed),
-        ExperimentConfig("surplus-gap", n=(32, 1024), k=(1,), reps=reps_mid,
-                         seed=args.seed),
+        ExperimentConfig("surplus-gap", n=(32, 1024), k=(1,), seed=args.seed),
         ExperimentConfig("rsol-ratio", n=(4, 8, 16), k=(1, 2, 4),
                          reps=1, seed=args.seed),
         ExperimentConfig("thmub", n=(4, 8, 16), k=(1, 2, 4), reps=1,

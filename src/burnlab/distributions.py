@@ -96,16 +96,19 @@ def hazard_classification(d: ValueDistribution, grid: int = 256,
     """Classify theta's monotonicity on a quantile grid.
 
     Returns "MHR" when theta is nonincreasing (constant counts as MHR),
-    "antiMHR" when nondecreasing, "nonMHR" otherwise.
+    "antiMHR" when nondecreasing, "nonMHR" otherwise. tol is relative: steps
+    within tol * max|theta| count as flat, so rescaling values by any factor
+    keeps the class.
     """
     if grid < 16:
         raise ValueError("classification grid must have at least 16 points")
     q = np.linspace(eps, 1.0 - eps, grid)
     theta = virtual_value_utility(d, d.quantile(q))
     diffs = np.diff(theta)
-    if np.all(diffs <= tol):
+    flat = tol * float(np.max(np.abs(theta)))
+    if np.all(diffs <= flat):
         return "MHR"
-    if np.all(diffs >= -tol):
+    if np.all(diffs >= -flat):
         return "antiMHR"
     return "nonMHR"
 

@@ -45,7 +45,10 @@ def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         while len(idx) >= 2:
             a, b = idx[-2], idx[-1]
             cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
-            if cross <= 0.0:
+            # near-collinear points can pass the cross test by one rounding
+            # while the slopes iron() takes by division come out equal
+            if cross <= 0.0 or ((y[b] - y[a]) / (x[b] - x[a])
+                                >= (y[i] - y[b]) / (x[i] - x[b])):
                 idx.pop()
             else:
                 break
@@ -114,17 +117,6 @@ class IronedVirtual:
         """phibar at value v, right-continuous across interval edges."""
         out = self.slopes[self.segment_of(v)]
         return out if np.ndim(v) else float(out)
-
-    def interval_for_level(self, level: float) -> IronedInterval | None:
-        """The bridged interval whose constant level equals the given one.
-
-        Levels come back from value(), so comparison is exact: both are the
-        same hull-segment slope float.
-        """
-        for iv in self.intervals:
-            if iv.level == level:
-                return iv
-        return None
 
 
 def iron(d: ValueDistribution, grid: int = DEFAULT_GRID,

@@ -23,8 +23,6 @@ from .mechanisms import (_bayes_rule, _ladder_rule, _lottery_rule, _mix_rule,
                          _residual, _rsol_exact, _vickrey_rule,
                          expected_log_price, expected_rsol)
 
-_CHUNK_VALUES = 4_000_000
-
 
 # ---------------------------------------------------------------------------
 # prior-expectation estimator
@@ -124,32 +122,20 @@ def experiment_lb43(reps: int, seed: int) -> dict:
     }
 
 
-def experiment_surplus_gap(n_list, k: int, reps: int, seed: int) -> list[dict]:
+def experiment_surplus_gap(n_list, k: int) -> list[dict]:
     """Exponential prior: full surplus E[top-k sum] grows like harmonic
     numbers while the optimal residual stays exactly k (free lottery under
-    a constant hazard rate)."""
+    a constant hazard rate). Exact: the i-th largest of n i.i.d. exp(1)
+    values has mean H_n - H_{i-1}, so full = sum_{i<=min(k,n)} (H_n - H_{i-1})."""
+    inv = 1.0 / np.arange(1, max(n_list, default=0) + 1)
+    H = np.concatenate(([0.0], np.cumsum(inv)))  # H[m] = 1 + 1/2 + ... + 1/m
     rows = []
     for n in n_list:
-        rng = substream(seed, "surplus-gap", n)
-        samples = np.empty(reps)
-        done = 0
-        chunk = max(1, _CHUNK_VALUES // max(n, 1))
-        while done < reps:
-            take = min(chunk, reps - done)
-            V = rng.exponential(1.0, size=(take, n))
-            if k < n:
-                top = -np.partition(-V, k - 1, axis=1)[:, :k]
-            else:
-                top = V
-            samples[done:done + take] = top.sum(axis=1)
-            done += take
-        full = mc_eval(samples, seed)
+        full = float((H[n] - H[:min(k, n)]).sum())
         opt = float(min(k, n))
         rows.append({
-            "experiment": "surplus-gap", "n": n, "k": k, "reps": reps,
-            "seed": seed, "full_mean": full.mean, "full_ci_lo": full.ci[0],
-            "full_ci_hi": full.ci[1], "opt_residual": opt,
-            "ratio": full.mean / opt,
+            "experiment": "surplus-gap", "n": n, "k": k, "full": full,
+            "opt_residual": opt, "ratio": full / opt,
         })
     return rows
 
@@ -220,6 +206,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.reps < 1:
             raise ValueError("need at least one replicate")
+        for key in ("n", "k"):
+            if min(getattr(self, key), default=1) < 1:
+                raise ValueError(f"{key}: every size must be at least 1")
         if self.dist != "exp(1)":
             raise ValueError(f"dist = {self.dist}: every experiment fixes "
                              "its prior, so dist must be exp(1)")
@@ -229,7 +218,8 @@ class ExperimentConfig:
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Parse flat `key = value` config text (# starts a comment); experiment
-    overrides the text's own. lb43 takes no n or k; rsol-ratio, thmub no reps."""
+    overrides the text's own. lb43 takes no n or k; the exact surplus-gap,
+    rsol-ratio and thmub take no reps."""
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -251,7 +241,8 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     for key in ("n", "k"):
         if key in fields and fields.get("experiment", "lb43") == "lb43":
             raise ValueError(f"{key}: lb43 always runs two agents, one unit")
-    if "reps" in fields and fields.get("experiment") in ("rsol-ratio", "thmub"):
+    if "reps" in fields and fields.get("experiment") in ("surplus-gap",
+                                                         "rsol-ratio", "thmub"):
         raise ValueError(f"reps: {fields['experiment']} is exact and draws "
                          "no replicates")
     return ExperimentConfig(**fields)
@@ -261,8 +252,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     if config.experiment == "lb43":
         return [experiment_lb43(config.reps, config.seed)]
     if config.experiment == "surplus-gap":
-        return experiment_surplus_gap(config.n, config.k[0], config.reps,
-                                      config.seed)
+        return experiment_surplus_gap(config.n, config.k[0])
     corpus = worst_case_corpus(config.seed, sizes=config.n)
     if config.experiment == "rsol-ratio":
         return experiment_rsol_ratio(corpus, config.k)

@@ -108,13 +108,14 @@ def test_a5_log_price_guarantee():
 
 
 def test_a6_surplus_gap_scaling():
-    rows = experiment_surplus_gap((32, 1024), 1, 10 ** 5, SEED)
+    rows = experiment_surplus_gap((32, 1024), 1)
     measured = rows[1]["ratio"] / rows[0]["ratio"]
     inv = 1.0 / np.arange(1.0, 1025.0)
     target = float(inv.sum() / inv[:32].sum())
-    ok = abs(measured / target - 1.0) <= 0.05
-    detail = (f"ratio(1024)/ratio(32) = {measured:.4f}, harmonic target "
-              f"{target:.4f} +-5%")
+    ok = abs(measured / target - 1.0) <= 1e-12
+    detail = (f"ratio(1024)/ratio(32) = {measured:.6f}, harmonic target "
+              f"{target:.6f}, relative error "
+              f"{abs(measured / target - 1.0):.1e} (tol 1e-12)")
     assert report(6, "surplus gap grows harmonically", ok, detail), detail
 
 

@@ -84,6 +84,28 @@ def test_bayes_truthful_on_prior_corpus(bridge_dist, iv_bridge):
             assert check_payment_identity(rule).passed
 
 
+def test_bayes_truthful_at_interval_ends(iv_bridge):
+    # values exactly on v_lo or v_hi, where the hull segment (right-continuous
+    # in the cdf) and a two-price band (q, p] would place a bid differently;
+    # prior draws never land there
+    itv = iv_bridge.intervals[0]
+    lo, hi = itv.v_lo, itv.v_hi
+    profiles = [[hi, hi], [lo, 1.5], [2.5, hi, 1.2], [lo, lo], [hi, 1.5],
+                [lo, hi], [hi, lo, 1.5], [2.5, lo, 1.2], [hi, hi, lo, 1.5]]
+    for k in (1, 2):
+        mech = audit_mechanism("bayes", k, iv=iv_bridge)
+        for values in profiles:
+            top = 1.25 * max(values)
+            dsic = check_dsic(mech, values, np.concatenate(
+                (np.linspace(0.0, top, 64), [lo, hi])))
+            assert dsic.passed, (k, values, dsic)
+            for i in range(len(values)):
+                rule = extract_interim_rule(mech, values, i,
+                                            np.linspace(0.0, top, 256))
+                pay = check_payment_identity(rule)
+                assert pay.passed, (k, values, i, pay)
+
+
 def test_firstprice_flagged():
     mech = audit_mechanism("firstprice", 1)
     prof = np.array([3.0, 1.0])

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from burnlab.benchmark import (full_surplus, lottery_surplus_identity,
                                optimal_p_lottery, two_price_benchmark)
+from burnlab.common import substream
 from burnlab.distributions import (ValuationProfile, as_profile, exponential,
-                                   pareto, sample_profile, two_piece, uniform)
+                                   pareto, piecewise_inverse_hazard,
+                                   sample_profile, two_piece, uniform)
+from burnlab.ironing import iron
 from burnlab.mechanisms import (bayes_optimal_outcome, expected_p_lottery,
                                 expected_pq_lottery, vickrey)
 
@@ -206,6 +209,40 @@ def test_benchmark_dominates_truthful_residuals(iv_uniform, iv_exp, iv_pareto,
             assert expected_p_lottery(prof, k, 0.0) <= bound
             assert vickrey(prof, k).residual_surplus <= bound
             assert bayes_optimal_outcome(iv, prof, k).residual_surplus <= bound
+
+
+@st.composite
+def piecewise_priors(draw):
+    # 2-4 pieces of constant inverse hazard; where theta rises, ironing
+    # bridges an interval
+    pieces = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.floats(0.2, 2.0), min_size=pieces - 1,
+                           max_size=pieces - 1))
+    thetas = draw(st.lists(st.floats(0.2, 5.0), min_size=pieces,
+                           max_size=pieces))
+    return piecewise_inverse_hazard(
+        np.concatenate(([0.0], np.cumsum(widths))), thetas)
+
+
+@given(piecewise_priors(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=48, deadline=None)
+def test_bayes_residual_at_most_benchmark(d, seed):
+    # the benchmark is the residual of the best Bayesian optimal mechanism
+    # for the profile, so no i.i.d. prior's optimal mechanism beats it; half
+    # the profiles put values exactly on bridged interval ends
+    iv = iron(d, grid=2 ** 12)
+    ends = [e for itv in iv.intervals for e in (itv.v_lo, itv.v_hi)]
+    rng = substream(seed, "bayes-dominance")
+    for _ in range(25):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, 4))
+        values = d.quantile(rng.random(n))
+        if ends and rng.random() < 0.5:
+            m = int(rng.integers(1, n + 1))
+            values[rng.choice(n, m, replace=False)] = rng.choice(ends, m)
+        bayes = bayes_optimal_outcome(iv, values, k).residual_surplus
+        G = two_price_benchmark(values, k).value
+        assert bayes <= G * (1.0 + 1e-12), (values, k, bayes, G)
 
 
 def test_full_surplus_oracles():

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def test_audit_rsol_above_exact_cap_exit_two(tmp_path, capsys):
 
 def test_experiment_with_config(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 2,4\nk = 1\nreps = 2000\nseed = 3\n")
+    cfg.write_text("n = 2,4\nk = 1\nseed = 3\n")
     out = tmp_path / "rows.csv"
     rc = main(["experiment", "--name", "surplus-gap", "--config", str(cfg),
                "--out", str(out)])
@@ -260,17 +261,25 @@ def test_experiment_out_from_config(tmp_path):
     ("lb43", "n = 5\nk = 3\nreps = 1000\n", "n"),
     ("lb43", "k = 1\n", "k"),
     ("lb43", "experiment = thmub\nn = 4\n", "n"),
+    ("surplus-gap", "n = 32\nreps = 1000\n", "reps"),
     ("rsol-ratio", "n = 4\nreps = 1000\n", "reps"),
     ("thmub", "reps = 1\n", "reps"),
+    ("surplus-gap", "n = 0\n", "n"),
+    ("surplus-gap", "k = 0\n", "k"),
+    ("rsol-ratio", "n = 0\n", "n"),
+    ("thmub", "n = 0\n", "n"),
+    ("thmub", "n = -3\n", "n"),
 ], ids=["k", "dist", "lb43-n", "lb43-k", "lb43-overrides-text",
-        "rsol-ratio-reps", "thmub-reps"])
+        "surplus-gap-reps", "rsol-ratio-reps", "thmub-reps", "surplus-gap-n0",
+        "surplus-gap-k0", "rsol-ratio-n0", "thmub-n0", "thmub-n-negative"])
 def test_experiment_rejected_key_exit_two(tmp_path, capsys, name, text, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     rc = main(["experiment", "--name", name, "--config", str(cfg)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err.startswith(f"burnlab: error: {key}")
+    # the key as a whole word: "n" must not match "negative dimensions ..."
+    assert re.match(rf"burnlab: error: {key}\b", captured.err)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnlab.common import substream
-from burnlab.distributions import (SupportError, ValuationProfile, as_profile,
+from burnlab.distributions import (SupportError, ValuationProfile,
+                                   ValueDistribution, as_profile,
                                    distribution_from_spec, exponential,
                                    hazard_classification, load_profile, pareto,
                                    piecewise_inverse_hazard, sample_profile,
@@ -77,6 +78,31 @@ def test_classification():
     assert hazard_classification(exponential(1.0)) == "MHR"
     assert hazard_classification(pareto(1.0, 2.0)) == "antiMHR"
     assert hazard_classification(two_piece()) == "nonMHR"
+
+
+def rescaled(d, c):
+    """d with every value multiplied by c, so theta is multiplied by c too."""
+    lo, hi = d.support
+    return ValueDistribution(
+        f"{d.name}*{c:g}", (lo * c, hi * c),
+        lambda v: d.cdf(np.asarray(v, float) / c),
+        lambda v: d.pdf(np.asarray(v, float) / c) / c,
+        lambda q: c * np.asarray(d.quantile(q), float), d.mean * c)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-10, 1.0, 1e10, 1e12])
+@pytest.mark.parametrize("make, expected", [
+    (lambda c: uniform(0.0, c), "MHR"),
+    (lambda c: exponential(1.0 / c), "MHR"),
+    (lambda c: pareto(c, 2.0), "antiMHR"),
+    (lambda c: rescaled(two_piece(), c), "nonMHR"),
+    # the bridge_dist fixture's prior, breakpoints and thetas times c
+    (lambda c: piecewise_inverse_hazard(c * np.array([0.0, 1.0, 1.5, 2.0]),
+                                        c * np.array([1.0, 3.0, 1.2, 4.0])),
+     "nonMHR"),
+], ids=["uniform", "exp", "pareto", "twopiece", "bridge"])
+def test_classification_invariant_under_rescaling(make, expected, scale):
+    assert hazard_classification(make(scale)) == expected
 
 
 def test_classification_grid_floor():

@@ -1,10 +1,16 @@
+import csv
+import math
+import os
+import pathlib
 import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from burnlab.benchmark import full_surplus
-from burnlab.common import VERSION
+from burnlab.common import VERSION, Z99, substream
 from burnlab.distributions import exponential, uniform
 from burnlab.simlab import (EXPERIMENT_NAMES, ExperimentConfig, estimate,
                             experiment_lb43, experiment_rsol_ratio,
@@ -89,14 +95,52 @@ def test_lb43_experiment():
     assert row["cond_g"] == pytest.approx(row["cond_pred"], abs=0.15)
 
 
+def harmonic_top_k(n, k):
+    # E[top-k sum of n i.i.d. exp(1)] = sum_i (H_n - H_{i-1}) = sum_j min(j, k)/j
+    return math.fsum(min(j, k) / j for j in range(1, n + 1))
+
+
 def test_surplus_gap_experiment():
-    rows = experiment_surplus_gap((2, 4), 1, 20000, 4)
-    assert [row["n"] for row in rows] == [2, 4]
-    harmonic = {2: 1.5, 4: 25.0 / 12.0}
-    for row in rows:
-        assert row["opt_residual"] == 1.0
-        assert row["full_mean"] == pytest.approx(harmonic[row["n"]], abs=0.05)
-        assert row["ratio"] == pytest.approx(row["full_mean"])
+    rows = experiment_surplus_gap((2, 4), 1) + experiment_surplus_gap((4,), 2)
+    assert [(row["n"], row["k"]) for row in rows] == [(2, 1), (4, 1), (4, 2)]
+    for row, full in zip(rows, (1.5, 25.0 / 12.0, 38.0 / 12.0)):
+        assert set(row) == {"experiment", "n", "k", "full", "opt_residual",
+                            "ratio"}
+        assert row["full"] == pytest.approx(full, rel=1e-15)
+        assert row["opt_residual"] == row["k"]
+        assert row["ratio"] == row["full"] / row["k"]
+    for n in (1, 3, 7, 1024):
+        for k in (n, n + 5):
+            row, = experiment_surplus_gap((n,), k)
+            assert row["full"] == pytest.approx(n, rel=1e-14)
+            assert row["opt_residual"] == n
+    for row in experiment_surplus_gap((1, 5, 32, 1024), 3):
+        assert row["full"] == pytest.approx(harmonic_top_k(row["n"], 3),
+                                            rel=1e-13)
+
+
+def surplus_gap_mc(n, k, seed, reps=10 ** 5, block=4_000):
+    """Plain Monte Carlo oracle: the 99% normal interval of the top-k sum of
+    n i.i.d. exp(1) values over reps rows drawn, in blocks, from the
+    experiment's substream."""
+    rng = substream(seed, "surplus-gap", n)
+    sums = []
+    for start in range(0, reps, block):
+        V = rng.exponential(1.0, size=(min(block, reps - start), n))
+        sums.append(-np.partition(-V, k - 1, axis=1)[:, :k].sum(axis=1))
+    samples = np.concatenate(sums)
+    half = Z99 * samples.std(ddof=1) / math.sqrt(reps)
+    return samples.mean() - half, samples.mean() + half
+
+
+@pytest.mark.parametrize("n, k, seed", [
+    (1024, 1, 0),
+    *((32, k, seed) for seed in (0, 20260823) for k in (1, 2, 4)),
+])
+def test_surplus_gap_within_mc_interval(n, k, seed):
+    row, = experiment_surplus_gap((n,), k)
+    lo, hi = surplus_gap_mc(n, k, seed)
+    assert lo <= row["full"] <= hi
 
 
 def test_rsol_ratio_experiment():
@@ -126,18 +170,25 @@ def test_thmub_experiment():
 
 def test_parse_config_full():
     text = """
-    # run the surplus-gap experiment
-    experiment = surplus-gap
+    # run the lb43 experiment
+    experiment = lb43
     dist = exp(1)
-    n = 4, 8,16
-    k = 2
     reps = 1000   # small smoke run
     seed = 7
     out = results.csv
     """
-    cfg = parse_config(text)
-    assert cfg == ExperimentConfig("surplus-gap", "exp(1)", (4, 8, 16), (2,),
-                                   1000, 7, "results.csv")
+    assert parse_config(text) == ExperimentConfig(
+        "lb43", "exp(1)", (32, 1024), (1,), 1000, 7, "results.csv")
+    text = """
+    experiment = surplus-gap
+    dist = exp(1)
+    n = 4, 8,16
+    k = 2
+    seed = 7   # exact, but the seed still goes into the CSV trailer
+    out = gap.csv
+    """
+    assert parse_config(text) == ExperimentConfig(
+        "surplus-gap", "exp(1)", (4, 8, 16), (2,), 100_000, 7, "gap.csv")
 
 
 def test_parse_config_defaults():
@@ -173,14 +224,22 @@ def test_parse_config_errors():
     with pytest.raises(ValueError, match="single k"):
         ExperimentConfig("surplus-gap", k=(1, 2))
     assert parse_config("experiment = surplus-gap\nk = 2").k == (2,)
-    for name in ("rsol-ratio", "thmub"):
+    for text in ("experiment = surplus-gap\nn = 0",
+                 "experiment = rsol-ratio\nn = 0",
+                 "experiment = thmub\nn = 4, -3"):
+        with pytest.raises(ValueError, match="^n: "):
+            parse_config(text)
+    with pytest.raises(ValueError, match="^k: "):
+        parse_config("experiment = surplus-gap\nk = 0")
+    with pytest.raises(ValueError, match="^k: "):
+        ExperimentConfig("thmub", k=(1, 0))
+    for name in ("surplus-gap", "rsol-ratio", "thmub"):
         with pytest.raises(ValueError, match=f"reps: {name}"):
             parse_config(f"experiment = {name}\nreps = 1")
         with pytest.raises(ValueError, match=f"reps: {name}"):
             parse_config("reps = 1000", experiment=name)
         assert parse_config("n = 4", experiment=name).reps == 100_000
         assert ExperimentConfig(name, reps=1).reps == 1
-    assert parse_config("reps = 5", experiment="surplus-gap").reps == 5
     assert "lb43" in EXPERIMENT_NAMES
 
 
@@ -213,8 +272,33 @@ def test_write_rows_empty():
 
 
 def test_experiment_csv_reproducible():
-    cfg = ExperimentConfig("surplus-gap", n=(2, 4), k=(1,), reps=5000, seed=3)
+    cfg = ExperimentConfig("lb43", reps=5000, seed=3)
     first = rows_to_csv(run_experiment(cfg), cfg.seed)
     second = rows_to_csv(run_experiment(cfg), cfg.seed)
     assert first == second
     assert first.rstrip().endswith(f"# burnlab {VERSION} seed=3")
+
+
+def test_reproduce_script_quick(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    script = root / "scripts" / "reproduce_results.py"
+    subprocess.run([sys.executable, str(script), "--quick", "--outdir",
+                    str(tmp_path)], env=env, check=True, capture_output=True)
+    counts = {"lb43": 1, "surplus-gap": 2, "rsol-ratio": 45, "thmub": 45}
+    for name, count in counts.items():
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[0] == "experiment" and {"n", "k"} <= set(header)
+        assert lines[-1] == f"# burnlab {VERSION} seed=0"
+        rows = list(csv.DictReader(lines[:-1]))
+        assert len(rows) == count
+        assert all(row["experiment"] == name for row in rows)
+        if name == "surplus-gap":
+            assert [(row["n"], row["k"]) for row in rows] == [("32", "1"),
+                                                              ("1024", "1")]
+            for row in rows:
+                assert float(row["full"]) == pytest.approx(
+                    harmonic_top_k(int(row["n"]), 1), rel=1e-13)

@@ -37,12 +37,14 @@ from .common import MechanismEval, mc_eval, substream
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
 from .ironing import IronedVirtual, iron
-from .mechanisms import (_CHUNK_CELLS, RSOL_EXACT_CAP, _bayes_rule, _halvings,
+from .mechanisms import (RSOL_EXACT_CAP, _bayes_rule, _halvings,
                          _ladder_rule, _learned_price, _lottery_rule, _mix_rule,
                          _pq_rule, _require_k, _residual, _vickrey_rule)
 
 DSIC_TOL = 1e-9
 MIN_IDENTITY_GRID = 256
+# cells per chunk of the RSOL interim's halvings; bounds its scratch memory
+_CHUNK_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------

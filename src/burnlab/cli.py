@@ -87,7 +87,8 @@ def _cmd_eval(args) -> int:
     elif args.mech == "rsol":
         exact = args.exact or (args.reps is None and n <= RSOL_EXACT_CAP)
         ev = expected_rsol(prof, k, mode="exact" if exact else "mc",
-                           reps=args.reps or 10_000, seed=args.seed)
+                           reps=10_000 if args.reps is None else args.reps,
+                           seed=args.seed)
         params = "mode=exact" if exact else f"mode=mc;reps={ev.replicates}"
     elif args.mech == "mix":
         ev = mixed_vickrey_lottery(prof, k)

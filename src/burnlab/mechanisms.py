@@ -17,9 +17,13 @@ interims (audit.py) and the estimator (simlab.py) evaluate it on many rows.
 
 RSOL (random-sampling optimal lottery: learn a price on a random half of the
 agents, apply it or Vickrey to the other half) has no rowwise rule. Its
-learned price is one kernel, _learned_price, called by the exact value and
-the estimator (through _rsol_values), the realized run, optimal_p_lottery
-and the audit interim.
+exact value, for expected_rsol and the estimator, is one doubling pass over
+the agents in descending order (_rsol_exact): each agent doubles the
+halvings of the agents before it, and each halving carries O(1) numbers from
+which its learned price, lottery and Vickrey follow, so a profile costs
+O(2^n). Where halvings are sampled or partial, the learned price is one
+kernel, _learned_price, called by the MC value (through _rsol_values), the
+realized run, optimal_p_lottery and the audit interim.
 """
 
 from __future__ import annotations
@@ -30,14 +34,15 @@ from typing import Callable
 
 import numpy as np
 
-from .common import MechanismEval, mc_eval, substream
+from .common import MIN_REPLICATES, MechanismEval, mc_eval, substream
 from .distributions import as_profile
 from .ironing import IronedVirtual
 
 COST_AGENT_CAP = 20
 RSOL_EXACT_CAP = 20
-# cells per chunk of the RSOL enumerations; bounds their scratch memory
-_CHUNK_CELLS = 1 << 14
+# cells per block of RSOL's exact doubling pass: bounds its memory and keeps
+# each of its float arrays at 64 KiB, below glibc's default mmap threshold
+_PASS_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -435,24 +440,107 @@ def _rsol_values(V_desc: np.ndarray, member: np.ndarray, k: int) -> np.ndarray:
     return 0.5 * lottery + 0.5 * vick
 
 
+def _rsol_states(rows: int, cells: int) -> list[np.ndarray]:
+    """Zero state buffers of the doubling pass, one (rows, cells) array each:
+    the pool's count and sum, the serving sum, the serving half's Vickrey
+    residual, the best strict-lottery value offered so far and the serving
+    half's lottery at its price."""
+    return [np.zeros((rows, cells), dtype=np.intp)] + [np.zeros((rows, cells))
+                                                       for _ in range(5)]
+
+
+def _rsol_offer(S, s: int, j: int, v, start, coef: np.ndarray) -> None:
+    """Offer the first s states the price v, the value at position j where
+    the rows in start begin a run of equal values: the pool agents so far
+    are those above it and give its strict-lottery value, and a state whose
+    best value so far is at most that takes it (so the smallest price wins
+    ties) with the lottery the serving agents so far would run at v. coef[m]
+    is each winner's share, min(k, m)/m, among m agents."""
+    pm, ps, ss, _, best, lot = (a[:, :s] for a in S)
+    val = coef[pm] * (ps - pm * v)
+    up = (val >= best) & start
+    sr = j - pm
+    np.copyto(best, val, where=up)
+    np.copyto(lot, coef[sr] * (ss - sr * v), where=up)
+
+
+def _rsol_expand(S, s: int, V_desc: np.ndarray, start: np.ndarray,
+                 agents: range, k: int, coef: np.ndarray) -> int:
+    """Double the first s states of S once per agent, in descending order of
+    value: the copies where the agent joins the pool stay in place and the
+    ones where it serves follow them. Returns the new state count."""
+    offers = start.any(axis=0)
+    for j in agents:
+        v = V_desc[:, j:j + 1]
+        if offers[j]:
+            _rsol_offer(S, s, j, v, start[:, j:j + 1], coef)
+        for a in S:
+            a[:, s:2 * s] = a[:, :s]
+        pm, _, ss, vick = (a[:, s:2 * s] for a in S[:4])
+        # where agent j serves, j - pm serving agents are ahead of it: the
+        # top k add their values to Vickrey's residual, and the k+1-st is the
+        # price all k pay
+        np.add(vick, v, out=vick, where=pm > j - k)
+        np.subtract(vick, k * v, out=vick, where=pm == j - k)
+        ss += v
+        S[0][:, :s] += 1
+        S[1][:, :s] += v
+        s *= 2
+    return s
+
+
+def _rsol_leaves(S, s: int, last, n: int, coef: np.ndarray) -> np.ndarray:
+    """Offer the first s states, each a full halving of n agents, the last
+    price 0 (in the rows in last, which have no agent at 0), then sum the
+    fair coin between the lottery and Vickrey over them, per row."""
+    _rsol_offer(S, s, n, 0.0, last, coef)
+    _, _, _, vick, _, lot = (a[:, :s] for a in S)
+    return (0.5 * lot + 0.5 * vick).sum(axis=1)
+
+
 def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
     """Exact expected RSOL residual of each profile row of V: the mean over
-    all 2^n halvings, in chunks of about _CHUNK_CELLS (profile, halving,
-    agent) cells; each profile's halvings are summed at once."""
+    all 2^n halvings, from one doubling pass over the agents in descending
+    order of value, O(2^n) per row. A state is one halving of the agents
+    passed so far. It carries the pool's count and sum, which give the
+    strict-lottery value of the price now offered (0 and the row's values,
+    as in _learned_price); the best value offered so far, with the lottery
+    the serving agents above its price run at it; and the serving half's sum
+    and Vickrey residual. A full halving's lottery and Vickrey branches are
+    read off its state. Sums add in descending order of value. The first
+    agents are doubled for a block of rows at once, up to _PASS_CELLS
+    states, and the rest for groups of those states in turn, so no array
+    exceeds _PASS_CELLS cells."""
     _require_k(k)
     rows, n = V.shape
     if not 1 <= n <= RSOL_EXACT_CAP:
         raise ValueError(f"exact mode needs 1 to {RSOL_EXACT_CAP} agents")
-    halvings = 1 << n
-    per = min(halvings, _CHUNK_CELLS // n)
-    step = max(1, _CHUNK_CELLS // (per * n))
-    V_desc = np.sort(V, axis=1)[:, None, ::-1]
-    total = np.empty(rows)
+    V_desc = np.sort(V, axis=1)[:, ::-1]
+    # a price is offered where a run of equal values starts; the first, with
+    # no pool agent above it, is worth 0 like the zero start state
+    start = np.zeros((rows, n), dtype=bool)
+    start[:, 1:] = V_desc[:, 1:] != V_desc[:, :-1]
+    m = np.arange(n + 1)
+    coef = np.minimum(k, m) / np.maximum(m, 1)
+    head = min(n, _PASS_CELLS.bit_length() - 1)
+    step = max(1, _PASS_CELLS >> n)
+    group = _PASS_CELLS >> (n - head)
+    total = np.zeros(rows)
     for r in range(0, rows, step):
-        total[r:r + step] = np.concatenate(
-            [_rsol_values(V_desc[r:r + step], _halvings(n, h, h + per), k)
-             for h in range(0, halvings, per)], axis=1).sum(axis=1)
-    return total / halvings
+        Vb, sb = V_desc[r:r + step], start[r:r + step]
+        last = Vb[:, -1:] != 0
+        S = _rsol_states(len(Vb), 1 << head)
+        s = _rsol_expand(S, 1, Vb, sb, range(head), k, coef)
+        if head == n:
+            total[r:r + step] = _rsol_leaves(S, s, last, n, coef)
+            continue
+        T = _rsol_states(1, _PASS_CELLS)
+        for h in range(0, s, group):
+            for a, b in zip(T, S):
+                a[:, :group] = b[:, h:h + group]
+            t = _rsol_expand(T, group, Vb, sb, range(head, n), k, coef)
+            total[r] += _rsol_leaves(T, t, last, n, coef)[0]
+    return total / (1 << n)
 
 
 def rsol(profile, k: int, rng) -> Outcome:
@@ -488,9 +576,10 @@ def expected_rsol(profile, k: int, mode: str = "exact",
                   reps: int = 10_000, seed: int = 0) -> MechanismEval:
     """Expected residual surplus of RSOL over halves, coin, and lotteries.
 
-    Exact mode enumerates all 2^n halvings (n <= 20) with both branches
-    weighted 1/2. MC mode samples halvings but keeps the branch expectations
-    exact, so only the halving is estimated.
+    Exact mode averages all 2^n halvings (n <= 20), both branches weighted
+    1/2, in one doubling pass over the agents (O(2^n) work; replicates
+    records the 2^n halvings). MC mode samples reps >= 30 halvings but keeps
+    the branch expectations exact, so only the halving is estimated.
     """
     _require_k(k)
     prof = as_profile(profile)
@@ -502,6 +591,9 @@ def expected_rsol(profile, k: int, mode: str = "exact",
                              0.0, "exact", 1 << n, None)
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
+    if reps < MIN_REPLICATES:
+        raise ValueError(f"reps: need at least {MIN_REPLICATES} replicates, "
+                         f"got {reps}")
     member = substream(seed, "rsol", n, k).random((reps, n)) < 0.5
     return mc_eval(_rsol_values(prof.sorted, member, k), seed)
 

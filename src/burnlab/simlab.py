@@ -29,7 +29,7 @@ from .mechanisms import (_bayes_rule, _ladder_rule, _lottery_rule, _mix_rule,
 
 
 # registry name -> (V, k, d) -> exact expected residual of every sampled
-# profile at once: its marginal rule's row residual, or rsol's enumeration
+# profile at once: its marginal rule's row residual, or rsol's doubling pass
 _REGISTRY = {
     "lottery": lambda V, k, d: _residual(V, *_lottery_rule(V, k, 0.0)),
     "plottery0": lambda V, k, d: _residual(V, *_lottery_rule(V, k, 0.0)),

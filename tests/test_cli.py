@@ -129,6 +129,19 @@ def test_eval_rsol_modes(tmp_path, capsys):
     assert float(row[5]) < float(row[6])
 
 
+@pytest.mark.parametrize("reps", ["0", "-5"])
+def test_eval_rsol_bad_reps_exit_two(tmp_path, capsys, reps):
+    # --reps 0 once ran the default 10,000 replicates, and -5 failed inside
+    # numpy with a message naming no flag
+    prof = write_profile(tmp_path, [3.0, 1.0])
+    rc = main(["eval", "--mech", "rsol", "--profile", prof, "--k", "1",
+               "--reps", reps])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("burnlab: error: reps: need at least 30 "
+                            f"replicates, got {reps}\n")
+
+
 @pytest.mark.parametrize("mech, flags, flag", [
     ("vickrey", ["--p", "2.5", "--q", "9"], "p"),
     ("plottery", ["--p", "1", "--q", "0"], "q"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from burnlab.common import substream
 from burnlab.distributions import ValuationProfile
-from burnlab.mechanisms import (CostProblem, _learned_price, bayes_optimal_outcome,
+from burnlab.mechanisms import (CostProblem, _halvings, _learned_price,
+                                _rsol_exact, _rsol_values, bayes_optimal_outcome,
                                 bayes_optimal_with_costs, expected_log_price,
                                 expected_p_lottery, expected_pq_lottery,
                                 expected_rsol, expected_strict_p_lottery,
@@ -304,6 +307,90 @@ def test_rsol_exact_matches_mc(vals, k):
     mc = expected_rsol(vals, k, mode="mc", reps=4000, seed=17)
     se = mc.ci_halfwidth / 2.58
     assert abs(mc.mean - exact) <= 3.0 * se + 1e-9
+
+
+def halving_enumeration(V, k):
+    # the n * 2^n enumeration the doubling pass replaced: every halving as a
+    # mask, its coin value from the learned-price kernel, averaged per row
+    n = V.shape[1]
+    V_desc = np.sort(V, axis=1)[:, None, ::-1]
+    return _rsol_values(V_desc, _halvings(n, 0, 2 ** n), k).mean(axis=-1)
+
+
+def rsol_loop(values, k):
+    # plain Python: every halving equally likely, then a fair coin between
+    # the strict lottery at the price learned on the other half and Vickrey,
+    # both on the serving half
+    total = 0.0
+    for mask in range(1 << len(values)):
+        serve = sorted((v for i, v in enumerate(values) if mask >> i & 1),
+                       reverse=True)
+        pool = [v for i, v in enumerate(values) if not mask >> i & 1]
+        price = strict_scan(pool, k)[1]
+        elig = [v for v in serve if v > price]
+        m = len(elig)
+        lottery = min(k, m) / m * sum(v - price for v in elig) if m else 0.0
+        tau = serve[k] if len(serve) > k else 0.0
+        total += 0.5 * lottery + 0.5 * (sum(serve[:k]) - min(k, len(serve)) * tau)
+    return total / (1 << len(values))
+
+
+@given(st.integers(1, 12), st.integers(1, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rsol_exact_matches_enumeration(n, k, data):
+    # several rows per call; tenths force ties and zeros. The pass adds the
+    # sums in descending order where the enumeration summed masked rows
+    rows = data.draw(st.integers(1, 3))
+    value_st = st.one_of(st.integers(0, 12).map(lambda j: j / 10),
+                         st.floats(0.0, 10.0))
+    V = np.array(data.draw(st.lists(value_st, min_size=rows * n,
+                                    max_size=rows * n))).reshape(rows, n)
+    got, ref = _rsol_exact(V, k), halving_enumeration(V, k)
+    for g, r in zip(got, ref):
+        assert g == 0.0 if r == 0.0 else abs(g - r) <= 1e-15 * abs(r)
+
+
+@given(st.lists(st.one_of(st.integers(0, 8).map(lambda j: j / 4),
+                          st.floats(0.0, 10.0)), min_size=1, max_size=6),
+       st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_rsol_exact_matches_plain_loop(vals, k):
+    ref = rsol_loop(vals, k)
+    assert abs(expected_rsol(vals, k).mean - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("rows, n", [(2100, 3), (40, 9), (3, 13), (3, 15)])
+def test_rsol_exact_batching_is_bitwise(rows, n):
+    # blocks of rows (n = 3, 9), one row at a time (13) and groups of the
+    # first agents' states (15) all give each row what it gets alone
+    V = substream(4, "rsol-batch", n).integers(0, 6, (rows, n)) / 5
+    got = _rsol_exact(V, 2)
+    for r in sorted({0, 1, rows // 2, rows - 2, rows - 1}):
+        assert got[r] == _rsol_exact(V[r:r + 1], 2)[0]
+
+
+def test_rsol_exact_memory_is_blocked():
+    V = substream(5, "rsol-memory").random((1, 20))
+    tracemalloc.start()
+    try:
+        _rsol_exact(V, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("values, k", [
+    ([1.2, 1.2, 0.9, 0.9, 0.9, 0.3, 0.0, 0.0], 2),
+    ([2.0, 2.0, 2.0, 1.0, 1.0], 1),
+])
+def test_rsol_realized_mean_matches_exact(values, k):
+    # 4,000 seeded runs against the exact value: a z-test at 99%
+    rng = substream(7, "rsol-run", len(values), k)
+    draws = np.array([rsol(values, k, rng).residual_surplus for _ in range(4000)])
+    z = ((draws.mean() - expected_rsol(values, k).mean)
+         / (draws.std(ddof=1) / np.sqrt(draws.size)))
+    assert abs(z) < 2.58
 
 
 @given(profiles, st.integers(1, 3))

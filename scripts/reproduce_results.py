@@ -30,9 +30,8 @@ def main() -> int:
         ExperimentConfig("lb43", reps=reps_big, seed=args.seed),
         ExperimentConfig("surplus-gap", n=(32, 1024), k=(1,), seed=args.seed),
         ExperimentConfig("rsol-ratio", n=(4, 8, 16), k=(1, 2, 4),
-                         reps=1, seed=args.seed),
-        ExperimentConfig("thmub", n=(4, 8, 16), k=(1, 2, 4), reps=1,
                          seed=args.seed),
+        ExperimentConfig("thmub", n=(4, 8, 16), k=(1, 2, 4), seed=args.seed),
     ]
     for config in configs:
         t0 = time.perf_counter()

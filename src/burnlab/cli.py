@@ -23,13 +23,6 @@ from .mechanisms import (RSOL_EXACT_CAP, bayes_optimal_outcome,
                          mixed_vickrey_lottery, vickrey)
 from .simlab import EXPERIMENT_NAMES, parse_config, run_experiment, write_rows
 
-# the optional eval flags each mechanism reads; giving it any other is an error
-EVAL_FLAGS = {"plottery": ("p",), "pqlottery": ("p", "q"), "vickrey": (),
-              "bayes": ("dist", "grid"), "rsol": ("reps", "exact"), "mix": (),
-              "logprice": ()}
-EVAL_MECHS = tuple(EVAL_FLAGS)
-AUDIT_MECHS = EVAL_MECHS + ("firstprice",)
-
 
 @contextlib.contextmanager
 def _out_stream(path: str | None):
@@ -59,44 +52,56 @@ def _exact(value: float) -> MechanismEval:
     return MechanismEval(float(value), 0.0, "exact", 1)
 
 
+def _eval_bayes(args, prof):
+    if not args.dist:
+        raise ValueError("--dist: eval --mech bayes requires it")
+    grid = DEFAULT_GRID if args.grid is None else args.grid
+    iv = iron(distribution_from_spec(args.dist), grid=grid)
+    return (_exact(bayes_optimal_outcome(iv, prof, args.k).residual_surplus),
+            f"dist={args.dist};grid={grid}")
+
+
+def _eval_rsol(args, prof):
+    exact = args.exact or (args.reps is None and prof.n <= RSOL_EXACT_CAP)
+    ev = expected_rsol(prof, args.k, mode="exact" if exact else "mc",
+                       reps=10_000 if args.reps is None else args.reps,
+                       seed=args.seed)
+    return ev, "mode=exact" if exact else f"mode=mc;reps={ev.replicates}"
+
+
+# mechanism -> (the optional eval flags it reads, giving it any other is an
+# error; its evaluator (args, profile) -> (MechanismEval, params column))
+EVALUATORS = {
+    "plottery": (("p",), lambda a, prof: (
+        _exact(expected_p_lottery(prof, a.k, a.p or 0.0)), f"p={a.p or 0.0}")),
+    "pqlottery": (("p", "q"), lambda a, prof: (
+        _exact(expected_pq_lottery(prof, a.k, a.p or 0.0, a.q or 0.0)),
+        f"p={a.p or 0.0};q={a.q or 0.0}")),
+    "vickrey": ((), lambda a, prof: (
+        _exact(vickrey(prof, a.k).residual_surplus), "-")),
+    "bayes": (("dist", "grid"), _eval_bayes),
+    "rsol": (("reps", "exact"), _eval_rsol),
+    "mix": ((), lambda a, prof: (mixed_vickrey_lottery(prof, a.k), "-")),
+    "logprice": ((), lambda a, prof: (
+        _exact(expected_log_price(prof, a.k)), "-")),
+}
+EVAL_MECHS = tuple(EVALUATORS)
+AUDIT_MECHS = EVAL_MECHS + ("firstprice",)
+
+
 def _cmd_eval(args) -> int:
-    for flag in sorted({f for flags in EVAL_FLAGS.values() for f in flags}):
-        if getattr(args, flag) is not None and flag not in EVAL_FLAGS[args.mech]:
+    flags, evaluate = EVALUATORS[args.mech]
+    for flag in sorted({f for fl, _ in EVALUATORS.values() for f in fl}):
+        if getattr(args, flag) is not None and flag not in flags:
             raise ValueError(f"--{flag}: eval --mech {args.mech} does not read it")
     if args.exact and args.reps is not None:
         raise ValueError("--exact: exact mode takes no --reps")
     prof = load_profile(args.profile)
-    n, k = prof.n, args.k
-    p, q = args.p or 0.0, args.q or 0.0
-    params = "-"
-    if args.mech == "plottery":
-        ev = _exact(expected_p_lottery(prof, k, p))
-        params = f"p={p}"
-    elif args.mech == "pqlottery":
-        ev = _exact(expected_pq_lottery(prof, k, p, q))
-        params = f"p={p};q={q}"
-    elif args.mech == "vickrey":
-        ev = _exact(vickrey(prof, k).residual_surplus)
-    elif args.mech == "bayes":
-        if not args.dist:
-            raise ValueError("--dist: eval --mech bayes requires it")
-        grid = DEFAULT_GRID if args.grid is None else args.grid
-        iv = iron(distribution_from_spec(args.dist), grid=grid)
-        ev = _exact(bayes_optimal_outcome(iv, prof, k).residual_surplus)
-        params = f"dist={args.dist};grid={grid}"
-    elif args.mech == "rsol":
-        exact = args.exact or (args.reps is None and n <= RSOL_EXACT_CAP)
-        ev = expected_rsol(prof, k, mode="exact" if exact else "mc",
-                           reps=10_000 if args.reps is None else args.reps,
-                           seed=args.seed)
-        params = "mode=exact" if exact else f"mode=mc;reps={ev.replicates}"
-    elif args.mech == "mix":
-        ev = mixed_vickrey_lottery(prof, k)
-    else:
-        ev = _exact(expected_log_price(prof, k))
+    ev, params = evaluate(args, prof)
     _write_csv(args.out, ["mech", "n", "k", "params", "expected_residual",
                           "ci_lo", "ci_hi", "seed"],
-               [[args.mech, n, k, params, ev.mean, ev.ci[0], ev.ci[1], args.seed]])
+               [[args.mech, prof.n, args.k, params, ev.mean, ev.ci[0], ev.ci[1],
+                 args.seed]])
     return 0
 
 

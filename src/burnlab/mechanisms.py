@@ -12,18 +12,18 @@ out. The rules: the lottery at price p (_lottery_rule), the two-price lottery
 is top-share(k, k), the price ladder the mean of its rungs, the two-agent
 mixture Vickrey/3 + 1/3) and the prior-optimal _bayes_rule. The other views
 derive from the rule: expected_* values are its row residual (_residual),
-runs return its row or with an rng draw from it (_run), and the audit
+runs return its row or with an rng one draw of it (_run), and the audit
 interims (audit.py) and the estimator (simlab.py) evaluate it on many rows.
 
 RSOL (random-sampling optimal lottery: learn a price on a random half of the
-agents, apply it or Vickrey to the other half) has no rowwise rule. Its
-exact value, for expected_rsol and the estimator, is one doubling pass over
-the agents in descending order (_rsol_exact): each agent doubles the
-halvings of the agents before it, and each halving carries O(1) numbers from
-which its learned price, lottery and Vickrey follow, so a profile costs
-O(2^n). Where halvings are sampled or partial, the learned price is one
-kernel, _learned_price, called by the MC value (through _rsol_values), the
-realized run, optimal_p_lottery and the audit interim.
+agents, apply it or Vickrey to the other half) has no rowwise rule. Given a
+halving, the price is one kernel, _learned_price, and each branch is a rule
+row on the serving half, so the MC value (_rsol_values) and the realized run
+derive from _lottery_rule and _vickrey_rule. The exact value, for
+expected_rsol and the estimator, is one doubling pass over the agents in
+descending order (_rsol_exact): each agent doubles the halvings of the
+agents before it, and each halving carries O(1) numbers from which its
+learned price, lottery and Vickrey follow, so a profile costs O(2^n).
 """
 
 from __future__ import annotations
@@ -88,22 +88,27 @@ def _expected(rule, profile, *args) -> float:
     return float(_residual(V, *rule(V, *args))[0])
 
 
-def _run(v: np.ndarray, X: np.ndarray, P: np.ndarray, k: int, rng) -> Outcome:
+def _run(v: np.ndarray, X: np.ndarray, P: np.ndarray, rng) -> Outcome:
     """The marginal outcome of a one-row rule output (X, P), or with an rng
-    one draw of it: the sure winners (x = 1) win, the leftover units go to a
-    uniform random part of the lottery band (0 < x < 1), whose winners pay p/x.
-    """
+    one draw of it in which each agent wins with probability exactly x: the
+    sure winners (x = 1) win, and the band (0 < x < 1) shares round(sum x)
+    units by systematic sampling, its x laid end to end in a uniformly random
+    order and hit by the points u, u + 1, ... for one uniform u, so an equal-x
+    band wins as a uniform random subset. Band winners pay p/x."""
     x, p = X[0], P[0]
     if rng is None:
         return _outcome(v, x, p, "marginal")
     sure = x == 1.0
-    band = ~sure & (x > 0)
+    band = np.flatnonzero(~sure & (x > 0))
     alloc = sure * 1.0
     pay = np.where(sure, p, 0.0)
-    slots = k - int(sure.sum())
-    if slots and band.any():
-        win = rng.choice(np.flatnonzero(band), size=min(slots, int(band.sum())),
-                         replace=False)
+    if band.size:
+        order = rng.permutation(band)
+        ends = np.cumsum(x[order])
+        points = rng.random() + np.arange(round(ends[-1]))
+        # the last end may round below the last point: clip to the band
+        win = order[np.minimum(np.searchsorted(ends, points, side="right"),
+                               band.size - 1)]
         alloc[win] = 1.0
         pay[win] = p[win] / x[win]
     return _outcome(v, alloc, pay, "realized")
@@ -113,11 +118,13 @@ def _run(v: np.ndarray, X: np.ndarray, P: np.ndarray, k: int, rng) -> Outcome:
 # single-price lotteries
 
 
-def _lottery_rule(V: np.ndarray, k: int, p: float, strict: bool = False):
+def _lottery_rule(V: np.ndarray, k: int, p: float | np.ndarray,
+                  strict: bool = False):
     """k units shared uniformly among the m agents with v >= p (v > p when
-    strict), each winning with probability min(k, m)/m; winners pay p."""
+    strict), each winning with probability min(k, m)/m; winners pay p, one
+    price or a column of per-row prices."""
     _require_k(k)
-    if p < 0:
+    if np.any(p < 0):
         raise ValueError("price must be nonnegative")
     elig = V > p if strict else V >= p
     m = elig.sum(axis=1, keepdims=True)
@@ -224,7 +231,7 @@ def expected_pq_lottery(profile, k: int, p: float, q: float) -> float:
 def run_pq_lottery(profile, k: int, p: float, q: float, rng=None) -> Outcome:
     """Two-price lottery outcome; realized with rng, marginal without."""
     v = as_profile(profile).values
-    return _run(v, *_pq_rule(v[None, :], k, p, q), k, rng)
+    return _run(v, *_pq_rule(v[None, :], k, p, q), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +272,7 @@ def vickrey(profile, k: int, rng=None) -> Outcome:
     tie-averaged win probabilities and interim payments.
     """
     v = as_profile(profile).values
-    return _run(v, *_vickrey_rule(v[None, :], k), k, rng)
+    return _run(v, *_vickrey_rule(v[None, :], k), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +355,7 @@ def bayes_optimal_outcome(iv: IronedVirtual, profile, k: int, rng=None) -> Outco
     if prof.n and (v.min() < lo_sup or v.max() > hi_sup):
         raise ValueError(
             f"profile values outside the support {iv.dist.support} of {iv.dist.name}")
-    return _run(v, *_bayes_rule(iv, v[None, :], k), k, rng)
+    return _run(v, *_bayes_rule(iv, v[None, :], k), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +430,15 @@ def _halvings(n: int, start: int, stop: int) -> np.ndarray:
 
 
 def _rsol_values(V_desc: np.ndarray, member: np.ndarray, k: int) -> np.ndarray:
-    """Expected residual of each (profile, halving): a fair coin between the
-    strict lottery at the price the kernel learns on the other half and
-    Vickrey, both on the serving half. V_desc (profiles sorted descending
-    along the last axis) and member (True in the serving half) broadcast."""
-    p2 = _learned_price(V_desc, ~member, k)[1]
-    elig1 = member & (V_desc > p2[..., None])
-    m1 = elig1.sum(axis=-1)
-    sum1 = (elig1 * V_desc).sum(axis=-1)
-    lottery = np.where(
-        m1 > 0, np.minimum(k, m1) / np.maximum(m1, 1) * (sum1 - m1 * p2), 0.0)
-    rank = np.cumsum(member, axis=-1)
-    sum_top = ((member & (rank <= k)) * V_desc).sum(axis=-1)
-    w = ((member & (rank == k + 1)) * V_desc).sum(axis=-1)
-    vick = sum_top - np.minimum(rank[..., -1], k) * w
-    return 0.5 * lottery + 0.5 * vick
+    """Expected residual of each (profile, halving) row: a fair coin between
+    the strict lottery at the price the kernel learns on the other half and
+    Vickrey, both on the serving half S with the pool zeroed, which neither
+    rule serves. V_desc (sorted descending along the last axis) and member
+    (True in the serving half) broadcast to 2-D rows."""
+    S = V_desc * member
+    p2 = _learned_price(V_desc, ~member, k)[1][:, None]
+    return 0.5 * (_residual(S, *_lottery_rule(S, k, p2, strict=True))
+                  + _residual(S, *_vickrey_rule(S, k)))
 
 
 def _rsol_states(rows: int, cells: int) -> list[np.ndarray]:
@@ -548,7 +549,8 @@ def rsol(profile, k: int, rng) -> Outcome:
 
     Each agent lands in the serving half independently with probability 1/2;
     the other half only sets the price. A fair coin then picks the strict
-    lottery at the learned price or Vickrey, run on the serving half.
+    lottery at the learned price or Vickrey, and one draw of its rule row on
+    the serving half (_run) decides the winners.
     """
     _require_k(k)
     v = as_profile(profile).values
@@ -557,19 +559,11 @@ def rsol(profile, k: int, rng) -> Outcome:
         raise ValueError("need at least one agent")
     serve = rng.random(n) < 0.5
     p2 = float(_learned_price(np.sort(v[~serve])[::-1], True, k)[1])
-    alloc, pay = np.zeros(n), np.zeros(n)
-    if rng.random() < 0.5:
-        elig = serve & (v > p2)
-        m = int(elig.sum())
-        if m:
-            win = rng.choice(np.flatnonzero(elig), size=min(k, m), replace=False)
-            alloc[win] = 1.0
-            pay[win] = p2
-    else:
-        inner = vickrey(v[serve], k, rng)
-        alloc[serve] = inner.allocation
-        pay[serve] = inner.payments
-    return _outcome(v, alloc, pay, "realized")
+    S = v[serve][None, :]
+    X, P = np.zeros((2, 1, n))
+    X[:, serve], P[:, serve] = (_lottery_rule(S, k, p2, strict=True)
+                                if rng.random() < 0.5 else _vickrey_rule(S, k))
+    return _run(v, X, P, rng)
 
 
 def expected_rsol(profile, k: int, mode: str = "exact",
@@ -652,20 +646,13 @@ def expected_log_price(profile, k: int) -> float:
 
 
 def run_log_price(profile, k: int, rng) -> Outcome:
-    """One realized round of the price ladder."""
+    """One realized round of the price ladder: draw the round size L, then
+    one draw of the top-share(L, k) rule row (see _run)."""
     _require_k(k)
-    prof = as_profile(profile)
-    v = prof.values
-    n = prof.n
-    alloc = np.zeros(n)
-    pay = np.zeros(n)
-    if n == 0:
-        return _outcome(v, alloc, pay, "realized")
-    sizes = _ladder_sizes(n, k)
+    v = as_profile(profile).values
+    if v.size == 0:
+        return _outcome(v, np.zeros(0), np.zeros(0), "realized")
+    sizes = _ladder_sizes(v.size, k)
     L = sizes[rng.integers(len(sizes))]
-    price = prof.nth_highest(L + 1)
-    order = np.lexsort((rng.permutation(n), -v))
-    win = rng.choice(order[:L], size=min(k, L), replace=False)
-    alloc[win] = 1.0
-    pay[win] = price
-    return _outcome(v, alloc, pay, "realized")
+    X, P = _top_share_rule(v[None, :], np.sort(v)[None, :], [L], k)
+    return _run(v, X[:, 0], P[:, 0], rng)

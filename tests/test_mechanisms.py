@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burnlab.audit import _rsol_interim
 from burnlab.common import substream
 from burnlab.distributions import ValuationProfile
-from burnlab.mechanisms import (CostProblem, _halvings, _learned_price,
-                                _rsol_exact, _rsol_values, bayes_optimal_outcome,
+from burnlab.mechanisms import (CostProblem, _halvings, _ladder_rule,
+                                _learned_price, _rsol_exact, _rsol_values,
+                                bayes_optimal_outcome,
                                 bayes_optimal_with_costs, expected_log_price,
                                 expected_p_lottery, expected_pq_lottery,
                                 expected_rsol, expected_strict_p_lottery,
@@ -312,9 +314,10 @@ def test_rsol_exact_matches_mc(vals, k):
 def halving_enumeration(V, k):
     # the n * 2^n enumeration the doubling pass replaced: every halving as a
     # mask, its coin value from the learned-price kernel, averaged per row
-    n = V.shape[1]
-    V_desc = np.sort(V, axis=1)[:, None, ::-1]
-    return _rsol_values(V_desc, _halvings(n, 0, 2 ** n), k).mean(axis=-1)
+    rows, n = V.shape
+    V_desc = np.repeat(np.sort(V, axis=1)[:, ::-1], 2 ** n, axis=0)
+    member = np.tile(_halvings(n, 0, 2 ** n), (rows, 1))
+    return _rsol_values(V_desc, member, k).reshape(rows, 2 ** n).mean(axis=-1)
 
 
 def rsol_loop(values, k):
@@ -453,3 +456,72 @@ def test_log_price_meets_bound(prof, k):
     full = float(np.sort(prof.values)[::-1][:k].sum())
     bound = full / (2.0 * (1.0 + np.log2(n / k))) if n else 0.0
     assert expected_log_price(prof, k) >= bound - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# realized runs against their rule rows
+
+
+def outcome_row(out):
+    return out.allocation, out.payments
+
+
+def rsol_row(values, k):
+    x, pay = zip(*(_rsol_interim(k, values, i, [values[i]])
+                   for i in range(len(values))))
+    return np.concatenate(x), np.concatenate(pay)
+
+
+# name -> (profile, k, one run with an rng, the rule's (x, P) row); every
+# profile has ties or a lottery band. The ladder's L = 2 round on [2, 1, 1, 1]
+# gives the top agent 1/2 and each tied agent 1/6, where a uniform draw over
+# the band would give each 1/4
+REALIZED = {
+    "pq": ([3.0, 2.0, 2.0, 1.5, 1.0], 2,
+           lambda v, k, rng, iv: run_pq_lottery(v, k, 2.5, 1.2, rng),
+           lambda v, k, iv: outcome_row(run_pq_lottery(v, k, 2.5, 1.2))),
+    "vickrey": ([4.0, 3.0, 3.0, 3.0, 1.0], 2,
+                lambda v, k, rng, iv: vickrey(v, k, rng),
+                lambda v, k, iv: outcome_row(vickrey(v, k))),
+    "bayes": ([3.0, 1.8, 1.2], 2,
+              lambda v, k, rng, iv: bayes_optimal_outcome(iv, v, k, rng),
+              lambda v, k, iv: outcome_row(bayes_optimal_outcome(iv, v, k))),
+    "ladder": ([2.0, 1.0, 1.0, 1.0], 1,
+               lambda v, k, rng, iv: run_log_price(v, k, rng),
+               lambda v, k, iv: tuple(a[0] for a in _ladder_rule(np.array([v]), k))),
+    "rsol": ([1.2, 1.2, 0.9, 0.9, 0.9, 0.3, 0.0, 0.0], 2,
+             lambda v, k, rng, iv: rsol(v, k, rng),
+             lambda v, k, iv: rsol_row(v, k)),
+}
+
+
+@pytest.mark.parametrize("name", REALIZED)
+def test_realized_runs_match_rule_rows(name, iv_bridge):
+    # 4,000 seeded runs: each agent's win frequency within 3.3 sigma of its
+    # x, and its mean payment within 3.3 standard errors of P
+    values, k, run, rule = REALIZED[name]
+    rng = substream(8, "realized", name)
+    outs = [run(values, k, rng, iv_bridge) for _ in range(4000)]
+    wins = np.array([out.allocation for out in outs])
+    pays = np.array([out.payments for out in outs])
+    x, P = rule(values, k, iv_bridge)
+    assert set(np.unique(wins)) <= {0.0, 1.0}
+    np.testing.assert_array_less(np.abs(wins.mean(axis=0) - x),
+                                 3.3 * np.sqrt(x * (1 - x) / 4000) + 1e-12)
+    np.testing.assert_array_less(np.abs(pays.mean(axis=0) - P),
+                                 3.3 * pays.std(axis=0, ddof=1) / np.sqrt(4000)
+                                 + 1e-12 * (1 + P))
+
+
+def test_realized_band_pairs_are_uniform():
+    # four agents share two units at x = 1/2: every pair wins together with
+    # probability 1/6, as for a uniform random subset. Marginals alone do not
+    # show this; systematic sampling in a fixed order has exact marginals but
+    # only ever picks the pairs {0, 2} and {1, 3}
+    rng = substream(8, "co-win")
+    wins = np.array([run_pq_lottery([1.0] * 4, 2, 2.0, 0.0, rng).allocation
+                     for _ in range(4000)])
+    assert np.all(wins.sum(axis=1) == 2)
+    pairs = (wins.T @ wins / 4000)[np.triu_indices(4, 1)]
+    np.testing.assert_array_less(np.abs(pairs - 1 / 6),
+                                 3.3 * np.sqrt(1 / 6 * 5 / 6 / 4000))

@@ -9,6 +9,7 @@ test spends most of its time shrinking.
 """
 
 import __future__
+import functools
 import inspect
 import sys
 
@@ -30,6 +31,21 @@ MUTANTS = {
         mechanisms, "_learned_price", "prices, np.inf).min(axis=-1)",
         "prices, -np.inf).max(axis=-1)",
         [test_mechanisms.test_learned_price_matches_scan]),
+    # the ladder's L = 2 round on [2, 1, 1, 1] has band weights 1/2 and 1/6
+    "run-equal-band-weights": (
+        mechanisms, "_run", "ends = np.cumsum(x[order])",
+        "ends = np.cumsum(np.full(band.size, x[band].mean()))",
+        [functools.partial(test_mechanisms.test_realized_runs_match_rule_rows,
+                           "ladder", None)]),
+    # systematic sampling in a fixed order still gives every agent its exact
+    # x, so only which agents win together shows the missing shuffle
+    "run-fixed-band-order": (
+        mechanisms, "_run", "order = rng.permutation(band)", "order = band",
+        [test_mechanisms.test_realized_band_pairs_are_uniform]),
+    "rsol-values-vickrey-on-all-agents": (
+        mechanisms, "_rsol_values", "_residual(S, *_vickrey_rule(S, k))",
+        "_residual(V_desc, *_vickrey_rule(V_desc, k))",
+        [test_mechanisms.test_rsol_exact_matches_enumeration]),
     "interim-vickrey-share": (
         audit, "_rsol_interim", "(k - a) / (c + 1)", "(k - a) / (c + 2)",
         [test_audit.test_rsol_interim_matches_halving_oracle]),

@@ -116,11 +116,11 @@ def optimal_p_lottery(profile, k: int) -> tuple[float, float]:
 def lottery_surplus_identity(profile, subset, k: int, ell: int) -> float:
     """Gap-form value of a strict lottery on a subset priced at the ell+1-st value.
 
-    subset indexes into the profile in submission order. With n_i counting
-    subset members among the top i ranks and d_i the descending value gaps,
-    the lottery serving subset members above the ell+1-st value equals
-    (min(k, n_ell)/n_ell) * sum_{i<=ell} n_i d_i. When equal values straddle
-    rank ell, ell advances past the tied block so the top-ell set is
+    subset holds agent indices, integers in 0..n-1 in submission order. With
+    n_i counting subset members among the top i ranks and d_i the descending
+    value gaps, the lottery serving subset members above the ell+1-st value
+    equals (min(k, n_ell)/n_ell) * sum_{i<=ell} n_i d_i. When equal values
+    straddle rank ell, ell advances past the tied block so the top-ell set is
     unambiguous. Returns 0 when no subset member ranks in the top ell.
     """
     _require_k(k)
@@ -128,8 +128,11 @@ def lottery_surplus_identity(profile, subset, k: int, ell: int) -> float:
     n = prof.n
     if not 1 <= ell <= n:
         raise ValueError("rank ell must lie in 1..n")
+    idx = np.asarray(subset)
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
+        raise ValueError("subset: need agent indices, integers in 0..n-1")
     member = np.zeros(n, dtype=bool)
-    member[np.asarray(subset, dtype=int)] = True
+    member[idx.astype(int)] = True
     order = np.argsort(-prof.values, kind="stable")
     member_by_rank = member[order]
     s = prof.sorted

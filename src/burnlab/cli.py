@@ -116,6 +116,8 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.profiles < 1:
+        raise ValueError(f"--profiles: need at least 1, got {args.profiles}")
     d = distribution_from_spec(args.dist)
     iv = iron(d) if args.mech == "bayes" else None
     mech = audit_mechanism(args.mech, args.k, p=args.p, q=args.q, iv=iv)

@@ -7,13 +7,14 @@ charging as little as incentives allow.
 Each closed-form mechanism is one rowwise marginal rule
 rule(V, k, ...) -> (X, P): rows of V are bid profiles, X holds the win
 probabilities and P the interim expected payments, coin flips integrated
-out. The rules: the lottery at price p (_lottery_rule), the two-price lottery
-(_pq_rule, sure winners paying _blended_price), the top-share rule (Vickrey
-is top-share(k, k), the price ladder the mean of its rungs, the two-agent
-mixture Vickrey/3 + 1/3) and the prior-optimal _bayes_rule. The other views
-derive from the rule: expected_* values are its row residual (_residual),
-runs return its row or with an rng one draw of it (_run), and the audit
-interims (audit.py) and the estimator (simlab.py) evaluate it on many rows.
+out. The rules: the lottery at price p (_lottery_rule), the top-share rule
+(Vickrey is top-share(k, k), the price ladder the mean of its rungs, the
+two-agent mixture Vickrey/3 + 1/3) and the two-price lottery (_two_price,
+sure winners paying _blended_price), whose rows are _pq_rule's and the
+bridged rows of the prior-optimal _bayes_rule. The other views derive from
+the rule: expected_* values are its row residual (_residual), runs return its
+row or with an rng one draw of it (_run), and the audit interims (audit.py)
+and the estimator (simlab.py) evaluate it on many rows.
 
 RSOL (random-sampling optimal lottery: learn a price on a random half of the
 agents, apply it or Vickrey to the other half) has no rowwise rule. Given a
@@ -124,8 +125,9 @@ def _lottery_rule(V: np.ndarray, k: int, p: float | np.ndarray,
     strict), each winning with probability min(k, m)/m; winners pay p, one
     price or a column of per-row prices."""
     _require_k(k)
-    if np.any(p < 0):
-        raise ValueError("price must be nonnegative")
+    # written so that a NaN price fails
+    if not np.all(p >= 0):
+        raise ValueError("price must be a nonnegative number")
     elig = V > p if strict else V >= p
     m = elig.sum(axis=1, keepdims=True)
     X = elig * (np.minimum(k, m) / np.maximum(m, 1))
@@ -194,15 +196,11 @@ def _blended_price(k, s, t, lo, hi):
     return ((k - s + 1) * lo + (s + t - k) * hi) / (t + 1)
 
 
-def _pq_rule(V: np.ndarray, k: int, p: float, q: float):
-    """Two-price lottery, rowwise; expected_pq_lottery states the cases."""
-    _require_k(k)
-    if q > p:
-        raise ValueError("need q <= p")
-    if q < 0:
-        raise ValueError("prices must be nonnegative")
-    top = V > p
-    band = (V > q) & ~top
+def _two_price(top: np.ndarray, band: np.ndarray, k: int, lo, hi):
+    """Two-price lottery, rowwise, on masks of its s top and t band agents at
+    prices lo <= hi, scalars or per-row columns: the top share k units at hi
+    if s > k, all win at lo if s + t <= k, else the top win surely at
+    _blended_price and the band shares the other k - s units at lo."""
     s = top.sum(axis=1, keepdims=True)
     t = band.sum(axis=1, keepdims=True)
     crowded = s > k
@@ -210,9 +208,19 @@ def _pq_rule(V: np.ndarray, k: int, p: float, q: float):
     X = np.where(crowded, top * (k / np.maximum(s, 1)),
                  np.where(fits, top | band,
                           top + band * ((k - s) / np.maximum(t, 1))))
-    price = np.where(crowded, p,
-                     np.where(top & ~fits, _blended_price(k, s, t, q, p), q))
+    price = np.where(crowded, hi,
+                     np.where(top & ~fits, _blended_price(k, s, t, lo, hi), lo))
     return X, X * price
+
+
+def _pq_rule(V: np.ndarray, k: int, p: float, q: float):
+    """_two_price with the values above p on top and those in (q, p] in the
+    band."""
+    _require_k(k)
+    if not 0 <= q <= p:
+        raise ValueError("prices must satisfy 0 <= q <= p")
+    top = V > p
+    return _two_price(top, (V > q) & ~top, k, q, p)
 
 
 def expected_pq_lottery(profile, k: int, p: float, q: float) -> float:
@@ -285,7 +293,8 @@ def _segment_anchors(iv: IronedVirtual):
     Bridged segments anchor payments at their value-space endpoints, with lo
     forced to 0 when the bridge starts at the bottom of the grid (there is no
     losing bid region, so the identity integrates from 0). Unbridged segments
-    get NaN and callers substitute the threshold value itself.
+    get NaN; _bayes_rule runs Vickrey on the rows whose marginal agent sits
+    on one.
     """
     nseg = iv.slopes.size
     lo = np.full(nseg, np.nan)
@@ -302,14 +311,14 @@ def _bayes_rule(iv: IronedVirtual, V: np.ndarray, k: int):
     """Marginal allocation and payments of the optimal mechanism, rowwise.
 
     V is (rows, n); returns (X, P) of the same shape. Rows are independent
-    profiles. When the k+1-st value sits on a bridged hull segment, all agents
-    at that ironed level share the leftover units uniformly and payments
-    anchor at the segment's value-space endpoints. Otherwise equal ironed
-    levels are refined by value, which reduces the row to a Vickrey auction;
-    refining this way keeps the interim rule a step function at exact profile
-    values, so the payment identity holds to float precision instead of grid
-    precision. No support validation: off-support bids get the clipped-grid
-    ironed value, which is how the mechanism itself treats them.
+    profiles. When the k+1-st value sits on a bridged hull segment, the row
+    is _two_price at the segment's anchors, the agents above its ironed level
+    on top and those at it, [v_lo, v_hi) in value, in the band. Otherwise
+    equal ironed levels are refined by value, which reduces the row to a
+    Vickrey auction; refining this way keeps the interim rule a step function
+    at exact profile values, so the payment identity holds to float precision
+    instead of grid precision. No support validation: off-support bids get
+    the clipped-grid ironed value, as the mechanism itself treats them.
     """
     _require_k(k)
     n = V.shape[1]
@@ -317,25 +326,16 @@ def _bayes_rule(iv: IronedVirtual, V: np.ndarray, k: int):
         return _vickrey_rule(V, k)
     V_asc = np.sort(V, axis=1)
     Xv, Pv = _vickrey_rule(V, k, V_asc)
-    seg = iv.segment_of(V_asc[:, n - k - 1])
+    seg = iv.segment_of(V_asc[:, n - k - 1])[:, None]
     lo_seg, hi_seg = _segment_anchors(iv)
-    lo = lo_seg[seg]
-    hi = hi_seg[seg]
+    lo, hi = lo_seg[seg], hi_seg[seg]
     bridged = ~np.isnan(lo)
     if not bridged.any():
         return Xv, Pv
     c = iv.slopes[seg]
     levels = np.asarray(iv.value(V), dtype=float)
-    above = levels > c[:, None]
-    tie = levels == c[:, None]
-    s = above.sum(axis=1)
-    t = np.maximum(tie.sum(axis=1), 1)
-    r = (k - s) / t
-    blended = _blended_price(k, s, t, lo, hi)
-    Xb = above * 1.0 + tie * r[:, None]
-    Pb = above * blended[:, None] + tie * (r * lo)[:, None]
-    return (np.where(bridged[:, None], Xb, Xv),
-            np.where(bridged[:, None], Pb, Pv))
+    Xb, Pb = _two_price(levels > c, levels == c, k, lo, hi)
+    return np.where(bridged, Xb, Xv), np.where(bridged, Pb, Pv)
 
 
 def bayes_optimal_outcome(iv: IronedVirtual, profile, k: int, rng=None) -> Outcome:

@@ -151,6 +151,9 @@ def test_audit_mechanism_validation(iv_uniform):
     # rejected when built, not when a later interim misbehaves
     for name, k, prices in [("plottery", 1, {"p": -1.0}),
                             ("pqlottery", 1, {"p": 1.0, "q": -1.0}),
+                            ("plottery", 1, {"p": np.nan}),
+                            ("pqlottery", 1, {"p": np.nan}),
+                            ("pqlottery", 1, {"p": 1.0, "q": np.nan}),
                             ("vickrey", 0, {}), ("logprice", 0, {}),
                             ("plottery", 0, {})]:
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from burnlab.distributions import (ValuationProfile, as_profile, exponential,
                                    sample_profile, two_piece, uniform)
 from burnlab.ironing import iron
 from burnlab.mechanisms import (bayes_optimal_outcome, expected_p_lottery,
-                                expected_pq_lottery, vickrey)
+                                expected_pq_lottery, run_pq_lottery, vickrey)
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
                     max_size=8).map(ValuationProfile)
@@ -168,6 +168,11 @@ def test_identity_validation():
         lottery_surplus_identity((1.0, 2.0), (0,), 1, 3)
     with pytest.raises(ValueError):
         lottery_surplus_identity((1.0, 2.0), (0,), 0, 1)
+    # a negative index once wrapped to the last agent, a fraction truncated
+    # to agent 0 and index n ended in an IndexError
+    for subset in [(-1,), (0.7,), (2,), (0, 2), (True,)]:
+        with pytest.raises(ValueError):
+            lottery_surplus_identity((1.0, 2.0), subset, 1, 1)
 
 
 @st.composite
@@ -243,6 +248,32 @@ def test_bayes_residual_at_most_benchmark(d, seed):
         bayes = bayes_optimal_outcome(iv, values, k).residual_surplus
         G = two_price_benchmark(values, k).value
         assert bayes <= G * (1.0 + 1e-12), (values, k, bayes, G)
+
+
+@given(piecewise_priors(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_bridged_bayes_rows_are_pq_rows(d, seed):
+    # a profile whose k+1-st value lies inside a bridged interval gets the
+    # two-price lottery with p at the interval's top end and q at its bottom
+    # end (0 for a bridge at the bottom of the support): off the ends, the
+    # ironed-level bands and pq's value bands hold the same agents
+    iv = iron(d, grid=2 ** 12)
+    ends = [e for itv in iv.intervals for e in (itv.v_lo, itv.v_hi)]
+    rng = substream(seed, "bayes-pq")
+    for _ in range(25):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, min(3, n - 1) + 1))
+        values = d.quantile(rng.random(n))
+        if np.isin(values, ends).any():
+            continue
+        marginal = np.sort(values)[-k - 1]
+        for itv in iv.intervals:
+            if itv.v_lo < marginal < itv.v_hi:
+                bayes = bayes_optimal_outcome(iv, values, k)
+                pq = run_pq_lottery(values, k, itv.v_hi,
+                                    0.0 if itv.at_bottom else itv.v_lo)
+                np.testing.assert_array_equal(bayes.allocation, pq.allocation)
+                np.testing.assert_array_equal(bayes.payments, pq.payments)
 
 
 def test_full_surplus_oracles():

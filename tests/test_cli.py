@@ -176,17 +176,39 @@ def test_benchmark_row(tmp_path, capsys):
     assert [float(x) for x in row] == [2.5, 1.0, 0.0, 2.0, 0.0, 3.0]
 
 
-@pytest.mark.parametrize("lines, k, message", [
-    (None, "1", "No such file"),
-    (["3.0", "three"], "1", "could not convert"),
-    (["3.0", "1.0"], "0", "need at least one unit"),
-], ids=["missing-file", "non-numeric", "k0"])
-def test_benchmark_bad_input_exit_two(tmp_path, capsys, lines, k, message):
+# ---------------------------------------------------------------------------
+# bad input
+
+
+@pytest.mark.parametrize("argv, lines, message", [
+    ("benchmark --profile {prof} --k 1", None, "No such file"),
+    ("benchmark --profile {prof} --k 1", ["3.0", "three"], "could not convert"),
+    ("benchmark --profile {prof} --k 0", ["3.0", "1.0"],
+     "need at least one unit"),
+    # NaN prices once slipped past the price checks and printed a value
+    ("eval --mech plottery --profile {prof} --k 1 --p nan", ["3.0", "1.0"],
+     "price must be a nonnegative number"),
+    ("eval --mech pqlottery --profile {prof} --k 1 --p nan --q 0",
+     ["3.0", "1.0"], "0 <= q <= p"),
+    ("eval --mech pqlottery --profile {prof} --k 1 --q nan", ["3.0", "1.0"],
+     "0 <= q <= p"),
+    ("audit --mech plottery --dist uniform(0,1) --n 3 --p nan", None,
+     "price must be a nonnegative number"),
+    # --profiles below 1 once wrote a bare header and exited 0
+    ("audit --mech vickrey --dist uniform(0,1) --n 3 --profiles 0", None,
+     "--profiles: "),
+    ("audit --mech vickrey --dist uniform(0,1) --n 3 --profiles -1", None,
+     "--profiles: "),
+], ids=["benchmark-missing-file", "benchmark-non-numeric", "benchmark-k0",
+        "eval-plottery-p-nan", "eval-pqlottery-p-nan", "eval-pqlottery-q-nan",
+        "audit-plottery-p-nan", "audit-profiles-0", "audit-profiles-negative"])
+def test_bad_input_exit_two(tmp_path, capsys, argv, lines, message):
     prof = (write_profile(tmp_path, lines) if lines
             else str(tmp_path / "missing.txt"))
-    rc = main(["benchmark", "--profile", prof, "--k", k])
-    err = capsys.readouterr().err
-    assert rc == 2
+    rc = main([arg.format(prof=prof) for arg in argv.split()])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = captured.err
     assert err.startswith("burnlab: error: ") and message in err
     assert "Traceback" not in err and err.count("\n") == 1
 

@@ -55,8 +55,9 @@ def test_pq_lottery_oracles():
 
 
 def test_pq_lottery_validation():
-    with pytest.raises(ValueError):
-        expected_pq_lottery([1.0], 1, 1.0, 2.0)
+    for p, q in [(1.0, 2.0), (np.nan, 0.0), (1.0, np.nan), (np.nan, np.nan)]:
+        with pytest.raises(ValueError):
+            expected_pq_lottery([1.0], 1, p, q)
 
 
 def test_pq_collapses_to_strict_single_price():

@@ -15,9 +15,10 @@ import sys
 
 import pytest
 import test_audit
+import test_benchmark
 import test_mechanisms
 
-from burnlab import audit, mechanisms
+from burnlab import audit, benchmark, mechanisms
 
 MUTANTS = {
     "pass-tie-largest-price": (
@@ -49,6 +50,34 @@ MUTANTS = {
     "interim-vickrey-share": (
         audit, "_rsol_interim", "(k - a) / (c + 1)", "(k - a) / (c + 2)",
         [test_audit.test_rsol_interim_matches_halving_oracle]),
+    # the two-price sweep holds _blended_price by name too
+    "blended-price-discount": (
+        mechanisms, "_blended_price", "return ((k - s + 1)",
+        "return 0.99 * ((k - s + 1)",
+        [test_mechanisms.test_pq_lottery_oracles,
+         test_audit.test_bayes_interim_steps_at_interval_edges]),
+    "two-price-band-share-plus-one": (
+        mechanisms, "_two_price", "band * ((k - s) / np.maximum(t, 1))",
+        "band * ((k - s + 1) / np.maximum(t, 1))",
+        [test_mechanisms.test_pq_lottery_oracles,
+         test_mechanisms.test_bayes_bridged_tie_share]),
+    # pq's value bands (q, p] in place of the ironed-level bands, which keep
+    # [v_lo, v_hi): pins the convention at the interval ends
+    "bayes-value-space-bands": (
+        mechanisms, "_bayes_rule", "_two_price(levels > c, levels == c,",
+        "_two_price(V > hi, (V > lo) & (V <= hi),",
+        [test_audit.test_bayes_truthful_at_interval_ends]),
+    "sweep-count-side-left": (
+        benchmark, "two_price_benchmark", 'np.searchsorted(v, c, side="right")',
+        'np.searchsorted(v, c, side="left")',
+        [test_benchmark.test_sweep_matches_pair_loop]),
+    "sweep-band-sum-with-top": (
+        benchmark, "_pair_values", "(total - top - t * q)", "(total - t * q)",
+        [test_benchmark.test_sweep_matches_pair_loop]),
+    "sweep-tie-floor-at-best": (
+        benchmark, "two_price_benchmark",
+        "floor = best - _TIE_RTOL * max(1.0, abs(best))", "floor = best",
+        [test_benchmark.test_sweep_matches_pair_loop]),
 }
 
 
@@ -69,9 +98,13 @@ def plant(monkeypatch, module, name, snippet, replacement):
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
-def test_mutant_is_caught(monkeypatch, mutant):
+def test_mutant_is_caught(monkeypatch, request, mutant):
     module, name, snippet, replacement, checks = MUTANTS[mutant]
+    # a check's remaining parameters are fixtures, fetched before planting
+    fixtures = [{arg: request.getfixturevalue(arg)
+                 for arg in inspect.signature(check).parameters}
+                for check in checks]
     plant(monkeypatch, module, name, snippet, replacement)
-    for check in checks:
+    for check, kwargs in zip(checks, fixtures):
         with pytest.raises(AssertionError):
-            check()
+            check(**kwargs)

@@ -347,11 +347,9 @@ def _cell_virtual(iv: IronedVirtual, V: np.ndarray) -> np.ndarray:
     dominance comparison is free of quadrature bias: with no ironing the
     hull keeps every node and the two sides agree exactly.
     """
-    qv = np.clip(np.asarray(iv.dist.cdf(V), dtype=float), iv.q[0], iv.q[-1])
-    cell = np.clip(np.searchsorted(iv.q, qv, side="right") - 1,
-                   0, iv.q.size - 2)
     slopes = np.diff(iv.H) / np.diff(iv.q)
-    return slopes[cell]
+    # slopes has one entry per cell but the top one: clip sends it down
+    return slopes.take(iv._cell(V), mode="clip")
 
 
 def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,

@@ -40,15 +40,20 @@ def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("x and y must be matching 1-d arrays")
     if x.size < 2 or np.any(np.diff(x) <= 0):
         raise ValueError("x must be strictly increasing with at least 2 points")
+    # the memoryviews hand out Python floats, which round exactly as numpy
+    # float64 scalars at a fraction of the cost per operation, without the
+    # memory of a list of every point
+    xs, ys = memoryview(x), memoryview(y)
     idx: list[int] = []
     for i in range(x.size):
+        xi, yi = xs[i], ys[i]
         while len(idx) >= 2:
             a, b = idx[-2], idx[-1]
-            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
+            cross = (xs[b] - xs[a]) * (yi - ys[a]) - (ys[b] - ys[a]) * (xi - xs[a])
             # near-collinear points can pass the cross test by one rounding
             # while the slopes iron() takes by division come out equal
-            if cross <= 0.0 or ((y[b] - y[a]) / (x[b] - x[a])
-                                >= (y[i] - y[b]) / (x[i] - x[b])):
+            if cross <= 0.0 or ((ys[b] - ys[a]) / (xs[b] - xs[a])
+                                >= (yi - ys[b]) / (xi - xs[b])):
                 idx.pop()
             else:
                 break
@@ -83,14 +88,11 @@ class IronedVirtual:
     hull_idx: np.ndarray
     slopes: np.ndarray
     intervals: tuple[IronedInterval, ...]
+    grid_seg: np.ndarray  # hull segment of each grid point
 
     @property
     def grid(self) -> int:
         return self.q.size
-
-    @cached_property
-    def hull_q(self) -> np.ndarray:
-        return self.q[self.hull_idx]
 
     @cached_property
     def ironed_flag(self) -> np.ndarray:
@@ -102,20 +104,37 @@ class IronedVirtual:
             flag[lo:hi + 1] = 1
         return flag
 
+    def _cell(self, v) -> np.ndarray:
+        """Grid cell of each value, searchsorted(q, qv, "right") - 1 for qv its
+        cdf clipped to the grid (a NaN to the top, where searchsorted puts it).
+
+        q is a linspace, so the cell is (qv - q[0]) / step up to a rounding,
+        which one comparison each way corrects; the estimate is capped below
+        the top point first, so that q[cell + 1] exists.
+        """
+        v = np.asarray(v, dtype=float)
+        q = self.q
+        qv = np.fmin(np.ravel(self.dist.cdf(v)), q[-1])
+        np.fmax(qv, q[0], out=qv)
+        cell = ((qv - q[0]) * ((q.size - 1) / (q[-1] - q[0]))).astype(np.intp)
+        np.minimum(cell, q.size - 2, out=cell)
+        cell -= q.take(cell) > qv
+        cell += q[1:].take(cell) <= qv
+        return cell.reshape(v.shape)
+
     def segment_of(self, v) -> np.ndarray:
         """Index of the hull segment governing value v, right-continuous.
 
         Values outside the grid's quantile range clip to its ends, so bids
-        below the support bottom land on the lowest segment.
+        below the support bottom land on the lowest segment. The segment is
+        read from the table of grid cells: hull vertices are grid points, so
+        none lies inside the cell.
         """
-        qv = np.clip(np.asarray(self.dist.cdf(np.asarray(v, dtype=float)),
-                                dtype=float), self.q[0], self.q[-1])
-        seg = np.searchsorted(self.hull_q, qv, side="right") - 1
-        return np.clip(seg, 0, self.slopes.size - 1)
+        return self.grid_seg[self._cell(v)]
 
     def value(self, v) -> np.ndarray | float:
         """phibar at value v, right-continuous across interval edges."""
-        out = self.slopes[self.segment_of(v)]
+        out = self.phibar[self._cell(v)]
         return out if np.ndim(v) else float(out)
 
 
@@ -155,7 +174,7 @@ def iron(d: ValueDistribution, grid: int = DEFAULT_GRID,
                 level=float(slopes[j]),
                 at_bottom=(i0 == 0), at_top=(i1 == grid - 1)))
     return IronedVirtual(d, q, v, theta, H, G, phibar, hull_idx,
-                         slopes, tuple(intervals))
+                         slopes, tuple(intervals), seg)
 
 
 def ironed_value(d: ValueDistribution, v, grid: int = DEFAULT_GRID,

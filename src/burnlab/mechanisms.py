@@ -125,9 +125,9 @@ def _lottery_rule(V: np.ndarray, k: int, p: float | np.ndarray,
     strict), each winning with probability min(k, m)/m; winners pay p, one
     price or a column of per-row prices."""
     _require_k(k)
-    # written so that a NaN price fails
-    if not np.all(p >= 0):
-        raise ValueError("price must be a nonnegative number")
+    # written so that NaN and infinite prices fail
+    if not np.all((p >= 0) & (p < np.inf)):
+        raise ValueError("price must be a finite nonnegative number")
     elig = V > p if strict else V >= p
     m = elig.sum(axis=1, keepdims=True)
     X = elig * (np.minimum(k, m) / np.maximum(m, 1))
@@ -217,8 +217,8 @@ def _pq_rule(V: np.ndarray, k: int, p: float, q: float):
     """_two_price with the values above p on top and those in (q, p] in the
     band."""
     _require_k(k)
-    if not 0 <= q <= p:
-        raise ValueError("prices must satisfy 0 <= q <= p")
+    if not 0 <= q <= p < math.inf:
+        raise ValueError("prices must be finite and satisfy 0 <= q <= p")
     top = V > p
     return _two_price(top, (V > q) & ~top, k, q, p)
 
@@ -383,35 +383,46 @@ class CostOutcome:
     tie_count: int
 
 
+def _subsets(agents) -> list[frozenset[int]]:
+    """Every subset of agents, the j-th holding agents[b] for each bit b of j."""
+    sets = [frozenset()]
+    for i in agents:
+        sets += [s | {i} for s in sets]
+    return sets
+
+
 def bayes_optimal_with_costs(prob: CostProblem, profile, rng=None) -> CostOutcome:
     """Exhaustively maximize total virtual value minus subset cost.
 
-    Enumerates all 2^n subsets; infinite costs exclude a subset. Ties within
-    1e-12 relative tolerance break uniformly when rng is given, else the
-    smallest subset in enumeration order wins.
+    Enumerates all 2^n subsets in mask order, in blocks that share the high
+    agents: the subsets of the low 8 agents are built once, each block calls
+    cost on their unions with one high subset and scans the finite values.
+    Infinite costs exclude a subset. Ties within 1e-12 relative tolerance
+    break uniformly when rng is given, else the smallest mask wins.
     """
     v = as_profile(profile).values
     n = v.size
     if n != len(prob.virtuals):
         raise ValueError("profile size must match the number of virtual functions")
-    if n > COST_AGENT_CAP:
-        raise ValueError(f"at most {COST_AGENT_CAP} agents supported")
     phi = np.array([prob.virtuals[i](float(v[i])) for i in range(n)])
     sums = np.zeros(1)
     for i in range(n):
         sums = np.concatenate((sums, sums + phi[i]))
+    low = _subsets(range(min(n, 8)))
     best = 0.0
     best_masks: list[int] = []
-    for mask in range(1 << n):
-        members = frozenset(i for i in range(n) if mask >> i & 1)
-        value = float(sums[mask]) - prob.cost(members)
-        if not math.isfinite(value):
-            continue
-        if not best_masks or value > best + 1e-12 * (1.0 + abs(best)):
-            best = value
-            best_masks = [mask]
-        elif abs(value - best) <= 1e-12 * (1.0 + abs(best)):
-            best_masks.append(mask)
+    for h, high in enumerate(_subsets(range(8, n))):
+        start = h * len(low)
+        # no dtype: a cost that is not a number fails here, as in float math
+        values = sums[start:start + len(low)] - np.array(
+            [prob.cost(s | high) for s in low])
+        finite = np.flatnonzero(np.isfinite(values))
+        for mask, value in zip((finite + start).tolist(), values[finite].tolist()):
+            if not best_masks or value > best + 1e-12 * (1.0 + abs(best)):
+                best = value
+                best_masks = [mask]
+            elif abs(value - best) <= 1e-12 * (1.0 + abs(best)):
+                best_masks.append(mask)
     if not best_masks:
         raise ValueError("no subset has finite cost")
     pick = best_masks[0] if rng is None else best_masks[rng.integers(len(best_masks))]

@@ -154,6 +154,8 @@ def test_audit_mechanism_validation(iv_uniform):
                             ("plottery", 1, {"p": np.nan}),
                             ("pqlottery", 1, {"p": np.nan}),
                             ("pqlottery", 1, {"p": 1.0, "q": np.nan}),
+                            ("plottery", 1, {"p": np.inf}),
+                            ("pqlottery", 1, {"p": np.inf}),
                             ("vickrey", 0, {}), ("logprice", 0, {}),
                             ("plottery", 0, {})]:
         with pytest.raises(ValueError):

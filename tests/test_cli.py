@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -185,15 +186,22 @@ def test_benchmark_row(tmp_path, capsys):
     ("benchmark --profile {prof} --k 1", ["3.0", "three"], "could not convert"),
     ("benchmark --profile {prof} --k 0", ["3.0", "1.0"],
      "need at least one unit"),
-    # NaN prices once slipped past the price checks and printed a value
+    # NaN and infinite prices once slipped past the price checks and printed
+    # a value; an infinite one also made the audit's bid grid NaN
     ("eval --mech plottery --profile {prof} --k 1 --p nan", ["3.0", "1.0"],
-     "price must be a nonnegative number"),
+     "price must be a finite nonnegative number"),
     ("eval --mech pqlottery --profile {prof} --k 1 --p nan --q 0",
      ["3.0", "1.0"], "0 <= q <= p"),
     ("eval --mech pqlottery --profile {prof} --k 1 --q nan", ["3.0", "1.0"],
      "0 <= q <= p"),
     ("audit --mech plottery --dist uniform(0,1) --n 3 --p nan", None,
-     "price must be a nonnegative number"),
+     "price must be a finite nonnegative number"),
+    ("eval --mech plottery --profile {prof} --k 1 --p inf", ["3.0", "1.0"],
+     "price must be a finite nonnegative number"),
+    ("audit --mech plottery --dist uniform(0,1) --n 3 --p inf", None,
+     "price must be a finite nonnegative number"),
+    ("audit --mech pqlottery --dist uniform(0,1) --n 3 --p inf", None,
+     "prices must be finite"),
     # --profiles below 1 once wrote a bare header and exited 0
     ("audit --mech vickrey --dist uniform(0,1) --n 3 --profiles 0", None,
      "--profiles: "),
@@ -201,11 +209,14 @@ def test_benchmark_row(tmp_path, capsys):
      "--profiles: "),
 ], ids=["benchmark-missing-file", "benchmark-non-numeric", "benchmark-k0",
         "eval-plottery-p-nan", "eval-pqlottery-p-nan", "eval-pqlottery-q-nan",
-        "audit-plottery-p-nan", "audit-profiles-0", "audit-profiles-negative"])
+        "audit-plottery-p-nan", "eval-plottery-p-inf", "audit-plottery-p-inf",
+        "audit-pqlottery-p-inf", "audit-profiles-0", "audit-profiles-negative"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, lines, message):
     prof = (write_profile(tmp_path, lines) if lines
             else str(tmp_path / "missing.txt"))
-    rc = main([arg.format(prof=prof) for arg in argv.split()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way out
+        rc = main([arg.format(prof=prof) for arg in argv.split()])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     err = captured.err

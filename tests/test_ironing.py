@@ -5,7 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from burnlab.distributions import (exponential, two_piece, uniform,
+from test_benchmark import piecewise_priors
+
+from burnlab.audit import _cell_virtual
+from burnlab.distributions import (exponential, pareto, two_piece, uniform,
                                    virtual_value_utility)
 from burnlab.ironing import (DEFAULT_GRID, iron, ironed_value,
                              lower_convex_hull)
@@ -111,6 +114,57 @@ def test_iron_validation():
         iron(uniform(0.0, 1.0), eps=0.0)
 
 
+def searchsorted_lookups(iv, v):
+    # the grid cell and hull segment by binary search on the clipped quantile
+    qv = np.clip(np.asarray(iv.dist.cdf(np.asarray(v, dtype=float)), dtype=float),
+                 iv.q[0], iv.q[-1])
+    cell = np.searchsorted(iv.q, qv, side="right") - 1
+    seg = np.clip(np.searchsorted(iv.q[iv.hull_idx], qv, side="right") - 1,
+                  0, iv.slopes.size - 1)
+    return cell, seg
+
+
+STOCK_PRIORS = (uniform(0.0, 1.0), exponential(1.0), pareto(1.0, 2.0), two_piece())
+
+
+@given(st.one_of(st.sampled_from(STOCK_PRIORS), piecewise_priors()),
+       st.sampled_from([64, 1000, 2 ** 12, 2 ** 14, 2 ** 16]),
+       st.integers(0, 2 ** 32 - 1))
+# on uniform(0,1) the cell estimate falls short near thousands of nodes at
+# 2^12 and overshoots near thousands at 2^16, so each correction is needed
+@example(STOCK_PRIORS[0], 2 ** 12, 0)
+@example(STOCK_PRIORS[0], 2 ** 16, 0)
+@settings(max_examples=30, deadline=None)
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # pareto cdf at 0
+def test_grid_lookups_match_searchsorted(d, grid, seed):
+    iv = iron(d, grid=grid)
+    rng = np.random.default_rng(seed)
+    nodes = iv.v[rng.integers(0, grid, 300)]
+    lo = d.support[0]
+    v = np.concatenate((nodes, np.nextafter(nodes, -np.inf),
+                        np.nextafter(nodes, np.inf), iv.v[[0, -1]],
+                        d.quantile(rng.random(100)),
+                        [lo - 1.0, np.nextafter(lo, -np.inf), -np.inf,
+                         2.0 * iv.v[-1], 1e300, np.inf, np.nan]))
+    cell, seg = searchsorted_lookups(iv, v)
+    np.testing.assert_array_equal(iv._cell(v), cell)
+    np.testing.assert_array_equal(iv.segment_of(v), seg)
+    np.testing.assert_array_equal(iv.value(v), iv.slopes[seg])
+    V = v[:1000].reshape(250, 4)
+    np.testing.assert_array_equal(iv.value(V), iv.slopes[seg[:1000].reshape(250, 4)])
+    cell_slopes = np.diff(iv.H) / np.diff(iv.q)
+    np.testing.assert_array_equal(_cell_virtual(iv, V),
+                                  cell_slopes[np.clip(cell[:1000], 0, grid - 2)
+                                              .reshape(250, 4)])
+    # a scalar against the oracle on that scalar: a cdf may round one ulp
+    # differently on a 0-d array than inside a vector
+    for x in v[::37].tolist():
+        seg_x = searchsorted_lookups(iv, x)[1]
+        assert iv.segment_of(x) == seg_x
+        phibar_x = iv.value(x)
+        assert type(phibar_x) is float and phibar_x == iv.slopes[seg_x]
+
+
 def test_grid_properties(iv_twopiece):
     iv = iv_twopiece
     assert iv.q.size == DEFAULT_GRID
@@ -125,6 +179,22 @@ def test_grid_properties(iv_twopiece):
     assert np.all(flagged[inside])
 
 
+def hull_oracle(x, y):
+    # the monotone chain on numpy float64 scalars
+    idx = []
+    for i in range(x.size):
+        while len(idx) >= 2:
+            a, b = idx[-2], idx[-1]
+            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
+            if cross <= 0.0 or ((y[b] - y[a]) / (x[b] - x[a])
+                                >= (y[i] - y[b]) / (x[i] - x[b])):
+                idx.pop()
+            else:
+                break
+        idx.append(i)
+    return np.asarray(idx, dtype=np.intp)
+
+
 @given(st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=2,
                 max_size=40))
 @example([0.1, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5])  # collinear up to one rounding
@@ -133,6 +203,7 @@ def test_hull_properties(ys):
     y = np.array(ys)
     x = np.arange(y.size, dtype=float)
     idx = lower_convex_hull(x, y)
+    np.testing.assert_array_equal(idx, hull_oracle(x, y))
     assert idx[0] == 0 and idx[-1] == y.size - 1
     assert np.all(np.diff(idx) > 0)
     hull_y = np.interp(x, x[idx], y[idx])

@@ -1,14 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burnlab.audit import _rsol_interim
 from burnlab.common import substream
 from burnlab.distributions import ValuationProfile
-from burnlab.mechanisms import (CostProblem, _halvings, _ladder_rule,
+from burnlab.mechanisms import (CostOutcome, CostProblem, _halvings, _ladder_rule,
                                 _learned_price, _rsol_exact, _rsol_values,
                                 bayes_optimal_outcome,
                                 bayes_optimal_with_costs, expected_log_price,
@@ -55,7 +56,8 @@ def test_pq_lottery_oracles():
 
 
 def test_pq_lottery_validation():
-    for p, q in [(1.0, 2.0), (np.nan, 0.0), (1.0, np.nan), (np.nan, np.nan)]:
+    for p, q in [(1.0, 2.0), (np.nan, 0.0), (1.0, np.nan), (np.nan, np.nan),
+                 (np.inf, 0.0), (np.inf, np.inf)]:
         with pytest.raises(ValueError):
             expected_pq_lottery([1.0], 1, p, q)
 
@@ -234,6 +236,72 @@ def test_costs_recover_k_unit_rule(iv_pareto):
 def test_costs_capacity_error():
     with pytest.raises(ValueError):
         CostProblem(tuple([lambda v: v] * 21), lambda s: 0.0)
+
+
+def test_costs_not_a_number_raises():
+    prob = CostProblem((lambda v: 0.5,) * 9, lambda s: None if len(s) == 9 else 0.0)
+    with pytest.raises(TypeError):
+        bayes_optimal_with_costs(prob, np.ones(9))
+
+
+def costs_mask_loop(prob, profile, rng=None):
+    # the plain enumeration: one frozenset and one scalar tie test per mask
+    v = np.asarray(profile, dtype=float)
+    n = v.size
+    phi = np.array([prob.virtuals[i](float(v[i])) for i in range(n)])
+    sums = np.zeros(1)
+    for i in range(n):
+        sums = np.concatenate((sums, sums + phi[i]))
+    best = 0.0
+    best_masks = []
+    for mask in range(1 << n):
+        members = frozenset(i for i in range(n) if mask >> i & 1)
+        value = float(sums[mask]) - prob.cost(members)
+        if not math.isfinite(value):
+            continue
+        if not best_masks or value > best + 1e-12 * (1.0 + abs(best)):
+            best = value
+            best_masks = [mask]
+        elif abs(value - best) <= 1e-12 * (1.0 + abs(best)):
+            best_masks.append(mask)
+    if not best_masks:
+        raise ValueError("no subset has finite cost")
+    pick = best_masks[0] if rng is None else best_masks[rng.integers(len(best_masks))]
+    chosen = frozenset(i for i in range(n) if pick >> i & 1)
+    return CostOutcome(chosen, best, len(best_masks))
+
+
+# costs on a coarse grid give exact ties; the +-1e-12 and 5e-13 offsets land
+# values exactly on, inside and outside the tie tolerance
+_COST_MENU = (math.inf, 0.0, 1e-12, -1e-12, 5e-13, 0.5, 1.0, 1.5)
+
+
+@given(st.integers(0, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.5]))
+# all virtual values 0 and costs 0, 1, -1e-12, inf, inf, 0, 1e-12, inf: the
+# best stays 0 and the values 1e-12 and -1e-12 tie exactly at the tolerance
+@example(3, 5, 0.0)
+@settings(max_examples=40, deadline=None)
+def test_costs_match_mask_loop(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    table = rng.choice(_COST_MENU, size=1 << n, p=[0.3] + [0.1] * 7)
+    table[0] = 0.0
+    phi = scale * rng.integers(0, 4, n)
+    calls = {"loop": [], "blocked": []}
+
+    def problem(name):
+        def cost(subset):
+            calls[name].append(subset)
+            return float(table[sum(1 << i for i in subset)])
+
+        return CostProblem(tuple(lambda v, x=x: x for x in phi), cost)
+
+    values = np.ones(n)
+    for tie_rng in (lambda: None, lambda: np.random.default_rng(seed)):
+        want = costs_mask_loop(problem("loop"), values, tie_rng())
+        got = bayes_optimal_with_costs(problem("blocked"), values, tie_rng())
+        assert got == want and type(got.virtual_surplus) is float
+    # cost sees every subset once, in mask order
+    assert calls["loop"] == calls["blocked"]
 
 
 # ---------------------------------------------------------------------------

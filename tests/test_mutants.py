@@ -12,13 +12,15 @@ import __future__
 import functools
 import inspect
 import sys
+import textwrap
 
 import pytest
 import test_audit
 import test_benchmark
+import test_ironing
 import test_mechanisms
 
-from burnlab import audit, benchmark, mechanisms
+from burnlab import audit, benchmark, ironing, mechanisms
 
 MUTANTS = {
     "pass-tie-largest-price": (
@@ -78,19 +80,39 @@ MUTANTS = {
         benchmark, "two_price_benchmark",
         "floor = best - _TIE_RTOL * max(1.0, abs(best))", "floor = best",
         [test_benchmark.test_sweep_matches_pair_loop]),
+    "cell-no-down-correction": (
+        ironing, "IronedVirtual._cell", "cell -= q.take(cell) > qv", "pass",
+        [test_ironing.test_grid_lookups_match_searchsorted]),
+    "cell-no-up-correction": (
+        ironing, "IronedVirtual._cell", "cell += q[1:].take(cell) <= qv", "pass",
+        [test_ironing.test_grid_lookups_match_searchsorted]),
+    "hull-no-slope-guard": (
+        ironing, "lower_convex_hull", "if cross <= 0.0 or (",
+        "if cross <= 0.0 or False and (",
+        [test_ironing.test_hull_properties]),
+    "costs-tie-strict": (
+        mechanisms, "bayes_optimal_with_costs",
+        "elif abs(value - best) <= 1e-12", "elif abs(value - best) < 1e-12",
+        [test_mechanisms.test_costs_match_mask_loop]),
 }
 
 
 def plant(monkeypatch, module, name, snippet, replacement):
     """Compile the function with snippet replaced and put it in the place of
-    the original wherever the package or the tests hold it by name."""
-    original = getattr(module, name)
-    source = inspect.getsource(original)
+    the original wherever the package or the tests hold it by name. A dotted
+    name is a method, replaced on its class."""
+    *owners, name = name.split(".")
+    owner = functools.reduce(getattr, owners, module)
+    original = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(original))
     assert source.count(snippet) == 1, f"{snippet!r} must occur once in {name}"
     namespace = dict(vars(module))
     exec(compile(source.replace(snippet, replacement), inspect.getsourcefile(original),
                  "exec", flags=__future__.annotations.compiler_flag,
                  dont_inherit=True), namespace)
+    if owners:
+        monkeypatch.setattr(owner, name, namespace[name])
+        return
     for mod_name, mod in list(sys.modules.items()):
         if (mod_name.startswith(("burnlab", "test_"))
                 and vars(mod).get(name) is original):

@@ -29,8 +29,9 @@ from .mechanisms import (CostOutcome, CostProblem, Outcome,
                          bayes_optimal_outcome, bayes_optimal_with_costs,
                          expected_log_price, expected_p_lottery,
                          expected_pq_lottery, expected_rsol,
-                         expected_strict_p_lottery, mixed_vickrey_lottery,
-                         rsol, run_log_price, run_pq_lottery, vickrey)
+                         expected_strict_p_lottery, expected_under_prior,
+                         mixed_vickrey_lottery, rsol, run_log_price,
+                         run_pq_lottery, vickrey)
 from .simlab import (ExperimentConfig, estimate, experiment_lb43,
                      experiment_rsol_ratio, experiment_surplus_gap,
                      experiment_thmub, parse_config, run_experiment,
@@ -50,7 +51,8 @@ __all__ = [
     "distribution_from_spec", "estimate", "experiment_lb43",
     "experiment_rsol_ratio", "experiment_surplus_gap", "experiment_thmub",
     "expected_log_price", "expected_p_lottery", "expected_pq_lottery",
-    "expected_rsol", "expected_strict_p_lottery", "exponential",
+    "expected_rsol", "expected_strict_p_lottery", "expected_under_prior",
+    "exponential",
     "extract_interim_rule", "full_surplus", "hazard_classification", "iron",
     "ironed_value", "load_profile", "lottery_surplus_identity",
     "lower_convex_hull", "mc_eval", "mixed_vickrey_lottery",

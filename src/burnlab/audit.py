@@ -395,10 +395,11 @@ def balanced_sampling_probe(n: int, *, trials: int | None = None,
                       "ignored", DeprecationWarning, stacklevel=2)
     if n < 1:
         raise ValueError("need at least one agent")
-    w = np.zeros(3 * n // 4 + 1)
+    # counts kept after rank i, written once: the last also sizes w
+    tops = [3 * i // 4 + 1 for i in range(2, n + 1)]
+    w = np.zeros(max(tops, default=1))
     w[0] = 1.0
-    for i in range(2, n + 1):
-        top = 3 * i // 4 + 1
+    for top in tops:
         w[1:top] += w[:top - 1]
         w[:top] /= 2
     return float(w.sum())

@@ -106,7 +106,8 @@ class IronedVirtual:
 
     def _cell(self, v) -> np.ndarray:
         """Grid cell of each value, searchsorted(q, qv, "right") - 1 for qv its
-        cdf clipped to the grid (a NaN to the top, where searchsorted puts it).
+        cdf clipped to the grid (a NaN to the top, where searchsorted puts it),
+        the same for a value alone as inside an array.
 
         q is a linspace, so the cell is (qv - q[0]) / step up to a rounding,
         which one comparison each way corrects; the estimate is capped below
@@ -114,7 +115,9 @@ class IronedVirtual:
         """
         v = np.asarray(v, dtype=float)
         q = self.q
-        qv = np.fmin(np.ravel(self.dist.cdf(v)), q[-1])
+        # raveled before the cdf: a cdf can round one ulp differently on a 0-d
+        # array than in a vector, so a scalar is looked up as a 1-element array
+        qv = np.fmin(self.dist.cdf(v.ravel()), q[-1])
         np.fmax(qv, q[0], out=qv)
         cell = ((qv - q[0]) * ((q.size - 1) / (q[-1] - q[0]))).astype(np.intp)
         np.minimum(cell, q.size - 2, out=cell)

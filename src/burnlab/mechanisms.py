@@ -25,6 +25,11 @@ expected_rsol and the estimator, is one doubling pass over the agents in
 descending order (_rsol_exact): each agent doubles the halvings of the
 agents before it, and each halving carries O(1) numbers from which its
 learned price, lottery and Vickrey follow, so a profile costs O(2^n).
+
+Under an i.i.d. prior the lottery, Vickrey, Bayes and the ladder are rank
+rules: an agent's interim win probability depends only on its quantile, and
+expected_under_prior integrates it exactly once over the ironing grid, with
+no profile drawn (see its docstring).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 
 from .common import MIN_REPLICATES, MechanismEval, mc_eval, substream
 from .distributions import as_profile
-from .ironing import IronedVirtual
+from .ironing import IronedVirtual, iron
 
 COST_AGENT_CAP = 20
 RSOL_EXACT_CAP = 20
@@ -667,3 +672,100 @@ def run_log_price(profile, k: int, rng) -> Outcome:
     L = sizes[rng.integers(len(sizes))]
     X, P = _top_share_rule(v[None, :], np.sort(v)[None, :], [L], k)
     return _run(v, X[:, 0], P[:, 0], rng)
+
+
+# ---------------------------------------------------------------------------
+# exact expectations under an i.i.d. prior
+
+
+_PRIOR_NAMES = ("lottery", "vickrey", "bayes", "logprice")
+
+
+def _binom_pmf(m: int, j: int, p: np.ndarray) -> np.ndarray:
+    """P(Bin(m, p) = j) for each p in [0, 1], through logs so that large m
+    neither overflows the binomial coefficient nor underflows early."""
+    log = math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+    with np.errstate(divide="ignore"):
+        if j:
+            log = log + j * np.log(p)
+        if m - j:
+            log = log + (m - j) * np.log1p(-p)
+    return np.exp(log)
+
+
+def _rank_win(q: np.ndarray, n: int, L: int) -> np.ndarray:
+    """Chance that an agent at quantile q is among the top L of n i.i.d.
+    agents, P(Bin(n - 1, 1 - q) <= L - 1): fewer than L others lie above."""
+    if L >= n:
+        return np.ones_like(q)
+    return sum(_binom_pmf(n - 1, j, 1.0 - q) for j in range(L))
+
+
+def _rank_win_integral(q: float, n: int, k: int) -> float:
+    """Integral of _rank_win(s, n, k) over s in [0, q]: E[(B - c)^+] / n for
+    B ~ Bin(n, q) and c = max(n - k, 0), because integrating a Bin(n - 1, s)
+    term in s gives a Bin(n, q) tail over n."""
+    c = max(n - k, 0)
+    return sum((b - c) * float(_binom_pmf(n, b, q))
+               for b in range(c + 1, n + 1)) / n
+
+
+def expected_under_prior(name: str, d, n: int, k: int,
+                         iv: IronedVirtual | None = None) -> float:
+    """Exact expected residual of a rank rule (lottery, vickrey, bayes or
+    logprice) on n values drawn i.i.d. from d, k units.
+
+    Let xbar(q) be the interim win probability at quantile q, xbar(1) its
+    limit at the top and a the bottom of the support. Nobody pays at a, so
+    the payment identity gives
+        n * (a xbar(0) + xbar(1) (mean - a) - int (1 - q)(xbar(1) - xbar(q)) dv(q)).
+    d.mean carries the tail, and the integrand vanishes at the top. The
+    integral is the trapezoid rule on the quantile grid of iv (iron(d) if
+    None), with a node (0, a) in front for the strip below the grid.
+    - Vickrey: xbar is the top-k chance, _rank_win.
+    - Ladder: xbar is the mean over its rungs L of min(k, L)/L times the
+      top-L chance.
+    - Bayes: Vickrey's xbar, averaged exactly over each ironed interval. An
+      interval at an end of the grid reaches q = 0 or 1, as the clipped
+      lookups do. The trapezoid is taken on each side of a jump.
+    - Lottery: the closed form min(k, n) * mean.
+    """
+    if name not in _PRIOR_NAMES:
+        raise ValueError(f"unknown mechanism {name!r}; expected one of "
+                         f"{', '.join(_PRIOR_NAMES)}")
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    if iv is not None and iv.dist is not d:
+        raise ValueError(f"iv was ironed for {iv.dist.name}, not for {d.name}")
+    if name == "lottery":
+        return min(k, n) * d.mean
+    iv = iron(d) if iv is None else iv
+    a = float(d.support[0])
+    q = np.concatenate(([0.0], iv.q))
+    v = np.concatenate(([a], iv.v))
+    if name == "logprice":
+        sizes = _ladder_sizes(n, k)
+        x = sum(min(k, L) / L * _rank_win(q, n, L) for L in sizes) / len(sizes)
+        top = sum(min(k, L) / L for L in sizes) / len(sizes)
+    else:
+        x, top = _rank_win(q, n, k), 1.0
+    # xbar at the left and right end of each cell
+    left, right = x[:-1].copy(), x[1:].copy()
+    if name == "bayes" and n > k:
+        for itv in iv.intervals:
+            lo = 0.0 if itv.at_bottom else itv.q_lo
+            hi = 1.0 if itv.at_top else itv.q_hi
+            mean = ((_rank_win_integral(hi, n, k) - _rank_win_integral(lo, n, k))
+                    / (hi - lo))
+            i0 = 0 if itv.at_bottom else int(np.searchsorted(iv.q, itv.q_lo)) + 1
+            i1 = int(np.searchsorted(iv.q, itv.q_hi)) + 1
+            left[i0:i1] = right[i0:i1] = mean
+            if itv.at_top:
+                top = mean
+    g_left, g_right = (1.0 - q[:-1]) * (top - left), (1.0 - q[1:]) * (top - right)
+    # the top cell spans 1 - q from the grid step down to eps, so v can grow
+    # by orders of magnitude across it: take its right end, where the
+    # integrand has all but vanished
+    g_left[-1] = g_right[-1]
+    integral = 0.5 * float(((g_left + g_right) * np.diff(v)).sum())
+    return float(n * (a * left[0] + top * (d.mean - a) - integral))

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from test_benchmark import piecewise_priors
 
 from burnlab.audit import _cell_virtual
-from burnlab.distributions import (exponential, pareto, two_piece, uniform,
-                                   virtual_value_utility)
+from burnlab.distributions import (exponential, pareto,
+                                   piecewise_inverse_hazard, two_piece,
+                                   uniform, virtual_value_utility)
 from burnlab.ironing import (DEFAULT_GRID, iron, ironed_value,
                              lower_convex_hull)
 
@@ -156,13 +157,32 @@ def test_grid_lookups_match_searchsorted(d, grid, seed):
     np.testing.assert_array_equal(_cell_virtual(iv, V),
                                   cell_slopes[np.clip(cell[:1000], 0, grid - 2)
                                               .reshape(250, 4)])
-    # a scalar against the oracle on that scalar: a cdf may round one ulp
-    # differently on a 0-d array than inside a vector
-    for x in v[::37].tolist():
-        seg_x = searchsorted_lookups(iv, x)[1]
+    # a scalar gets the vector's answer
+    for x, seg_x in zip(v[::37].tolist(), seg[::37]):
         assert iv.segment_of(x) == seg_x
         phibar_x = iv.value(x)
         assert type(phibar_x) is float and phibar_x == iv.slopes[seg_x]
+
+
+def test_scalar_lookup_matches_vector():
+    # pareto(1, 2)'s cdf at x rounds one ulp lower on a 0-d array than inside
+    # a vector, which put x in the cell below when looked up alone
+    d = pareto(1.0, 2.0)
+    iv = iron(d, grid=1000)
+    x = 1.941600194191086
+    vec = iv.value(np.array([x, 1.5, 3.0, 7.0]))
+    assert iv.value(x) == iv.value(np.array([x]))[0] == vec[0]
+    assert iv.segment_of(x) == iv.segment_of(np.array([x, 1.5]))[0] == 734
+    # grid nodes and their neighbours, the values nearest a cell edge
+    for d in STOCK_PRIORS + (piecewise_inverse_hazard([0.0, 1.0, 1.5, 2.0],
+                                                      [1.0, 3.0, 1.2, 4.0]),):
+        iv = iron(d, grid=1000)
+        v = np.concatenate((iv.v, np.nextafter(iv.v, -np.inf),
+                            np.nextafter(iv.v, np.inf)))
+        levels, segs = iv.value(v), iv.segment_of(v)
+        for x, level, seg in zip(v.tolist(), levels, segs):
+            assert iv.value(x) == iv.value(np.array([x]))[0] == level, (d, x)
+            assert iv.segment_of(x) == seg, (d, x)
 
 
 def test_grid_properties(iv_twopiece):

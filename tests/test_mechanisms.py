@@ -7,16 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burnlab.audit import _rsol_interim
-from burnlab.common import substream
-from burnlab.distributions import ValuationProfile
+from burnlab.common import Z99, substream
+from burnlab.distributions import (ValuationProfile, exponential, pareto,
+                                   piecewise_inverse_hazard, two_piece,
+                                   uniform)
+from burnlab.ironing import iron
 from burnlab.mechanisms import (CostOutcome, CostProblem, _halvings, _ladder_rule,
-                                _learned_price, _rsol_exact, _rsol_values,
-                                bayes_optimal_outcome,
+                                _ladder_sizes, _learned_price, _rsol_exact,
+                                _rsol_values, bayes_optimal_outcome,
                                 bayes_optimal_with_costs, expected_log_price,
                                 expected_p_lottery, expected_pq_lottery,
                                 expected_rsol, expected_strict_p_lottery,
-                                mixed_vickrey_lottery, rsol, run_log_price,
-                                run_pq_lottery, vickrey)
+                                expected_under_prior, mixed_vickrey_lottery,
+                                rsol, run_log_price, run_pq_lottery, vickrey)
+from burnlab.simlab import estimate
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
                     max_size=8).map(ValuationProfile)
@@ -594,3 +598,86 @@ def test_realized_band_pairs_are_uniform():
     pairs = (wins.T @ wins / 4000)[np.triu_indices(4, 1)]
     np.testing.assert_array_less(np.abs(pairs - 1 / 6),
                                  3.3 * np.sqrt(1 / 6 * 5 / 6 / 4000))
+
+
+# ---------------------------------------------------------------------------
+# exact expectations under an i.i.d. prior
+
+
+def grid_tol(grid, n):
+    # the trapezoid rule errs by O(h^2) where the integrand is smooth and by
+    # O(h^1.5) in the top cells of a Pareto(., 2) tail, v ~ (1 - q)^(-1/2);
+    # the residual carries a factor n
+    return n * (1.0 / (grid - 1)) ** 1.5
+
+
+PRIORS = {
+    "uniform": uniform(0.0, 1.0), "exp": exponential(1.0),
+    "pareto": pareto(1.0, 2.0), "twopiece": two_piece(),
+    # the A8 bridge prior: one interior ironed interval near [1, 2]
+    "bridge": piecewise_inverse_hazard([0.0, 1.0, 1.5, 2.0], [1.0, 3.0, 1.2, 4.0]),
+}
+
+
+@pytest.mark.parametrize("grid", [2 ** 10, 2 ** 12, 2 ** 14])
+def test_prior_expectation_closed_forms(grid):
+    unif, expo, par = uniform(0.0, 1.0), exponential(1.0), pareto(1.0, 2.0)
+    iv_u, iv_e = iron(unif, grid=grid), iron(expo, grid=grid)
+    # E[top two minus twice the third of six uniforms] = 3/7
+    got = expected_under_prior("vickrey", unif, 6, 2, iv_u)
+    assert abs(got - 3 / 7) <= grid_tol(grid, 6), got
+    # E|v1 - v2| = 8/3 - 4/3 on pareto(1, 2), where v grows by orders of
+    # magnitude across the top cell
+    got = expected_under_prior("vickrey", par, 2, 1, iron(par, grid=grid))
+    assert abs(got - 4 / 3) <= grid_tol(grid, 2), got
+    for n, k in [(1, 1), (2, 1), (6, 2), (5, 3), (3, 5)]:
+        # under exp(1) the inverse hazard rate is 1, so the residual is the
+        # expected number of units sold: k for Vickrey and for Bayes (which
+        # irons nothing there), the mean of min(k, L) over the ladder's rungs
+        units = sum(min(k, L) for L in _ladder_sizes(n, k)) / len(_ladder_sizes(n, k))
+        for name, want in [("vickrey", min(k, n)), ("bayes", min(k, n)),
+                           ("logprice", units)]:
+            got = expected_under_prior(name, expo, n, k, iv_e)
+            assert type(got) is float
+            assert abs(got - want) <= grid_tol(grid, n), (name, n, k, got)
+        # uniform(0, 1) irons flat, so Bayes is the free lottery: k * mean
+        got = expected_under_prior("bayes", unif, n, k, iv_u)
+        assert abs(got - min(k, n) * 0.5) <= grid_tol(grid, n), (n, k, got)
+    for d in PRIORS.values():
+        for n, k in [(2, 1), (6, 2), (3, 5)]:
+            assert expected_under_prior("lottery", d, n, k) == min(k, n) * d.mean
+
+
+@pytest.mark.parametrize("prior", PRIORS)
+def test_prior_expectation_within_mc(prior):
+    # each seed's 99% interval covers the exact value; pooled over the
+    # seeds, the interval rejects the exact value times 1.01, except on
+    # pareto(1, 2), whose residuals have infinite variance
+    d = PRIORS[prior]
+    iv = iron(d)
+    for name in ("lottery", "vickrey", "bayes", "logprice"):
+        exact = expected_under_prior(name, d, 6, 2, iv)
+        evals = [estimate(name, d, 6, 2, 50_000, seed) for seed in (1, 2, 3)]
+        for ev in evals:
+            assert ev.ci[0] <= exact <= ev.ci[1], (name, ev, exact)
+        if prior != "pareto":
+            mean = sum(ev.mean for ev in evals) / len(evals)
+            half = math.sqrt(sum(ev.ci_halfwidth ** 2 for ev in evals)) / len(evals)
+            assert abs(mean - 1.01 * exact) > half, (name, mean, exact)
+
+
+def test_prior_expectation_bad_input():
+    d = uniform(0.0, 1.0)
+    cases = [
+        (("vickery", d, 2, 1), "unknown mechanism 'vickery'"),
+        (("vickrey", d, 0, 1), "n >= 1 and k >= 1"),
+        (("bayes", d, 2, 0), "n >= 1 and k >= 1"),
+        (("vickrey", d, 2, 1, iron(exponential(1.0), grid=64)),
+         r"ironed for exp\(1\), not for uniform\(0,1\)"),
+        # an equal prior built twice is still not the one that was ironed
+        (("bayes", d, 2, 1, iron(uniform(0.0, 1.0), grid=64)), "ironed for"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message) as err:
+            expected_under_prior(*args)
+        assert "\n" not in str(err.value)

@@ -94,6 +94,35 @@ MUTANTS = {
         mechanisms, "bayes_optimal_with_costs",
         "elif abs(value - best) <= 1e-12", "elif abs(value - best) < 1e-12",
         [test_mechanisms.test_costs_match_mask_loop]),
+    # the closed forms on the coarsest grid their test runs
+    "prior-top-chance-bound-off-by-one": (
+        mechanisms, "_rank_win", "for j in range(L))", "for j in range(L + 1))",
+        [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
+                           2 ** 10)]),
+    # uniform(0, 1) irons flat: without the averaging Bayes reads Vickrey's
+    # x inside the interval, not k * mean
+    "prior-bayes-no-interval-average": (
+        mechanisms, "expected_under_prior",
+        "left[i0:i1] = right[i0:i1] = mean", "pass",
+        [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
+                           2 ** 10)]),
+    # exp(1) at k = 3 has a rung L = 2 < k, where k/L exceeds one unit each
+    "prior-ladder-share-k-over-L": (
+        mechanisms, "expected_under_prior", "min(k, L) / L * _rank_win",
+        "k / L * _rank_win",
+        [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
+                           2 ** 10)]),
+    # the plain trapezoid on the top cell errs by about 0.03 on pareto(1, 2)
+    "prior-top-cell-trapezoid": (
+        mechanisms, "expected_under_prior", "g_left[-1] = g_right[-1]", "pass",
+        [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
+                           2 ** 10)]),
+    "interim-chunk-sums-dropped": (
+        audit, "_rsol_interim", "xs[0] + x,", "xs[0],",
+        [test_audit.test_rsol_interim_chunking_invariant]),
+    "probe-limit-rounds-up": (
+        audit, "balanced_sampling_probe", "3 * i // 4", "(3 * i + 3) // 4",
+        [test_audit.test_probe_oracles]),
 }
 
 
@@ -119,6 +148,16 @@ def plant(monkeypatch, module, name, snippet, replacement):
             monkeypatch.setattr(mod, name, namespace[name])
 
 
+def only_assertions(err):
+    """Whether err is an AssertionError or a group of them: hypothesis
+    reports the distinct failing examples it replays from its database as
+    one group."""
+    if isinstance(err, AssertionError):
+        return True
+    group = getattr(err, "exceptions", None)
+    return group is not None and all(map(only_assertions, group))
+
+
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_mutant_is_caught(monkeypatch, request, mutant):
     module, name, snippet, replacement, checks = MUTANTS[mutant]
@@ -128,5 +167,6 @@ def test_mutant_is_caught(monkeypatch, request, mutant):
                 for check in checks]
     plant(monkeypatch, module, name, snippet, replacement)
     for check, kwargs in zip(checks, fixtures):
-        with pytest.raises(AssertionError):
+        with pytest.raises(Exception) as caught:
             check(**kwargs)
+        assert only_assertions(caught.value), repr(caught.value)

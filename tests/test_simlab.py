@@ -343,6 +343,10 @@ def test_reproduce_script_quick(tmp_path):
         rows = list(csv.DictReader(lines[:-1]))
         assert len(rows) == count
         assert all(row["experiment"] == name for row in rows)
+        if name == "lb43":
+            assert "opt_grid" in header and "opt_ci_lo" not in header
+            opt = float(rows[0]["opt_mean"])
+            assert abs(opt - 1.0) <= grid_tol(int(rows[0]["opt_grid"]), 2)
         if name == "surplus-gap":
             assert [(row["n"], row["k"]) for row in rows] == [("32", "1"),
                                                               ("1024", "1")]

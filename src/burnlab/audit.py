@@ -4,10 +4,14 @@ An auditable mechanism exposes its exact interim rule: the win probability
 and expected payment of one agent as a function of their bid, with all
 opponent bids fixed and all mechanism randomness integrated out in closed
 form. AuditableMechanism derives it from the mechanism's marginal rule
-(mechanisms.py): one profile row per bid, the bid in the agent's column. The
-interim rule may jump at the opponents' bids and at the rule's fixed edges,
-the lottery prices or the ironed-interval ends. RSOL, which has no marginal
-rule, evaluates every halving of the opponents against every bid at once.
+(mechanisms.py): one profile row per bid, the bid in its agent's column, so
+one call can serve several agents. The interim rule may jump at the
+opponents' bids and at the rule's fixed edges, the lottery prices or the
+ironed-interval ends. RSOL has no marginal rule: a kernel sums every halving
+of the opponents against each bid. A bid meets those halvings only in
+comparisons with 0 and the opponents' values, so the kernel runs on one bid
+per region those values cut out and the others copy its answer, bit for bit
+what the kernel gives on every bid.
 
 On top of the interim rule sit:
 
@@ -54,8 +58,9 @@ _CHUNK_CELLS = 1 << 14
 @dataclass
 class AuditableMechanism:
     """Exact interim view of a mechanism: interim(values, i, bids) -> (x, p),
-    agent i's win probability and expected payment per bid; edges are the
-    bids besides the opponents' where it may jump."""
+    agent i's win probability and expected payment per bid, where i is an
+    agent or an array of agents aligned with the bids; edges are the bids
+    besides the opponents' where it may jump."""
 
     name: str
     interim: Callable
@@ -68,31 +73,64 @@ class AuditableMechanism:
 
 
 def _tiled(rule):
-    """A marginal rule's interim: one row per bid, in agent i's column."""
+    """A marginal rule's interim: one row per bid, the bid in the column of
+    its agent, i (an int, or an int array aligned with the bids)."""
     def interim(values, i, bids):
         b = np.asarray(bids, dtype=float)
-        V = np.tile(np.asarray(values, dtype=float), (b.size, 1))
-        V[:, i] = b
+        v = np.asarray(values, dtype=float)
+        V = np.tile(v, (b.size, 1))
+        # each row's bid cell in the flattened rows; cheaper than 2-D indexing
+        cell = np.arange(0, V.size, v.size) + i
+        V.reshape(-1)[cell] = b
         X, P = rule(V)
-        return np.ascontiguousarray(X[:, i]), np.ascontiguousarray(P[:, i])
+        return X.reshape(-1)[cell], P.reshape(-1)[cell]
     return interim
 
 
-def _rsol_interim(k: int, values, i: int, bids):
-    """RSOL's exact interim rule; agent i serves with probability 1/2. Every
-    halving of the opponents (numbered and summed in submission order) meets
-    every bid, in chunks of about _CHUNK_CELLS cells: a bid above the price p
-    the kernel learns outside the serving half joins the lottery of the M
-    serving opponents above p. Vickrey stays a closed form, as tiling
-    _vickrey_rule over (halving, bid) rows measured 5-6 times slower at
-    n = 8: against the k-th highest serving opponent t, a bid above t wins, a
-    bid at t shares the seats the a serving opponents above t leave with the
-    c tied at t, and winners pay t."""
+def _rsol_interim(k: int, values, i, bids):
+    """RSOL's exact interim rule, agent i (an int, or an int array aligned
+    with the bids) against the others' values.
+
+    _rsol_halving_sums compares a bid only with prices and thresholds that
+    are 0 or an opponent's value, and its payments do not read the bid. So
+    the rule is constant on each region that u cuts out: u holds 0, the
+    opponents' values and NaN (where every comparison is False), sorted with
+    NaN last, and a bid's region key counts the u below it plus the u at or
+    below it. The kernel runs once per agent on one bid from each region
+    present, with a second copy of a lone region's bid when there are
+    several bids, since numpy adds the halvings of a single column pairwise
+    and of wider arrays one row after another. Each bid then reads its
+    region's answer, bit for bit the kernel's on all the bids."""
     _require_k(k)
-    b = np.asarray(bids, dtype=float)
-    o = np.delete(np.asarray(values, dtype=float), i)
-    if o.size + 1 > RSOL_EXACT_CAP:
+    v = np.asarray(values, dtype=float)
+    if v.size > RSOL_EXACT_CAP:
         raise ValueError(f"rsol audits take at most {RSOL_EXACT_CAP} agents")
+    b = np.asarray(bids, dtype=float)
+    agents = np.broadcast_to(i, b.shape)
+    x, pay = np.empty(b.size), np.empty(b.size)
+    for a in np.unique(agents):
+        at = agents == a
+        o, ba = np.delete(v, a), b[at]
+        u = np.sort(np.append(o, (0.0, np.nan)))
+        key = np.searchsorted(u, ba) + np.searchsorted(u, ba, "right")
+        _, first, region = np.unique(key, return_index=True, return_inverse=True)
+        first = np.resize(first, min(ba.size, max(first.size, 2)))
+        rx, rp = _rsol_halving_sums(k, o, ba[first])
+        x[at], pay[at] = rx[region], rp[region]
+    return x, pay
+
+
+def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
+    """RSOL's interim at each bid b against the opponents' values o; the
+    bidder serves with probability 1/2. Every halving of the opponents
+    (numbered and summed in submission order) meets every bid, in chunks of
+    about _CHUNK_CELLS cells: a bid above the price p the kernel learns
+    outside the serving half joins the lottery of the M serving opponents
+    above p. Vickrey stays a closed form, as tiling _vickrey_rule over
+    (halving, bid) rows measured 5-6 times slower at n = 8: against the k-th
+    highest serving opponent t, a bid above t wins, a bid at t shares the
+    seats the a serving opponents above t leave with the c tied at t, and
+    winners pay t."""
     order = np.argsort(-o, kind="stable")
     o_desc, halvings = o[order], 1 << o.size
     per = max(1, _CHUNK_CELLS // max(b.size, o.size, 1))
@@ -189,15 +227,22 @@ class PaymentIdentityReport:
 
 def check_dsic(mech: AuditableMechanism, profile, bid_grid,
                tol: float = DSIC_TOL) -> DeviationReport:
-    """Scan every agent and grid bid for a profitable deviation."""
+    """Scan every agent and grid bid for a profitable deviation: one interim
+    call on every agent's bids (the grid and the agent's value), then the
+    agents in order, keeping the first strictly largest gain."""
     values = as_profile(profile).values
     grid = np.asarray(bid_grid, dtype=float)
     worst = -np.inf
     arg = (0, 0.0)
-    for i in range(values.size):
-        bids = np.unique(np.concatenate((grid, [values[i]])))
-        x, pay = mech.interim(values, i, bids)
-        utility = values[i] * x - pay
+    if values.size == 0:  # some rules reject an empty profile
+        return DeviationReport(mech.name, True, worst, *arg, tol)
+    scans = [np.unique(np.append(grid, v)) for v in values]
+    sizes = [bids.size for bids in scans]
+    x, pay = mech.interim(values, np.repeat(np.arange(values.size), sizes),
+                          np.concatenate(scans))
+    for i, (bids, end) in enumerate(zip(scans, np.cumsum(sizes))):
+        part = slice(end - bids.size, end)
+        utility = values[i] * x[part] - pay[part]
         truth = int(np.searchsorted(bids, values[i]))
         gain = utility - utility[truth]
         j = int(np.argmax(gain))

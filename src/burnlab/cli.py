@@ -127,18 +127,17 @@ def _cmd_audit(args) -> int:
         prof = sample_profile(d, args.n, substream(args.seed, "audit", idx))
         hi = 1.25 * max(float(prof.values.max()), args.p, args.q, 1e-9)
         dsic = check_dsic(mech, prof, np.linspace(0.0, hi, 64), tol=DSIC_TOL)
-        rows.append([args.mech, idx, "dsic", dsic.passed, dsic.max_gain])
-        worst = 0.0
-        ok = True
-        for i in range(prof.n):
-            rule = extract_interim_rule(mech, prof, i, np.linspace(0.0, hi, 256))
-            rep = check_payment_identity(rule, tol=DSIC_TOL)
-            ok &= rep.passed
-            worst = max(worst, rep.max_error)
-        rows.append([args.mech, idx, "payment", ok, worst])
+        rows.append([args.mech, idx, "dsic", dsic.passed, dsic.max_gain,
+                     dsic.agent, dsic.bid])
+        pays = [check_payment_identity(
+                    extract_interim_rule(mech, prof, i, np.linspace(0.0, hi, 256)),
+                    tol=DSIC_TOL) for i in range(prof.n)]
+        worst = max(pays, key=lambda rep: rep.max_error)
+        ok = all(rep.passed for rep in pays)
+        rows.append([args.mech, idx, "payment", ok, worst.max_error, worst.agent, ""])
         all_passed &= dsic.passed and ok
-    _write_csv(args.out, ["mech", "profile", "check", "passed", "max_violation"],
-               rows)
+    _write_csv(args.out, ["mech", "profile", "check", "passed", "max_violation",
+                          "agent", "bid"], rows)
     return 0 if all_passed else 1
 
 

@@ -512,7 +512,8 @@ def _rsol_leaves(S, s: int, last, n: int, coef: np.ndarray) -> np.ndarray:
     fair coin between the lottery and Vickrey over them, per row."""
     _rsol_offer(S, s, n, 0.0, last, coef)
     _, _, _, vick, _, lot = (a[:, :s] for a in S)
-    return (0.5 * lot + 0.5 * vick).sum(axis=1)
+    # halving the sum, not each term, keeps a subnormal half from rounding to 0
+    return (0.5 * (lot + vick)).sum(axis=1)
 
 
 def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:

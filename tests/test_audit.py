@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from burnlab.audit import (InterimRule, audit_mechanism, audit_profiles,
+from burnlab.audit import (_CHUNK_CELLS, DSIC_TOL, DeviationReport,
+                           InterimRule, _rsol_halving_sums, _rsol_interim,
+                           audit_mechanism, audit_profiles,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
@@ -60,6 +62,45 @@ def test_adapters_truthful_on_random_corpus():
                 rule = extract_interim_rule(mech, prof, i, pay_grid)
                 pay = check_payment_identity(rule)
                 assert pay.passed, (mech.name, prof.values, i, pay)
+
+
+def dsic_agent_loop(mech, profile, bid_grid, tol=DSIC_TOL):
+    # the deviation scan with one interim call per agent
+    values = np.asarray(profile.values, dtype=float)
+    worst, arg = -np.inf, (0, 0.0)
+    for i in range(values.size):
+        bids = np.unique(np.concatenate((bid_grid, [values[i]])))
+        x, pay = mech.interim(values, i, bids)
+        utility = values[i] * x - pay
+        gain = utility - utility[int(np.searchsorted(bids, values[i]))]
+        j = int(np.argmax(gain))
+        if gain[j] > worst:
+            worst, arg = float(gain[j]), (i, float(bids[j]))
+    return DeviationReport(mech.name, worst <= tol, worst, *arg, tol)
+
+
+def test_check_dsic_matches_agent_loop(bridge_dist, iv_bridge):
+    # A8's corpora and adapters, plus the firstprice control on the shared
+    # corpus, where its witness moves from profile to profile
+    shared = audit_profiles(17, count=100, n_range=(2, 8))
+    suites = [
+        (audit_mechanism("plottery", 2, p=0.2), shared, 0.2),
+        (audit_mechanism("pqlottery", 2, p=0.5, q=0.1), shared, 0.5),
+        (audit_mechanism("vickrey", 2), shared, 0.0),
+        (audit_mechanism("logprice", 2), shared, 0.0),
+        (audit_mechanism("rsol", 1), shared, 0.0),
+        (audit_mechanism("firstprice", 1), shared, 0.0),
+        (audit_mechanism("bayes", 1, iv=iv_bridge),
+         audit_profiles(17, count=100, n_range=(2, 6), dist=bridge_dist), 0.0),
+        (audit_mechanism("mix"), audit_profiles(17, count=100, n_range=(2, 2)), 0.0),
+    ]
+    for mech, corpus, pmax in suites:
+        for prof in corpus:
+            grid = np.linspace(0.0, 1.25 * max(float(prof.values.max()), pmax, 1e-9), 64)
+            assert check_dsic(mech, prof, grid) == dsic_agent_loop(mech, prof, grid)
+        # no agents, no interim call: the ladder and the mixture reject one
+        empty = ValuationProfile([])
+        assert check_dsic(mech, empty, grid) == dsic_agent_loop(mech, empty, grid)
 
 
 def test_mix_truthful_on_two_agent_corpus():
@@ -237,16 +278,53 @@ def test_rsol_interim_matches_halving_oracle(vals, k, extra, data):
     np.testing.assert_allclose(pay, ref_pay, rtol=1e-12, atol=1e-12)
 
 
+@st.composite
+def region_cases(draw):
+    # tie-heavy eighths or spread floats, zeros; bids at the values, at their
+    # nextafter neighbours, between them, below 0, above the top, inf and NaN
+    n = draw(st.integers(1, 9))
+    value_st = st.one_of(st.integers(0, 16).map(lambda j: j / 8),
+                         st.floats(0.0, 100.0), st.just(0.0))
+    values = np.array(draw(st.lists(value_st, min_size=n, max_size=n)))
+    u = np.unique(np.append(values, 0.0))
+    pool = np.concatenate((u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf),
+                           0.5 * (u[1:] + u[:-1]),
+                           [-1.0, u[-1] + 1.0, np.inf, -np.inf, np.nan]))
+    bids = np.array(draw(st.lists(st.sampled_from(list(pool)), max_size=12)))
+    return values, draw(st.integers(0, n - 1)), bids
+
+
+@given(region_cases(), st.integers(1, 3))
+# a bid at a value after one in the gap below it; NaN after a bid above the
+# top; two bids in one region, against enough halvings that numpy would add a
+# lone column pairwise
+@example((np.array([1.0, 2.0]), 0, np.array([1.0, 2.0])), 1)
+@example((np.array([1.0, 2.0]), 0, np.array([3.0, np.nan])), 1)
+@example((np.array([0.3, 0.7, 0.1, 0.9, 0.5, 0.2]), 0, np.array([2.0, 3.0])), 1)
+@settings(max_examples=300, deadline=None)
+def test_rsol_region_interim_is_bitwise(case, k):
+    values, i, bids = case
+    x, pay = _rsol_interim(k, values, i, bids)
+    ref_x, ref_pay = _rsol_halving_sums(k, np.delete(values, i), bids)
+    assert np.array_equal(x, ref_x) and np.array_equal(pay, ref_pay)
+
+
 def test_rsol_interim_chunking_invariant():
     # thousands of bids split the halvings into many chunks; a handful of
     # bids takes them in one, with the same sums bit for bit
     values = np.round(np.random.default_rng(4).random(10) * 8) / 4
+    o = np.delete(values, 3)
     bids = np.unique(np.concatenate((np.linspace(0.0, 2.5, 3000), values)))
-    mech = audit_mechanism("rsol", 2)
-    x, pay = mech.interim(values, 3, bids)
-    pick = np.searchsorted(bids, values)
-    x_few, pay_few = mech.interim(values, 3, bids[pick])
+    few = np.unique(values)
+    # 2^9 halvings: several chunks at 3,000 bids, one at a handful
+    assert (1 << o.size) * few.size <= _CHUNK_CELLS < (1 << o.size) * bids.size
+    x, pay = _rsol_halving_sums(2, o, bids)
+    pick = np.searchsorted(bids, few)
+    x_few, pay_few = _rsol_halving_sums(2, o, few)
     assert np.array_equal(x[pick], x_few) and np.array_equal(pay[pick], pay_few)
+    # the interim runs the kernel once per region, here in one chunk
+    x_all, pay_all = audit_mechanism("rsol", 2).interim(values, 3, bids)
+    assert np.array_equal(x_all, x) and np.array_equal(pay_all, pay)
 
 
 def test_rsol_interim_memory_is_chunked():

@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from burnlab.audit import audit_mechanism, check_dsic
 from burnlab.cli import main
-from burnlab.common import VERSION
+from burnlab.common import VERSION, substream
+from burnlab.distributions import distribution_from_spec, sample_profile
 
 
 def write_profile(tmp_path, values, name="profile.txt"):
@@ -234,10 +236,13 @@ def test_audit_truthful_exit_zero(tmp_path):
                "--n", "3", "--profiles", "5", "--out", str(out)])
     assert rc == 0
     rows = read_csv(out)
-    assert rows[0] == ["mech", "profile", "check", "passed", "max_violation"]
+    assert rows[0] == ["mech", "profile", "check", "passed", "max_violation",
+                       "agent", "bid"]
     assert len(rows) == 11
     assert all(r[3] == "True" for r in rows[1:])
     assert {r[2] for r in rows[1:]} == {"dsic", "payment"}
+    # the payment row names its worst agent but no bid
+    assert all(r[5] in {"0", "1", "2"} and r[6] == "" for r in rows[2::2])
 
 
 def test_audit_firstprice_exit_one(tmp_path):
@@ -247,6 +252,16 @@ def test_audit_firstprice_exit_one(tmp_path):
     assert rc == 1
     rows = read_csv(out)
     assert any(r[3] == "False" for r in rows[1:])
+    # each DSIC row names the deviation the scan found
+    d = distribution_from_spec("uniform(0,1)")
+    for idx, row in enumerate(rows[1::2]):
+        prof = sample_profile(d, 3, substream(0, "audit", idx))
+        hi = 1.25 * max(float(prof.values.max()), 1e-9)
+        report = check_dsic(audit_mechanism("firstprice", 1), prof,
+                            np.linspace(0.0, hi, 64))
+        assert row[2:] == ["dsic", "False", repr(report.max_gain),
+                           str(report.agent), repr(report.bid)]
+        assert 0.0 <= report.bid < prof.values[report.agent]
 
 
 def test_audit_bayes_smoke(tmp_path):

@@ -50,8 +50,28 @@ MUTANTS = {
         "_residual(V_desc, *_vickrey_rule(V_desc, k))",
         [test_mechanisms.test_rsol_exact_matches_enumeration]),
     "interim-vickrey-share": (
-        audit, "_rsol_interim", "(k - a) / (c + 1)", "(k - a) / (c + 2)",
+        audit, "_rsol_halving_sums", "(k - a) / (c + 1)", "(k - a) / (c + 2)",
         [test_audit.test_rsol_interim_matches_halving_oracle]),
+    "interim-lottery-count-plus-two": (
+        audit, "_rsol_halving_sums", "keepdims=True) + 1", "keepdims=True) + 2",
+        [test_audit.test_rsol_interim_matches_halving_oracle]),
+    # a bid exactly at a value takes the answer of the gap below it
+    "interim-region-key-no-equality": (
+        audit, "_rsol_interim",
+        'np.searchsorted(u, ba) + np.searchsorted(u, ba, "right")',
+        "2 * np.searchsorted(u, ba)", [test_audit.test_rsol_region_interim_is_bitwise]),
+    # a NaN bid, where every comparison is False, shares the top region
+    "interim-nan-joins-top-region": (
+        audit, "_rsol_interim", "(0.0, np.nan)", "0.0",
+        [test_audit.test_rsol_region_interim_is_bitwise]),
+    # numpy adds a single column's halvings pairwise, not in order
+    "interim-lone-region-one-column": (
+        audit, "_rsol_interim", "max(first.size, 2)", "first.size",
+        [test_audit.test_rsol_region_interim_is_bitwise]),
+    "dsic-scan-one-agent-off": (
+        audit, "check_dsic", "zip(scans, np.cumsum(sizes))",
+        "zip(scans, np.roll(np.cumsum(sizes), 1))",
+        [test_audit.test_check_dsic_matches_agent_loop]),
     # the two-price sweep holds _blended_price by name too
     "blended-price-discount": (
         mechanisms, "_blended_price", "return ((k - s + 1)",
@@ -118,7 +138,7 @@ MUTANTS = {
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
     "interim-chunk-sums-dropped": (
-        audit, "_rsol_interim", "xs[0] + x,", "xs[0],",
+        audit, "_rsol_halving_sums", "xs[0] + x,", "xs[0],",
         [test_audit.test_rsol_interim_chunking_invariant]),
     "probe-limit-rounds-up": (
         audit, "balanced_sampling_probe", "3 * i // 4", "(3 * i + 3) // 4",

@@ -31,6 +31,7 @@ deviation scan must flag it.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -40,7 +41,7 @@ import numpy as np
 from .common import MechanismEval, mc_eval, substream
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
-from .ironing import IronedVirtual, iron
+from .ironing import IronedVirtual, check_ironed_for, iron
 from .mechanisms import (RSOL_EXACT_CAP, _bayes_rule, _halvings,
                          _ladder_rule, _learned_price, _lottery_rule, _mix_rule,
                          _pq_rule, _require_k, _residual, _vickrey_rule)
@@ -351,6 +352,7 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
     virtual side (the rules here are constant in the bid below a, so
     evaluating at the support bottom is exact).
     """
+    check_ironed_for(d, iv)
     rng = substream(seed, "utility-identity", mechanism, n, k)
     V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
     X, P = _batch_rule(mechanism, d, V, k, iv)
@@ -385,8 +387,9 @@ class DominanceReport:
     strict: bool
 
 
-def _cell_virtual(iv: IronedVirtual, V: np.ndarray) -> np.ndarray:
-    """Utility virtual value averaged over the grid cell containing each v.
+def _cell_virtual(iv: IronedVirtual, cell: np.ndarray) -> np.ndarray:
+    """Utility virtual value averaged over each grid cell (iv._cell of a
+    value).
 
     Uses the same integral H that the hull slopes come from, so the
     dominance comparison is free of quadrature bias: with no ironing the
@@ -394,7 +397,7 @@ def _cell_virtual(iv: IronedVirtual, V: np.ndarray) -> np.ndarray:
     """
     slopes = np.diff(iv.H) / np.diff(iv.q)
     # slopes has one entry per cell but the top one: clip sends it down
-    return slopes.take(iv._cell(V), mode="clip")
+    return slopes.take(cell, mode="clip")
 
 
 def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
@@ -404,20 +407,19 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
     """Check that ironing never lowers the virtual-value objective.
 
     Both sides are evaluated on the ironing grid's cell averages; see
-    _cell_virtual for why.
+    _cell_virtual for why. Each value's cell is looked up once for both.
     """
+    check_ironed_for(d, iv)
     if iv is None:
         iv = iron(d)
-    if slack is None:
-        slack = 1e-3 * min(k, n) * (1.0 + d.mean)
+    slack = float(1e-3 * min(k, n) * (1.0 + d.mean) if slack is None else slack)
     rng = substream(seed, "dominance", monotone_rule, n, k)
     V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
     X, _ = _batch_rule(monotone_rule, d, V, k, iv)
-    theta = _cell_virtual(iv, V)
-    phibar = np.asarray(iv.value(V), dtype=float)
-    diff = ((phibar - theta) * X).sum(axis=1)
+    cell = iv._cell(V)
+    diff = ((iv.phibar[cell] - _cell_virtual(iv, cell)) * X).sum(axis=1)
     mean = float(diff.mean())
-    se = float(diff.std(ddof=1)) / np.sqrt(diff.size)
+    se = float(diff.std(ddof=1)) / math.sqrt(diff.size)
     band = 3.0 * se + slack
     return DominanceReport(mean, se, slack, mean >= -band,
                            abs(mean) <= band, mean > band)
@@ -433,7 +435,9 @@ def balanced_sampling_probe(n: int, *, trials: int | None = None,
 
     The probabilities of each sampled count among ranks 2..i are carried one
     rank at a time and cut at the limit (3i)//4: O(n^2) operations in O(n)
-    memory. trials and seed are deprecated and ignored.
+    memory, in two buffers that swap each rank. A buffer is only written
+    below its limit, which never falls, so what lies above it is still zero.
+    trials and seed are deprecated and ignored.
     """
     if trials is not None or seed is not None:
         warnings.warn("balanced_sampling_probe is exact: trials and seed are "
@@ -443,8 +447,11 @@ def balanced_sampling_probe(n: int, *, trials: int | None = None,
     # counts kept after rank i, written once: the last also sizes w
     tops = [3 * i // 4 + 1 for i in range(2, n + 1)]
     w = np.zeros(max(tops, default=1))
+    u = np.zeros_like(w)
     w[0] = 1.0
     for top in tops:
-        w[1:top] += w[:top - 1]
-        w[:top] /= 2
+        u[0] = w[0]
+        np.add(w[1:top], w[:top - 1], out=u[1:top])
+        u[:top] /= 2
+        w, u = u, w
     return float(w.sum())

@@ -9,11 +9,15 @@ bridged and phibar coincides with theta.
 
 Everything is computed on a clipped quantile grid. phibar is exposed both on
 the grid and as a right-continuous lookup in value space, together with the
-list of bridged intervals and their constant levels.
+list of bridged intervals and their constant levels. iron hands out one
+result per distribution object, grid and eps while that result is alive, so
+its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +30,10 @@ DEFAULT_GRID = 2 ** 14
 # A hull segment counts as bridged only if the function strictly exceeds the
 # hull in its interior, relative to the overall scale of H.
 _BRIDGE_RTOL = 1e-9
+
+# iron's results by (id(d), grid, eps), held weakly: an entry lives as long
+# as its IronedVirtual, which holds d, so the id is not reused meanwhile
+_IRONED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -102,6 +110,7 @@ class IronedVirtual:
             lo = int(np.searchsorted(self.q, iv.q_lo))
             hi = int(np.searchsorted(self.q, iv.q_hi))
             flag[lo:hi + 1] = 1
+        flag.flags.writeable = False
         return flag
 
     def _cell(self, v) -> np.ndarray:
@@ -143,11 +152,22 @@ class IronedVirtual:
 
 def iron(d: ValueDistribution, grid: int = DEFAULT_GRID,
          eps: float = QUANTILE_EPS) -> IronedVirtual:
-    """Compute the ironed virtual value of d on a clipped quantile grid."""
+    """Compute the ironed virtual value of d on a clipped quantile grid.
+
+    While a result is alive, another call with the same distribution object,
+    grid and eps returns it instead of ironing again (an equal distribution
+    built separately is ironed afresh). Its arrays are read-only, since every
+    such caller shares them.
+    """
     if grid < 64:
         raise ValueError("ironing grid must have at least 64 points")
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
+    # a float grid raises here, as linspace would, and does not hit the memo
+    key = (id(d), operator.index(grid), eps)
+    iv = _IRONED.get(key)
+    if iv is not None:
+        return iv
     q = np.linspace(eps, 1.0 - eps, grid)
     v = np.asarray(d.quantile(q), dtype=float)
     theta = np.asarray(virtual_value_utility(d, v), dtype=float)
@@ -176,11 +196,22 @@ def iron(d: ValueDistribution, grid: int = DEFAULT_GRID,
                 v_lo=float(v[i0]), v_hi=float(v[i1]),
                 level=float(slopes[j]),
                 at_bottom=(i0 == 0), at_top=(i1 == grid - 1)))
-    return IronedVirtual(d, q, v, theta, H, G, phibar, hull_idx,
-                         slopes, tuple(intervals), seg)
+    for a in (q, v, theta, H, G, phibar, hull_idx, slopes, seg):
+        a.flags.writeable = False
+    iv = _IRONED[key] = IronedVirtual(d, q, v, theta, H, G, phibar, hull_idx,
+                                      slopes, tuple(intervals), seg)
+    return iv
+
+
+def check_ironed_for(d: ValueDistribution, iv: IronedVirtual | None) -> None:
+    """Reject an iv that was ironed for another distribution object than d
+    (None passes), with a one-line ValueError."""
+    if iv is not None and iv.dist is not d:
+        raise ValueError(f"iv was ironed for {iv.dist.name}, not for {d.name}")
 
 
 def ironed_value(d: ValueDistribution, v, grid: int = DEFAULT_GRID,
                  eps: float = QUANTILE_EPS):
-    """phibar(v) for a one-off query; builds the grid representation first."""
+    """phibar(v) for a one-off query; builds the grid representation first,
+    or reuses iron's live result for d, grid and eps."""
     return iron(d, grid=grid, eps=eps).value(v)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .common import MIN_REPLICATES, MechanismEval, mc_eval, substream
 from .distributions import as_profile
-from .ironing import IronedVirtual, iron
+from .ironing import IronedVirtual, check_ironed_for, iron
 
 COST_AGENT_CAP = 20
 RSOL_EXACT_CAP = 20
@@ -330,17 +330,28 @@ def _bayes_rule(iv: IronedVirtual, V: np.ndarray, k: int):
     if n <= k:
         return _vickrey_rule(V, k)
     V_asc = np.sort(V, axis=1)
-    Xv, Pv = _vickrey_rule(V, k, V_asc)
-    seg = iv.segment_of(V_asc[:, n - k - 1])[:, None]
+    seg = iv.segment_of(V_asc[:, n - k - 1])
     lo_seg, hi_seg = _segment_anchors(iv)
-    lo, hi = lo_seg[seg], hi_seg[seg]
-    bridged = ~np.isnan(lo)
+    bridged = ~np.isnan(lo_seg[seg])
     if not bridged.any():
-        return Xv, Pv
-    c = iv.slopes[seg]
-    levels = np.asarray(iv.value(V), dtype=float)
-    Xb, Pb = _two_price(levels > c, levels == c, k, lo, hi)
-    return np.where(bridged, Xb, Xv), np.where(bridged, Pb, Pv)
+        return _vickrey_rule(V, k, V_asc)
+    if bridged.all():
+        return _bridged_rows(iv, V, k, seg, lo_seg, hi_seg)
+    # each branch runs on its own rows only: rows are independent
+    X, P = np.empty(V.shape), np.empty(V.shape)
+    b, u = np.flatnonzero(bridged), np.flatnonzero(~bridged)
+    X[u], P[u] = _vickrey_rule(V[u], k, V_asc[u])
+    X[b], P[b] = _bridged_rows(iv, V[b], k, seg[b], lo_seg, hi_seg)
+    return X, P
+
+
+def _bridged_rows(iv: IronedVirtual, V: np.ndarray, k: int, seg, lo_seg, hi_seg):
+    """_bayes_rule's rows whose k+1-st value sits on bridged hull segment seg
+    (one per row): _two_price at the segment's anchors on the ironed levels."""
+    c = iv.slopes[seg][:, None]
+    lo, hi = lo_seg[seg][:, None], hi_seg[seg][:, None]
+    levels = iv.value(V)
+    return _two_price(levels > c, levels == c, k, lo, hi)
 
 
 def bayes_optimal_outcome(iv: IronedVirtual, profile, k: int, rng=None) -> Outcome:
@@ -736,8 +747,7 @@ def expected_under_prior(name: str, d, n: int, k: int,
                          f"{', '.join(_PRIOR_NAMES)}")
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if iv is not None and iv.dist is not d:
-        raise ValueError(f"iv was ironed for {iv.dist.name}, not for {d.name}")
+    check_ironed_for(d, iv)
     if name == "lottery":
         return min(k, n) * d.mean
     iv = iron(d) if iv is None else iv

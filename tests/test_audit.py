@@ -6,11 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burnlab.audit import (_CHUNK_CELLS, DSIC_TOL, DeviationReport,
-                           InterimRule, _rsol_halving_sums, _rsol_interim,
+                           DominanceReport, InterimRule, _batch_rule,
+                           _rsol_halving_sums, _rsol_interim,
                            audit_mechanism, audit_profiles,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
+from burnlab.common import substream
 from burnlab.distributions import (ValuationProfile, exponential, pareto,
                                    two_piece, uniform)
 from burnlab.ironing import iron
@@ -370,9 +372,8 @@ def test_bayes_interim_steps_at_interval_edges(iv_bridge):
 
 
 def test_identity_matrix(iv_uniform, iv_exp, iv_pareto, iv_twopiece):
-    cases = [(uniform(0.0, 1.0), iv_uniform), (exponential(1.0), iv_exp),
-             (pareto(1.0, 2.0), iv_pareto), (two_piece(), iv_twopiece)]
-    for d, iv in cases:
+    for iv in (iv_uniform, iv_exp, iv_pareto, iv_twopiece):
+        d = iv.dist
         for rule in PRIOR_RULES:
             report = verify_utility_identity(d, rule, 2, 6, 20000, 11, iv=iv)
             assert report.passed, (d.name, rule, report)
@@ -391,9 +392,8 @@ def test_identity_boundary_term_positive_support():
 
 
 def test_dominance_matrix(iv_uniform, iv_exp, iv_pareto, iv_twopiece):
-    cases = [(uniform(0.0, 1.0), iv_uniform), (exponential(1.0), iv_exp),
-             (pareto(1.0, 2.0), iv_pareto), (two_piece(), iv_twopiece)]
-    for d, iv in cases:
+    for iv in (iv_uniform, iv_exp, iv_pareto, iv_twopiece):
+        d = iv.dist
         for rule in PRIOR_RULES:
             dom = verify_ironing_dominance(d, rule, 20000, 11, k=2, n=6,
                                            iv=iv)
@@ -405,19 +405,68 @@ def test_dominance_matrix(iv_uniform, iv_exp, iv_pareto, iv_twopiece):
 def test_dominance_exact_cases(iv_exp, iv_pareto):
     # convex integral (pareto) keeps every hull node: both sides identical;
     # constant inverse hazard (exp) differs only by float dust
-    dom = verify_ironing_dominance(pareto(1.0, 2.0), "vickrey", 20000, 11,
+    dom = verify_ironing_dominance(iv_pareto.dist, "vickrey", 20000, 11,
                                    k=2, n=6, iv=iv_pareto)
     assert dom.diff_mean == 0.0 and dom.diff_se == 0.0 and dom.equality
-    dom = verify_ironing_dominance(exponential(1.0), "vickrey", 20000, 11,
+    dom = verify_ironing_dominance(iv_exp.dist, "vickrey", 20000, 11,
                                    k=2, n=6, iv=iv_exp)
     assert abs(dom.diff_mean) < 1e-12 and dom.equality
 
 
 def test_dominance_strict_when_ironing_binds(iv_uniform, iv_twopiece):
-    for d, iv in [(uniform(0.0, 1.0), iv_uniform), (two_piece(), iv_twopiece)]:
-        dom = verify_ironing_dominance(d, "vickrey", 20000, 11, k=2, n=6,
+    for iv in (iv_uniform, iv_twopiece):
+        dom = verify_ironing_dominance(iv.dist, "vickrey", 20000, 11, k=2, n=6,
                                        iv=iv)
-        assert dom.strict and not dom.equality, (d.name, dom)
+        assert dom.strict and not dom.equality, (iv.dist.name, dom)
+
+
+def dominance_two_lookups(d, rule, reps, seed, k, n, iv):
+    # the report with phibar and theta's cell average each looking up the
+    # grid cells
+    slack = 1e-3 * min(k, n) * (1.0 + d.mean)
+    V = np.asarray(d.quantile(substream(seed, "dominance", rule, n, k)
+                              .random((reps, n))), dtype=float)
+    X, _ = _batch_rule(rule, d, V, k, iv)
+    cell_slopes = np.diff(iv.H) / np.diff(iv.q)
+    theta = cell_slopes.take(iv._cell(V), mode="clip")
+    diff = ((np.asarray(iv.value(V), dtype=float) - theta) * X).sum(axis=1)
+    mean = float(diff.mean())
+    se = float(diff.std(ddof=1)) / np.sqrt(diff.size)
+    band = 3.0 * se + slack
+    return DominanceReport(mean, se, slack, mean >= -band, abs(mean) <= band,
+                           mean > band)
+
+
+def test_dominance_matches_two_lookups(iv_uniform, iv_exp, iv_pareto,
+                                       iv_twopiece, iv_bridge):
+    for iv in (iv_uniform, iv_exp, iv_pareto, iv_twopiece, iv_bridge):
+        for rule in PRIOR_RULES:
+            for k, n in [(1, 3), (2, 6)]:
+                dom = verify_ironing_dominance(iv.dist, rule, 4000, 3, k=k,
+                                               n=n, iv=iv)
+                assert dom == dominance_two_lookups(iv.dist, rule, 4000, 3,
+                                                    k, n, iv), (iv.dist.name, rule)
+                # plain Python types, as in IdentityReport
+                types = [type(getattr(dom, f))
+                         for f in DominanceReport.__dataclass_fields__]
+                assert types == [float] * 3 + [bool] * 3, dom
+
+
+def test_mismatched_iv_rejected(iv_uniform, iv_exp):
+    # a prior built again with the same parameters is still another prior
+    for d in (exponential(1.0), uniform(0.0, 1.0)):
+        for check in (
+                lambda: verify_ironing_dominance(d, "bayes", 1000, 0, iv=iv_uniform),
+                lambda: verify_utility_identity(d, "bayes", 1, 2, 1000, 0,
+                                                iv=iv_uniform),
+                lambda: verify_utility_identity(d, "vickrey", 1, 2, 1000, 0,
+                                                iv=iv_uniform)):
+            with pytest.raises(ValueError,
+                               match=r"ironed for uniform\(0,1\)") as err:
+                check()
+            assert "\n" not in str(err.value)
+    # the prior's own ironing passes
+    assert verify_ironing_dominance(iv_exp.dist, "bayes", 1000, 0, iv=iv_exp).equality
 
 
 def test_batch_rule_validation():
@@ -495,6 +544,22 @@ def test_probe_oracles():
     assert balanced_sampling_probe(2) == 1.0
     assert balanced_sampling_probe(5) == 0.9375
     assert balanced_sampling_probe(20) == 0.91436767578125
+
+
+def probe_in_place(n):
+    # one buffer updated in place; numpy copies the overlapping operand
+    tops = [3 * i // 4 + 1 for i in range(2, n + 1)]
+    w = np.zeros(max(tops, default=1))
+    w[0] = 1.0
+    for top in tops:
+        w[1:top] += w[:top - 1]
+        w[:top] /= 2
+    return float(w.sum())
+
+
+def test_probe_matches_in_place_loop():
+    for n in [*range(1, 300), 1000, 3000, 10 ** 4]:
+        assert balanced_sampling_probe(n) == probe_in_place(n), n
 
 
 def test_probe_matches_dp_enumeration():

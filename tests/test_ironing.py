@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -115,6 +117,37 @@ def test_iron_validation():
         iron(uniform(0.0, 1.0), eps=0.0)
 
 
+def test_iron_memo():
+    d = two_piece()
+    iv = iron(d, grid=1000)
+    assert iron(d, grid=1000) is iv
+    assert iron(d, 1000, 1e-9) is iv
+    # another grid, another eps or an equal prior built again: ironed afresh
+    for other in (iron(d, grid=1001), iron(d, grid=1000, eps=1e-8),
+                  iron(two_piece(), grid=1000)):
+        assert other is not iv
+    assert iron(d, grid=1001).grid == 1001
+    assert iron(d, grid=1000, eps=1e-8).q[0] == 1e-8
+    assert iron(d).grid == DEFAULT_GRID
+    # validation comes before the memo
+    for kwargs in ({"grid": 32}, {"grid": 1000, "eps": 0.5},
+                   {"grid": 1000, "eps": 0.0}):
+        with pytest.raises(ValueError):
+            iron(d, **kwargs)
+    with pytest.raises(TypeError):
+        iron(d, grid=1000.0)
+    # shared arrays are read-only
+    for name in ("q", "v", "theta", "H", "G", "phibar", "hull_idx", "slopes",
+                 "grid_seg", "ironed_flag"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(iv, name)[0] = 0
+    # the memo keeps neither the result nor its prior alive
+    ref, dist_ref = weakref.ref(iv), weakref.ref(d)
+    del iv, d
+    gc.collect()
+    assert ref() is None and dist_ref() is None
+
+
 def searchsorted_lookups(iv, v):
     # the grid cell and hull segment by binary search on the clipped quantile
     qv = np.clip(np.asarray(iv.dist.cdf(np.asarray(v, dtype=float)), dtype=float),
@@ -154,7 +187,7 @@ def test_grid_lookups_match_searchsorted(d, grid, seed):
     V = v[:1000].reshape(250, 4)
     np.testing.assert_array_equal(iv.value(V), iv.slopes[seg[:1000].reshape(250, 4)])
     cell_slopes = np.diff(iv.H) / np.diff(iv.q)
-    np.testing.assert_array_equal(_cell_virtual(iv, V),
+    np.testing.assert_array_equal(_cell_virtual(iv, iv._cell(V)),
                                   cell_slopes[np.clip(cell[:1000], 0, grid - 2)
                                               .reshape(250, 4)])
     # a scalar gets the vector's answer

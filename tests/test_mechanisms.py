@@ -12,9 +12,11 @@ from burnlab.distributions import (ValuationProfile, exponential, pareto,
                                    piecewise_inverse_hazard, two_piece,
                                    uniform)
 from burnlab.ironing import iron
-from burnlab.mechanisms import (CostOutcome, CostProblem, _halvings, _ladder_rule,
-                                _ladder_sizes, _learned_price, _rsol_exact,
-                                _rsol_values, bayes_optimal_outcome,
+from burnlab.mechanisms import (CostOutcome, CostProblem, _bayes_rule,
+                                _halvings, _ladder_rule, _ladder_sizes,
+                                _learned_price, _rsol_exact, _rsol_values,
+                                _segment_anchors, _two_price, _vickrey_rule,
+                                bayes_optimal_outcome,
                                 bayes_optimal_with_costs, expected_log_price,
                                 expected_p_lottery, expected_pq_lottery,
                                 expected_rsol, expected_strict_p_lottery,
@@ -202,6 +204,73 @@ def test_bayes_realized_mode(iv_bridge):
     assert set(np.unique(out.allocation)) <= {0.0, 1.0}
     winner = int(np.argmax(out.allocation))
     assert out.payments[winner] == pytest.approx(1.0, abs=5e-3)
+
+
+def bayes_rule_where(iv, V, k):
+    # both branches on every row, the bridged rows picked by np.where
+    n = V.shape[1]
+    if n <= k:
+        return _vickrey_rule(V, k)
+    V_asc = np.sort(V, axis=1)
+    Xv, Pv = _vickrey_rule(V, k, V_asc)
+    seg = iv.segment_of(V_asc[:, n - k - 1])[:, None]
+    lo_seg, hi_seg = _segment_anchors(iv)
+    lo, hi = lo_seg[seg], hi_seg[seg]
+    bridged = ~np.isnan(lo)
+    if not bridged.any():
+        return Xv, Pv
+    c = iv.slopes[seg]
+    levels = np.asarray(iv.value(V), dtype=float)
+    Xb, Pb = _two_price(levels > c, levels == c, k, lo, hi)
+    return np.where(bridged, Xb, Xv), np.where(bridged, Pb, Pv)
+
+
+@st.composite
+def bayes_rows(draw):
+    # (prior, quantiles, ties, k): a quantile of -1 or -2 stands for the
+    # low or high end of the prior's first ironed interval (of the grid if
+    # none); each tie copies a row's k+1-st value into one of its agents
+    prior = draw(st.sampled_from(["uniform", "twopiece", "bridge", "exp"]))
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 6))
+    cell = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     st.sampled_from([-1.0, -2.0]))
+    U = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                               min_size=rows, max_size=rows)))
+    ties = draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                   st.integers(0, n - 1)), max_size=4))
+    return prior, U, ties, k
+
+
+SPLIT_ROWS = np.array([[0.05, 0.1, 0.2], [0.3, 0.7, 0.9], [0.8, 0.9, 0.95],
+                       [-1.0, -1.0, 0.4], [0.4, -2.0, -2.0]])
+
+
+@given(bayes_rows())
+# uniform irons flat, so every row is bridged; exp irons nothing; on the
+# bridge prior at k = 1 and on twopiece at k = 2 some rows are bridged
+@example(("uniform", SPLIT_ROWS, [(0, 0)], 1))
+@example(("exp", SPLIT_ROWS, [(1, 2)], 1))
+@example(("bridge", SPLIT_ROWS, [], 1))
+@example(("bridge", SPLIT_ROWS, [(1, 0), (2, 1), (4, 0)], 1))
+@example(("twopiece", SPLIT_ROWS, [(2, 0)], 2))
+@settings(max_examples=200, deadline=None)
+def test_bayes_rule_matches_where_oracle(iv_uniform, iv_twopiece, iv_bridge,
+                                         iv_exp, case):
+    prior, U, ties, k = case
+    iv = {"uniform": iv_uniform, "twopiece": iv_twopiece, "bridge": iv_bridge,
+          "exp": iv_exp}[prior]
+    lo, hi = ((iv.intervals[0].v_lo, iv.intervals[0].v_hi) if iv.intervals
+              else (iv.v[0], iv.v[-1]))
+    V = np.where(U == -1.0, lo, np.where(U == -2.0, hi,
+                                         iv.dist.quantile(np.clip(U, 0.0, None))))
+    n = V.shape[1]
+    for r, j in ties:
+        V[r, j] = np.sort(V[r])[max(n - k - 1, 0)]
+    X, P = _bayes_rule(iv, V, k)
+    Xo, Po = bayes_rule_where(iv, V, k)
+    assert X.shape == Xo.shape and X.dtype == Xo.dtype == P.dtype == Po.dtype
+    assert np.array_equal(X, Xo) and np.array_equal(P, Po), (prior, V, k)
 
 
 # ---------------------------------------------------------------------------

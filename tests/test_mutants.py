@@ -19,6 +19,7 @@ import test_audit
 import test_benchmark
 import test_ironing
 import test_mechanisms
+import test_simlab
 
 from burnlab import audit, benchmark, ironing, mechanisms
 
@@ -86,9 +87,31 @@ MUTANTS = {
     # pq's value bands (q, p] in place of the ironed-level bands, which keep
     # [v_lo, v_hi): pins the convention at the interval ends
     "bayes-value-space-bands": (
-        mechanisms, "_bayes_rule", "_two_price(levels > c, levels == c,",
+        mechanisms, "_bridged_rows", "_two_price(levels > c, levels == c,",
         "_two_price(V > hi, (V > lo) & (V <= hi),",
         [test_audit.test_bayes_truthful_at_interval_ends]),
+    # each branch computed on the other side's rows
+    "bayes-split-sides-swapped": (
+        mechanisms, "_bayes_rule",
+        "b, u = np.flatnonzero(bridged), np.flatnonzero(~bridged)",
+        "u, b = np.flatnonzero(bridged), np.flatnonzero(~bridged)",
+        [test_mechanisms.test_bayes_rule_matches_where_oracle]),
+    # every row through the bridged branch once any row is bridged
+    "bayes-split-any-is-all": (
+        mechanisms, "_bayes_rule", "if bridged.all():", "if bridged.any():",
+        [test_mechanisms.test_bayes_rule_matches_where_oracle]),
+    "iron-memo-key-drops-grid": (
+        ironing, "iron", "key = (id(d), operator.index(grid), eps)",
+        "key = (id(d), eps)", [test_ironing.test_iron_memo]),
+    # the top-share price at the L+2-nd value: Vickrey's and each rung's
+    "ladder-rung-price-one-rank-low": (
+        mechanisms, "_top_share_rule", "[max(n - L - 1, 0) for L in tops]",
+        "[max(n - L - 2, 0) for L in tops]",
+        [test_audit.test_ladder_matches_independent_oracle]),
+    # each rung sells one unit; equivalent to the ladder at k = 1 only
+    "ladder-rule-one-unit": (
+        mechanisms, "_ladder_rule", "sizes, k)", "sizes, 1)",
+        [test_simlab.test_estimate_logprice_is_ladder_rule]),
     "sweep-count-side-left": (
         benchmark, "two_price_benchmark", 'np.searchsorted(v, c, side="right")',
         'np.searchsorted(v, c, side="left")',
@@ -143,6 +166,10 @@ MUTANTS = {
     "probe-limit-rounds-up": (
         audit, "balanced_sampling_probe", "3 * i // 4", "(3 * i + 3) // 4",
         [test_audit.test_probe_oracles]),
+    # count 0 keeps the value two ranks back
+    "probe-no-first-copy": (
+        audit, "balanced_sampling_probe", "u[0] = w[0]", "pass",
+        [test_audit.test_probe_matches_in_place_loop]),
 }
 
 

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_audit import ladder_oracle
 from test_mechanisms import grid_tol
 
 from burnlab.benchmark import full_surplus
@@ -40,6 +41,17 @@ def test_estimate_closed_forms():
     assert ev.mean == pytest.approx(1.0, abs=2 * ev.ci_halfwidth)
     ev = estimate("plottery0", exponential(1.0), 4, 2, 500, 1)
     assert ev.mean == pytest.approx(2.0, abs=2 * ev.ci_halfwidth)
+
+
+def test_estimate_logprice_is_ladder_rule():
+    # the estimator's mean is the independent ladder oracle averaged over the
+    # estimator's own draws: this pins the rule behind it, not only its value
+    d = exponential(1.0)
+    for n, k in [(3, 1), (6, 2), (8, 3)]:
+        ev = estimate("logprice", d, n, k, 300, 4)
+        V = d.quantile(substream(4, "estimate", "logprice", n, k).random((300, n)))
+        ref = sum(ladder_oracle(row.tolist(), k) for row in V) / len(V)
+        assert ev.mean == pytest.approx(ref, rel=1e-12), (n, k)
 
 
 def test_estimate_callable_mechanism():

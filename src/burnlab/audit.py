@@ -3,15 +3,8 @@
 An auditable mechanism exposes its exact interim rule: the win probability
 and expected payment of one agent as a function of their bid, with all
 opponent bids fixed and all mechanism randomness integrated out in closed
-form. AuditableMechanism derives it from the mechanism's marginal rule
-(mechanisms.py): one profile row per bid, the bid in its agent's column, so
-one call can serve several agents. The interim rule may jump at the
-opponents' bids and at the rule's fixed edges, the lottery prices or the
-ironed-interval ends. RSOL has no marginal rule: a kernel sums every halving
-of the opponents against each bid. A bid meets those halvings only in
-comparisons with 0 and the opponents' values, so the kernel runs on one bid
-per region those values cut out and the others copy its answer, bit for bit
-what the kernel gives on every bid.
+form. audit_mechanism reads it from the mechanism table (mechanisms.py),
+with the bids besides the opponents' where it may jump.
 
 On top of the interim rule sit:
 
@@ -30,7 +23,6 @@ deviation scan must flag it.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,14 +34,11 @@ from .common import MechanismEval, mc_eval, substream
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
 from .ironing import IronedVirtual, check_ironed_for, iron
-from .mechanisms import (RSOL_EXACT_CAP, _bayes_rule, _halvings,
-                         _ladder_rule, _learned_price, _lottery_rule, _mix_rule,
-                         _pq_rule, _require_k, _residual, _vickrey_rule)
+from .mechanisms import (MECHANISMS, Params, _residual, _ruled, _vickrey_rule,
+                         unpriced)
 
 DSIC_TOL = 1e-9
 MIN_IDENTITY_GRID = 256
-# cells per chunk of the RSOL interim's halvings; bounds its scratch memory
-_CHUNK_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -73,120 +62,34 @@ class AuditableMechanism:
             (np.delete(np.asarray(values, dtype=float), i), self.edges)))
 
 
-def _tiled(rule):
-    """A marginal rule's interim: one row per bid, the bid in the column of
-    its agent, i (an int, or an int array aligned with the bids)."""
-    def interim(values, i, bids):
-        b = np.asarray(bids, dtype=float)
-        v = np.asarray(values, dtype=float)
-        V = np.tile(v, (b.size, 1))
-        # each row's bid cell in the flattened rows; cheaper than 2-D indexing
-        cell = np.arange(0, V.size, v.size) + i
-        V.reshape(-1)[cell] = b
-        X, P = rule(V)
-        return X.reshape(-1)[cell], P.reshape(-1)[cell]
-    return interim
-
-
-def _rsol_interim(k: int, values, i, bids):
-    """RSOL's exact interim rule, agent i (an int, or an int array aligned
-    with the bids) against the others' values.
-
-    _rsol_halving_sums compares a bid only with prices and thresholds that
-    are 0 or an opponent's value, and its payments do not read the bid. So
-    the rule is constant on each region that u cuts out: u holds 0, the
-    opponents' values and NaN (where every comparison is False), sorted with
-    NaN last, and a bid's region key counts the u below it plus the u at or
-    below it. The kernel runs once per agent on one bid from each region
-    present, with a second copy of a lone region's bid when there are
-    several bids, since numpy adds the halvings of a single column pairwise
-    and of wider arrays one row after another. Each bid then reads its
-    region's answer, bit for bit the kernel's on all the bids."""
-    _require_k(k)
-    v = np.asarray(values, dtype=float)
-    if v.size > RSOL_EXACT_CAP:
-        raise ValueError(f"rsol audits take at most {RSOL_EXACT_CAP} agents")
-    b = np.asarray(bids, dtype=float)
-    agents = np.broadcast_to(i, b.shape)
-    x, pay = np.empty(b.size), np.empty(b.size)
-    for a in np.unique(agents):
-        at = agents == a
-        o, ba = np.delete(v, a), b[at]
-        u = np.sort(np.append(o, (0.0, np.nan)))
-        key = np.searchsorted(u, ba) + np.searchsorted(u, ba, "right")
-        _, first, region = np.unique(key, return_index=True, return_inverse=True)
-        first = np.resize(first, min(ba.size, max(first.size, 2)))
-        rx, rp = _rsol_halving_sums(k, o, ba[first])
-        x[at], pay[at] = rx[region], rp[region]
-    return x, pay
-
-
-def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
-    """RSOL's interim at each bid b against the opponents' values o; the
-    bidder serves with probability 1/2. Every halving of the opponents
-    (numbered and summed in submission order) meets every bid, in chunks of
-    about _CHUNK_CELLS cells: a bid above the price p the kernel learns
-    outside the serving half joins the lottery of the M serving opponents
-    above p. Vickrey stays a closed form, as tiling _vickrey_rule over
-    (halving, bid) rows measured 5-6 times slower at n = 8: against the k-th
-    highest serving opponent t, a bid above t wins, a bid at t shares the
-    seats the a serving opponents above t leave with the c tied at t, and
-    winners pay t."""
-    order = np.argsort(-o, kind="stable")
-    o_desc, halvings = o[order], 1 << o.size
-    per = max(1, _CHUNK_CELLS // max(b.size, o.size, 1))
-    x, pay = np.zeros(b.size), np.zeros(b.size)
-    for h in range(0, halvings, per):
-        serve = _halvings(o.size, h, h + per)[:, order]
-        p = _learned_price(o_desc, ~serve, k)[1][:, None]
-        m = (serve & (o_desc > p)).sum(axis=1, keepdims=True) + 1
-        xl = np.where(b > p, np.minimum(k, m) / m, 0.0)
-        few = serve.sum(axis=1, keepdims=True) < k
-        t = ((serve & (np.cumsum(serve, axis=1) == k)) * o_desc).sum(axis=1, keepdims=True)
-        a = (serve & (o_desc > t)).sum(axis=1, keepdims=True)
-        c = (serve & (o_desc == t)).sum(axis=1, keepdims=True)
-        xv = np.where(few | (b > t), 1.0, np.where(b == t, (k - a) / (c + 1), 0.0))
-        xs, ps = 0.5 * (xl + xv), 0.5 * (xl * p + xv * np.where(few, 0.0, t))
-        # the running sums enter each chunk's first row: chunking keeps the order
-        xs[0], ps[0] = xs[0] + x, ps[0] + pay
-        x, pay = xs.sum(axis=0), ps.sum(axis=0)
-    return x * (0.5 / halvings), pay * (0.5 / halvings)
-
-
 def _first_price_rule(V: np.ndarray, k: int):
     """Vickrey's allocation, but winners burn their own bid. Not truthful."""
     X, _ = _vickrey_rule(V, k)
     return X, X * V
 
 
+# the non-truthful control, audited beside the table's mechanisms
+CONTROLS = {"firstprice": _ruled((), lambda V, k, a: _first_price_rule(V, k))}
+
+
 def audit_mechanism(name: str, k: int = 1, *, p: float = 0.0, q: float = 0.0,
                     iv: IronedVirtual | None = None) -> AuditableMechanism:
     """Build the interim adapter for a mechanism name.
 
-    Names match the CLI: plottery, pqlottery, vickrey, bayes, rsol, mix,
-    logprice, plus the non-truthful firstprice control. Bad parameters are
-    rejected here, before any interim is evaluated.
+    Names match the CLI: the mechanism table's, plus the non-truthful
+    firstprice control. Bad parameters are rejected here, before any interim
+    is evaluated.
     """
-    if name == "bayes" and iv is None:
-        raise ValueError("bayes audit needs an ironed virtual value")
-    ends = () if iv is None else tuple(e for interval in iv.intervals
-                                       for e in (interval.v_lo, interval.v_hi))
-    interims = {
-        "plottery": (_tiled(lambda V: _lottery_rule(V, k, p)), (p,)),
-        "pqlottery": (_tiled(lambda V: _pq_rule(V, k, p, q)), (q, p)),
-        "vickrey": (_tiled(lambda V: _vickrey_rule(V, k)), ()),
-        "bayes": (_tiled(lambda V: _bayes_rule(iv, V, k)), ends),
-        "mix": (_tiled(lambda V: _mix_rule(V, k)), ()),
-        "logprice": (_tiled(lambda V: _ladder_rule(V, k)), ()),
-        "rsol": (functools.partial(_rsol_interim, k), ()),
-        "firstprice": (_tiled(lambda V: _first_price_rule(V, k)), ()),
-    }
-    if name not in interims:
+    entry = MECHANISMS.get(name) or CONTROLS.get(name)
+    if entry is None:
         raise ValueError(f"unknown mechanism {name!r}")
-    interim, edges = interims[name]
+    if "iv" in entry.reads and iv is None:
+        raise ValueError(f"{name} audit needs an ironed virtual value")
+    a = Params(p, q, iv)
+    mech = AuditableMechanism(name, entry.interim(k, a), entry.edges(a))
     # each rule checks its own parameters; with no bids it does nothing else
-    interim(np.zeros(2), 0, [])
-    return AuditableMechanism(name, interim, edges)
+    mech.interim(np.zeros(2), 0, [])
+    return mech
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +220,6 @@ def audit_profiles(seed: int, count: int = 100,
 # virtual-value identities
 
 
-def _batch_rule(name: str, d: ValueDistribution, V: np.ndarray, k: int,
-                iv: IronedVirtual | None):
-    if name == "lottery":
-        return _lottery_rule(V, k, 0.0)
-    if name == "vickrey":
-        return _vickrey_rule(V, k)
-    if name == "bayes":
-        return _bayes_rule(iv if iv is not None else iron(d), V, k)
-    raise ValueError(f"unknown batch rule {name!r}")
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Paired MC estimates of expected utility and expected virtual value."""
@@ -353,9 +245,11 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
     evaluating at the support bottom is exact).
     """
     check_ironed_for(d, iv)
+    entry = unpriced(mechanism)
+    a = Params(iv=iron(d) if iv is None and "iv" in entry.reads else iv)
     rng = substream(seed, "utility-identity", mechanism, n, k)
     V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
-    X, P = _batch_rule(mechanism, d, V, k, iv)
+    X, P = entry.rule(V, k, a)
     theta = np.asarray(virtual_value_utility(d, V), dtype=float)
     virtual_samples = (theta * X).sum(axis=1)
     bottom = d.support[0]
@@ -363,7 +257,7 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
         for i in range(n):
             W = V.copy()
             W[:, i] = bottom
-            Xa, _ = _batch_rule(mechanism, d, W, k, iv)
+            Xa, _ = entry.rule(W, k, a)
             virtual_samples = virtual_samples + bottom * Xa[:, i]
     utility = mc_eval(_residual(V, X, P), seed)
     virtual = mc_eval(virtual_samples, seed)
@@ -410,12 +304,13 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
     _cell_virtual for why. Each value's cell is looked up once for both.
     """
     check_ironed_for(d, iv)
+    entry = unpriced(monotone_rule)
     if iv is None:
         iv = iron(d)
     slack = float(1e-3 * min(k, n) * (1.0 + d.mean) if slack is None else slack)
     rng = substream(seed, "dominance", monotone_rule, n, k)
     V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
-    X, _ = _batch_rule(monotone_rule, d, V, k, iv)
+    X, _ = entry.rule(V, k, Params(iv=iv))
     cell = iv._cell(V)
     diff = ((iv.phibar[cell] - _cell_virtual(iv, cell)) * X).sum(axis=1)
     mean = float(diff.mean())

@@ -10,17 +10,14 @@ import sys
 
 import numpy as np
 
-from .audit import (DSIC_TOL, audit_mechanism, check_dsic,
+from .audit import (CONTROLS, DSIC_TOL, audit_mechanism, check_dsic,
                     check_payment_identity, extract_interim_rule)
 from .benchmark import two_price_benchmark
 from .benchmark import full_surplus as profile_full_surplus
 from .common import VERSION, MechanismEval, substream
 from .distributions import distribution_from_spec, load_profile, sample_profile
 from .ironing import DEFAULT_GRID, iron
-from .mechanisms import (RSOL_EXACT_CAP, bayes_optimal_outcome,
-                         expected_log_price, expected_p_lottery,
-                         expected_pq_lottery, expected_rsol,
-                         mixed_vickrey_lottery, vickrey)
+from .mechanisms import MECHANISMS, Params
 from .simlab import EXPERIMENT_NAMES, parse_config, run_experiment, write_rows
 
 
@@ -48,60 +45,53 @@ def _cmd_iron(args) -> int:
     return 0
 
 
-def _exact(value: float) -> MechanismEval:
-    return MechanismEval(float(value), 0.0, "exact", 1)
+# the optional flags that set each Params field; an entry with a Monte Carlo
+# path also reads --reps and --exact
+_FLAGS = {"p": ("p",), "q": ("q",), "iv": ("dist", "grid")}
 
 
-def _eval_bayes(args, prof):
-    if not args.dist:
-        raise ValueError("--dist: eval --mech bayes requires it")
-    grid = DEFAULT_GRID if args.grid is None else args.grid
-    iv = iron(distribution_from_spec(args.dist), grid=grid)
-    return (_exact(bayes_optimal_outcome(iv, prof, args.k).residual_surplus),
-            f"dist={args.dist};grid={grid}")
+def _flags(mech) -> tuple[str, ...]:
+    return (sum((_FLAGS[field] for field in mech.reads), ())
+            + (("reps", "exact") if mech.mc else ()))
 
 
-def _eval_rsol(args, prof):
-    exact = args.exact or (args.reps is None and prof.n <= RSOL_EXACT_CAP)
-    ev = expected_rsol(prof, args.k, mode="exact" if exact else "mc",
-                       reps=10_000 if args.reps is None else args.reps,
-                       seed=args.seed)
-    return ev, "mode=exact" if exact else f"mode=mc;reps={ev.replicates}"
-
-
-# mechanism -> (the optional eval flags it reads, giving it any other is an
-# error; its evaluator (args, profile) -> (MechanismEval, params column))
-EVALUATORS = {
-    "plottery": (("p",), lambda a, prof: (
-        _exact(expected_p_lottery(prof, a.k, a.p or 0.0)), f"p={a.p or 0.0}")),
-    "pqlottery": (("p", "q"), lambda a, prof: (
-        _exact(expected_pq_lottery(prof, a.k, a.p or 0.0, a.q or 0.0)),
-        f"p={a.p or 0.0};q={a.q or 0.0}")),
-    "vickrey": ((), lambda a, prof: (
-        _exact(vickrey(prof, a.k).residual_surplus), "-")),
-    "bayes": (("dist", "grid"), _eval_bayes),
-    "rsol": (("reps", "exact"), _eval_rsol),
-    "mix": ((), lambda a, prof: (mixed_vickrey_lottery(prof, a.k), "-")),
-    "logprice": ((), lambda a, prof: (
-        _exact(expected_log_price(prof, a.k)), "-")),
-}
-EVAL_MECHS = tuple(EVALUATORS)
-AUDIT_MECHS = EVAL_MECHS + ("firstprice",)
+def _reject_unread(args, command: str, flags, read) -> None:
+    """Reject the first given flag, in sorted order, not in read."""
+    for flag in sorted(flags):
+        if getattr(args, flag) is not None and flag not in read:
+            raise ValueError(f"--{flag}: {command} --mech {args.mech} "
+                             "does not read it")
 
 
 def _cmd_eval(args) -> int:
-    flags, evaluate = EVALUATORS[args.mech]
-    for flag in sorted({f for fl, _ in EVALUATORS.values() for f in fl}):
-        if getattr(args, flag) is not None and flag not in flags:
-            raise ValueError(f"--{flag}: eval --mech {args.mech} does not read it")
+    mech = MECHANISMS[args.mech]
+    _reject_unread(args, "eval", {f for m in MECHANISMS.values() for f in _flags(m)},
+                   _flags(mech))
     if args.exact and args.reps is not None:
         raise ValueError("--exact: exact mode takes no --reps")
     prof = load_profile(args.profile)
-    ev, params = evaluate(args, prof)
+    a = Params(args.p or 0.0, args.q or 0.0)
+    params = [f"{field}={getattr(a, field)}" for field in mech.reads
+              if field != "iv"]
+    if "iv" in mech.reads:
+        if not args.dist:
+            raise ValueError(f"--dist: eval --mech {args.mech} requires it")
+        grid = DEFAULT_GRID if args.grid is None else args.grid
+        a = Params(a.p, a.q, iron(distribution_from_spec(args.dist), grid=grid))
+        params.append(f"dist={args.dist};grid={grid}")
+    if mech.mc and not args.exact and (args.reps is not None
+                                       or prof.n > mech.cap):
+        ev = mech.mc(prof, args.k, 10_000 if args.reps is None else args.reps,
+                     args.seed)
+        params.append(f"mode=mc;reps={ev.replicates}")
+    else:
+        ev = MechanismEval(mech.one(prof, args.k, a), 0.0, "exact", 1)
+        if mech.mc:
+            params.append("mode=exact")
     _write_csv(args.out, ["mech", "n", "k", "params", "expected_residual",
                           "ci_lo", "ci_hi", "seed"],
-               [[args.mech, prof.n, args.k, params, ev.mean, ev.ci[0], ev.ci[1],
-                 args.seed]])
+               [[args.mech, prof.n, args.k, ";".join(params) or "-", ev.mean,
+                 ev.ci[0], ev.ci[1], args.seed]])
     return 0
 
 
@@ -118,14 +108,17 @@ def _cmd_benchmark(args) -> int:
 def _cmd_audit(args) -> int:
     if args.profiles < 1:
         raise ValueError(f"--profiles: need at least 1, got {args.profiles}")
+    reads = {**MECHANISMS, **CONTROLS}[args.mech].reads
+    _reject_unread(args, "audit", ("p", "q"), reads)
+    p, q = args.p or 0.0, args.q or 0.0
     d = distribution_from_spec(args.dist)
-    iv = iron(d) if args.mech == "bayes" else None
-    mech = audit_mechanism(args.mech, args.k, p=args.p, q=args.q, iv=iv)
+    iv = iron(d) if "iv" in reads else None
+    mech = audit_mechanism(args.mech, args.k, p=p, q=q, iv=iv)
     rows = []
     all_passed = True
     for idx in range(args.profiles):
         prof = sample_profile(d, args.n, substream(args.seed, "audit", idx))
-        hi = 1.25 * max(float(prof.values.max()), args.p, args.q, 1e-9)
+        hi = 1.25 * max(float(prof.values.max()), p, q, 1e-9)
         dsic = check_dsic(mech, prof, np.linspace(0.0, hi, 64), tol=DSIC_TOL)
         rows.append([args.mech, idx, "dsic", dsic.passed, dsic.max_gain,
                      dsic.agent, dsic.bid])
@@ -167,10 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_iron)
 
     p = sub.add_parser("eval", help="evaluate one mechanism on one profile")
-    p.add_argument("--mech", required=True, choices=EVAL_MECHS)
+    p.add_argument("--mech", required=True, choices=MECHANISMS)
     p.add_argument("--profile", required=True)
     p.add_argument("--k", type=int, required=True)
-    # optional flags default to None, so that _cmd_eval sees which were given
+    # optional flags default to None, so that _reject_unread sees which were
+    # given
     p.add_argument("--p", type=float, help="price (default 0)")
     p.add_argument("--q", type=float, help="lower price (default 0)")
     p.add_argument("--seed", type=int, default=0)
@@ -188,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_benchmark)
 
     p = sub.add_parser("audit", help="incentive checks on sampled profiles")
-    p.add_argument("--mech", required=True, choices=AUDIT_MECHS)
+    p.add_argument("--mech", required=True, choices=[*MECHANISMS, *CONTROLS])
     p.add_argument("--dist", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=0.0)
+    p.add_argument("--p", type=float)
+    p.add_argument("--q", type=float)
     p.add_argument("--profiles", type=int, default=100)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_audit)

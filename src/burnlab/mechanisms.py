@@ -11,10 +11,14 @@ out. The rules: the lottery at price p (_lottery_rule), the top-share rule
 (Vickrey is top-share(k, k), the price ladder the mean of its rungs, the
 two-agent mixture Vickrey/3 + 1/3) and the two-price lottery (_two_price,
 sure winners paying _blended_price), whose rows are _pq_rule's and the
-bridged rows of the prior-optimal _bayes_rule. The other views derive from
-the rule: expected_* values are its row residual (_residual), runs return its
-row or with an rng one draw of it (_run), and the audit interims (audit.py)
-and the estimator (simlab.py) evaluate it on many rows.
+bridged rows of the prior-optimal _bayes_rule. expected_* values are a
+rule's row residual (_residual) and runs return its row or with an rng one
+draw of it (_run).
+
+MECHANISMS, at the end, maps each mechanism name to the Params it reads
+(p, q, the ironed prior iv) and its views: each row's exact value for the
+estimator, one profile's for `burnlab eval`, the rule for the identity
+checks and the interim (_tiled) for the audits.
 
 RSOL (random-sampling optimal lottery: learn a price on a random half of the
 agents, apply it or Vickrey to the other half) has no rowwise rule. Given a
@@ -24,7 +28,8 @@ derive from _lottery_rule and _vickrey_rule. The exact value, for
 expected_rsol and the estimator, is one doubling pass over the agents in
 descending order (_rsol_exact): each agent doubles the halvings of the
 agents before it, and each halving carries O(1) numbers from which its
-learned price, lottery and Vickrey follow, so a profile costs O(2^n).
+learned price, lottery and Vickrey follow, so a profile costs O(2^n). Its
+audit interim sums the opponents' halvings (_rsol_interim).
 
 Under an i.i.d. prior the lottery, Vickrey, Bayes and the ladder are rank
 rules: an agent's interim win probability depends only on its quantile, and
@@ -34,6 +39,7 @@ no profile drawn (see its docstring).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,6 +55,8 @@ RSOL_EXACT_CAP = 20
 # cells per block of RSOL's exact doubling pass: bounds its memory and keeps
 # each of its float arrays at 64 KiB, below glibc's default mmap threshold
 _PASS_CELLS = 1 << 13
+# cells per chunk of the RSOL interim's halvings; bounds its scratch memory
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,21 @@ def _expected(rule, profile, *args) -> float:
     """Exact expected residual of one profile: the residual of its rule row."""
     V = as_profile(profile).values[None, :]
     return float(_residual(V, *rule(V, *args))[0])
+
+
+def _tiled(rule):
+    """A marginal rule's interim: one row per bid, the bid in the column of
+    its agent, i (an int, or an int array aligned with the bids)."""
+    def interim(values, i, bids):
+        b = np.asarray(bids, dtype=float)
+        v = np.asarray(values, dtype=float)
+        V = np.tile(v, (b.size, 1))
+        # each row's bid cell in the flattened rows; cheaper than 2-D indexing
+        cell = np.arange(0, V.size, v.size) + i
+        V.reshape(-1)[cell] = b
+        X, P = rule(V)
+        return X.reshape(-1)[cell], P.reshape(-1)[cell]
+    return interim
 
 
 def _run(v: np.ndarray, X: np.ndarray, P: np.ndarray, rng) -> Outcome:
@@ -594,6 +617,71 @@ def rsol(profile, k: int, rng) -> Outcome:
     return _run(v, X, P, rng)
 
 
+def _rsol_interim(k: int, values, i, bids):
+    """RSOL's exact interim rule, agent i (an int, or an int array aligned
+    with the bids) against the others' values.
+
+    _rsol_halving_sums compares a bid only with prices and thresholds that
+    are 0 or an opponent's value, and its payments do not read the bid. So
+    the rule is constant on each region that u cuts out: u holds 0, the
+    opponents' values and NaN (where every comparison is False), sorted with
+    NaN last, and a bid's region key counts the u below it plus the u at or
+    below it. The kernel runs once per agent on one bid from each region
+    present, with a second copy of a lone region's bid when there are
+    several bids, since numpy adds the halvings of a single column pairwise
+    and of wider arrays one row after another. Each bid then reads its
+    region's answer, bit for bit the kernel's on all the bids."""
+    _require_k(k)
+    v = np.asarray(values, dtype=float)
+    if v.size > RSOL_EXACT_CAP:
+        raise ValueError(f"rsol audits take at most {RSOL_EXACT_CAP} agents")
+    b = np.asarray(bids, dtype=float)
+    agents = np.broadcast_to(i, b.shape)
+    x, pay = np.empty(b.size), np.empty(b.size)
+    for a in np.unique(agents):
+        at = agents == a
+        o, ba = np.delete(v, a), b[at]
+        u = np.sort(np.append(o, (0.0, np.nan)))
+        key = np.searchsorted(u, ba) + np.searchsorted(u, ba, "right")
+        _, first, region = np.unique(key, return_index=True, return_inverse=True)
+        first = np.resize(first, min(ba.size, max(first.size, 2)))
+        rx, rp = _rsol_halving_sums(k, o, ba[first])
+        x[at], pay[at] = rx[region], rp[region]
+    return x, pay
+
+
+def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
+    """RSOL's interim at each bid b against the opponents' values o; the
+    bidder serves with probability 1/2. Every halving of the opponents
+    (numbered and summed in submission order) meets every bid, in chunks of
+    about _CHUNK_CELLS cells: a bid above the price p the kernel learns
+    outside the serving half joins the lottery of the M serving opponents
+    above p. Vickrey stays a closed form, as tiling _vickrey_rule over
+    (halving, bid) rows measured 5-6 times slower at n = 8: against the k-th
+    highest serving opponent t, a bid above t wins, a bid at t shares the
+    seats the a serving opponents above t leave with the c tied at t, and
+    winners pay t."""
+    order = np.argsort(-o, kind="stable")
+    o_desc, halvings = o[order], 1 << o.size
+    per = max(1, _CHUNK_CELLS // max(b.size, o.size, 1))
+    x, pay = np.zeros(b.size), np.zeros(b.size)
+    for h in range(0, halvings, per):
+        serve = _halvings(o.size, h, h + per)[:, order]
+        p = _learned_price(o_desc, ~serve, k)[1][:, None]
+        m = (serve & (o_desc > p)).sum(axis=1, keepdims=True) + 1
+        xl = np.where(b > p, np.minimum(k, m) / m, 0.0)
+        few = serve.sum(axis=1, keepdims=True) < k
+        t = ((serve & (np.cumsum(serve, axis=1) == k)) * o_desc).sum(axis=1, keepdims=True)
+        a = (serve & (o_desc > t)).sum(axis=1, keepdims=True)
+        c = (serve & (o_desc == t)).sum(axis=1, keepdims=True)
+        xv = np.where(few | (b > t), 1.0, np.where(b == t, (k - a) / (c + 1), 0.0))
+        xs, ps = 0.5 * (xl + xv), 0.5 * (xl * p + xv * np.where(few, 0.0, t))
+        # the running sums enter each chunk's first row: chunking keeps the order
+        xs[0], ps[0] = xs[0] + x, ps[0] + pay
+        x, pay = xs.sum(axis=0), ps.sum(axis=0)
+    return x * (0.5 / halvings), pay * (0.5 / halvings)
+
+
 def expected_rsol(profile, k: int, mode: str = "exact",
                   reps: int = 10_000, seed: int = 0) -> MechanismEval:
     """Expected residual surplus of RSOL over halves, coin, and lotteries.
@@ -659,8 +747,11 @@ def _ladder_sizes(n: int, k: int) -> list[int]:
 def _ladder_rule(V: np.ndarray, k: int):
     """Price ladder: a round size L drawn uniformly from the ladder, then
     top-share(L, k), so the top L agents share min(k, L) units at the L+1-st
-    value (0 past the end of the profile)."""
+    value (0 past the end of the profile). No agents, no round: an empty
+    profile's rows are empty."""
     _require_k(k)
+    if not V.shape[1]:
+        return np.zeros(V.shape), np.zeros(V.shape)
     sizes = _ladder_sizes(V.shape[1], k)
     X, P = _top_share_rule(V, np.sort(V, axis=1), sizes, k)
     return X.mean(axis=1), P.mean(axis=1)
@@ -668,9 +759,7 @@ def _ladder_rule(V: np.ndarray, k: int):
 
 def expected_log_price(profile, k: int) -> float:
     """Exact expectation of the price-ladder mechanism (see _ladder_rule)."""
-    _require_k(k)
-    prof = as_profile(profile)
-    return _expected(_ladder_rule, prof, k) if prof.n else 0.0
+    return _expected(_ladder_rule, profile, k)
 
 
 def run_log_price(profile, k: int, rng) -> Outcome:
@@ -780,3 +869,86 @@ def expected_under_prior(name: str, d, n: int, k: int,
     g_left[-1] = g_right[-1]
     integral = 0.5 * float(((g_left + g_right) * np.diff(v)).sum())
     return float(n * (a * left[0] + top * (d.mean - a) - integral))
+
+
+# ---------------------------------------------------------------------------
+# the mechanism table
+
+
+@dataclass(frozen=True)
+class Params:
+    """What an entry may read besides k: prices p >= q, the ironed prior iv."""
+
+    p: float = 0.0
+    q: float = 0.0
+    iv: IronedVirtual | None = None
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """A MECHANISMS entry: the Params fields it reads and its views, each
+    taking the Params as a: its marginal rule (V, k, a) -> (X, P) on profile
+    rows (RSOL's raises), each row's exact value (V, k, a), one profile's
+    (profile, k, a), its audit interim (k, a) -> (values, i, bids) -> (x, p)
+    and edges(a), the bids besides the opponents' where that interim may
+    jump; mc(profile, k, reps, seed) estimates profiles above cap agents."""
+
+    reads: tuple[str, ...]
+    rule: Callable
+    value: Callable
+    one: Callable
+    interim: Callable
+    edges: Callable = lambda a: ()
+    cap: float = math.inf
+    mc: Callable | None = None
+
+
+def _ruled(reads, rule, **views) -> Mechanism:
+    """An entry whose views are its rule's: the row residual, the same for
+    one profile unless given, and the tiled interim."""
+    views.setdefault("one", lambda prof, k, a: _expected(rule, prof, k, a))
+    return Mechanism(reads, rule, lambda V, k, a: _residual(V, *rule(V, k, a)),
+                     interim=lambda k, a: _tiled(lambda V: rule(V, k, a)), **views)
+
+
+def _no_rule(V, k, a):
+    raise ValueError("rsol has no rowwise marginal rule")
+
+
+# name -> entry, in the CLI's order. Each entry calls its kernels by their
+# module-global names, so a kernel replaced in the module is the one it runs.
+MECHANISMS = {
+    # one profile: the factored lottery value, exact on small profiles
+    "plottery": _ruled(("p",), lambda V, k, a: _lottery_rule(V, k, a.p),
+                       one=lambda prof, k, a: expected_p_lottery(prof, k, a.p),
+                       edges=lambda a: (a.p,)),
+    "pqlottery": _ruled(("p", "q"), lambda V, k, a: _pq_rule(V, k, a.p, a.q),
+                        edges=lambda a: (a.q, a.p)),
+    "vickrey": _ruled((), lambda V, k, a: _vickrey_rule(V, k)),
+    # one profile: checked against the prior's support
+    "bayes": _ruled(("iv",), lambda V, k, a: _bayes_rule(a.iv, V, k),
+                    one=lambda prof, k, a: bayes_optimal_outcome(
+                        a.iv, prof, k).residual_surplus,
+                    edges=lambda a: tuple(e for i in a.iv.intervals
+                                          for e in (i.v_lo, i.v_hi))),
+    "rsol": Mechanism((), _no_rule, lambda V, k, a: _rsol_exact(V, k),
+                      lambda prof, k, a: expected_rsol(prof, k).mean,
+                      lambda k, a: functools.partial(_rsol_interim, k),
+                      cap=RSOL_EXACT_CAP, mc=lambda prof, k, reps, seed:
+                      expected_rsol(prof, k, "mc", reps, seed)),
+    "mix": _ruled((), lambda V, k, a: _mix_rule(V, k)),
+    "logprice": _ruled((), lambda V, k, a: _ladder_rule(V, k)),
+}
+# plottery at p = 0, Params' default, as the estimator and identity checks
+# name the free lottery
+ALIASES = {"lottery": "plottery", "plottery0": "plottery"}
+PRIOR_OPTIMAL = "bayes"
+
+
+def unpriced(name: str) -> Mechanism:
+    """The entry of an alias, or of a name whose entry reads no price: what a
+    caller that passes none may take. The table is read at call time."""
+    entry = MECHANISMS.get(ALIASES.get(name, name))
+    if entry is None or name in MECHANISMS and {"p", "q"} & set(entry.reads):
+        raise ValueError(f"unknown mechanism {name!r}")
+    return entry

@@ -21,48 +21,26 @@ from .common import MIN_REPLICATES, VERSION, MechanismEval, mc_eval, substream
 from .distributions import (ValuationProfile, ValueDistribution, as_profile,
                             exponential)
 from .ironing import iron
-from .mechanisms import (_bayes_rule, _ladder_rule, _lottery_rule, _mix_rule,
-                         _residual, _rsol_exact, _vickrey_rule,
-                         expected_log_price, expected_rsol,
-                         expected_under_prior)
+from .mechanisms import (PRIOR_OPTIMAL, Params, expected_log_price,
+                         expected_rsol, expected_under_prior, unpriced)
 
 
 # ---------------------------------------------------------------------------
 # prior-expectation estimator
 
 
-# registry name -> (V, k, d) -> exact expected residual of every sampled
-# profile at once: its marginal rule's row residual, or rsol's doubling pass
-_REGISTRY = {
-    "lottery": lambda V, k, d: _residual(V, *_lottery_rule(V, k, 0.0)),
-    "plottery0": lambda V, k, d: _residual(V, *_lottery_rule(V, k, 0.0)),
-    "vickrey": lambda V, k, d: _residual(V, *_vickrey_rule(V, k)),
-    "bayes": lambda V, k, d: _residual(V, *_bayes_rule(iron(d), V, k)),
-    "mix": lambda V, k, d: _residual(V, *_mix_rule(V, k)),
-    "logprice": lambda V, k, d: _residual(V, *_ladder_rule(V, k)),
-    "rsol": lambda V, k, d: _rsol_exact(V, k),
-}
-
-
-def estimate(mechanism, d: ValueDistribution, n: int, k: int, reps: int,
+def estimate(mechanism: str, d: ValueDistribution, n: int, k: int, reps: int,
              seed: int) -> MechanismEval:
-    """MC mean over profiles from d of each one's exact expected residual,
-    for all profiles at once with a registry name (lottery, vickrey, bayes,
-    mix, rsol, logprice, plottery0), one call per profile with a callable
-    (profile, k) -> expected residual."""
+    """MC mean over reps profiles from d of each one's exact expected
+    residual, its table entry's value on all profiles at once, for a
+    mechanism that reads no price (mechanisms.unpriced)."""
     if reps < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates")
-    name = mechanism if isinstance(mechanism, str) else getattr(
-        mechanism, "__name__", "custom")
-    if isinstance(mechanism, str) and mechanism not in _REGISTRY:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    rng = substream(seed, "estimate", name, n, k)
+    entry = unpriced(mechanism)
+    rng = substream(seed, "estimate", mechanism, n, k)
     V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
-    if isinstance(mechanism, str):
-        samples = _REGISTRY[mechanism](V, k, d)
-    else:
-        samples = np.array([mechanism(ValuationProfile(row), k) for row in V])
-    return mc_eval(samples, seed)
+    a = Params(iv=iron(d) if "iv" in entry.reads else None)
+    return mc_eval(entry.value(V, k, a), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +90,7 @@ def experiment_lb43(reps: int, seed: int) -> dict:
     g = _benchmark_two_exp(np.maximum(V[:, 0], V[:, 1]), lo)
     g_eval = mc_eval(g, seed)
     iv = iron(exponential(1.0))
-    opt = expected_under_prior("bayes", iv.dist, 2, 1, iv)
+    opt = expected_under_prior(PRIOR_OPTIMAL, iv.dist, 2, 1, iv)
     bin_mask = lo < 0.02
     cond_g = float(g[bin_mask].mean())
     v2 = float(lo[bin_mask].mean())

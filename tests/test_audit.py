@@ -5,10 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from burnlab.audit import (_CHUNK_CELLS, DSIC_TOL, DeviationReport,
-                           DominanceReport, InterimRule, _batch_rule,
-                           _rsol_halving_sums, _rsol_interim,
-                           audit_mechanism, audit_profiles,
+from burnlab.audit import (DSIC_TOL, DeviationReport, DominanceReport,
+                           InterimRule, audit_mechanism, audit_profiles,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
@@ -16,10 +14,12 @@ from burnlab.common import substream
 from burnlab.distributions import (ValuationProfile, exponential, pareto,
                                    two_piece, uniform)
 from burnlab.ironing import iron
-from burnlab.mechanisms import (_ladder_sizes, bayes_optimal_outcome,
+from burnlab.mechanisms import (_CHUNK_CELLS, MECHANISMS, Params,
+                                _ladder_sizes, _rsol_halving_sums,
+                                _rsol_interim, bayes_optimal_outcome,
                                 expected_log_price, expected_p_lottery,
                                 expected_pq_lottery, expected_rsol,
-                                mixed_vickrey_lottery, vickrey)
+                                mixed_vickrey_lottery, unpriced, vickrey)
 
 PRIOR_RULES = ("lottery", "vickrey", "bayes")
 
@@ -160,28 +160,50 @@ def test_firstprice_flagged():
     assert not pay.passed and pay.max_error > 0.5
 
 
+def rejects(call):
+    # a ValueError, told apart from the AssertionError a mutant must raise
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+# each table name's one-profile function outside the table
+ONE_PROFILE = {
+    "plottery": lambda prof, k, a: expected_p_lottery(prof, k, a.p),
+    "pqlottery": lambda prof, k, a: expected_pq_lottery(prof, k, a.p, a.q),
+    "vickrey": lambda prof, k, a: vickrey(prof, k).residual_surplus,
+    "bayes": lambda prof, k, a: bayes_optimal_outcome(
+        a.iv, prof, k).residual_surplus,
+    "rsol": lambda prof, k, a: expected_rsol(prof, k).mean,
+    "mix": lambda prof, k, a: mixed_vickrey_lottery(prof, k).mean,
+    "logprice": lambda prof, k, a: expected_log_price(prof, k),
+}
+
+
 def test_interim_totals_match_expectations(iv_bridge):
-    profs = [np.array([3.0, 1.0]), np.array([5.0, 4.0, 3.0, 2.0]),
-             np.array([4.0, 4.0, 2.0])]
-    for prof_vals in profs:
-        from burnlab.distributions import as_profile
-        prof = as_profile(prof_vals)
-        pairs = [
-            (audit_mechanism("vickrey", 2), vickrey(prof, 2).residual_surplus),
-            (audit_mechanism("plottery", 1, p=1.5),
-             expected_p_lottery(prof, 1, 1.5)),
-            (audit_mechanism("pqlottery", 1, p=2.0, q=0.5),
-             expected_pq_lottery(prof, 1, 2.0, 0.5)),
-            (audit_mechanism("rsol", 1), expected_rsol(prof, 1).mean),
-            (audit_mechanism("logprice", 2), expected_log_price(prof, 2)),
-            (audit_mechanism("bayes", 1, iv=iv_bridge),
-             bayes_optimal_outcome(iv_bridge, prof, 1).residual_surplus),
-        ]
-        if prof.n == 2:
-            pairs.append((audit_mechanism("mix"),
-                          mixed_vickrey_lottery(prof).mean))
-        for mech, expect in pairs:
-            assert interim_total(mech, prof) == pytest.approx(expect)
+    # for every table entry, the agents' truthful interim utilities add up
+    # to the row value, to the one-profile value and to the function outside
+    # the table; a profile one rejects (the mixture's), all reject. The
+    # price p = 2 sits on a value, where the lottery's eligibility shows.
+    assert list(ONE_PROFILE) == list(MECHANISMS)
+    a = Params(p=2.0, q=0.5, iv=iv_bridge)
+    for values in ([3.0, 1.0], [5.0, 4.0, 3.0, 2.0], [4.0, 4.0, 2.0]):
+        prof = ValuationProfile(values)
+        for name, entry in MECHANISMS.items():
+            for k in (1, 2):
+                views = [
+                    lambda: interim_total(audit_mechanism(
+                        name, k, p=a.p, q=a.q, iv=a.iv), prof),
+                    lambda: float(entry.value(prof.values[None, :], k, a)[0]),
+                    lambda: entry.one(prof, k, a)]
+                if rejects(lambda: ONE_PROFILE[name](prof, k, a)):
+                    assert all(map(rejects, views)), (name, values, k)
+                    continue
+                want = ONE_PROFILE[name](prof, k, a)
+                for view in views:
+                    assert view() == pytest.approx(want), (name, values, k)
 
 
 def test_audit_mechanism_validation(iv_uniform):
@@ -426,7 +448,7 @@ def dominance_two_lookups(d, rule, reps, seed, k, n, iv):
     slack = 1e-3 * min(k, n) * (1.0 + d.mean)
     V = np.asarray(d.quantile(substream(seed, "dominance", rule, n, k)
                               .random((reps, n))), dtype=float)
-    X, _ = _batch_rule(rule, d, V, k, iv)
+    X, _ = unpriced(rule).rule(V, k, Params(iv=iv))
     cell_slopes = np.diff(iv.H) / np.diff(iv.q)
     theta = cell_slopes.take(iv._cell(V), mode="clip")
     diff = ((np.asarray(iv.value(V), dtype=float) - theta) * X).sum(axis=1)
@@ -470,8 +492,12 @@ def test_mismatched_iv_rejected(iv_uniform, iv_exp):
 
 
 def test_batch_rule_validation():
-    with pytest.raises(ValueError):
-        verify_utility_identity(uniform(0.0, 1.0), "nosuch", 1, 2, 1000, 0)
+    # rsol has no rowwise rule, and the checks pass no price
+    for name in ("nosuch", "rsol", "plottery", "pqlottery"):
+        with pytest.raises(ValueError):
+            verify_utility_identity(uniform(0.0, 1.0), name, 1, 2, 1000, 0)
+        with pytest.raises(ValueError):
+            verify_ironing_dominance(uniform(0.0, 1.0), name, 1000, 0)
 
 
 # ---------------------------------------------------------------------------

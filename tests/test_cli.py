@@ -1,3 +1,4 @@
+import argparse
 import csv
 import re
 import warnings
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from burnlab.audit import audit_mechanism, check_dsic
-from burnlab.cli import main
+from burnlab.cli import build_parser, main
 from burnlab.common import VERSION, substream
 from burnlab.distributions import distribution_from_spec, sample_profile
+from burnlab.mechanisms import MECHANISMS
 
 
 def write_profile(tmp_path, values, name="profile.txt"):
@@ -163,6 +165,46 @@ def test_eval_unread_flag_exit_two(tmp_path, capsys, mech, flags, flag):
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith(f"burnlab: error: --{flag}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mech, flags, flag", [
+    ("vickrey", ["--p", "2.5", "--q", "9"], "p"),
+    ("plottery", ["--p", "1", "--q", "0.5"], "q"),
+    ("bayes", ["--p", "0.5"], "p"),
+    ("rsol", ["--q", "0.3"], "q"),
+    ("mix", ["--p", "0"], "p"),
+    ("logprice", ["--q", "0"], "q"),
+    ("firstprice", ["--p", "1"], "p"),
+], ids=["vickrey-p", "plottery-q", "bayes-p", "rsol-q", "mix-p", "logprice-q",
+        "firstprice-p"])
+def test_audit_unread_flag_exit_two(capsys, mech, flags, flag):
+    # such flags once only stretched the bid grid, and the audit exited 0
+    rc = main(["audit", "--mech", mech, "--dist", "uniform(0,1)", "--n", "2",
+               "--profiles", "1", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"burnlab: error: --{flag}: audit --mech {mech} "
+                            "does not read it\n")
+
+
+def test_audit_prices_default_to_zero(capsys):
+    argv = ["audit", "--mech", "pqlottery", "--dist", "uniform(0,1)", "--n", "3",
+            "--profiles", "2"]
+    rc, out = run_stdout(capsys, argv)
+    assert rc == 0 and out.count("\n") == 5
+    assert run_stdout(capsys, [*argv, "--p", "0", "--q", "0"]) == (rc, out)
+
+
+def mech_choices(command):
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return next(action.choices for action in sub.choices[command]._actions
+                if action.dest == "mech")
+
+
+def test_mech_choices_are_the_table():
+    assert list(mech_choices("eval")) == list(MECHANISMS)
+    assert list(mech_choices("audit")) == [*MECHANISMS, "firstprice"]
 
 
 # ---------------------------------------------------------------------------

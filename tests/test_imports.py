@@ -1,7 +1,9 @@
 """Every package module uses each name it imports, every module-level
-private name is used somewhere in the package, and no module exits with a
+private name is used somewhere in the package, no module exits with a
 message through SystemExit (bad input is a ValueError that the CLI turns into
-one `burnlab: error:` line and exit status 2).
+one `burnlab: error:` line and exit status 2), and mechanism names are
+spelled only in the mechanism table's module (and the audit control's name
+in audit.py), so no other module dispatches on one.
 
 __init__.py is exempt from the import check: its imports are the package's
 public re-exports.
@@ -9,6 +11,9 @@ public re-exports.
 
 import ast
 import pathlib
+
+from burnlab.audit import CONTROLS
+from burnlab.mechanisms import ALIASES, MECHANISMS
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "burnlab"
 
@@ -99,3 +104,44 @@ def test_no_message_exits():
     found = {p.name: message_exits(ast.parse(p.read_text(), filename=str(p)))
              for p in modules}
     assert not any(found.values()), {m: n for m, n in found.items() if n}
+
+
+def name_constants(tree: ast.Module, names) -> list[tuple[int, str]]:
+    """(line, name) of each string constant equal to one of names, except
+    the identifiers in __all__ (such as the functions rsol and vickrey) and
+    the column names of experiment rows: the keys of a dict display that
+    also has the key "experiment" (rsol-ratio's rsol, thmub's logprice)."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            skip.update(id(c) for c in ast.walk(node.value))
+        elif isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "experiment"
+                for key in node.keys):
+            skip.update(id(key) for key in node.keys)
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in names and id(node) not in skip]
+
+
+def test_name_constants_detector():
+    source = ('table = {"vickrey": 1}\n'
+              'run("rsol")\n'
+              'row = {"experiment": "thmub", "logprice": 1.0}\n'
+              '__all__ = ["rsol"]\n'
+              'tag = "vickrey-ish"\n')
+    assert name_constants(ast.parse(source), {"vickrey", "rsol", "logprice"}) == [
+        (1, "vickrey"), (2, "rsol")]
+
+
+def test_mechanism_names_only_in_the_table():
+    names = {*MECHANISMS, *ALIASES, *CONTROLS}
+    allowed = {"mechanisms.py": names, "audit.py": set(CONTROLS)}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: [c for c in name_constants(
+                 ast.parse(p.read_text(), filename=str(p)), names)
+                      if c[1] not in allowed.get(p.name, ())]
+             for p in modules}
+    assert not any(found.values()), {m: c for m, c in found.items() if c}

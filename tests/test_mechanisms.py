@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from burnlab.audit import _rsol_interim
 from burnlab.common import Z99, substream
 from burnlab.distributions import (ValuationProfile, exponential, pareto,
                                    piecewise_inverse_hazard, two_piece,
@@ -14,7 +13,8 @@ from burnlab.distributions import (ValuationProfile, exponential, pareto,
 from burnlab.ironing import iron
 from burnlab.mechanisms import (CostOutcome, CostProblem, _bayes_rule,
                                 _halvings, _ladder_rule, _ladder_sizes,
-                                _learned_price, _rsol_exact, _rsol_values,
+                                _learned_price, _rsol_exact, _rsol_interim,
+                                _rsol_values,
                                 _segment_anchors, _two_price, _vickrey_rule,
                                 bayes_optimal_outcome,
                                 bayes_optimal_with_costs, expected_log_price,

@@ -9,6 +9,7 @@ test spends most of its time shrinking.
 """
 
 import __future__
+import ast
 import functools
 import inspect
 import sys
@@ -17,6 +18,7 @@ import textwrap
 import pytest
 import test_audit
 import test_benchmark
+import test_cli
 import test_ironing
 import test_mechanisms
 import test_simlab
@@ -51,23 +53,23 @@ MUTANTS = {
         "_residual(V_desc, *_vickrey_rule(V_desc, k))",
         [test_mechanisms.test_rsol_exact_matches_enumeration]),
     "interim-vickrey-share": (
-        audit, "_rsol_halving_sums", "(k - a) / (c + 1)", "(k - a) / (c + 2)",
+        mechanisms, "_rsol_halving_sums", "(k - a) / (c + 1)", "(k - a) / (c + 2)",
         [test_audit.test_rsol_interim_matches_halving_oracle]),
     "interim-lottery-count-plus-two": (
-        audit, "_rsol_halving_sums", "keepdims=True) + 1", "keepdims=True) + 2",
+        mechanisms, "_rsol_halving_sums", "keepdims=True) + 1", "keepdims=True) + 2",
         [test_audit.test_rsol_interim_matches_halving_oracle]),
     # a bid exactly at a value takes the answer of the gap below it
     "interim-region-key-no-equality": (
-        audit, "_rsol_interim",
+        mechanisms, "_rsol_interim",
         'np.searchsorted(u, ba) + np.searchsorted(u, ba, "right")',
         "2 * np.searchsorted(u, ba)", [test_audit.test_rsol_region_interim_is_bitwise]),
     # a NaN bid, where every comparison is False, shares the top region
     "interim-nan-joins-top-region": (
-        audit, "_rsol_interim", "(0.0, np.nan)", "0.0",
+        mechanisms, "_rsol_interim", "(0.0, np.nan)", "0.0",
         [test_audit.test_rsol_region_interim_is_bitwise]),
     # numpy adds a single column's halvings pairwise, not in order
     "interim-lone-region-one-column": (
-        audit, "_rsol_interim", "max(first.size, 2)", "first.size",
+        mechanisms, "_rsol_interim", "max(first.size, 2)", "first.size",
         [test_audit.test_rsol_region_interim_is_bitwise]),
     "dsic-scan-one-agent-off": (
         audit, "check_dsic", "zip(scans, np.cumsum(sizes))",
@@ -161,7 +163,7 @@ MUTANTS = {
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
     "interim-chunk-sums-dropped": (
-        audit, "_rsol_halving_sums", "xs[0] + x,", "xs[0],",
+        mechanisms, "_rsol_halving_sums", "xs[0] + x,", "xs[0],",
         [test_audit.test_rsol_interim_chunking_invariant]),
     "probe-limit-rounds-up": (
         audit, "balanced_sampling_probe", "3 * i // 4", "(3 * i + 3) // 4",
@@ -170,20 +172,54 @@ MUTANTS = {
     "probe-no-first-copy": (
         audit, "balanced_sampling_probe", "u[0] = w[0]", "pass",
         [test_audit.test_probe_matches_in_place_loop]),
+    # the table's rows: the lottery with the aliases' and the audits' view of
+    # it strict at its price, where an agent valued exactly at p drops out
+    "table-lottery-strict": (
+        mechanisms, "MECHANISMS", "_lottery_rule(V, k, a.p)",
+        "_lottery_rule(V, k, a.p, strict=True)",
+        [test_audit.test_interim_totals_match_expectations]),
+    "table-bayes-edges-drop-v-hi": (
+        mechanisms, "MECHANISMS", "for e in (i.v_lo, i.v_hi)", "for e in (i.v_lo,)",
+        [test_audit.test_bayes_interim_steps_at_interval_edges]),
+    # off the bid grid, the two-price lottery's jump at p breaks the identity
+    "table-pq-edges-drop-p": (
+        mechanisms, "MECHANISMS", "edges=lambda a: (a.q, a.p)",
+        "edges=lambda a: (a.q,)",
+        [test_audit.test_adapters_truthful_on_random_corpus]),
+    # eval would take --p for the prior-optimal mechanism and ignore it
+    "table-bayes-reads-p": (
+        mechanisms, "MECHANISMS", '_ruled(("iv",),', '_ruled(("iv", "p"),',
+        [functools.partial(test_cli.test_eval_unread_flag_exit_two, mech="bayes",
+                           flags=["--dist", "exp(1)", "--p", "0"], flag="p")]),
+    "unpriced-takes-priced-entries": (
+        mechanisms, "unpriced", 'name in MECHANISMS and {"p", "q"} & set(entry.reads)',
+        "False",
+        [test_simlab.test_estimate_closed_forms]),
 }
 
 
+def source_of(module, name, original):
+    """The source of a function, or of the module-level assignment that
+    builds a table such as MECHANISMS."""
+    if callable(original):
+        return inspect.getsource(original)
+    text = inspect.getsource(module)
+    return next(ast.get_source_segment(text, node) for node in ast.parse(text).body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
+
+
 def plant(monkeypatch, module, name, snippet, replacement):
-    """Compile the function with snippet replaced and put it in the place of
-    the original wherever the package or the tests hold it by name. A dotted
-    name is a method, replaced on its class."""
+    """Compile the function or table with snippet replaced and put it in the
+    place of the original wherever the package or the tests hold it by name.
+    A dotted name is a method, replaced on its class."""
     *owners, name = name.split(".")
     owner = functools.reduce(getattr, owners, module)
     original = getattr(owner, name)
-    source = textwrap.dedent(inspect.getsource(original))
+    source = textwrap.dedent(source_of(module, name, original))
     assert source.count(snippet) == 1, f"{snippet!r} must occur once in {name}"
     namespace = dict(vars(module))
-    exec(compile(source.replace(snippet, replacement), inspect.getsourcefile(original),
+    exec(compile(source.replace(snippet, replacement), inspect.getsourcefile(module),
                  "exec", flags=__future__.annotations.compiler_flag,
                  dont_inherit=True), namespace)
     if owners:
@@ -208,9 +244,11 @@ def only_assertions(err):
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_mutant_is_caught(monkeypatch, request, mutant):
     module, name, snippet, replacement, checks = MUTANTS[mutant]
-    # a check's remaining parameters are fixtures, fetched before planting
+    # a check's remaining parameters without a value are fixtures, fetched
+    # before planting
     fixtures = [{arg: request.getfixturevalue(arg)
-                 for arg in inspect.signature(check).parameters}
+                 for arg, param in inspect.signature(check).parameters.items()
+                 if param.default is param.empty}
                 for check in checks]
     plant(monkeypatch, module, name, snippet, replacement)
     for check, kwargs in zip(checks, fixtures):

@@ -8,14 +8,13 @@ import sys
 
 import numpy as np
 import pytest
-from test_audit import ladder_oracle
+from test_audit import ladder_oracle, rejects
 from test_mechanisms import grid_tol
 
-from burnlab.benchmark import full_surplus
 from burnlab.common import VERSION, Z99, mc_eval, substream
 from burnlab.distributions import exponential, uniform
 from burnlab.ironing import DEFAULT_GRID, iron
-from burnlab.mechanisms import _bayes_rule, _residual
+from burnlab.mechanisms import ALIASES, MECHANISMS, _bayes_rule, _residual
 from burnlab.simlab import (EXPERIMENT_NAMES, ExperimentConfig, estimate,
                             experiment_lb43, experiment_rsol_ratio,
                             experiment_surplus_gap, experiment_thmub,
@@ -27,20 +26,38 @@ from burnlab.simlab import (EXPERIMENT_NAMES, ExperimentConfig, estimate,
 # prior-expectation estimator
 
 
+exp1, unif = exponential(1.0), uniform(0.0, 1.0)
+# (prior, n, k, reps, exact mean) for each name the estimator takes
+ESTIMATE_CLOSED_FORMS = {
+    # the free lottery sells min(k, n) units at the prior mean
+    "lottery": [(exp1, 3, 3, 20000, 3.0), (unif, 2, 1, 20000, 0.5)],
+    "plottery0": [(exp1, 4, 2, 500, 2.0)],
+    # exp(1)'s inverse hazard rate is 1, so Vickrey and Bayes (which irons
+    # nothing there) earn the k units they sell
+    "vickrey": [(exp1, 2, 1, 20000, 1.0)],
+    "bayes": [(exp1, 2, 1, 20000, 1.0)],
+    # 2/3 of E[max] = 3/2
+    "mix": [(exp1, 2, 1, 20000, 1.0)],
+    # rungs L = 1 and 2: E[v1 - v2] = 1 and E[(v1 + v2)/2] = 1
+    "logprice": [(exp1, 2, 1, 20000, 1.0)],
+    # of the four halvings, both agents in the pool earn 0; one serving
+    # alone learns price 0 and earns its value, 1 on average; both serving
+    # earn (v1 + v2)/2 or v1 - v2 by the coin, also 1 on average
+    "rsol": [(exp1, 2, 1, 20000, 0.75)],
+}
+
+
 def test_estimate_closed_forms():
-    ev = estimate("lottery", exponential(1.0), 3, 3, 20000, 1)
-    assert ev.mode == "mc" and ev.replicates == 20000
-    assert ev.mean == pytest.approx(3.0, abs=2 * ev.ci_halfwidth)
-    ev = estimate("lottery", uniform(0.0, 1.0), 2, 1, 20000, 1)
-    assert ev.mean == pytest.approx(0.5, abs=2 * ev.ci_halfwidth)
-    ev = estimate("vickrey", exponential(1.0), 2, 1, 20000, 1)
-    assert ev.mean == pytest.approx(1.0, abs=2 * ev.ci_halfwidth)
-    ev = estimate("mix", exponential(1.0), 2, 1, 20000, 1)
-    assert ev.mean == pytest.approx(1.0, abs=2 * ev.ci_halfwidth)
-    ev = estimate("bayes", exponential(1.0), 2, 1, 20000, 1)
-    assert ev.mean == pytest.approx(1.0, abs=2 * ev.ci_halfwidth)
-    ev = estimate("plottery0", exponential(1.0), 4, 2, 500, 1)
-    assert ev.mean == pytest.approx(2.0, abs=2 * ev.ci_halfwidth)
+    # every table name and alias: one that reads a price is not the
+    # estimator's, and each other meets a closed form
+    for name in dict.fromkeys([*MECHANISMS, *ALIASES]):
+        if name in MECHANISMS and {"p", "q"} & set(MECHANISMS[name].reads):
+            assert rejects(lambda: estimate(name, exp1, 2, 1, 100, 1)), name
+            continue
+        for d, n, k, reps, want in ESTIMATE_CLOSED_FORMS[name]:
+            ev = estimate(name, d, n, k, reps, 1)
+            assert ev.mode == "mc" and ev.replicates == reps
+            assert ev.mean == pytest.approx(want, abs=2 * ev.ci_halfwidth), name
 
 
 def test_estimate_logprice_is_ladder_rule():
@@ -52,12 +69,6 @@ def test_estimate_logprice_is_ladder_rule():
         V = d.quantile(substream(4, "estimate", "logprice", n, k).random((300, n)))
         ref = sum(ladder_oracle(row.tolist(), k) for row in V) / len(V)
         assert ev.mean == pytest.approx(ref, rel=1e-12), (n, k)
-
-
-def test_estimate_callable_mechanism():
-    ev = estimate(lambda prof, k: full_surplus(prof, k), exponential(1.0),
-                  2, 1, 5000, 1)
-    assert ev.mean == pytest.approx(1.5, abs=2 * ev.ci_halfwidth)
 
 
 def test_estimate_deterministic():

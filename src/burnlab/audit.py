@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .common import MechanismEval, mc_eval, substream
+from .common import MechanismEval, mc_blocks, mc_eval, substream
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
 from .ironing import IronedVirtual, check_ironed_for, iron
@@ -243,24 +243,31 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
     utility, contributing a * x_i(a) per agent; that term is added to the
     virtual side (the rules here are constant in the bid below a, so
     evaluating at the support bottom is exact).
+
+    The draws, reruns included, run on blocks of at most 2^13 values
+    (common.mc_blocks), whose float temporaries fit under glibc's mmap
+    threshold; the report is that of one (reps, n) draw.
     """
     check_ironed_for(d, iv)
     entry = unpriced(mechanism)
     a = Params(iv=iron(d) if iv is None and "iv" in entry.reads else iv)
-    rng = substream(seed, "utility-identity", mechanism, n, k)
-    V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
-    X, P = entry.rule(V, k, a)
-    theta = np.asarray(virtual_value_utility(d, V), dtype=float)
-    virtual_samples = (theta * X).sum(axis=1)
     bottom = d.support[0]
-    if bottom > 0.0:
-        for i in range(n):
-            W = V.copy()
-            W[:, i] = bottom
-            Xa, _ = entry.rule(W, k, a)
-            virtual_samples = virtual_samples + bottom * Xa[:, i]
-    utility = mc_eval(_residual(V, X, P), seed)
-    virtual = mc_eval(virtual_samples, seed)
+
+    def sides(V):
+        X, P = entry.rule(V, k, a)
+        theta = np.asarray(virtual_value_utility(d, V), dtype=float)
+        virtual = (theta * X).sum(axis=1)
+        if bottom > 0.0:
+            for i in range(n):
+                W = V.copy()
+                W[:, i] = bottom
+                Xa, _ = entry.rule(W, k, a)
+                virtual = virtual + bottom * Xa[:, i]
+        return _residual(V, X, P), virtual
+
+    rng = substream(seed, "utility-identity", mechanism, n, k)
+    samples = mc_blocks(d, rng, reps, n, sides)
+    utility, virtual = (mc_eval(s, seed) for s in samples)
     return IdentityReport(utility, virtual, _overlap(utility, virtual))
 
 
@@ -289,9 +296,8 @@ def _cell_virtual(iv: IronedVirtual, cell: np.ndarray) -> np.ndarray:
     dominance comparison is free of quadrature bias: with no ironing the
     hull keeps every node and the two sides agree exactly.
     """
-    slopes = np.diff(iv.H) / np.diff(iv.q)
-    # slopes has one entry per cell but the top one: clip sends it down
-    return slopes.take(cell, mode="clip")
+    # one slope per cell but the top one: clip sends it down
+    return iv.cell_slopes.take(cell, mode="clip")
 
 
 def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
@@ -302,17 +308,27 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
 
     Both sides are evaluated on the ironing grid's cell averages; see
     _cell_virtual for why. Each value's cell is looked up once for both.
+    The draws run on blocks of at most 2^13 values (common.mc_blocks),
+    whose float temporaries fit under glibc's mmap threshold; the report is
+    that of one (reps, n) draw. reps below MIN_REPLICATES and a negative or
+    non-finite slack are rejected.
     """
     check_ironed_for(d, iv)
     entry = unpriced(monotone_rule)
+    slack = float(1e-3 * min(k, n) * (1.0 + d.mean) if slack is None else slack)
+    if not 0.0 <= slack < math.inf:
+        raise ValueError(f"slack must be finite and nonnegative, got {slack}")
     if iv is None:
         iv = iron(d)
-    slack = float(1e-3 * min(k, n) * (1.0 + d.mean) if slack is None else slack)
+    a = Params(iv=iv)
+
+    def gain(V):
+        X, _ = entry.rule(V, k, a)
+        cell = iv._cell(V)
+        return ((iv.phibar[cell] - _cell_virtual(iv, cell)) * X).sum(axis=1),
+
     rng = substream(seed, "dominance", monotone_rule, n, k)
-    V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
-    X, _ = entry.rule(V, k, Params(iv=iv))
-    cell = iv._cell(V)
-    diff = ((iv.phibar[cell] - _cell_virtual(iv, cell)) * X).sum(axis=1)
+    diff, = mc_blocks(d, rng, reps, n, gain)
     mean = float(diff.mean())
     se = float(diff.std(ddof=1)) / math.sqrt(diff.size)
     band = 3.0 * se + slack

@@ -15,6 +15,12 @@ Z99 = 2.58
 # Minimum replicate count for any Monte Carlo estimate.
 MIN_REPLICATES = 30
 
+# cells per block of the row-wise Monte Carlo and of RSOL's exact pass and
+# audit interim: each float temporary of a block is then 64 KiB, below
+# glibc's default mmap threshold (128 KiB), so it reuses freed heap memory
+# instead of faulting in fresh pages, and it stays in cache
+_PASS_CELLS = 1 << 13
+
 
 def substream(seed: int, *keys) -> np.random.Generator:
     """Deterministic child generator for (seed, keys).
@@ -54,6 +60,32 @@ class MechanismEval:
     @property
     def ci(self) -> tuple[float, float]:
         return (self.mean - self.ci_halfwidth, self.mean + self.ci_halfwidth)
+
+
+def mc_blocks(d, rng, reps: int, n: int, body) -> tuple[np.ndarray, ...]:
+    """Per-row outputs of body on reps profiles of n values drawn i.i.d. from
+    d, block by block.
+
+    Each block draws its uniforms with rng.random((rows, n)) and hands body
+    their quantiles under d, a (rows, n) float array; body returns a tuple
+    of arrays with one entry per row, and each is concatenated over the
+    blocks into a reps-long array. reps below MIN_REPLICATES is rejected.
+
+    A block holds at most _PASS_CELLS = 2^13 cells (one row when n alone is
+    more), so its float temporaries are 64 KiB: under glibc's default mmap
+    threshold of 128 KiB they reuse freed heap memory and stay in cache,
+    where (reps, n) arrays of a megabyte or more are mapped afresh and
+    page-faulted in on every call. Blockwise draws concatenate to the one
+    draw rng.random((reps, n)) and rows are independent, so the outputs are
+    those of body on all reps rows at once, bit for bit.
+    """
+    if reps < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {reps}")
+    rows = max(1, _PASS_CELLS // max(n, 1))
+    blocks = [body(np.asarray(d.quantile(rng.random((min(rows, reps - r), n))),
+                              dtype=float))
+              for r in range(0, reps, rows)]
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 def mc_eval(samples: np.ndarray, seed: int | None) -> MechanismEval:

@@ -113,6 +113,33 @@ class IronedVirtual:
         flag.flags.writeable = False
         return flag
 
+    @cached_property
+    def segment_anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Price anchors (lo, hi) of each hull segment, NaN on unbridged ones.
+
+        A bridged segment anchors payments at its value-space endpoints, with
+        lo forced to 0 when the bridge starts at the bottom of the grid (there
+        is no losing bid region, so the identity integrates from 0). The
+        prior-optimal rule runs Vickrey on the rows whose marginal agent sits
+        on an unbridged segment.
+        """
+        lo = np.full(self.slopes.size, np.nan)
+        hi = np.full(self.slopes.size, np.nan)
+        hull_q = self.q[self.hull_idx]
+        for interval in self.intervals:
+            j = int(np.searchsorted(hull_q, interval.q_lo))
+            lo[j] = 0.0 if interval.at_bottom else interval.v_lo
+            hi[j] = interval.v_hi
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
+
+    @cached_property
+    def cell_slopes(self) -> np.ndarray:
+        """Slope of H across each grid cell: theta averaged over the cell."""
+        slopes = np.diff(self.H) / np.diff(self.q)
+        slopes.flags.writeable = False
+        return slopes
+
     def _cell(self, v) -> np.ndarray:
         """Grid cell of each value, searchsorted(q, qv, "right") - 1 for qv its
         cdf clipped to the grid (a NaN to the top, where searchsorted puts it),

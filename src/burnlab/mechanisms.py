@@ -46,17 +46,13 @@ from typing import Callable
 
 import numpy as np
 
-from .common import MIN_REPLICATES, MechanismEval, mc_eval, substream
+from .common import (_PASS_CELLS, MIN_REPLICATES, MechanismEval, mc_eval,
+                     substream)
 from .distributions import as_profile
 from .ironing import IronedVirtual, check_ironed_for, iron
 
 COST_AGENT_CAP = 20
 RSOL_EXACT_CAP = 20
-# cells per block of RSOL's exact doubling pass: bounds its memory and keeps
-# each of its float arrays at 64 KiB, below glibc's default mmap threshold
-_PASS_CELLS = 1 << 13
-# cells per chunk of the RSOL interim's halvings; bounds its scratch memory
-_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -315,26 +311,6 @@ def vickrey(profile, k: int, rng=None) -> Outcome:
 # prior-dependent optimal mechanism
 
 
-def _segment_anchors(iv: IronedVirtual):
-    """Per-hull-segment price anchors (lo, hi) and an is-bridged flag.
-
-    Bridged segments anchor payments at their value-space endpoints, with lo
-    forced to 0 when the bridge starts at the bottom of the grid (there is no
-    losing bid region, so the identity integrates from 0). Unbridged segments
-    get NaN; _bayes_rule runs Vickrey on the rows whose marginal agent sits
-    on one.
-    """
-    nseg = iv.slopes.size
-    lo = np.full(nseg, np.nan)
-    hi = np.full(nseg, np.nan)
-    hull_q = iv.q[iv.hull_idx]
-    for interval in iv.intervals:
-        j = int(np.searchsorted(hull_q, interval.q_lo))
-        lo[j] = 0.0 if interval.at_bottom else interval.v_lo
-        hi[j] = interval.v_hi
-    return lo, hi
-
-
 def _bayes_rule(iv: IronedVirtual, V: np.ndarray, k: int):
     """Marginal allocation and payments of the optimal mechanism, rowwise.
 
@@ -354,25 +330,24 @@ def _bayes_rule(iv: IronedVirtual, V: np.ndarray, k: int):
         return _vickrey_rule(V, k)
     V_asc = np.sort(V, axis=1)
     seg = iv.segment_of(V_asc[:, n - k - 1])
-    lo_seg, hi_seg = _segment_anchors(iv)
-    bridged = ~np.isnan(lo_seg[seg])
+    bridged = ~np.isnan(iv.segment_anchors[0][seg])
     if not bridged.any():
         return _vickrey_rule(V, k, V_asc)
     if bridged.all():
-        return _bridged_rows(iv, V, k, seg, lo_seg, hi_seg)
+        return _bridged_rows(iv, V, k, seg)
     # each branch runs on its own rows only: rows are independent
     X, P = np.empty(V.shape), np.empty(V.shape)
     b, u = np.flatnonzero(bridged), np.flatnonzero(~bridged)
     X[u], P[u] = _vickrey_rule(V[u], k, V_asc[u])
-    X[b], P[b] = _bridged_rows(iv, V[b], k, seg[b], lo_seg, hi_seg)
+    X[b], P[b] = _bridged_rows(iv, V[b], k, seg[b])
     return X, P
 
 
-def _bridged_rows(iv: IronedVirtual, V: np.ndarray, k: int, seg, lo_seg, hi_seg):
+def _bridged_rows(iv: IronedVirtual, V: np.ndarray, k: int, seg):
     """_bayes_rule's rows whose k+1-st value sits on bridged hull segment seg
     (one per row): _two_price at the segment's anchors on the ironed levels."""
     c = iv.slopes[seg][:, None]
-    lo, hi = lo_seg[seg][:, None], hi_seg[seg][:, None]
+    lo, hi = (anchor[seg][:, None] for anchor in iv.segment_anchors)
     levels = iv.value(V)
     return _two_price(levels > c, levels == c, k, lo, hi)
 
@@ -654,7 +629,7 @@ def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
     """RSOL's interim at each bid b against the opponents' values o; the
     bidder serves with probability 1/2. Every halving of the opponents
     (numbered and summed in submission order) meets every bid, in chunks of
-    about _CHUNK_CELLS cells: a bid above the price p the kernel learns
+    about _PASS_CELLS cells: a bid above the price p the kernel learns
     outside the serving half joins the lottery of the M serving opponents
     above p. Vickrey stays a closed form, as tiling _vickrey_rule over
     (halving, bid) rows measured 5-6 times slower at n = 8: against the k-th
@@ -663,7 +638,7 @@ def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
     winners pay t."""
     order = np.argsort(-o, kind="stable")
     o_desc, halvings = o[order], 1 << o.size
-    per = max(1, _CHUNK_CELLS // max(b.size, o.size, 1))
+    per = max(1, _PASS_CELLS // max(b.size, o.size, 1))
     x, pay = np.zeros(b.size), np.zeros(b.size)
     for h in range(0, halvings, per):
         serve = _halvings(o.size, h, h + per)[:, order]

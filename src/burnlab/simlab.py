@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmark import full_surplus, two_price_benchmark
-from .common import MIN_REPLICATES, VERSION, MechanismEval, mc_eval, substream
+from .common import VERSION, MechanismEval, mc_blocks, mc_eval, substream
 from .distributions import (ValuationProfile, ValueDistribution, as_profile,
                             exponential)
 from .ironing import iron
@@ -31,16 +31,16 @@ from .mechanisms import (PRIOR_OPTIMAL, Params, expected_log_price,
 
 def estimate(mechanism: str, d: ValueDistribution, n: int, k: int, reps: int,
              seed: int) -> MechanismEval:
-    """MC mean over reps profiles from d of each one's exact expected
-    residual, its table entry's value on all profiles at once, for a
-    mechanism that reads no price (mechanisms.unpriced)."""
-    if reps < MIN_REPLICATES:
-        raise ValueError(f"need at least {MIN_REPLICATES} replicates")
+    """MC mean over reps >= MIN_REPLICATES profiles from d of each one's
+    exact expected residual, for a mechanism that reads no price
+    (mechanisms.unpriced). Its table entry's value runs on blocks of at most
+    2^13 values (common.mc_blocks), whose float temporaries fit under
+    glibc's mmap threshold; the mean is that of one (reps, n) draw."""
     entry = unpriced(mechanism)
     rng = substream(seed, "estimate", mechanism, n, k)
-    V = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
     a = Params(iv=iron(d) if "iv" in entry.reads else None)
-    return mc_eval(entry.value(V, k, a), seed)
+    values, = mc_blocks(d, rng, reps, n, lambda V: (entry.value(V, k, a),))
+    return mc_eval(values, seed)
 
 
 # ---------------------------------------------------------------------------

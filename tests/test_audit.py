@@ -5,21 +5,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from burnlab import common
 from burnlab.audit import (DSIC_TOL, DeviationReport, DominanceReport,
-                           InterimRule, audit_mechanism, audit_profiles,
+                           IdentityReport, InterimRule, _overlap,
+                           audit_mechanism, audit_profiles,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
-from burnlab.common import substream
+from burnlab.common import _PASS_CELLS, mc_eval, substream
 from burnlab.distributions import (ValuationProfile, exponential, pareto,
-                                   two_piece, uniform)
+                                   two_piece, uniform, virtual_value_utility)
 from burnlab.ironing import iron
-from burnlab.mechanisms import (_CHUNK_CELLS, MECHANISMS, Params,
-                                _ladder_sizes, _rsol_halving_sums,
-                                _rsol_interim, bayes_optimal_outcome,
-                                expected_log_price, expected_p_lottery,
-                                expected_pq_lottery, expected_rsol,
-                                mixed_vickrey_lottery, unpriced, vickrey)
+from burnlab.mechanisms import (ALIASES, MECHANISMS, Params, _ladder_sizes,
+                                _residual, _rsol_halving_sums, _rsol_interim,
+                                bayes_optimal_outcome, expected_log_price,
+                                expected_p_lottery, expected_pq_lottery,
+                                expected_rsol, mixed_vickrey_lottery, unpriced,
+                                vickrey)
+from burnlab.simlab import estimate
 
 PRIOR_RULES = ("lottery", "vickrey", "bayes")
 
@@ -341,7 +344,7 @@ def test_rsol_interim_chunking_invariant():
     bids = np.unique(np.concatenate((np.linspace(0.0, 2.5, 3000), values)))
     few = np.unique(values)
     # 2^9 halvings: several chunks at 3,000 bids, one at a handful
-    assert (1 << o.size) * few.size <= _CHUNK_CELLS < (1 << o.size) * bids.size
+    assert (1 << o.size) * few.size <= _PASS_CELLS < (1 << o.size) * bids.size
     x, pay = _rsol_halving_sums(2, o, bids)
     pick = np.searchsorted(bids, few)
     x_few, pay_few = _rsol_halving_sums(2, o, few)
@@ -472,6 +475,109 @@ def test_dominance_matches_two_lookups(iv_uniform, iv_exp, iv_pareto,
                 types = [type(getattr(dom, f))
                          for f in DominanceReport.__dataclass_fields__]
                 assert types == [float] * 3 + [bool] * 3, dom
+
+
+def identity_one_array(d, rule, k, n, reps, seed, iv):
+    # the report from one (reps, n) draw and one rule call on all of it
+    a = Params(iv=iv)
+    entry = unpriced(rule)
+    V = np.asarray(d.quantile(substream(seed, "utility-identity", rule, n, k)
+                              .random((reps, n))), dtype=float)
+    X, P = entry.rule(V, k, a)
+    theta = np.asarray(virtual_value_utility(d, V), dtype=float)
+    virtual_samples = (theta * X).sum(axis=1)
+    bottom = d.support[0]
+    if bottom > 0.0:
+        for i in range(n):
+            W = V.copy()
+            W[:, i] = bottom
+            Xa, _ = entry.rule(W, k, a)
+            virtual_samples = virtual_samples + bottom * Xa[:, i]
+    utility = mc_eval(_residual(V, X, P), seed)
+    virtual = mc_eval(virtual_samples, seed)
+    return IdentityReport(utility, virtual, _overlap(utility, virtual))
+
+
+def estimate_one_array(name, d, n, k, reps, seed):
+    # the estimate from one (reps, n) draw and one value call on all of it
+    entry = unpriced(name)
+    V = np.asarray(d.quantile(substream(seed, "estimate", name, n, k)
+                              .random((reps, n))), dtype=float)
+    a = Params(iv=iron(d) if "iv" in entry.reads else None)
+    return mc_eval(entry.value(V, k, a), seed)
+
+
+# the names that unpriced accepts
+UNPRICED = tuple(ALIASES) + tuple(name for name, entry in MECHANISMS.items()
+                                  if not {"p", "q"} & set(entry.reads))
+
+
+# one row per block, the default blocks, one block for everything
+@pytest.mark.parametrize("cells", [1, None, 1 << 30])
+def test_mc_blocks_are_bitwise(monkeypatch, iv_uniform, iv_exp, iv_pareto,
+                               iv_twopiece, iv_bridge, cells):
+    # 9001 rows: several default blocks at n = 6 (1365 rows each) and at
+    # n = 1 (8192), the last one partial
+    reps = 9001
+    if cells is not None:
+        monkeypatch.setattr(common, "_PASS_CELLS", cells)
+        reps = 41 if cells == 1 else reps
+    for iv in (iv_uniform, iv_exp, iv_pareto, iv_twopiece, iv_bridge):
+        d = iv.dist
+        for rule in PRIOR_RULES:
+            for k, n in [(1, 1), (2, 6)]:
+                assert (verify_utility_identity(d, rule, k, n, reps, 5, iv=iv)
+                        == identity_one_array(d, rule, k, n, reps, 5, iv))
+                assert (verify_ironing_dominance(d, rule, reps, 5, k=k, n=n, iv=iv)
+                        == dominance_two_lookups(d, rule, reps, 5, k, n, iv))
+        for name in UNPRICED:
+            for k, n in [(1, 2)] if name == "mix" else [(1, 1), (2, 6)]:
+                assert (estimate(name, d, n, k, reps, 5)
+                        == estimate_one_array(name, d, n, k, reps, 5)), name
+
+
+def test_mc_checks_memory_is_blocked(iv_pareto, iv_twopiece):
+    # a (30000, 6) float array is 1.4 MB; on one such draw these calls
+    # peaked at 10-15 MB. pareto(1, 2) reruns the rule per agent at the
+    # support bottom; twopiece bridges some rows and not others
+    for iv in (iv_pareto, iv_twopiece):
+        d = iv.dist
+        for check in (
+                lambda: verify_utility_identity(d, "bayes", 2, 6, 30_000, 1, iv=iv),
+                lambda: verify_ironing_dominance(d, "bayes", 30_000, 1, k=2, n=6,
+                                                 iv=iv),
+                lambda: estimate("bayes", d, 6, 2, 30_000, 1)):
+            check()  # the cached per-prior constants are built outside
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2e6, (d.name, peak)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dominance_rejects_bad_input(iv_exp):
+    d = iv_exp.dist
+    floor = "need at least 30 replicates, got"
+    for kwargs, match in [({"reps": 0}, floor), ({"reps": 1}, floor),
+                          ({"reps": 29}, floor), ({"slack": -1.0}, "slack"),
+                          ({"slack": np.nan}, "slack"), ({"slack": np.inf}, "slack"),
+                          ({"slack": -np.inf}, "slack")]:
+        args = {"reps": 1000, "seed": 0, "k": 1, "n": 2, "iv": iv_exp, **kwargs}
+        with pytest.raises(ValueError, match=match) as err:
+            verify_ironing_dominance(d, "vickrey", **args)
+        assert "\n" not in str(err.value), kwargs
+    # the identity check's message for the same replicate count
+    with pytest.raises(ValueError) as ident:
+        verify_utility_identity(d, "vickrey", 1, 2, 1, 0, iv=iv_exp)
+    with pytest.raises(ValueError) as dom:
+        verify_ironing_dominance(d, "vickrey", 1, 0, k=1, n=2, iv=iv_exp)
+    assert str(ident.value) == str(dom.value)
+    # a zero slack and the floor itself pass
+    assert verify_ironing_dominance(d, "vickrey", 30, 0, k=1, n=2, iv=iv_exp,
+                                    slack=0.0).slack == 0.0
 
 
 def test_mismatched_iv_rejected(iv_uniform, iv_exp):

@@ -136,11 +136,13 @@ def test_iron_memo():
             iron(d, **kwargs)
     with pytest.raises(TypeError):
         iron(d, grid=1000.0)
-    # shared arrays are read-only
-    for name in ("q", "v", "theta", "H", "G", "phibar", "hull_idx", "slopes",
-                 "grid_seg", "ironed_flag"):
+    # shared arrays are read-only, the cached ones too
+    shared = [getattr(iv, name) for name in (
+        "q", "v", "theta", "H", "G", "phibar", "hull_idx", "slopes", "grid_seg",
+        "ironed_flag", "cell_slopes")] + list(iv.segment_anchors)
+    for a in shared:
         with pytest.raises(ValueError, match="read-only"):
-            getattr(iv, name)[0] = 0
+            a[0] = 0
     # the memo keeps neither the result nor its prior alive
     ref, dist_ref = weakref.ref(iv), weakref.ref(d)
     del iv, d

@@ -14,8 +14,7 @@ from burnlab.ironing import iron
 from burnlab.mechanisms import (CostOutcome, CostProblem, _bayes_rule,
                                 _halvings, _ladder_rule, _ladder_sizes,
                                 _learned_price, _rsol_exact, _rsol_interim,
-                                _rsol_values,
-                                _segment_anchors, _two_price, _vickrey_rule,
+                                _rsol_values, _two_price, _vickrey_rule,
                                 bayes_optimal_outcome,
                                 bayes_optimal_with_costs, expected_log_price,
                                 expected_p_lottery, expected_pq_lottery,
@@ -214,7 +213,7 @@ def bayes_rule_where(iv, V, k):
     V_asc = np.sort(V, axis=1)
     Xv, Pv = _vickrey_rule(V, k, V_asc)
     seg = iv.segment_of(V_asc[:, n - k - 1])[:, None]
-    lo_seg, hi_seg = _segment_anchors(iv)
+    lo_seg, hi_seg = iv.segment_anchors
     lo, hi = lo_seg[seg], hi_seg[seg]
     bridged = ~np.isnan(lo)
     if not bridged.any():

@@ -23,7 +23,7 @@ import test_ironing
 import test_mechanisms
 import test_simlab
 
-from burnlab import audit, benchmark, ironing, mechanisms
+from burnlab import audit, benchmark, common, ironing, mechanisms
 
 MUTANTS = {
     "pass-tie-largest-price": (
@@ -162,6 +162,15 @@ MUTANTS = {
         mechanisms, "expected_under_prior", "g_left[-1] = g_right[-1]", "pass",
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
+    # the row blocks of the prior-side Monte Carlo: the rows after the last
+    # full block never drawn, or blocks that overlap by one row, which is
+    # then drawn twice
+    "mc-blocks-drop-last-partial": (
+        common, "mc_blocks", "range(0, reps, rows)", "range(0, reps - rows + 1, rows)",
+        [functools.partial(test_audit.test_mc_blocks_are_bitwise, cells=None)]),
+    "mc-blocks-overlap-one-row": (
+        common, "mc_blocks", "range(0, reps, rows)", "range(0, reps, rows - 1)",
+        [functools.partial(test_audit.test_mc_blocks_are_bitwise, cells=None)]),
     "interim-chunk-sums-dropped": (
         mechanisms, "_rsol_halving_sums", "xs[0] + x,", "xs[0],",
         [test_audit.test_rsol_interim_chunking_invariant]),

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .common import MechanismEval, mc_blocks, mc_eval, substream
+from .common import MechanismEval, check_draws, mc_blocks, mc_eval, substream
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
 from .ironing import IronedVirtual, check_ironed_for, iron
@@ -246,10 +246,12 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
 
     The draws, reruns included, run on blocks of at most 2^13 values
     (common.mc_blocks), whose float temporaries fit under glibc's mmap
-    threshold; the report is that of one (reps, n) draw.
+    threshold; the report is that of one (reps, n) draw. reps below
+    MIN_REPLICATES and n below 1 are rejected.
     """
     check_ironed_for(d, iv)
     entry = unpriced(mechanism)
+    check_draws(reps, n)
     a = Params(iv=iron(d) if iv is None and "iv" in entry.reads else iv)
     bottom = d.support[0]
 
@@ -310,11 +312,13 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
     _cell_virtual for why. Each value's cell is looked up once for both.
     The draws run on blocks of at most 2^13 values (common.mc_blocks),
     whose float temporaries fit under glibc's mmap threshold; the report is
-    that of one (reps, n) draw. reps below MIN_REPLICATES and a negative or
-    non-finite slack are rejected.
+    that of one (reps, n) draw. reps below MIN_REPLICATES, n below 1 and a
+    negative or non-finite slack are rejected.
     """
     check_ironed_for(d, iv)
     entry = unpriced(monotone_rule)
+    # before the default slack, which scales with min(k, n)
+    check_draws(reps, n)
     slack = float(1e-3 * min(k, n) * (1.0 + d.mean) if slack is None else slack)
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack}")

@@ -62,6 +62,15 @@ class MechanismEval:
         return (self.mean - self.ci_halfwidth, self.mean + self.ci_halfwidth)
 
 
+def check_draws(reps: int, n: int) -> None:
+    """Reject, each with a one-line ValueError, fewer than MIN_REPLICATES
+    replicates or profiles of no agents."""
+    if reps < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {reps}")
+    if n < 1:
+        raise ValueError(f"need at least one agent, got n={n}")
+
+
 def mc_blocks(d, rng, reps: int, n: int, body) -> tuple[np.ndarray, ...]:
     """Per-row outputs of body on reps profiles of n values drawn i.i.d. from
     d, block by block.
@@ -69,7 +78,8 @@ def mc_blocks(d, rng, reps: int, n: int, body) -> tuple[np.ndarray, ...]:
     Each block draws its uniforms with rng.random((rows, n)) and hands body
     their quantiles under d, a (rows, n) float array; body returns a tuple
     of arrays with one entry per row, and each is concatenated over the
-    blocks into a reps-long array. reps below MIN_REPLICATES is rejected.
+    blocks into a reps-long array. Callers check reps and n with
+    check_draws first.
 
     A block holds at most _PASS_CELLS = 2^13 cells (one row when n alone is
     more), so its float temporaries are 64 KiB: under glibc's default mmap
@@ -79,9 +89,7 @@ def mc_blocks(d, rng, reps: int, n: int, body) -> tuple[np.ndarray, ...]:
     draw rng.random((reps, n)) and rows are independent, so the outputs are
     those of body on all reps rows at once, bit for bit.
     """
-    if reps < MIN_REPLICATES:
-        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {reps}")
-    rows = max(1, _PASS_CELLS // max(n, 1))
+    rows = max(1, _PASS_CELLS // n)
     blocks = [body(np.asarray(d.quantile(rng.random((min(rows, reps - r), n))),
                               dtype=float))
               for r in range(0, reps, rows)]

@@ -16,9 +16,10 @@ rule's row residual (_residual) and runs return its row or with an rng one
 draw of it (_run).
 
 MECHANISMS, at the end, maps each mechanism name to the Params it reads
-(p, q, the ironed prior iv) and its views: each row's exact value for the
-estimator, one profile's for `burnlab eval`, the rule for the identity
-checks and the interim (_tiled) for the audits.
+(p, q, the ironed prior iv) and its views: each row's exact value (which
+RSOL's estimate averages over drawn profiles), one profile's for `burnlab
+eval`, the rule for the identity checks, the interim (_tiled) for the audits
+and a rank rule's exact value under a prior for the estimator.
 
 RSOL (random-sampling optimal lottery: learn a price on a random half of the
 agents, apply it or Vickrey to the other half) has no rowwise rule. Given a
@@ -31,10 +32,13 @@ agents before it, and each halving carries O(1) numbers from which its
 learned price, lottery and Vickrey follow, so a profile costs O(2^n). Its
 audit interim sums the opponents' halvings (_rsol_interim).
 
-Under an i.i.d. prior the lottery, Vickrey, Bayes and the ladder are rank
-rules: an agent's interim win probability depends only on its quantile, and
-expected_under_prior integrates it exactly once over the ironing grid, with
-no profile drawn (see its docstring).
+Under an i.i.d. prior the lottery, Vickrey, Bayes, the ladder and the
+two-agent mixture are rank rules: an agent's interim win probability xbar
+depends only on its quantile. Each one's prior view integrates the payment
+identity over xbar once on the ironing grid, with no profile drawn
+(_rank_prior, xbar from _vickrey_xbar, _bayes_xbar, _ladder_xbar or
+_mix_xbar); the lottery's is the closed form min(k, n) * mean. The
+estimator and expected_under_prior read it.
 """
 
 from __future__ import annotations
@@ -687,10 +691,14 @@ def expected_rsol(profile, k: int, mode: str = "exact",
 # two-agent mixture
 
 
+def _require_mix(n: int, k: int):
+    if n != 2 or k != 1:
+        raise ValueError("the mixture mechanism is defined for n=2, k=1")
+
+
 def _mix_rule(V: np.ndarray, k: int = 1):
     """1/3 Vickrey, 2/3 free lottery for exactly two agents and one unit."""
-    if V.shape[1] != 2 or k != 1:
-        raise ValueError("the mixture mechanism is defined for n=2, k=1")
+    _require_mix(V.shape[1], k)
     X, P = _vickrey_rule(V, 1)
     return X / 3.0 + 1.0 / 3.0, P / 3.0
 
@@ -754,9 +762,6 @@ def run_log_price(profile, k: int, rng) -> Outcome:
 # exact expectations under an i.i.d. prior
 
 
-_PRIOR_NAMES = ("lottery", "vickrey", "bayes", "logprice")
-
-
 def _binom_pmf(m: int, j: int, p: np.ndarray) -> np.ndarray:
     """P(Bin(m, p) = j) for each p in [0, 1], through logs so that large m
     neither overflows the binomial coefficient nor underflows early."""
@@ -786,47 +791,72 @@ def _rank_win_integral(q: float, n: int, k: int) -> float:
                for b in range(c + 1, n + 1)) / n
 
 
-def expected_under_prior(name: str, d, n: int, k: int,
-                         iv: IronedVirtual | None = None) -> float:
-    """Exact expected residual of a rank rule (lottery, vickrey, bayes or
-    logprice) on n values drawn i.i.d. from d, k units.
-
-    Let xbar(q) be the interim win probability at quantile q, xbar(1) its
-    limit at the top and a the bottom of the support. Nobody pays at a, so
-    the payment identity gives
-        n * (a xbar(0) + xbar(1) (mean - a) - int (1 - q)(xbar(1) - xbar(q)) dv(q)).
-    d.mean carries the tail, and the integrand vanishes at the top. The
-    integral is the trapezoid rule on the quantile grid of iv (iron(d) if
-    None), with a node (0, a) in front for the strip below the grid.
-    - Vickrey: xbar is the top-k chance, _rank_win.
-    - Ladder: xbar is the mean over its rungs L of min(k, L)/L times the
-      top-L chance.
-    - Bayes: Vickrey's xbar, averaged exactly over each ironed interval. An
-      interval at an end of the grid reaches q = 0 or 1, as the clipped
-      lookups do. The trapezoid is taken on each side of a jump.
-    - Lottery: the closed form min(k, n) * mean.
-    """
-    if name not in _PRIOR_NAMES:
-        raise ValueError(f"unknown mechanism {name!r}; expected one of "
-                         f"{', '.join(_PRIOR_NAMES)}")
+def _check_prior(d, n: int, k: int, a) -> None:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    check_ironed_for(d, iv)
-    if name == "lottery":
-        return min(k, n) * d.mean
-    iv = iron(d) if iv is None else iv
-    a = float(d.support[0])
+    check_ironed_for(d, a.iv)
+
+
+def _lottery_prior(d, n: int, k: int, a) -> MechanismEval:
+    """The free lottery's prior view, a closed form: it sells min(k, n)
+    units at the prior mean."""
+    _check_prior(d, n, k, a)
+    if a.p:
+        raise ValueError(f"the lottery's prior view takes price 0, got {a.p}")
+    return MechanismEval(min(k, n) * d.mean, 0.0, "exact", 1, None)
+
+
+def _rank_prior(xbar, d, n: int, k: int, a) -> MechanismEval:
+    """Exact expected residual of a rank rule on n values drawn i.i.d. from
+    d, k units, with no profile drawn.
+
+    xbar(q, n, k, iv) returns the rule's interim win probability at the left
+    and right end of each cell between the quantile nodes q, and its limit
+    xbar(1) at the top. Let lo be the bottom of the support. Nobody pays at
+    lo, so the payment identity gives
+        n * (lo xbar(0) + xbar(1) (mean - lo) - int (1 - q)(xbar(1) - xbar(q)) dv(q)).
+    d.mean carries the tail, and the integrand vanishes at the top. The
+    integral is the trapezoid rule on the quantile grid of a.iv (iron(d) if
+    None), with a node (0, lo) in front for the strip below the grid; the
+    record's replicate count is that grid.
+    """
+    _check_prior(d, n, k, a)
+    iv = iron(d) if a.iv is None else a.iv
+    lo = float(d.support[0])
     q = np.concatenate(([0.0], iv.q))
-    v = np.concatenate(([a], iv.v))
-    if name == "logprice":
-        sizes = _ladder_sizes(n, k)
-        x = sum(min(k, L) / L * _rank_win(q, n, L) for L in sizes) / len(sizes)
-        top = sum(min(k, L) / L for L in sizes) / len(sizes)
-    else:
-        x, top = _rank_win(q, n, k), 1.0
-    # xbar at the left and right end of each cell
+    v = np.concatenate(([lo], iv.v))
+    left, right, top = xbar(q, n, k, iv)
+    g_left, g_right = (1.0 - q[:-1]) * (top - left), (1.0 - q[1:]) * (top - right)
+    # the top cell spans 1 - q from the grid step down to eps, so v can grow
+    # by orders of magnitude across it: take its right end, where the
+    # integrand has all but vanished
+    g_left[-1] = g_right[-1]
+    integral = 0.5 * float(((g_left + g_right) * np.diff(v)).sum())
+    return MechanismEval(float(n * (lo * left[0] + top * (d.mean - lo) - integral)),
+                         0.0, "exact", iv.grid, None)
+
+
+def _vickrey_xbar(q, n: int, k: int, iv):
+    """Vickrey's xbar: the top-k chance, _rank_win."""
+    x = _rank_win(q, n, k)
+    return x[:-1], x[1:], 1.0
+
+
+def _ladder_xbar(q, n: int, k: int, iv):
+    """The ladder's xbar: the mean over its rungs L of min(k, L)/L times the
+    top-L chance."""
+    sizes = _ladder_sizes(n, k)
+    x = sum(min(k, L) / L * _rank_win(q, n, L) for L in sizes) / len(sizes)
+    return x[:-1], x[1:], sum(min(k, L) / L for L in sizes) / len(sizes)
+
+
+def _bayes_xbar(q, n: int, k: int, iv):
+    """Bayes's xbar: Vickrey's, averaged exactly over each ironed interval.
+    An interval at an end of the grid reaches q = 0 or 1, as the clipped
+    lookups do. The trapezoid is taken on each side of a jump."""
+    x, top = _rank_win(q, n, k), 1.0
     left, right = x[:-1].copy(), x[1:].copy()
-    if name == "bayes" and n > k:
+    if n > k:
         for itv in iv.intervals:
             lo = 0.0 if itv.at_bottom else itv.q_lo
             hi = 1.0 if itv.at_top else itv.q_hi
@@ -837,13 +867,27 @@ def expected_under_prior(name: str, d, n: int, k: int,
             left[i0:i1] = right[i0:i1] = mean
             if itv.at_top:
                 top = mean
-    g_left, g_right = (1.0 - q[:-1]) * (top - left), (1.0 - q[1:]) * (top - right)
-    # the top cell spans 1 - q from the grid step down to eps, so v can grow
-    # by orders of magnitude across it: take its right end, where the
-    # integrand has all but vanished
-    g_left[-1] = g_right[-1]
-    integral = 0.5 * float(((g_left + g_right) * np.diff(v)).sum())
-    return float(n * (a * left[0] + top * (d.mean - a) - integral))
+    return left, right, top
+
+
+def _mix_xbar(q, n: int, k: int, iv):
+    """The mixture's xbar: Vickrey's / 3 + 1/3, so 2/3 at the top."""
+    _require_mix(n, k)
+    x = _rank_win(q, n, k) / 3.0 + 1.0 / 3.0
+    return x[:-1], x[1:], 2.0 / 3.0
+
+
+def expected_under_prior(name: str, d, n: int, k: int,
+                         iv: IronedVirtual | None = None) -> float:
+    """Exact expected residual of a rank rule (lottery, plottery0, vickrey,
+    bayes, mix or logprice) on n values drawn i.i.d. from d, k units: the
+    mean of its table entry's prior view, integrated on the quantile grid of
+    iv (iron(d) if None; see _rank_prior), or the free lottery's closed form
+    min(k, n) * mean."""
+    prior = unpriced(name).prior
+    if prior is None:
+        raise ValueError(f"{name!r} is no rank rule and has no exact prior value")
+    return prior(d, n, k, Params(iv=iv)).mean
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +910,11 @@ class Mechanism:
     rows (RSOL's raises), each row's exact value (V, k, a), one profile's
     (profile, k, a), its audit interim (k, a) -> (values, i, bids) -> (x, p)
     and edges(a), the bids besides the opponents' where that interim may
-    jump; mc(profile, k, reps, seed) estimates profiles above cap agents."""
+    jump; mc(profile, k, reps, seed) estimates profiles above cap agents.
+    A rank rule's prior(d, n, k, a) -> MechanismEval is its exact expected
+    residual on n values drawn i.i.d. from d, a.iv d's ironing (built when
+    None); it is None for RSOL, no rank rule, and for the two-price lottery,
+    whose integral is not written."""
 
     reads: tuple[str, ...]
     rule: Callable
@@ -876,6 +924,7 @@ class Mechanism:
     edges: Callable = lambda a: ()
     cap: float = math.inf
     mc: Callable | None = None
+    prior: Callable | None = None
 
 
 def _ruled(reads, rule, **views) -> Mechanism:
@@ -896,23 +945,28 @@ MECHANISMS = {
     # one profile: the factored lottery value, exact on small profiles
     "plottery": _ruled(("p",), lambda V, k, a: _lottery_rule(V, k, a.p),
                        one=lambda prof, k, a: expected_p_lottery(prof, k, a.p),
-                       edges=lambda a: (a.p,)),
+                       edges=lambda a: (a.p,),
+                       prior=lambda d, n, k, a: _lottery_prior(d, n, k, a)),
     "pqlottery": _ruled(("p", "q"), lambda V, k, a: _pq_rule(V, k, a.p, a.q),
                         edges=lambda a: (a.q, a.p)),
-    "vickrey": _ruled((), lambda V, k, a: _vickrey_rule(V, k)),
+    "vickrey": _ruled((), lambda V, k, a: _vickrey_rule(V, k),
+                      prior=lambda d, n, k, a: _rank_prior(_vickrey_xbar, d, n, k, a)),
     # one profile: checked against the prior's support
     "bayes": _ruled(("iv",), lambda V, k, a: _bayes_rule(a.iv, V, k),
                     one=lambda prof, k, a: bayes_optimal_outcome(
                         a.iv, prof, k).residual_surplus,
                     edges=lambda a: tuple(e for i in a.iv.intervals
-                                          for e in (i.v_lo, i.v_hi))),
+                                          for e in (i.v_lo, i.v_hi)),
+                    prior=lambda d, n, k, a: _rank_prior(_bayes_xbar, d, n, k, a)),
     "rsol": Mechanism((), _no_rule, lambda V, k, a: _rsol_exact(V, k),
                       lambda prof, k, a: expected_rsol(prof, k).mean,
                       lambda k, a: functools.partial(_rsol_interim, k),
                       cap=RSOL_EXACT_CAP, mc=lambda prof, k, reps, seed:
                       expected_rsol(prof, k, "mc", reps, seed)),
-    "mix": _ruled((), lambda V, k, a: _mix_rule(V, k)),
-    "logprice": _ruled((), lambda V, k, a: _ladder_rule(V, k)),
+    "mix": _ruled((), lambda V, k, a: _mix_rule(V, k),
+                  prior=lambda d, n, k, a: _rank_prior(_mix_xbar, d, n, k, a)),
+    "logprice": _ruled((), lambda V, k, a: _ladder_rule(V, k),
+                       prior=lambda d, n, k, a: _rank_prior(_ladder_xbar, d, n, k, a)),
 }
 # plottery at p = 0, Params' default, as the estimator and identity checks
 # name the free lottery

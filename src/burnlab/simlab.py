@@ -1,9 +1,9 @@
 """Experiment orchestration: Monte Carlo estimation over priors, the
 worst-case profile corpus, and the four reproducible experiments behind the
 headline quantitative claims. Results are flat CSV rows, bit-for-bit
-reproducible from (config, seed). Only lb43's benchmark columns are Monte
-Carlo; its optimum (expected_under_prior), surplus-gap, rsol-ratio and thmub
-are exact.
+reproducible from (config, seed). Only lb43's benchmark columns and the
+estimate of RSOL are Monte Carlo; the estimate of every rank rule, lb43's
+optimum (expected_under_prior), surplus-gap, rsol-ratio and thmub are exact.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmark import full_surplus, two_price_benchmark
-from .common import VERSION, MechanismEval, mc_blocks, mc_eval, substream
+from .common import (VERSION, MechanismEval, check_draws, mc_blocks, mc_eval,
+                     substream)
 from .distributions import (ValuationProfile, ValueDistribution, as_profile,
                             exponential)
 from .ironing import iron
@@ -31,15 +32,24 @@ from .mechanisms import (PRIOR_OPTIMAL, Params, expected_log_price,
 
 def estimate(mechanism: str, d: ValueDistribution, n: int, k: int, reps: int,
              seed: int) -> MechanismEval:
-    """MC mean over reps >= MIN_REPLICATES profiles from d of each one's
-    exact expected residual, for a mechanism that reads no price
-    (mechanisms.unpriced). Its table entry's value runs on blocks of at most
-    2^13 values (common.mc_blocks), whose float temporaries fit under
-    glibc's mmap threshold; the mean is that of one (reps, n) draw."""
+    """Expected residual on n values drawn i.i.d. from d, k units, of a
+    mechanism that reads no price (mechanisms.unpriced).
+
+    A rank rule (the lotteries, Vickrey, Bayes, the ladder and the mixture)
+    returns its table entry's exact prior view, integrated on iron(d)'s
+    grid, which the record's replicate count gives (1 for the lottery's
+    closed form); it uses neither reps nor seed. RSOL, no rank rule, returns
+    the Monte Carlo mean over reps profiles of each one's exact value, run
+    on blocks of at most 2^13 values (common.mc_blocks), whose float
+    temporaries fit under glibc's mmap threshold; the mean is that of one
+    (reps, n) draw. reps below MIN_REPLICATES and n below 1 are rejected
+    for every mechanism."""
     entry = unpriced(mechanism)
+    check_draws(reps, n)
+    if entry.prior is not None:
+        return entry.prior(d, n, k, Params())
     rng = substream(seed, "estimate", mechanism, n, k)
-    a = Params(iv=iron(d) if "iv" in entry.reads else None)
-    values, = mc_blocks(d, rng, reps, n, lambda V: (entry.value(V, k, a),))
+    values, = mc_blocks(d, rng, reps, n, lambda V: (entry.value(V, k, Params()),))
     return mc_eval(values, seed)
 
 

@@ -498,8 +498,19 @@ def identity_one_array(d, rule, k, n, reps, seed, iv):
     return IdentityReport(utility, virtual, _overlap(utility, virtual))
 
 
+def mc_estimate(name, d, n, k, reps, seed):
+    # the Monte Carlo oracle of estimate's exact values, and RSOL's estimate:
+    # the mean over reps profiles from d, drawn in blocks on the estimator's
+    # stream, of each one's exact value under the table's value view
+    entry = unpriced(name)
+    a = Params(iv=iron(d) if "iv" in entry.reads else None)
+    values, = common.mc_blocks(d, substream(seed, "estimate", name, n, k), reps,
+                               n, lambda V: (entry.value(V, k, a),))
+    return mc_eval(values, seed)
+
+
 def estimate_one_array(name, d, n, k, reps, seed):
-    # the estimate from one (reps, n) draw and one value call on all of it
+    # mc_estimate from one (reps, n) draw and one value call on all of it
     entry = unpriced(name)
     V = np.asarray(d.quantile(substream(seed, "estimate", name, n, k)
                               .random((reps, n))), dtype=float)
@@ -531,22 +542,30 @@ def test_mc_blocks_are_bitwise(monkeypatch, iv_uniform, iv_exp, iv_pareto,
                 assert (verify_ironing_dominance(d, rule, reps, 5, k=k, n=n, iv=iv)
                         == dominance_two_lookups(d, rule, reps, 5, k, n, iv))
         for name in UNPRICED:
+            # the estimator draws for a mechanism with no prior view (RSOL);
+            # the others' Monte Carlo is the oracle's
+            blocked = estimate if unpriced(name).prior is None else mc_estimate
             for k, n in [(1, 2)] if name == "mix" else [(1, 1), (2, 6)]:
-                assert (estimate(name, d, n, k, reps, 5)
+                assert (blocked(name, d, n, k, reps, 5)
                         == estimate_one_array(name, d, n, k, reps, 5)), name
 
 
 def test_mc_checks_memory_is_blocked(iv_pareto, iv_twopiece):
     # a (30000, 6) float array is 1.4 MB; on one such draw these calls
     # peaked at 10-15 MB. pareto(1, 2) reruns the rule per agent at the
-    # support bottom; twopiece bridges some rows and not others
+    # support bottom; twopiece bridges some rows and not others. The Bayes
+    # estimate is exact, on arrays the size of the grid; RSOL's, the
+    # estimator's Monte Carlo, is run on one prior
     for iv in (iv_pareto, iv_twopiece):
         d = iv.dist
-        for check in (
-                lambda: verify_utility_identity(d, "bayes", 2, 6, 30_000, 1, iv=iv),
-                lambda: verify_ironing_dominance(d, "bayes", 30_000, 1, k=2, n=6,
-                                                 iv=iv),
-                lambda: estimate("bayes", d, 6, 2, 30_000, 1)):
+        checks = [
+            lambda: verify_utility_identity(d, "bayes", 2, 6, 30_000, 1, iv=iv),
+            lambda: verify_ironing_dominance(d, "bayes", 30_000, 1, k=2, n=6, iv=iv),
+            lambda: mc_estimate("bayes", d, 6, 2, 30_000, 1),
+            lambda: estimate("bayes", d, 6, 2, 30_000, 1)]
+        if iv is iv_pareto:
+            checks.append(lambda: estimate("rsol", d, 6, 2, 30_000, 1))
+        for check in checks:
             check()  # the cached per-prior constants are built outside
             tracemalloc.start()
             try:
@@ -564,11 +583,18 @@ def test_dominance_rejects_bad_input(iv_exp):
     for kwargs, match in [({"reps": 0}, floor), ({"reps": 1}, floor),
                           ({"reps": 29}, floor), ({"slack": -1.0}, "slack"),
                           ({"slack": np.nan}, "slack"), ({"slack": np.inf}, "slack"),
-                          ({"slack": -np.inf}, "slack")]:
+                          ({"slack": -np.inf}, "slack"),
+                          ({"n": 0}, "need at least one agent, got n=0"),
+                          ({"n": -1}, "need at least one agent, got n=-1")]:
         args = {"reps": 1000, "seed": 0, "k": 1, "n": 2, "iv": iv_exp, **kwargs}
         with pytest.raises(ValueError, match=match) as err:
             verify_ironing_dominance(d, "vickrey", **args)
         assert "\n" not in str(err.value), kwargs
+    # the identity check takes no profile without agents either
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least one agent, got n={n}") as err:
+            verify_utility_identity(d, "vickrey", 1, n, 1000, 0, iv=iv_exp)
+        assert "\n" not in str(err.value), n
     # the identity check's message for the same replicate count
     with pytest.raises(ValueError) as ident:
         verify_utility_identity(d, "vickrey", 1, 2, 1, 0, iv=iv_exp)

@@ -23,7 +23,7 @@ import test_ironing
 import test_mechanisms
 import test_simlab
 
-from burnlab import audit, benchmark, common, ironing, mechanisms
+from burnlab import audit, benchmark, common, ironing, mechanisms, simlab
 
 MUTANTS = {
     "pass-tie-largest-price": (
@@ -147,21 +147,30 @@ MUTANTS = {
     # uniform(0, 1) irons flat: without the averaging Bayes reads Vickrey's
     # x inside the interval, not k * mean
     "prior-bayes-no-interval-average": (
-        mechanisms, "expected_under_prior",
+        mechanisms, "_bayes_xbar",
         "left[i0:i1] = right[i0:i1] = mean", "pass",
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
     # exp(1) at k = 3 has a rung L = 2 < k, where k/L exceeds one unit each
     "prior-ladder-share-k-over-L": (
-        mechanisms, "expected_under_prior", "min(k, L) / L * _rank_win",
+        mechanisms, "_ladder_xbar", "min(k, L) / L * _rank_win",
         "k / L * _rank_win",
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
     # the plain trapezoid on the top cell errs by about 0.03 on pareto(1, 2)
     "prior-top-cell-trapezoid": (
-        mechanisms, "expected_under_prior", "g_left[-1] = g_right[-1]", "pass",
+        mechanisms, "_rank_prior", "g_left[-1] = g_right[-1]", "pass",
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
+    # the mixture's xbar a half above Vickrey's third, its top still 2/3
+    "prior-mix-offset-half": (
+        mechanisms, "_mix_xbar", "+ 1.0 / 3.0", "+ 1.0 / 2.0",
+        [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
+                           2 ** 10)]),
+    # the estimator's exact path asks the prior view for one unit more
+    "estimate-prior-k-plus-one": (
+        simlab, "estimate", "entry.prior(d, n, k, Params())",
+        "entry.prior(d, n, k + 1, Params())", [test_simlab.test_estimate_closed_forms]),
     # the row blocks of the prior-side Monte Carlo: the rows after the last
     # full block never drawn, or blocks that overlap by one row, which is
     # then drawn twice

@@ -8,13 +8,14 @@ import sys
 
 import numpy as np
 import pytest
-from test_audit import ladder_oracle, rejects
+from test_audit import UNPRICED, ladder_oracle, mc_estimate, rejects
 from test_mechanisms import grid_tol
 
-from burnlab.common import VERSION, Z99, mc_eval, substream
+from burnlab.common import VERSION, Z99, MechanismEval, mc_eval, substream
 from burnlab.distributions import exponential, uniform
 from burnlab.ironing import DEFAULT_GRID, iron
-from burnlab.mechanisms import ALIASES, MECHANISMS, _bayes_rule, _residual
+from burnlab.mechanisms import (ALIASES, MECHANISMS, _bayes_rule, _residual,
+                                unpriced)
 from burnlab.simlab import (EXPERIMENT_NAMES, ExperimentConfig, estimate,
                             experiment_lb43, experiment_rsol_ratio,
                             experiment_surplus_gap, experiment_thmub,
@@ -36,8 +37,8 @@ ESTIMATE_CLOSED_FORMS = {
     # nothing there) earn the k units they sell
     "vickrey": [(exp1, 2, 1, 20000, 1.0)],
     "bayes": [(exp1, 2, 1, 20000, 1.0)],
-    # 2/3 of E[max] = 3/2
-    "mix": [(exp1, 2, 1, 20000, 1.0)],
+    # 2/3 of E[max] = 3/2 and 2/3
+    "mix": [(exp1, 2, 1, 20000, 1.0), (unif, 2, 1, 20000, 4 / 9)],
     # rungs L = 1 and 2: E[v1 - v2] = 1 and E[(v1 + v2)/2] = 1
     "logprice": [(exp1, 2, 1, 20000, 1.0)],
     # of the four halvings, both agents in the pool earn 0; one serving
@@ -45,30 +46,43 @@ ESTIMATE_CLOSED_FORMS = {
     # earn (v1 + v2)/2 or v1 - v2 by the coin, also 1 on average
     "rsol": [(exp1, 2, 1, 20000, 0.75)],
 }
+# the free lottery's value is a closed form, one replicate; the other rank
+# rules integrate on the default ironing grid
+CLOSED_FORM = ("lottery", "plottery0")
 
 
 def test_estimate_closed_forms():
     # every table name and alias: one that reads a price is not the
-    # estimator's, and each other meets a closed form
+    # estimator's, a rank rule is exact and meets its closed form within the
+    # grid's error, and RSOL's Monte Carlo covers it
     for name in dict.fromkeys([*MECHANISMS, *ALIASES]):
         if name in MECHANISMS and {"p", "q"} & set(MECHANISMS[name].reads):
             assert rejects(lambda: estimate(name, exp1, 2, 1, 100, 1)), name
             continue
         for d, n, k, reps, want in ESTIMATE_CLOSED_FORMS[name]:
             ev = estimate(name, d, n, k, reps, 1)
-            assert ev.mode == "mc" and ev.replicates == reps
-            assert ev.mean == pytest.approx(want, abs=2 * ev.ci_halfwidth), name
+            if unpriced(name).prior is None:
+                assert ev.mode == "mc" and ev.replicates == reps
+                assert ev.mean == pytest.approx(want, abs=2 * ev.ci_halfwidth), name
+                continue
+            grid = 1 if name in CLOSED_FORM else DEFAULT_GRID
+            assert ev == MechanismEval(ev.mean, 0.0, "exact", grid, None), name
+            assert abs(ev.mean - want) <= grid_tol(DEFAULT_GRID, n), (name, ev)
 
 
 def test_estimate_logprice_is_ladder_rule():
-    # the estimator's mean is the independent ladder oracle averaged over the
-    # estimator's own draws: this pins the rule behind it, not only its value
+    # the Monte Carlo oracle's mean is the independent ladder oracle
+    # averaged over the oracle's own draws: this pins the rule behind the
+    # table's value view, not only its value. The exact estimate lies inside
+    # that oracle's 99% interval
     d = exponential(1.0)
     for n, k in [(3, 1), (6, 2), (8, 3)]:
-        ev = estimate("logprice", d, n, k, 300, 4)
+        mc = mc_estimate("logprice", d, n, k, 300, 4)
         V = d.quantile(substream(4, "estimate", "logprice", n, k).random((300, n)))
         ref = sum(ladder_oracle(row.tolist(), k) for row in V) / len(V)
-        assert ev.mean == pytest.approx(ref, rel=1e-12), (n, k)
+        assert mc.mean == pytest.approx(ref, rel=1e-12), (n, k)
+        ev = estimate("logprice", d, n, k, 300, 4)
+        assert mc.ci[0] <= ev.mean <= mc.ci[1], (n, k, ev, mc)
 
 
 def test_estimate_deterministic():
@@ -78,12 +92,21 @@ def test_estimate_deterministic():
 
 
 def test_estimate_validation():
-    with pytest.raises(ValueError):
-        estimate("lottery", uniform(0.0, 1.0), 2, 1, 29, 0)
-    with pytest.raises(ValueError):
-        estimate("nosuch", uniform(0.0, 1.0), 2, 1, 100, 0)
-    with pytest.raises(ValueError):
-        estimate("mix", uniform(0.0, 1.0), 3, 1, 100, 0)
+    # reps below 30 and n below 1 fail for every name, exact or Monte Carlo,
+    # each with one line
+    d = uniform(0.0, 1.0)
+    cases = [(("nosuch", d, 2, 1, 100, 0), "unknown mechanism 'nosuch'"),
+             (("mix", d, 3, 1, 100, 0), "n=2, k=1"),
+             (("vickrey", d, 2, 0, 100, 0), "k >= 1"),
+             (("rsol", d, 2, 0, 100, 0), "at least one unit")]
+    for name in UNPRICED:
+        cases += [((name, d, 2, 1, 29, 0), "need at least 30 replicates, got 29"),
+                  ((name, d, 0, 1, 100, 0), "need at least one agent, got n=0"),
+                  ((name, d, -1, 1, 100, 0), "need at least one agent, got n=-1")]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message) as err:
+            estimate(*args)
+        assert "\n" not in str(err.value), args
 
 
 # ---------------------------------------------------------------------------

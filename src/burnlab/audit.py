@@ -11,9 +11,10 @@ On top of the interim rule sit:
 - a deviation scan (no bid may beat truthful bidding),
 - a payment-identity check p(b) = b*x(b) - integral of x from 0 to b,
   evaluated exactly for step rules by midpoint sampling between grid points,
-- Monte Carlo verification that expected utility equals the expected utility
-  virtual value of winners, and that ironing only raises the virtual-value
-  objective for monotone rules, on the same batched rules,
+- Monte Carlo verification that expected utility equals the exact prior
+  value of a rank rule, through the utility virtual value of winners as a
+  control variate, and that ironing only raises the virtual-value objective
+  for monotone rules, on the same batched rules,
 - the split-balance probe: the exact chance, counted in O(n^2), that a uniform
   random half missing the top agent stays under 3/4 of every prefix.
 
@@ -222,55 +223,73 @@ def audit_profiles(seed: int, count: int = 100,
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Paired MC estimates of expected utility and expected virtual value."""
+    """The utility identity on one draw: utility, the MC estimate of expected
+    utility; virtual, its exact value under the prior; controlled, the
+    control-variate estimate of expected utility that the verdict tests
+    against virtual."""
 
     utility: MechanismEval
     virtual: MechanismEval
+    controlled: MechanismEval
     passed: bool
-
-
-def _overlap(a: MechanismEval, b: MechanismEval) -> bool:
-    return max(a.ci[0], b.ci[0]) <= min(a.ci[1], b.ci[1])
 
 
 def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
                             n: int, reps: int, seed: int,
                             iv: IronedVirtual | None = None) -> IdentityReport:
-    """Check E[sum of utilities] = E[sum of theta(v)*x] by CI overlap.
+    """Check E[sum of utilities] = E[sum of theta(v)*x] + B against the exact
+    prior value T of a rank rule.
 
-    The bare identity assumes the support starts at 0. When it starts at
-    a > 0 the interim win probability below the support still accumulates
-    utility, contributing a * x_i(a) per agent; that term is added to the
-    virtual side (the rules here are constant in the bid below a, so
-    evaluating at the support bottom is exact).
+    When the support starts at a, bids below a still earn utility, the
+    bottom term B = n*a*xbar(0); T and B are the mechanism's prior view. One
+    rule call per block of rows gives each row's utility u and its control
+    c, the row's sum of theta(v)*x, whose exact mean is T - B. With beta =
+    cov(u, c)/var(c) (0 when c is constant, as under exp(1) where theta is
+    1), Z = u - beta*(c - (T - B)) has mean T and cancels the tail u and c
+    share: on pareto(1, 2) both have infinite variance, Z does not. The check
+    passes iff |mean Z - T| <= Z99*sd(Z)/sqrt(reps) + n*h^1.5, the last term
+    the grid error of T on its grid of 1/h + 1 quantiles; for a closed form
+    it is 1e-12*(1 + |T|), rounding alone.
 
-    The draws, reruns included, run on blocks of at most 2^13 values
-    (common.mc_blocks), whose float temporaries fit under glibc's mmap
-    threshold; the report is that of one (reps, n) draw. reps below
-    MIN_REPLICATES and n below 1 are rejected.
+    The draws run on blocks of at most 2^13 values (common.mc_blocks),
+    whose float temporaries fit under glibc's mmap threshold; the report is
+    that of one (reps, n) draw. reps below MIN_REPLICATES and n below 1 are
+    rejected, and so is a mechanism without a prior view.
     """
     check_ironed_for(d, iv)
     entry = unpriced(mechanism)
     check_draws(reps, n)
+    if entry.prior is None:
+        raise ValueError(f"{mechanism!r} is no rank rule and has no exact prior value")
     a = Params(iv=iron(d) if iv is None and "iv" in entry.reads else iv)
-    bottom = d.support[0]
+    virtual, bottom = entry.prior(d, n, k, a)
 
     def sides(V):
         X, P = entry.rule(V, k, a)
         theta = np.asarray(virtual_value_utility(d, V), dtype=float)
-        virtual = (theta * X).sum(axis=1)
-        if bottom > 0.0:
-            for i in range(n):
-                W = V.copy()
-                W[:, i] = bottom
-                Xa, _ = entry.rule(W, k, a)
-                virtual = virtual + bottom * Xa[:, i]
-        return _residual(V, X, P), virtual
+        return _residual(V, X, P), (theta * X).sum(axis=1)
 
     rng = substream(seed, "utility-identity", mechanism, n, k)
-    samples = mc_blocks(d, rng, reps, n, sides)
-    utility, virtual = (mc_eval(s, seed) for s in samples)
-    return IdentityReport(utility, virtual, _overlap(utility, virtual))
+    u, c = mc_blocks(d, rng, reps, n, sides)
+    controlled = mc_eval(_controlled(u, c, virtual.mean - bottom), seed)
+    # T's grid error, or the rounding of a closed form
+    cells = virtual.replicates - 1
+    tol = controlled.ci_halfwidth + (n * cells ** -1.5 if cells
+                                     else 1e-12 * (1.0 + abs(virtual.mean)))
+    return IdentityReport(mc_eval(u, seed), virtual, controlled,
+                          abs(controlled.mean - virtual.mean) <= tol)
+
+
+def _controlled(u: np.ndarray, c: np.ndarray, mean_c: float) -> np.ndarray:
+    """u less beta times c's deviation from its exact mean, beta the
+    least-squares slope of u on c; beta is 0 when c's sample sd is below
+    1e-12 * (1 + |mean c|)."""
+    dc = c - c.mean()
+    scale = float((dc * dc).sum())
+    if math.sqrt(scale / (c.size - 1)) < 1e-12 * (1.0 + abs(float(c.mean()))):
+        return u
+    beta = float((dc * (u - u.mean())).sum()) / scale
+    return u - beta * (c - mean_c)
 
 
 @dataclass(frozen=True)

@@ -797,18 +797,21 @@ def _check_prior(d, n: int, k: int, a) -> None:
     check_ironed_for(d, a.iv)
 
 
-def _lottery_prior(d, n: int, k: int, a) -> MechanismEval:
+def _lottery_prior(d, n: int, k: int, a) -> tuple[MechanismEval, float]:
     """The free lottery's prior view, a closed form: it sells min(k, n)
-    units at the prior mean."""
+    units at the prior mean; its bottom term is min(k, n) * lo, since each
+    agent wins min(k, n)/n whatever they bid."""
     _check_prior(d, n, k, a)
     if a.p:
         raise ValueError(f"the lottery's prior view takes price 0, got {a.p}")
-    return MechanismEval(min(k, n) * d.mean, 0.0, "exact", 1, None)
+    units = min(k, n)
+    return (MechanismEval(units * d.mean, 0.0, "exact", 1, None),
+            units * float(d.support[0]))
 
 
-def _rank_prior(xbar, d, n: int, k: int, a) -> MechanismEval:
+def _rank_prior(xbar, d, n: int, k: int, a) -> tuple[MechanismEval, float]:
     """Exact expected residual of a rank rule on n values drawn i.i.d. from
-    d, k units, with no profile drawn.
+    d, k units, with no profile drawn, and its bottom term n lo xbar(0).
 
     xbar(q, n, k, iv) returns the rule's interim win probability at the left
     and right end of each cell between the quantile nodes q, and its limit
@@ -818,7 +821,9 @@ def _rank_prior(xbar, d, n: int, k: int, a) -> MechanismEval:
     d.mean carries the tail, and the integrand vanishes at the top. The
     integral is the trapezoid rule on the quantile grid of a.iv (iron(d) if
     None), with a node (0, lo) in front for the strip below the grid; the
-    record's replicate count is that grid.
+    record's replicate count is that grid. The bottom term is the utility
+    the strip of bids below lo earns, which the virtual side of the utility
+    identity lacks.
     """
     _check_prior(d, n, k, a)
     iv = iron(d) if a.iv is None else a.iv
@@ -832,8 +837,9 @@ def _rank_prior(xbar, d, n: int, k: int, a) -> MechanismEval:
     # integrand has all but vanished
     g_left[-1] = g_right[-1]
     integral = 0.5 * float(((g_left + g_right) * np.diff(v)).sum())
-    return MechanismEval(float(n * (lo * left[0] + top * (d.mean - lo) - integral)),
-                         0.0, "exact", iv.grid, None)
+    return (MechanismEval(float(n * (lo * left[0] + top * (d.mean - lo) - integral)),
+                          0.0, "exact", iv.grid, None),
+            float(n * lo * left[0]))
 
 
 def _vickrey_xbar(q, n: int, k: int, iv):
@@ -887,7 +893,7 @@ def expected_under_prior(name: str, d, n: int, k: int,
     prior = unpriced(name).prior
     if prior is None:
         raise ValueError(f"{name!r} is no rank rule and has no exact prior value")
-    return prior(d, n, k, Params(iv=iv)).mean
+    return prior(d, n, k, Params(iv=iv))[0].mean
 
 
 # ---------------------------------------------------------------------------
@@ -911,10 +917,11 @@ class Mechanism:
     (profile, k, a), its audit interim (k, a) -> (values, i, bids) -> (x, p)
     and edges(a), the bids besides the opponents' where that interim may
     jump; mc(profile, k, reps, seed) estimates profiles above cap agents.
-    A rank rule's prior(d, n, k, a) -> MechanismEval is its exact expected
-    residual on n values drawn i.i.d. from d, a.iv d's ironing (built when
-    None); it is None for RSOL, no rank rule, and for the two-price lottery,
-    whose integral is not written."""
+    A rank rule's prior(d, n, k, a) -> (MechanismEval, bottom) is its exact
+    expected residual on n values drawn i.i.d. from d, a.iv d's ironing
+    (built when None), and the part of it earned by bids below the support's
+    bottom lo, n lo xbar(0); it is None for RSOL, no rank rule, and for the
+    two-price lottery, whose integral is not written."""
 
     reads: tuple[str, ...]
     rule: Callable

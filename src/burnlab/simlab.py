@@ -47,7 +47,7 @@ def estimate(mechanism: str, d: ValueDistribution, n: int, k: int, reps: int,
     entry = unpriced(mechanism)
     check_draws(reps, n)
     if entry.prior is not None:
-        return entry.prior(d, n, k, Params())
+        return entry.prior(d, n, k, Params())[0]
     rng = substream(seed, "estimate", mechanism, n, k)
     values, = mc_blocks(d, rng, reps, n, lambda V: (entry.value(V, k, Params()),))
     return mc_eval(values, seed)

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from burnlab import common
 from burnlab.audit import (DSIC_TOL, DeviationReport, DominanceReport,
-                           IdentityReport, InterimRule, _overlap,
+                           IdentityReport, InterimRule,
                            audit_mechanism, audit_profiles,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
-from burnlab.common import _PASS_CELLS, mc_eval, substream
+from burnlab.common import _PASS_CELLS, MechanismEval, mc_eval, substream
 from burnlab.distributions import (ValuationProfile, exponential, pareto,
-                                   two_piece, uniform, virtual_value_utility)
+                                   piecewise_inverse_hazard, two_piece, uniform,
+                                   virtual_value_utility)
 from burnlab.ironing import iron
 from burnlab.mechanisms import (ALIASES, MECHANISMS, Params, _ladder_sizes,
                                 _residual, _rsol_halving_sums, _rsol_interim,
@@ -405,15 +406,16 @@ def test_identity_matrix(iv_uniform, iv_exp, iv_pareto, iv_twopiece):
 
 
 def test_identity_boundary_term_positive_support():
-    # free lottery on pareto(1,3): E[residual] = mean = 1.5; the plain
-    # virtual-value side alone would estimate mean - 1 = 0.5
+    # free lottery on pareto(1,3): E[residual] = mean = 1.5, its closed form;
+    # the plain virtual-value side alone has mean - 1 = 0.5, and the bottom
+    # term a * min(k, n) = 1 makes up the rest
     d = pareto(1.0, 3.0)
     report = verify_utility_identity(d, "lottery", 1, 3, 40000, 2)
     assert report.passed
+    assert report.virtual == MechanismEval(1.5, 0.0, "exact", 1, None)
+    assert unpriced("lottery").prior(d, 3, 1, Params())[1] == 1.0
     assert report.utility.mean == pytest.approx(
         1.5, abs=2 * report.utility.ci_halfwidth)
-    assert report.virtual.mean == pytest.approx(
-        1.5, abs=2 * report.virtual.ci_halfwidth)
 
 
 def test_dominance_matrix(iv_uniform, iv_exp, iv_pareto, iv_twopiece):
@@ -477,25 +479,68 @@ def test_dominance_matches_two_lookups(iv_uniform, iv_exp, iv_pareto,
                 assert types == [float] * 3 + [bool] * 3, dom
 
 
-def identity_one_array(d, rule, k, n, reps, seed, iv):
-    # the report from one (reps, n) draw and one rule call on all of it
-    a = Params(iv=iv)
-    entry = unpriced(rule)
+def identity_draw(d, rule, k, n, reps, seed, iv):
+    # one (reps, n) draw on the identity check's stream, one rule call on all
+    # of it: the draw, the rule's rows and each row's utility and sum of
+    # theta(v) * x
     V = np.asarray(d.quantile(substream(seed, "utility-identity", rule, n, k)
                               .random((reps, n))), dtype=float)
-    X, P = entry.rule(V, k, a)
+    X, P = unpriced(rule).rule(V, k, Params(iv=iv))
     theta = np.asarray(virtual_value_utility(d, V), dtype=float)
-    virtual_samples = (theta * X).sum(axis=1)
-    bottom = d.support[0]
-    if bottom > 0.0:
-        for i in range(n):
-            W = V.copy()
-            W[:, i] = bottom
-            Xa, _ = entry.rule(W, k, a)
-            virtual_samples = virtual_samples + bottom * Xa[:, i]
-    utility = mc_eval(_residual(V, X, P), seed)
-    virtual = mc_eval(virtual_samples, seed)
-    return IdentityReport(utility, virtual, _overlap(utility, virtual))
+    return V, X, _residual(V, X, P), (theta * X).sum(axis=1)
+
+
+def identity_one_array(d, rule, k, n, reps, seed, iv):
+    # the report from one draw: the control-variate statistic of
+    # verify_utility_identity written out on whole arrays
+    virtual, bottom = unpriced(rule).prior(d, n, k, Params(iv=iv))
+    _, _, u, c = identity_draw(d, rule, k, n, reps, seed, iv)
+    dc = c - c.mean()
+    z = u
+    if np.sqrt((dc * dc).sum() / (reps - 1)) >= 1e-12 * (1.0 + abs(c.mean())):
+        beta = float((dc * (u - u.mean())).sum()) / float((dc * dc).sum())
+        z = u - beta * (c - (virtual.mean - bottom))
+    controlled = mc_eval(z, seed)
+    slack = (n / (virtual.replicates - 1) ** 1.5 if virtual.replicates > 1
+             else 1e-12 * (1.0 + abs(virtual.mean)))
+    passed = abs(controlled.mean - virtual.mean) <= controlled.ci_halfwidth + slack
+    return IdentityReport(mc_eval(u, seed), virtual, controlled, passed)
+
+
+def identity_paired_reruns(d, rule, k, n, reps, seed, iv):
+    # the paired estimator the identity check used before it read the exact
+    # prior value: utility, the virtual side sum theta(v) * x plus the bottom
+    # term, and the bottom term alone, all by Monte Carlo on one draw. The
+    # bottom term reruns the rule once per agent with that agent's bid at the
+    # support's bottom a, and adds a * x_i(a)
+    V, X, u, c = identity_draw(d, rule, k, n, reps, seed, iv)
+    a = d.support[0]
+    rerun = np.zeros(reps)
+    for i in range(n):
+        W = V.copy()
+        W[:, i] = a
+        rerun = rerun + a * unpriced(rule).rule(W, k, Params(iv=iv))[0][:, i]
+    return mc_eval(u, seed), mc_eval(c + rerun, seed), mc_eval(rerun, seed)
+
+
+def test_identity_exact_sides_within_rerun_oracle():
+    # priors whose support starts above 0: the bottom term from the prior
+    # view lies in the reruns' 99% interval, and the exact value in the old
+    # paired virtual side's. The last prior irons an interval at its bottom,
+    # so a row's rerun term varies with the other bids. A constant rerun
+    # term (the lottery's) has a zero interval and leaves rounding
+    cells = [(pareto(1.0, 3.0), "lottery"), (pareto(1.0, 2.0), "vickrey"),
+             (pareto(1.0, 2.0), "bayes"),
+             (piecewise_inverse_hazard([0.5, 1.0, 2.0], [3.0, 1.0, 5.0]), "bayes")]
+    for d, rule in cells:
+        iv = iron(d)
+        virtual, bottom = unpriced(rule).prior(d, 6, 2, Params(iv=iv))
+        utility, paired, rerun = identity_paired_reruns(d, rule, 2, 6, 20000, 11, iv)
+        assert abs(bottom - rerun.mean) <= rerun.ci_halfwidth + 1e-12, (d.name, rule, rerun)
+        assert abs(virtual.mean - paired.mean) <= paired.ci_halfwidth, (d.name, rule, paired)
+        report = verify_utility_identity(d, rule, 2, 6, 20000, 11, iv=iv)
+        assert report.passed and report.utility == utility, (d.name, rule, report)
+        assert report.virtual == virtual
 
 
 def mc_estimate(name, d, n, k, reps, seed):
@@ -552,8 +597,8 @@ def test_mc_blocks_are_bitwise(monkeypatch, iv_uniform, iv_exp, iv_pareto,
 
 def test_mc_checks_memory_is_blocked(iv_pareto, iv_twopiece):
     # a (30000, 6) float array is 1.4 MB; on one such draw these calls
-    # peaked at 10-15 MB. pareto(1, 2) reruns the rule per agent at the
-    # support bottom; twopiece bridges some rows and not others. The Bayes
+    # peaked at 10-15 MB. pareto(1, 2) has the widest values and a support
+    # bottom above 0; twopiece bridges some rows and not others. The Bayes
     # estimate is exact, on arrays the size of the grid; RSOL's, the
     # estimator's Monte Carlo, is run on one prior
     for iv in (iv_pareto, iv_twopiece):

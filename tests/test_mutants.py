@@ -180,6 +180,11 @@ MUTANTS = {
     "mc-blocks-overlap-one-row": (
         common, "mc_blocks", "range(0, reps, rows)", "range(0, reps, rows - 1)",
         [functools.partial(test_audit.test_mc_blocks_are_bitwise, cells=None)]),
+    # payments 1 % high in the identity check's rule rows; uniform(0, 1)
+    # Vickrey, the matrix's first cell with payments, is caught
+    "identity-payments-1.01": (
+        audit, "verify_utility_identity", "_residual(V, X, P)",
+        "_residual(V, X, 1.01 * P)", [test_audit.test_identity_matrix]),
     "interim-chunk-sums-dropped": (
         mechanisms, "_rsol_halving_sums", "xs[0] + x,", "xs[0],",
         [test_audit.test_rsol_interim_chunking_invariant]),

@@ -248,6 +248,26 @@ def test_rsol_ratio_experiment():
     assert min(ratios) > 0.05
 
 
+def test_rsol_ratio_near_spike_closed_form():
+    # on (1, eps, ..., eps) with k = 1 the top agent serves with chance 1/2,
+    # and the pool's best strict-lottery price is then 0: RSOL's Vickrey half
+    # earns about 1 and its free-lottery half about 1/(1 + S), S ~ Bin(n - 1,
+    # 1/2) the eps agents beside the top, so RSOL/G tends to
+    # f = (1 + E[1/(1 + S)])/4 = (1 + (2/n)(1 - 2^-n))/4. The eps agents move
+    # each half by at most eps (one unit, the top's price at most eps), and
+    # the sampled top leaves at most eps, so RSOL lies in
+    # [f - eps/4, f + 3 eps/4]; G lies in [1 - eps, 1]. Hence
+    # |RSOL/G - f| <= (3/4 + f) eps/(1 - eps) <= 1.25 eps/(1 - eps)
+    eps = 1e-6
+    sizes = (2, 4, 8, 12, 16, 20)
+    corpus = [(f"near-spike-{n}", np.r_[1.0, np.full(n - 1, eps)]) for n in sizes]
+    rows = experiment_rsol_ratio(corpus, (1,))
+    assert [row["n"] for row in rows] == list(sizes)
+    for n, row in zip(sizes, rows):
+        f = 0.25 * (1.0 + 2.0 / n * (1.0 - 2.0 ** -n))
+        assert abs(row["ratio"] - f) <= 1.25 * eps / (1.0 - eps), (n, row["ratio"])
+
+
 def test_thmub_experiment():
     rows = experiment_thmub(worst_case_corpus(0, sizes=(4, 8)), (1, 4, 16))
     assert len(rows) == 20

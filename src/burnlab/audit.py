@@ -13,8 +13,9 @@ On top of the interim rule sit:
   evaluated exactly for step rules by midpoint sampling between grid points,
 - Monte Carlo verification that expected utility equals the exact prior
   value of a rank rule, through the utility virtual value of winners as a
-  control variate, and that ironing only raises the virtual-value objective
-  for monotone rules, on the same batched rules,
+  control variate,
+- the exact gain of ironing in a rank rule's virtual-value objective, which
+  is never negative, integrated on the ironing grid,
 - the split-balance probe: the exact chance, counted in O(n^2), that a uniform
   random half missing the top agent stays under 3/4 of every prefix.
 
@@ -35,8 +36,8 @@ from .common import MechanismEval, check_draws, mc_blocks, mc_eval, substream
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
 from .ironing import IronedVirtual, check_ironed_for, iron
-from .mechanisms import (MECHANISMS, Params, _residual, _ruled, _vickrey_rule,
-                         unpriced)
+from .mechanisms import (MECHANISMS, Params, _require_k, _residual, _ruled,
+                         _vickrey_rule, unpriced)
 
 DSIC_TOL = 1e-9
 MIN_IDENTITY_GRID = 256
@@ -283,22 +284,31 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
 def _controlled(u: np.ndarray, c: np.ndarray, mean_c: float) -> np.ndarray:
     """u less beta times c's deviation from its exact mean, beta the
     least-squares slope of u on c; beta is 0 when c's sample sd is below
-    1e-12 * (1 + |mean c|)."""
+    1e-12 * (1 + |mean c|). It works in place in two arrays, as each
+    reps-long temporary is mapped afresh; (-beta) * t is -(beta * t)
+    exactly, so the result is u - beta * t bit for bit."""
     dc = c - c.mean()
-    scale = float((dc * dc).sum())
+    z = dc * dc
+    scale = float(z.sum())
     if math.sqrt(scale / (c.size - 1)) < 1e-12 * (1.0 + abs(float(c.mean()))):
         return u
-    beta = float((dc * (u - u.mean())).sum()) / scale
-    return u - beta * (c - mean_c)
+    np.subtract(u, u.mean(), out=z)
+    z *= dc
+    beta = float(z.sum()) / scale
+    np.subtract(c, mean_c, out=z)
+    z *= -beta
+    z += u
+    return z
 
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Paired MC difference E[sum (phibar - theta) x] for a monotone rule.
+    """The exact gain E[sum (phibar - theta) x] of ironing for a rank rule.
 
-    slack absorbs the grid discretization of phibar; inequality_passed is the
-    one-sided test, equality the two-sided one, strict the significantly
-    positive case.
+    diff_se is 0, since no profile is drawn. slack absorbs the grid
+    discretization of phibar; inequality_passed is the one-sided test,
+    equality the two-sided one, strict the significantly positive case, each
+    against slack plus the gain's rounding allowance.
     """
 
     diff_mean: float
@@ -309,30 +319,23 @@ class DominanceReport:
     strict: bool
 
 
-def _cell_virtual(iv: IronedVirtual, cell: np.ndarray) -> np.ndarray:
-    """Utility virtual value averaged over each grid cell (iv._cell of a
-    value).
-
-    Uses the same integral H that the hull slopes come from, so the
-    dominance comparison is free of quadrature bias: with no ironing the
-    hull keeps every node and the two sides agree exactly.
-    """
-    # one slope per cell but the top one: clip sends it down
-    return iv.cell_slopes.take(cell, mode="clip")
-
-
 def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
                              reps: int, seed: int, k: int = 1, n: int = 8,
                              iv: IronedVirtual | None = None,
                              slack: float | None = None) -> DominanceReport:
-    """Check that ironing never lowers the virtual-value objective.
+    """Check that ironing never lowers the virtual-value objective of a rank
+    rule: its exact gain n * sum_c (phibar_c - theta_c) * int_c xbar dq.
 
-    Both sides are evaluated on the ironing grid's cell averages; see
-    _cell_virtual for why. Each value's cell is looked up once for both.
-    The draws run on blocks of at most 2^13 values (common.mc_blocks),
-    whose float temporaries fit under glibc's mmap threshold; the report is
-    that of one (reps, n) draw. reps below MIN_REPLICATES, n below 1 and a
-    negative or non-finite slack are rejected.
+    c runs over the cells of iv's grid, theta_c = iv.cell_slopes[c] and xbar
+    is the entry's interim win probability; the strips below and above the
+    grid take the end cells' weights, as iv._cell clips there. Each piece's
+    integral is the trapezoid of xbar's left and right ends, so Bayes's
+    jumps at its intervals' ends count on each side. With no ironing the
+    gain is 0.0 exactly. The band is slack plus 1e-12 of the two sides the
+    gain cancels, n * sum_c (phibar_c + theta_c) * int_c xbar dq. No profile
+    is drawn, so reps and seed are not read; reps below MIN_REPLICATES, n or
+    k below 1, a negative or non-finite slack and a rule with no xbar
+    (RSOL) are rejected.
     """
     check_ironed_for(d, iv)
     entry = unpriced(monotone_rule)
@@ -341,22 +344,22 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
     slack = float(1e-3 * min(k, n) * (1.0 + d.mean) if slack is None else slack)
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack}")
+    _require_k(k)
+    if entry.xbar is None:
+        raise ValueError(f"{monotone_rule!r} is no rank rule")
     if iv is None:
         iv = iron(d)
-    a = Params(iv=iv)
-
-    def gain(V):
-        X, _ = entry.rule(V, k, a)
-        cell = iv._cell(V)
-        return ((iv.phibar[cell] - _cell_virtual(iv, cell)) * X).sum(axis=1),
-
-    rng = substream(seed, "dominance", monotone_rule, n, k)
-    diff, = mc_blocks(d, rng, reps, n, gain)
-    mean = float(diff.mean())
-    se = float(diff.std(ddof=1)) / math.sqrt(diff.size)
-    band = 3.0 * se + slack
-    return DominanceReport(mean, se, slack, mean >= -band,
-                           abs(mean) <= band, mean > band)
+    q = np.concatenate(([0.0], iv.q))
+    left, right, top = entry.xbar(q, n, k, iv)
+    # xbar integrated over the strip below the grid, each cell, the strip above
+    pieces = np.append(0.5 * (left + right) * np.diff(q),
+                       0.5 * (right[-1] + top) * (1.0 - q[-1]))
+    phibar, theta = (np.pad(w, 1, mode="edge")
+                     for w in (iv.phibar[:-1], iv.cell_slopes))
+    gain = n * float((phibar - theta) @ pieces)
+    band = slack + 1e-12 * n * float((phibar + theta) @ pieces)
+    return DominanceReport(gain, 0.0, slack, gain >= -band, abs(gain) <= band,
+                           gain > band)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,12 @@ audit interim sums the opponents' halvings (_rsol_interim).
 
 Under an i.i.d. prior the lottery, Vickrey, Bayes, the ladder and the
 two-agent mixture are rank rules: an agent's interim win probability xbar
-depends only on its quantile. Each one's prior view integrates the payment
-identity over xbar once on the ironing grid, with no profile drawn
-(_rank_prior, xbar from _vickrey_xbar, _bayes_xbar, _ladder_xbar or
-_mix_xbar); the lottery's is the closed form min(k, n) * mean. The
-estimator and expected_under_prior read it.
+depends only on its quantile. Each one's entry carries its xbar
+(_lottery_xbar, _vickrey_xbar, _bayes_xbar, _ladder_xbar or _mix_xbar), and
+its prior view integrates the payment identity over xbar once on the
+ironing grid, with no profile drawn (_rank_prior); the lottery's is the
+closed form min(k, n) * mean. The estimator and expected_under_prior read
+the prior view, the ironing-dominance check xbar itself.
 """
 
 from __future__ import annotations
@@ -842,6 +843,12 @@ def _rank_prior(xbar, d, n: int, k: int, a) -> tuple[MechanismEval, float]:
             float(n * lo * left[0]))
 
 
+def _lottery_xbar(q, n: int, k: int, iv):
+    """The free lottery's xbar: min(k, n)/n at every quantile."""
+    x = np.full(q.size - 1, min(k, n) / n)
+    return x, x, min(k, n) / n
+
+
 def _vickrey_xbar(q, n: int, k: int, iv):
     """Vickrey's xbar: the top-k chance, _rank_win."""
     x = _rank_win(q, n, k)
@@ -917,11 +924,13 @@ class Mechanism:
     (profile, k, a), its audit interim (k, a) -> (values, i, bids) -> (x, p)
     and edges(a), the bids besides the opponents' where that interim may
     jump; mc(profile, k, reps, seed) estimates profiles above cap agents.
-    A rank rule's prior(d, n, k, a) -> (MechanismEval, bottom) is its exact
-    expected residual on n values drawn i.i.d. from d, a.iv d's ironing
-    (built when None), and the part of it earned by bids below the support's
-    bottom lo, n lo xbar(0); it is None for RSOL, no rank rule, and for the
-    two-price lottery, whose integral is not written."""
+    A rank rule's xbar(q, n, k, iv) -> (left, right, top) is its interim win
+    probability at Params' defaults on the quantile nodes q (see
+    _rank_prior), and its prior(d, n, k, a) -> (MechanismEval, bottom) is its
+    exact expected residual on n values drawn i.i.d. from d, a.iv d's
+    ironing (built when None), and the part of it earned by bids below the
+    support's bottom lo, n lo xbar(0). Both are None for RSOL, no rank rule,
+    and for the two-price lottery, whose integral is not written."""
 
     reads: tuple[str, ...]
     rule: Callable
@@ -931,13 +940,18 @@ class Mechanism:
     edges: Callable = lambda a: ()
     cap: float = math.inf
     mc: Callable | None = None
+    xbar: Callable | None = None
     prior: Callable | None = None
 
 
 def _ruled(reads, rule, **views) -> Mechanism:
     """An entry whose views are its rule's: the row residual, the same for
-    one profile unless given, and the tiled interim."""
+    one profile unless given, the tiled interim and, for a rank rule, the
+    prior view _rank_prior integrates from its xbar unless given."""
     views.setdefault("one", lambda prof, k, a: _expected(rule, prof, k, a))
+    xbar = views.get("xbar")
+    if xbar is not None:
+        views.setdefault("prior", lambda d, n, k, a: _rank_prior(xbar, d, n, k, a))
     return Mechanism(reads, rule, lambda V, k, a: _residual(V, *rule(V, k, a)),
                      interim=lambda k, a: _tiled(lambda V: rule(V, k, a)), **views)
 
@@ -953,27 +967,28 @@ MECHANISMS = {
     "plottery": _ruled(("p",), lambda V, k, a: _lottery_rule(V, k, a.p),
                        one=lambda prof, k, a: expected_p_lottery(prof, k, a.p),
                        edges=lambda a: (a.p,),
+                       xbar=lambda q, n, k, iv: _lottery_xbar(q, n, k, iv),
                        prior=lambda d, n, k, a: _lottery_prior(d, n, k, a)),
     "pqlottery": _ruled(("p", "q"), lambda V, k, a: _pq_rule(V, k, a.p, a.q),
                         edges=lambda a: (a.q, a.p)),
     "vickrey": _ruled((), lambda V, k, a: _vickrey_rule(V, k),
-                      prior=lambda d, n, k, a: _rank_prior(_vickrey_xbar, d, n, k, a)),
+                      xbar=lambda q, n, k, iv: _vickrey_xbar(q, n, k, iv)),
     # one profile: checked against the prior's support
     "bayes": _ruled(("iv",), lambda V, k, a: _bayes_rule(a.iv, V, k),
                     one=lambda prof, k, a: bayes_optimal_outcome(
                         a.iv, prof, k).residual_surplus,
                     edges=lambda a: tuple(e for i in a.iv.intervals
                                           for e in (i.v_lo, i.v_hi)),
-                    prior=lambda d, n, k, a: _rank_prior(_bayes_xbar, d, n, k, a)),
+                    xbar=lambda q, n, k, iv: _bayes_xbar(q, n, k, iv)),
     "rsol": Mechanism((), _no_rule, lambda V, k, a: _rsol_exact(V, k),
                       lambda prof, k, a: expected_rsol(prof, k).mean,
                       lambda k, a: functools.partial(_rsol_interim, k),
                       cap=RSOL_EXACT_CAP, mc=lambda prof, k, reps, seed:
                       expected_rsol(prof, k, "mc", reps, seed)),
     "mix": _ruled((), lambda V, k, a: _mix_rule(V, k),
-                  prior=lambda d, n, k, a: _rank_prior(_mix_xbar, d, n, k, a)),
+                  xbar=lambda q, n, k, iv: _mix_xbar(q, n, k, iv)),
     "logprice": _ruled((), lambda V, k, a: _ladder_rule(V, k),
-                       prior=lambda d, n, k, a: _rank_prior(_ladder_xbar, d, n, k, a)),
+                       xbar=lambda q, n, k, iv: _ladder_xbar(q, n, k, iv)),
 }
 # plottery at p = 0, Params' default, as the estimator and identity checks
 # name the free lottery

@@ -12,7 +12,7 @@ from burnlab.audit import (DSIC_TOL, DeviationReport, DominanceReport,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
-from burnlab.common import _PASS_CELLS, MechanismEval, mc_eval, substream
+from burnlab.common import _PASS_CELLS, Z99, MechanismEval, mc_eval, substream
 from burnlab.distributions import (ValuationProfile, exponential, pareto,
                                    piecewise_inverse_hazard, two_piece, uniform,
                                    virtual_value_utility)
@@ -438,6 +438,10 @@ def test_dominance_exact_cases(iv_exp, iv_pareto):
     dom = verify_ironing_dominance(iv_exp.dist, "vickrey", 20000, 11,
                                    k=2, n=6, iv=iv_exp)
     assert abs(dom.diff_mean) < 1e-12 and dom.equality
+    # with no slack the rounding allowance alone keeps the dust equal
+    dom = verify_ironing_dominance(iv_exp.dist, "vickrey", 20000, 11,
+                                   k=2, n=6, iv=iv_exp, slack=0.0)
+    assert dom.diff_mean != 0.0 and dom.equality and dom.inequality_passed
 
 
 def test_dominance_strict_when_ironing_binds(iv_uniform, iv_twopiece):
@@ -447,16 +451,61 @@ def test_dominance_strict_when_ironing_binds(iv_uniform, iv_twopiece):
         assert dom.strict and not dom.equality, (iv.dist.name, dom)
 
 
-def dominance_two_lookups(d, rule, reps, seed, k, n, iv):
-    # the report with phibar and theta's cell average each looking up the
-    # grid cells
+@pytest.mark.parametrize("n, k", [(2, 1), (6, 2), (8, 1), (8, 4), (20, 3)])
+def test_dominance_uniform_vickrey_closed_form(iv_uniform, n, k):
+    # on uniform(0, 1) theta = 1 - q and the hull is one chord, phibar = 1/2:
+    # the gain n * int (q - 1/2) xbar dq is the top k's expected quantiles,
+    # sum_{j < k} (n - j)/(n + 1), less k/2
+    dom = verify_ironing_dominance(iv_uniform.dist, "vickrey", 30, 0, k=k, n=n,
+                                   iv=iv_uniform)
+    exact = sum((n - j) / (n + 1) for j in range(k)) - k / 2
+    assert dom.diff_mean == pytest.approx(exact, abs=n / (iv_uniform.grid - 1) ** 1.5)
+    assert dom.strict
+
+
+def by_parts(iv, rule, k, n):
+    # the gain summed by parts. With D = G - H, zero at both grid ends, and xt
+    # the mean of xbar over each cell, n * sum_c (phibar_c - theta_c) *
+    # int_c xbar = n * sum_c (D_c+1 - D_c) * xt_c is n times the sum over the
+    # inner nodes of (H - G) * (xt's step there), plus the strips below and
+    # above the grid at the end cells' slopes of D. Every node term is >= 0
+    # for a monotone xbar: the ironing step. Returns the sum, the node terms
+    # and the scale n * sum_c (|G_c+1 - G_c| + |H_c+1 - H_c|) * xt_c of the
+    # two sides the gain cancels
+    q = np.concatenate(([0.0], iv.q, [1.0]))
+    left, right, top = unpriced(rule).xbar(q[:-1], n, k, iv)
+    left, right = np.append(left, right[-1]), np.append(right, top)
+    pieces = 0.5 * (left + right) * np.diff(q)
+    xt = pieces[1:-1] / np.diff(iv.q)
+    terms = n * (iv.H - iv.G)[1:-1] * np.diff(xt)
+    strips = (np.diff(iv.G - iv.H) / np.diff(iv.q))[[0, -1]] @ pieces[[0, -1]]
+    scale = n * (np.abs(np.diff(iv.G)) + np.abs(np.diff(iv.H))) @ xt
+    return terms.sum() + n * strips, terms, scale
+
+
+def test_dominance_by_parts(iv_uniform, iv_exp, iv_pareto, iv_twopiece,
+                            iv_bridge):
+    for iv in (iv_uniform, iv_exp, iv_pareto, iv_twopiece, iv_bridge):
+        for rule in PRIOR_RULES + ("mix", "logprice"):
+            for k, n in [(1, 2)] if rule == "mix" else [(1, 3), (2, 6), (3, 20)]:
+                dom = verify_ironing_dominance(iv.dist, rule, 30, 0, k=k, n=n,
+                                               iv=iv)
+                total, terms, scale = by_parts(iv, rule, k, n)
+                assert terms.min() >= 0.0, (iv.dist.name, rule, k, n, terms.min())
+                assert abs(dom.diff_mean - total) <= 1e-12 * scale, (
+                    iv.dist.name, rule, k, n, dom.diff_mean, total, scale)
+
+
+def cell_virtual(iv, cell):
+    # theta averaged over each value's grid cell (iv._cell), the slope of the
+    # integral H the hull is taken of: one slope per cell but the top one,
+    # where clip sends a value down
+    return iv.cell_slopes.take(cell, mode="clip")
+
+
+def dominance_report(diff, d, k, n):
+    # the paired Monte Carlo report on per-row gains, band 3 se + slack
     slack = 1e-3 * min(k, n) * (1.0 + d.mean)
-    V = np.asarray(d.quantile(substream(seed, "dominance", rule, n, k)
-                              .random((reps, n))), dtype=float)
-    X, _ = unpriced(rule).rule(V, k, Params(iv=iv))
-    cell_slopes = np.diff(iv.H) / np.diff(iv.q)
-    theta = cell_slopes.take(iv._cell(V), mode="clip")
-    diff = ((np.asarray(iv.value(V), dtype=float) - theta) * X).sum(axis=1)
     mean = float(diff.mean())
     se = float(diff.std(ddof=1)) / np.sqrt(diff.size)
     band = 3.0 * se + slack
@@ -464,15 +513,44 @@ def dominance_two_lookups(d, rule, reps, seed, k, n, iv):
                            mean > band)
 
 
+def mc_dominance(d, rule, reps, seed, k, n, iv):
+    # the Monte Carlo oracle of the dominance gain, as the check drew it:
+    # reps profiles on its stream in blocks, each value's cell looked up once
+    # for phibar and theta's cell average
+    def gain(V):
+        X, _ = unpriced(rule).rule(V, k, Params(iv=iv))
+        cell = iv._cell(V)
+        return ((iv.phibar[cell] - cell_virtual(iv, cell)) * X).sum(axis=1),
+
+    diff, = common.mc_blocks(d, substream(seed, "dominance", rule, n, k), reps,
+                             n, gain)
+    return dominance_report(diff, d, k, n)
+
+
+def dominance_two_lookups(d, rule, reps, seed, k, n, iv):
+    # mc_dominance from one (reps, n) draw, with phibar and theta's cell
+    # average each looking up the grid cells
+    V = np.asarray(d.quantile(substream(seed, "dominance", rule, n, k)
+                              .random((reps, n))), dtype=float)
+    X, _ = unpriced(rule).rule(V, k, Params(iv=iv))
+    cell_slopes = np.diff(iv.H) / np.diff(iv.q)
+    theta = cell_slopes.take(iv._cell(V), mode="clip")
+    diff = ((np.asarray(iv.value(V), dtype=float) - theta) * X).sum(axis=1)
+    return dominance_report(diff, d, k, n)
+
+
 def test_dominance_matches_two_lookups(iv_uniform, iv_exp, iv_pareto,
                                        iv_twopiece, iv_bridge):
+    # the exact gain inside the Monte Carlo oracle's 99% interval
     for iv in (iv_uniform, iv_exp, iv_pareto, iv_twopiece, iv_bridge):
         for rule in PRIOR_RULES:
             for k, n in [(1, 3), (2, 6)]:
-                dom = verify_ironing_dominance(iv.dist, rule, 4000, 3, k=k,
+                dom = verify_ironing_dominance(iv.dist, rule, 20000, 3, k=k,
                                                n=n, iv=iv)
-                assert dom == dominance_two_lookups(iv.dist, rule, 4000, 3,
-                                                    k, n, iv), (iv.dist.name, rule)
+                mc = dominance_two_lookups(iv.dist, rule, 20000, 3, k, n, iv)
+                assert (abs(dom.diff_mean - mc.diff_mean)
+                        <= Z99 * mc.diff_se + 1e-12), (iv.dist.name, rule, k, n, dom, mc)
+                assert dom.diff_se == 0.0 and dom.slack == mc.slack
                 # plain Python types, as in IdentityReport
                 types = [type(getattr(dom, f))
                          for f in DominanceReport.__dataclass_fields__]
@@ -584,7 +662,7 @@ def test_mc_blocks_are_bitwise(monkeypatch, iv_uniform, iv_exp, iv_pareto,
             for k, n in [(1, 1), (2, 6)]:
                 assert (verify_utility_identity(d, rule, k, n, reps, 5, iv=iv)
                         == identity_one_array(d, rule, k, n, reps, 5, iv))
-                assert (verify_ironing_dominance(d, rule, reps, 5, k=k, n=n, iv=iv)
+                assert (mc_dominance(d, rule, reps, 5, k, n, iv)
                         == dominance_two_lookups(d, rule, reps, 5, k, n, iv))
         for name in UNPRICED:
             # the estimator draws for a mechanism with no prior view (RSOL);

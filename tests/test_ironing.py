@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_audit import cell_virtual
 from test_benchmark import piecewise_priors
 
-from burnlab.audit import _cell_virtual
 from burnlab.distributions import (exponential, pareto,
                                    piecewise_inverse_hazard, two_piece,
                                    uniform, virtual_value_utility)
@@ -189,7 +189,7 @@ def test_grid_lookups_match_searchsorted(d, grid, seed):
     V = v[:1000].reshape(250, 4)
     np.testing.assert_array_equal(iv.value(V), iv.slopes[seg[:1000].reshape(250, 4)])
     cell_slopes = np.diff(iv.H) / np.diff(iv.q)
-    np.testing.assert_array_equal(_cell_virtual(iv, iv._cell(V)),
+    np.testing.assert_array_equal(cell_virtual(iv, iv._cell(V)),
                                   cell_slopes[np.clip(cell[:1000], 0, grid - 2)
                                               .reshape(250, 4)])
     # a scalar gets the vector's answer

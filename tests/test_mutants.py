@@ -185,6 +185,26 @@ MUTANTS = {
     "identity-payments-1.01": (
         audit, "verify_utility_identity", "_residual(V, X, P)",
         "_residual(V, X, 1.01 * P)", [test_audit.test_identity_matrix]),
+    # the dominance gain's pieces: the strip above the grid left out, phibar
+    # read one cell up (the same inside a hull segment, so equivalent on
+    # uniform(0, 1) and exp(1), whose hull is one chord), xbar's left end
+    # taken for the whole piece
+    "dominance-no-top-strip": (
+        audit, "verify_ironing_dominance", "0.5 * (right[-1] + top) * (1.0 - q[-1])",
+        "0.0", [test_audit.test_dominance_by_parts]),
+    "dominance-phibar-next-cell": (
+        audit, "verify_ironing_dominance", "iv.phibar[:-1]", "iv.phibar[1:]",
+        [test_audit.test_dominance_by_parts]),
+    "dominance-xbar-left-end": (
+        audit, "verify_ironing_dominance", "0.5 * (left + right) * np.diff(q)",
+        "left * np.diff(q)",
+        [functools.partial(test_audit.test_dominance_uniform_vickrey_closed_form,
+                           n=8, k=1),
+         test_audit.test_dominance_by_parts]),
+    # exp(1)'s gain is float dust, which a zero slack alone would call unequal
+    "dominance-no-rounding-allowance": (
+        audit, "verify_ironing_dominance", "band = slack + ", "band = slack + 0 * ",
+        [test_audit.test_dominance_exact_cases]),
     "interim-chunk-sums-dropped": (
         mechanisms, "_rsol_halving_sums", "xs[0] + x,", "xs[0],",
         [test_audit.test_rsol_interim_chunking_invariant]),

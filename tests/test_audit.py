@@ -707,6 +707,7 @@ def test_dominance_rejects_bad_input(iv_exp):
                           ({"reps": 29}, floor), ({"slack": -1.0}, "slack"),
                           ({"slack": np.nan}, "slack"), ({"slack": np.inf}, "slack"),
                           ({"slack": -np.inf}, "slack"),
+                          ({"k": 0}, "need at least one unit"),
                           ({"n": 0}, "need at least one agent, got n=0"),
                           ({"n": -1}, "need at least one agent, got n=-1")]:
         args = {"reps": 1000, "seed": 0, "k": 1, "n": 2, "iv": iv_exp, **kwargs}

@@ -374,6 +374,12 @@ def balanced_sampling_probe(n: int, *, trials: int | None = None,
     rank at a time and cut at the limit (3i)//4: O(n^2) operations in O(n)
     memory, in two buffers that swap each rank. A buffer is only written
     below its limit, which never falls, so what lies above it is still zero.
+    They are carried scaled by 2^(i-1), as mask counts, so a rank is one
+    addition and no halving; the scale comes off 2^256 at a time every 256
+    ranks and the rest at the end, so no entry exceeds 2^256. A power of two
+    scales a normal number exactly, so each entry is the halving loop's up
+    to that power, except where the halving loop's entry is subnormal: that
+    tail sits some 10^-300 below the last bit of the sum.
     trials and seed are deprecated and ignored.
     """
     if trials is not None or seed is not None:
@@ -386,9 +392,14 @@ def balanced_sampling_probe(n: int, *, trials: int | None = None,
     w = np.zeros(max(tops, default=1))
     u = np.zeros_like(w)
     w[0] = 1.0
+    pending = 0  # w holds 2^pending times the probabilities
     for top in tops:
         u[0] = w[0]
         np.add(w[1:top], w[:top - 1], out=u[1:top])
-        u[:top] /= 2
         w, u = u, w
+        pending += 1
+        if pending == 256:
+            w[:top] *= 2.0 ** -256
+            pending = 0
+    w *= 2.0 ** -pending
     return float(w.sum())

@@ -12,6 +12,14 @@ the grid and as a right-continuous lookup in value space, together with the
 list of bridged intervals and their constant levels. iron hands out one
 result per distribution object, grid and eps while that result is alive, so
 its arrays are read-only.
+
+The hull is a monotone-chain scan, and most of its steps are forced: along a
+convex stretch it pops nothing, and across a concave one each point pops the
+top alone and stops on the same two below it. lower_convex_hull takes those
+runs in bulk, testing them with the scan's own pop predicate on array slices.
+float64 arrays round each operation exactly as Python floats do, so the
+vertices are the plain scan's, bit for bit. iron's bridge test then looks
+only at the hull segments with grid points inside.
 """
 
 from __future__ import annotations
@@ -36,37 +44,124 @@ _BRIDGE_RTOL = 1e-9
 _IRONED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
+# The hull scan looks for a bulk run after every _STRIDE plain steps. A fan run
+# is tested _FAN_CHUNK points at a time, the chunk doubling while the run
+# holds; a run shorter than a chunk doubles the checkpoints it waits for
+# (at most _FAN_WAIT_MAX), so that noise-driven stretches stay plain.
+_STRIDE, _FAN_CHUNK, _FAN_WAIT_MAX = 16, 32, 64
+
+
+def _pops(xa, ya, xb, yb, xi, yi):
+    """Whether the hull scan pops b, the top of its stack over a, on reaching
+    i: i lies on or below the line through a and b. Elementwise alike on
+    Python floats and on float64 arrays, which round the same."""
+    cross = (xb - xa) * (yi - ya) - (yb - ya) * (xi - xa)
+    # near-collinear points can pass the cross test by one rounding while
+    # the slopes iron() takes by division come out equal
+    return (cross <= 0.0) | ((yb - ya) / (xb - xa) >= (yi - yb) / (xi - xb))
+
+
 def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull vertices of the path (x, y).
 
-    x must be strictly increasing. Collinear interior points are dropped, so
-    consecutive hull slopes are strictly increasing.
+    x must be strictly increasing and x and y finite. Collinear interior
+    points are dropped, so consecutive hull slopes are strictly increasing.
+
+    A monotone-chain scan that takes its forced runs in bulk, every decision
+    still the scan's own _pops on the same operands:
+    - convex run: while the stack's top two are (i - 2, i - 1), the step at i
+      pops nothing exactly when _pops(i - 2, i - 1, i) is false. That test
+      is made once for every i, on slices, and the stack extends up to the
+      next i where it holds.
+    - fan run: with (P, A, i - 1) on top, the step at j = i pops the top
+      alone and stops on (P, A) exactly when _pops(A, j - 1, j) and not
+      _pops(P, A, j) (the second test falls away without a P). While that
+      holds, j replaces the top; _fan_run tests chunks of j at once.
+    Every other point takes the plain step on Python floats.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("x and y must be matching 1-d arrays")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     if x.size < 2 or np.any(np.diff(x) <= 0):
         raise ValueError("x must be strictly increasing with at least 2 points")
+    n = x.size
+    pops = _pops
     # the memoryviews hand out Python floats, which round exactly as numpy
     # float64 scalars at a fraction of the cost per operation, without the
     # memory of a list of every point
     xs, ys = memoryview(x), memoryview(y)
-    idx: list[int] = []
-    for i in range(x.size):
-        xi, yi = xs[i], ys[i]
-        while len(idx) >= 2:
-            a, b = idx[-2], idx[-1]
-            cross = (xs[b] - xs[a]) * (yi - ys[a]) - (ys[b] - ys[a]) * (xi - xs[a])
-            # near-collinear points can pass the cross test by one rounding
-            # while the slopes iron() takes by division come out equal
-            if cross <= 0.0 or ((ys[b] - ys[a]) / (xs[b] - xs[a])
-                                >= (yi - ys[b]) / (xi - xs[b])):
+    # byte i is 1 where the step at i pops with (i - 2, i - 1) on top
+    turn = bytearray(2)
+    turn += pops(x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:]).tobytes()
+    idx: list[int] = [0]
+    wait, seen, streak = 1, None, 0
+    i = 1
+    while i < n:
+        # (xb, yb) is the top of the stack, the last point pushed
+        xb, yb = xs[idx[-1]], ys[idx[-1]]
+        for i in range(i, min(i + _STRIDE, n)):
+            xi, yi = xs[i], ys[i]
+            while len(idx) >= 2:
+                a = idx[-2]
+                xa, ya = xs[a], ys[a]
+                if not pops(xa, ya, xb, yb, xi, yi):
+                    break
                 idx.pop()
-            else:
-                break
-        idx.append(i)
+                xb, yb = xa, ya
+            idx.append(i)
+            xb, yb = xi, yi
+        i += 1
+        if i == n:
+            break
+        if idx[-2] == i - 2:
+            # convex run up to the next turn
+            stop = turn.find(1, i)
+            stop = n if stop < 0 else stop
+            idx.extend(range(i, stop))
+            i = stop
+            continue
+        # a fan keeps the stack's size and the point below its top
+        state = (len(idx), idx[-2])
+        if state != seen:
+            seen, streak = state, 0
+            continue
+        streak += 1
+        if streak >= wait:
+            run = _fan_run(x, y, idx, i)
+            i += run
+            wait = 1 if run >= _FAN_CHUNK else min(2 * wait, _FAN_WAIT_MAX)
+            seen, streak = None, 0
     return np.asarray(idx, dtype=np.intp)
+
+
+def _fan_run(x, y, idx, i):
+    """Take the fan run from point i on: each point j that pops the top
+    (j - 1) alone and stops on the two below replaces the top. Returns the
+    number of points taken."""
+    pops = _pops
+    xa, ya = float(x[idx[-2]]), float(y[idx[-2]])
+    below = len(idx) >= 3
+    if below:
+        xp, yp = float(x[idx[-3]]), float(y[idx[-3]])
+    start, chunk = i, _FAN_CHUNK
+    while i < x.size:
+        hi = min(i + chunk, x.size)
+        xj, yj = x[i:hi], y[i:hi]
+        run = pops(xa, ya, x[i - 1:hi - 1], y[i - 1:hi - 1], xj, yj)
+        if below:
+            run &= ~pops(xp, yp, xa, ya, xj, yj)
+        k = int(run.argmin())
+        if run[k]:
+            i, chunk = hi, 2 * chunk
+            continue
+        i += k
+        break
+    if i > start:
+        idx[-1] = i - 1
+    return i - start
 
 
 @dataclass(frozen=True)
@@ -213,16 +308,22 @@ def iron(d: ValueDistribution, grid: int = DEFAULT_GRID,
                   0, slopes.size - 1)
     phibar = slopes[seg]
 
+    # a segment is bridged where H rises above it inside; only segments
+    # with interior points are looked at, each over its interior alone
     tol = _BRIDGE_RTOL * max(1.0, float(np.abs(H).max()))
+    wide = np.flatnonzero(np.diff(hull_idx) > 1)
+    inner = np.empty(2 * wide.size, dtype=np.intp)
+    inner[0::2] = hull_idx[wide] + 1
+    inner[1::2] = hull_idx[wide + 1]
+    gap = np.maximum.reduceat(H - G, inner)[0::2]
     intervals = []
-    for j in range(slopes.size):
+    for j in wide[gap > tol].tolist():
         i0, i1 = int(hull_idx[j]), int(hull_idx[j + 1])
-        if i1 - i0 > 1 and float(np.max(H[i0 + 1:i1] - G[i0 + 1:i1])) > tol:
-            intervals.append(IronedInterval(
-                q_lo=float(q[i0]), q_hi=float(q[i1]),
-                v_lo=float(v[i0]), v_hi=float(v[i1]),
-                level=float(slopes[j]),
-                at_bottom=(i0 == 0), at_top=(i1 == grid - 1)))
+        intervals.append(IronedInterval(
+            q_lo=float(q[i0]), q_hi=float(q[i1]),
+            v_lo=float(v[i0]), v_hi=float(v[i1]),
+            level=float(slopes[j]),
+            at_bottom=(i0 == 0), at_top=(i1 == grid - 1)))
     for a in (q, v, theta, H, G, phibar, hull_idx, slopes, seg):
         a.flags.writeable = False
     iv = _IRONED[key] = IronedVirtual(d, q, v, theta, H, G, phibar, hull_idx,

@@ -840,7 +840,9 @@ def probe_in_place(n):
 
 
 def test_probe_matches_in_place_loop():
-    for n in [*range(1, 300), 1000, 3000, 10 ** 4]:
+    # the probe scales its counts down by 2^-256 once every 256 ranks
+    for n in [*range(1, 300), *range(511, 516), *range(767, 771), 1000, 3000,
+              5000, 10 ** 4, 12000]:
         assert balanced_sampling_probe(n) == probe_in_place(n), n
 
 

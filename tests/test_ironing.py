@@ -13,8 +13,8 @@ from test_benchmark import piecewise_priors
 from burnlab.distributions import (exponential, pareto,
                                    piecewise_inverse_hazard, two_piece,
                                    uniform, virtual_value_utility)
-from burnlab.ironing import (DEFAULT_GRID, iron, ironed_value,
-                             lower_convex_hull)
+from burnlab.ironing import (_BRIDGE_RTOL, DEFAULT_GRID, IronedInterval, iron,
+                             ironed_value, lower_convex_hull)
 
 
 def test_uniform_constant(iv_uniform):
@@ -266,6 +266,99 @@ def test_hull_properties(ys):
     if idx.size > 2:
         slopes = np.diff(y[idx]) / np.diff(x[idx])
         assert np.all(np.diff(slopes) > 0)
+
+
+# the conftest priors plus exp(3), whose H is a line up to rounding, and a
+# prior of constant-theta pieces whose hull follows a line, bridges one dip
+# and ends in a line
+HULL_PRIORS = STOCK_PRIORS + (
+    exponential(3.0),
+    piecewise_inverse_hazard([0.0, 1.0, 1.5, 2.0], [1.0, 3.0, 1.2, 4.0]),
+    piecewise_inverse_hazard([0.0, 0.5, 2.0], [2.0, 0.5, 1.5]))
+
+
+@pytest.mark.parametrize("grid", [64, 2 ** 10, 2 ** 14])
+def test_hull_matches_oracle_on_prior_paths(grid):
+    # real (q, H) paths take the scan's convex and fan runs in bulk
+    for d in HULL_PRIORS:
+        iv = iron(d, grid=grid)
+        assert np.array_equal(lower_convex_hull(iv.q, iv.H), hull_oracle(iv.q, iv.H)), d.name
+
+
+def long_path(shape, seed, m=3000):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.01, 1.0, m))
+    if shape == "convex":
+        return x, rng.uniform(0.1, 2.0) * x ** 2
+    if shape == "concave":
+        return x, -rng.uniform(0.1, 2.0) * np.sqrt(x) - 1e-3 * x ** 2
+    if shape == "noisy-line":
+        return x, rng.uniform(-2.0, 2.0) * x + 1e-14 * rng.standard_normal(m)
+    # mixed: stretches of rising and falling slope, lines and noise
+    pieces = np.array_split(np.arange(m), np.sort(rng.choice(m, 12, replace=False)))
+    slopes = np.concatenate([
+        (np.linspace(0.0, 1.0, p.size), np.linspace(1.0, 0.0, p.size),
+         np.full(p.size, 0.5), 0.5 + 1e-12 * rng.standard_normal(p.size))[j % 4]
+        + rng.uniform(-1.0, 1.0) for j, p in enumerate(pieces)])
+    return x, np.cumsum(slopes * np.diff(x, prepend=0.0))
+
+
+@pytest.mark.parametrize("shape", ["convex", "concave", "noisy-line", "mixed"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hull_matches_oracle_on_long_paths(shape, seed):
+    x, y = long_path(shape, seed)
+    idx = lower_convex_hull(x, y)
+    assert np.array_equal(idx, hull_oracle(x, y))
+    if shape == "convex":
+        assert idx.size == x.size
+    if shape == "concave":
+        assert idx.tolist() == [0, x.size - 1]
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0]),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 0.0, 1.0]),
+    ([0.0, 1.0, 2.0, np.inf], [0.0, 1.0, 0.0, 1.0]),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, -np.inf, 0.0, 1.0])])
+def test_hull_rejects_non_finite(x, y):
+    with pytest.raises(ValueError, match="finite"):
+        lower_convex_hull(x, y)
+
+
+def intervals_oracle(iv):
+    # the bridge test on every hull segment, one at a time
+    tol = _BRIDGE_RTOL * max(1.0, float(np.abs(iv.H).max()))
+    out = []
+    for j in range(iv.slopes.size):
+        i0, i1 = int(iv.hull_idx[j]), int(iv.hull_idx[j + 1])
+        if i1 - i0 > 1 and float(np.max(iv.H[i0 + 1:i1] - iv.G[i0 + 1:i1])) > tol:
+            out.append(IronedInterval(
+                float(iv.q[i0]), float(iv.q[i1]), float(iv.v[i0]), float(iv.v[i1]),
+                float(iv.slopes[j]), i0 == 0, i1 == iv.grid - 1))
+    return tuple(out)
+
+
+# on its 64-point grid, H rises above the chord over nodes 0..3 by 0.75 and
+# 1.5 times the bridge tolerance at nodes 1 and 2
+NEAR_TOL_PRIOR = piecewise_inverse_hazard([0.0, 0.04, 0.057], [1.0, 1.0 - 8.2e-7, 3.0])
+
+
+@pytest.mark.parametrize("grid", [64, 2 ** 10, 2 ** 14])
+def test_intervals_match_segment_loop(grid):
+    for d in HULL_PRIORS + (NEAR_TOL_PRIOR,):
+        iv = iron(d, grid=grid)
+        assert iv.intervals == intervals_oracle(iv), d.name
+
+
+def test_bridge_test_reads_last_interior_point():
+    # the segment is bridged by its last interior point alone
+    iv = iron(NEAR_TOL_PRIOR, grid=64)
+    tol = _BRIDGE_RTOL * float(np.abs(iv.H).max())
+    excess = iv.H - iv.G
+    assert iv.hull_idx[:2].tolist() == [0, 3]
+    assert 0.0 < excess[1] <= tol < excess[2]
+    assert iv.intervals == intervals_oracle(iv)
+    assert [(i.at_bottom, i.q_hi) for i in iv.intervals] == [(True, iv.q[3])]
 
 
 def test_hull_of_convex_points_keeps_all():

@@ -131,10 +131,26 @@ MUTANTS = {
     "cell-no-up-correction": (
         ironing, "IronedVirtual._cell", "cell += q[1:].take(cell) <= qv", "pass",
         [test_ironing.test_grid_lookups_match_searchsorted]),
+    # the one pop predicate serves the per-point step and both bulk runs
     "hull-no-slope-guard": (
-        ironing, "lower_convex_hull", "if cross <= 0.0 or (",
-        "if cross <= 0.0 or False and (",
+        ironing, "_pops", "return (cross <= 0.0) | (",
+        "return (cross <= 0.0) | False & (",
         [test_ironing.test_hull_properties]),
+    # a fan run that never asks whether the point also pops A
+    "hull-fan-no-second-pop": (
+        ironing, "_fan_run", "run &= ~pops(xp, yp, xa, ya, xj, yj)", "pass",
+        [functools.partial(test_ironing.test_hull_matches_oracle_on_long_paths,
+                           "concave", 0)]),
+    "hull-convex-run-past-turn": (
+        ironing, "lower_convex_hull", "stop = n if stop < 0 else stop",
+        "stop = n if stop < 0 else min(stop + 1, n)",
+        [functools.partial(test_ironing.test_hull_matches_oracle_on_prior_paths, 64)]),
+    # equivalent on a segment with one interior point, which reduceat reads
+    # alone either way
+    "iron-bridge-test-one-short": (
+        ironing, "iron", "inner[1::2] = hull_idx[wide + 1]",
+        "inner[1::2] = hull_idx[wide + 1] - 1",
+        [test_ironing.test_bridge_test_reads_last_interior_point]),
     "costs-tie-strict": (
         mechanisms, "bayes_optimal_with_costs",
         "elif abs(value - best) <= 1e-12", "elif abs(value - best) < 1e-12",
@@ -215,6 +231,9 @@ MUTANTS = {
     "probe-no-first-copy": (
         audit, "balanced_sampling_probe", "u[0] = w[0]", "pass",
         [test_audit.test_probe_matches_in_place_loop]),
+    "probe-no-final-rescale": (
+        audit, "balanced_sampling_probe", "w *= 2.0 ** -pending", "pass",
+        [test_audit.test_probe_oracles]),
     # the table's rows: the lottery with the aliases' and the audits' view of
     # it strict at its price, where an agent valued exactly at p drops out
     "table-lottery-strict": (

@@ -32,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .common import MechanismEval, check_draws, mc_blocks, mc_eval, substream
+from .common import (MechanismEval, check_draws, mc_blocks, mc_eval,
+                     quantile_draw, substream)
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
 from .ironing import IronedVirtual, check_ironed_for, iron
@@ -271,7 +272,7 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
         return _residual(V, X, P), (theta * X).sum(axis=1)
 
     rng = substream(seed, "utility-identity", mechanism, n, k)
-    u, c = mc_blocks(d, rng, reps, n, sides)
+    u, c = mc_blocks(quantile_draw(d, rng), reps, n, sides)
     controlled = mc_eval(_controlled(u, c, virtual.mean - bottom), seed)
     # T's grid error, or the rounding of a closed form
     cells = virtual.replicates - 1

@@ -71,28 +71,31 @@ def check_draws(reps: int, n: int) -> None:
         raise ValueError(f"need at least one agent, got n={n}")
 
 
-def mc_blocks(d, rng, reps: int, n: int, body) -> tuple[np.ndarray, ...]:
-    """Per-row outputs of body on reps profiles of n values drawn i.i.d. from
-    d, block by block.
+def quantile_draw(d, rng):
+    """The draw of mc_blocks for values i.i.d. from d: a block of the given
+    shape is the quantiles under d of rng.random(shape), as floats."""
+    return lambda shape: np.asarray(d.quantile(rng.random(shape)), dtype=float)
 
-    Each block draws its uniforms with rng.random((rows, n)) and hands body
-    their quantiles under d, a (rows, n) float array; body returns a tuple
-    of arrays with one entry per row, and each is concatenated over the
-    blocks into a reps-long array. Callers check reps and n with
-    check_draws first.
+
+def mc_blocks(draw, reps: int, n: int, body) -> tuple[np.ndarray, ...]:
+    """Outputs of body on reps rows of n draws, block by block.
+
+    draw(shape) returns a block's (rows, n) array; it holds a generator and
+    draws from it in order, as quantile_draw(d, rng) does for i.i.d. values
+    from d. body returns a tuple of 1-D arrays of any length (one entry per
+    row, or the rows a mask keeps), and each is concatenated over the
+    blocks. Callers check reps and n with check_draws first.
 
     A block holds at most _PASS_CELLS = 2^13 cells (one row when n alone is
     more), so its float temporaries are 64 KiB: under glibc's default mmap
     threshold of 128 KiB they reuse freed heap memory and stay in cache,
     where (reps, n) arrays of a megabyte or more are mapped afresh and
-    page-faulted in on every call. Blockwise draws concatenate to the one
-    draw rng.random((reps, n)) and rows are independent, so the outputs are
-    those of body on all reps rows at once, bit for bit.
+    page-faulted in on every call. numpy's generators draw a block as the
+    next rows of the one draw of shape (reps, n), and rows are independent,
+    so the outputs are those of body on all reps rows at once, bit for bit.
     """
     rows = max(1, _PASS_CELLS // n)
-    blocks = [body(np.asarray(d.quantile(rng.random((min(rows, reps - r), n))),
-                              dtype=float))
-              for r in range(0, reps, rows)]
+    blocks = [body(draw((min(rows, reps - r), n))) for r in range(0, reps, rows)]
     return tuple(map(np.concatenate, zip(*blocks)))
 
 

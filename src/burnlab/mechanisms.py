@@ -51,8 +51,8 @@ from typing import Callable
 
 import numpy as np
 
-from .common import (_PASS_CELLS, MIN_REPLICATES, MechanismEval, mc_eval,
-                     substream)
+from .common import (_PASS_CELLS, MIN_REPLICATES, MechanismEval, mc_blocks,
+                     mc_eval, substream)
 from .distributions import as_profile
 from .ironing import IronedVirtual, check_ironed_for, iron
 
@@ -668,8 +668,11 @@ def expected_rsol(profile, k: int, mode: str = "exact",
 
     Exact mode averages all 2^n halvings (n <= 20), both branches weighted
     1/2, in one doubling pass over the agents (O(2^n) work; replicates
-    records the 2^n halvings). MC mode samples reps >= 30 halvings but keeps
-    the branch expectations exact, so only the halving is estimated.
+    records the 2^n halvings). MC mode samples reps >= 30 halvings, each
+    agent serving with probability 1/2, but keeps the branch expectations
+    exact, so only the halving is estimated; its halvings are drawn on
+    blocks of at most 2^13 (common.mc_blocks), and the mean and interval
+    are those of one (reps, n) draw.
     """
     _require_k(k)
     prof = as_profile(profile)
@@ -684,8 +687,10 @@ def expected_rsol(profile, k: int, mode: str = "exact",
     if reps < MIN_REPLICATES:
         raise ValueError(f"reps: need at least {MIN_REPLICATES} replicates, "
                          f"got {reps}")
-    member = substream(seed, "rsol", n, k).random((reps, n)) < 0.5
-    return mc_eval(_rsol_values(prof.sorted, member, k), seed)
+    rng = substream(seed, "rsol", n, k)
+    values, = mc_blocks(lambda shape: rng.random(shape) < 0.5, reps, n,
+                        lambda member: (_rsol_values(prof.sorted, member, k),))
+    return mc_eval(values, seed)
 
 
 # ---------------------------------------------------------------------------

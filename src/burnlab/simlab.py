@@ -2,8 +2,10 @@
 worst-case profile corpus, and the four reproducible experiments behind the
 headline quantitative claims. Results are flat CSV rows, bit-for-bit
 reproducible from (config, seed). Only lb43's benchmark columns and the
-estimate of RSOL are Monte Carlo; the estimate of every rank rule, lb43's
-optimum (expected_under_prior), surplus-gap, rsol-ratio and thmub are exact.
+estimate of RSOL are Monte Carlo, each drawn in blocks of at most 2^13
+values (common.mc_blocks) with the numbers of one whole-array draw; the
+estimate of every rank rule, lb43's optimum (expected_under_prior),
+surplus-gap, rsol-ratio and thmub are exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .benchmark import full_surplus, two_price_benchmark
 from .common import (VERSION, MechanismEval, check_draws, mc_blocks, mc_eval,
-                     substream)
+                     quantile_draw, substream)
 from .distributions import (ValuationProfile, ValueDistribution, as_profile,
                             exponential)
 from .ironing import iron
@@ -49,7 +51,8 @@ def estimate(mechanism: str, d: ValueDistribution, n: int, k: int, reps: int,
     if entry.prior is not None:
         return entry.prior(d, n, k, Params())[0]
     rng = substream(seed, "estimate", mechanism, n, k)
-    values, = mc_blocks(d, rng, reps, n, lambda V: (entry.value(V, k, Params()),))
+    values, = mc_blocks(quantile_draw(d, rng), reps, n,
+                        lambda V: (entry.value(V, k, Params()),))
     return mc_eval(values, seed)
 
 
@@ -91,20 +94,30 @@ def experiment_lb43(reps: int, seed: int) -> dict:
     """Two exponential agents, one unit: benchmark mean tends to 4/3 while
     the prior-optimal mechanism earns 1. The benchmark mean is Monte Carlo
     over reps seeded draws, which also spot-check the conditional benchmark
-    mean near the smaller value being 0; the optimum (opt_mean) is exact,
-    expected_under_prior on the opt_grid-point ironing grid."""
+    mean near the smaller value being 0 (cond_g against cond_pred, over the
+    draws whose smaller value is below 0.02; both are NaN when no draw is);
+    the optimum (opt_mean) is exact, expected_under_prior on the
+    opt_grid-point ironing grid. The draws run on blocks of at most 2^13
+    values (common.mc_blocks), and the mean and interval are those of one
+    (reps, 2) draw."""
     rng = substream(seed, "lb43")
-    V = rng.exponential(1.0, size=(reps, 2))
-    # on columns: numpy reduces a row of two one row at a time
-    lo = np.minimum(V[:, 0], V[:, 1])
-    g = _benchmark_two_exp(np.maximum(V[:, 0], V[:, 1]), lo)
+
+    def columns(V):
+        # on columns: numpy reduces a row of two one row at a time
+        lo = np.minimum(V[:, 0], V[:, 1])
+        g = _benchmark_two_exp(np.maximum(V[:, 0], V[:, 1]), lo)
+        near = lo < 0.02
+        return g, g[near], lo[near]
+
+    g, g_near, lo_near = mc_blocks(lambda shape: rng.exponential(1.0, size=shape),
+                                   reps, 2, columns)
     g_eval = mc_eval(g, seed)
     iv = iron(exponential(1.0))
     opt = expected_under_prior(PRIOR_OPTIMAL, iv.dist, 2, 1, iv)
-    bin_mask = lo < 0.02
-    cond_g = float(g[bin_mask].mean())
-    v2 = float(lo[bin_mask].mean())
-    cond_pred = v2 + 0.5 * (1.0 + math.exp(-v2))
+    cond_g = cond_pred = math.nan
+    if lo_near.size:
+        cond_g, v2 = float(g_near.mean()), float(lo_near.mean())
+        cond_pred = v2 + 0.5 * (1.0 + math.exp(-v2))
     return {
         "experiment": "lb43", "n": 2, "k": 1, "reps": reps, "seed": seed,
         "g_mean": g_eval.mean, "g_ci_lo": g_eval.ci[0], "g_ci_hi": g_eval.ci[1],

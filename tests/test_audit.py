@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,17 +14,17 @@ from burnlab.audit import (DSIC_TOL, DeviationReport, DominanceReport,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
 from burnlab.common import _PASS_CELLS, Z99, MechanismEval, mc_eval, substream
-from burnlab.distributions import (ValuationProfile, exponential, pareto,
-                                   piecewise_inverse_hazard, two_piece, uniform,
-                                   virtual_value_utility)
+from burnlab.distributions import (ValuationProfile, as_profile, exponential,
+                                   pareto, piecewise_inverse_hazard, two_piece,
+                                   uniform, virtual_value_utility)
 from burnlab.ironing import iron
 from burnlab.mechanisms import (ALIASES, MECHANISMS, Params, _ladder_sizes,
                                 _residual, _rsol_halving_sums, _rsol_interim,
-                                bayes_optimal_outcome, expected_log_price,
-                                expected_p_lottery, expected_pq_lottery,
-                                expected_rsol, mixed_vickrey_lottery, unpriced,
-                                vickrey)
-from burnlab.simlab import estimate
+                                _rsol_values, bayes_optimal_outcome,
+                                expected_log_price, expected_p_lottery,
+                                expected_pq_lottery, expected_rsol,
+                                mixed_vickrey_lottery, unpriced, vickrey)
+from burnlab.simlab import estimate, experiment_lb43
 
 PRIOR_RULES = ("lottery", "vickrey", "bayes")
 
@@ -522,8 +523,8 @@ def mc_dominance(d, rule, reps, seed, k, n, iv):
         cell = iv._cell(V)
         return ((iv.phibar[cell] - cell_virtual(iv, cell)) * X).sum(axis=1),
 
-    diff, = common.mc_blocks(d, substream(seed, "dominance", rule, n, k), reps,
-                             n, gain)
+    draw = common.quantile_draw(d, substream(seed, "dominance", rule, n, k))
+    diff, = common.mc_blocks(draw, reps, n, gain)
     return dominance_report(diff, d, k, n)
 
 
@@ -627,8 +628,8 @@ def mc_estimate(name, d, n, k, reps, seed):
     # stream, of each one's exact value under the table's value view
     entry = unpriced(name)
     a = Params(iv=iron(d) if "iv" in entry.reads else None)
-    values, = common.mc_blocks(d, substream(seed, "estimate", name, n, k), reps,
-                               n, lambda V: (entry.value(V, k, a),))
+    draw = common.quantile_draw(d, substream(seed, "estimate", name, n, k))
+    values, = common.mc_blocks(draw, reps, n, lambda V: (entry.value(V, k, a),))
     return mc_eval(values, seed)
 
 
@@ -641,6 +642,38 @@ def estimate_one_array(name, d, n, k, reps, seed):
     return mc_eval(entry.value(V, k, a), seed)
 
 
+def lb43_draws(reps, seed):
+    return substream(seed, "lb43").exponential(1.0, size=(reps, 2))
+
+
+def lb43_benchmark_rowwise(reps, seed):
+    """The benchmark columns as the experiment used to compute them, with
+    rowwise max and min."""
+    V = lb43_draws(reps, seed)
+    hi, lo = V.max(axis=1), V.min(axis=1)
+    g = np.maximum(0.5 * (hi + lo), hi - 0.5 * lo)
+    g_eval = mc_eval(g, seed)
+    mask = lo < 0.02
+    v2 = float(lo[mask].mean())
+    return {"g_mean": g_eval.mean, "g_ci_lo": g_eval.ci[0],
+            "g_ci_hi": g_eval.ci[1], "cond_g": float(g[mask].mean()),
+            "cond_pred": v2 + 0.5 * (1.0 + math.exp(-v2))}
+
+
+def rsol_mc_one_array(values, k, reps, seed):
+    # expected_rsol's Monte Carlo from one (reps, n) draw of serving halves
+    # and one value call on all of it
+    prof = as_profile(values)
+    member = substream(seed, "rsol", prof.n, k).random((reps, prof.n)) < 0.5
+    return mc_eval(_rsol_values(prof.sorted, member, k), seed)
+
+
+# profiles for RSOL's Monte Carlo: one agent, ties, and 16 agents, where a
+# default block is 512 rows
+RSOL_MC_PROFILES = ([1.5], [3.0, 2.0, 2.0, 1.0, 0.5],
+                    list(substream(2, "rsol-mc").exponential(1.0, 16)))
+
+
 # the names that unpriced accepts
 UNPRICED = tuple(ALIASES) + tuple(name for name, entry in MECHANISMS.items()
                                   if not {"p", "q"} & set(entry.reads))
@@ -650,12 +683,21 @@ UNPRICED = tuple(ALIASES) + tuple(name for name, entry in MECHANISMS.items()
 @pytest.mark.parametrize("cells", [1, None, 1 << 30])
 def test_mc_blocks_are_bitwise(monkeypatch, iv_uniform, iv_exp, iv_pareto,
                                iv_twopiece, iv_bridge, cells):
-    # 9001 rows: several default blocks at n = 6 (1365 rows each) and at
-    # n = 1 (8192), the last one partial
+    # 9001 rows: several default blocks at n = 6 (1365 rows each), at n = 1
+    # (8192) and at lb43's n = 2 (4096), the last one partial. One-row
+    # blocks take 41 rows, but lb43 draws 9001 under every block size, so
+    # that its bin (each block returns the rows it keeps) is not empty
     reps = 9001
     if cells is not None:
         monkeypatch.setattr(common, "_PASS_CELLS", cells)
-        reps = 41 if cells == 1 else reps
+    row = experiment_lb43(reps, 5)
+    for key, value in lb43_benchmark_rowwise(reps, 5).items():
+        assert row[key] == value, key
+    reps = 41 if cells == 1 else reps
+    for values in RSOL_MC_PROFILES:
+        for k in (1, 2):
+            assert (expected_rsol(values, k, "mc", reps, 5)
+                    == rsol_mc_one_array(values, k, reps, 5)), (values, k)
     for iv in (iv_uniform, iv_exp, iv_pareto, iv_twopiece, iv_bridge):
         d = iv.dist
         for rule in PRIOR_RULES:
@@ -671,6 +713,18 @@ def test_mc_blocks_are_bitwise(monkeypatch, iv_uniform, iv_exp, iv_pareto,
             for k, n in [(1, 2)] if name == "mix" else [(1, 1), (2, 6)]:
                 assert (blocked(name, d, n, k, reps, 5)
                         == estimate_one_array(name, d, n, k, reps, 5)), name
+
+
+def traced_peak(call):
+    # the traced allocation peak of a second call, the cached per-prior
+    # constants built by the first
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_mc_checks_memory_is_blocked(iv_pareto, iv_twopiece):
@@ -689,14 +743,16 @@ def test_mc_checks_memory_is_blocked(iv_pareto, iv_twopiece):
         if iv is iv_pareto:
             checks.append(lambda: estimate("rsol", d, 6, 2, 30_000, 1))
         for check in checks:
-            check()  # the cached per-prior constants are built outside
-            tracemalloc.start()
-            try:
-                check()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(check)
             assert peak < 2e6, (d.name, peak)
+    # lb43 keeps its 8 MB column of 10^6 values and the blocks it is joined
+    # from (one (10^6, 2) draw peaked at 56 MB); RSOL's Monte Carlo keeps
+    # 10^4 values (one (10^4, 200) draw peaked at 165 MB)
+    peak = traced_peak(lambda: experiment_lb43(10 ** 6, 0))
+    assert peak < 20e6, peak
+    values = substream(3, "rsol-mc").exponential(1.0, 200)
+    peak = traced_peak(lambda: expected_rsol(values, 2, "mc", 10 ** 4, 1))
+    assert peak < 2e6, peak
 
 
 @pytest.mark.filterwarnings("error")

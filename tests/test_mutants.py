@@ -196,6 +196,15 @@ MUTANTS = {
     "mc-blocks-overlap-one-row": (
         common, "mc_blocks", "range(0, reps, rows)", "range(0, reps, rows - 1)",
         [functools.partial(test_audit.test_mc_blocks_are_bitwise, cells=None)]),
+    # lb43's bin of small values read off the benchmark, not the smaller
+    # value, and RSOL's Monte Carlo serving the complement of its halves
+    "lb43-bin-from-benchmark": (
+        simlab, "experiment_lb43", "near = lo < 0.02", "near = g < 0.02",
+        [functools.partial(test_audit.test_mc_blocks_are_bitwise, cells=None)]),
+    "rsol-mc-serving-flipped": (
+        mechanisms, "expected_rsol", "rng.random(shape) < 0.5",
+        "rng.random(shape) >= 0.5",
+        [functools.partial(test_audit.test_mc_blocks_are_bitwise, cells=None)]),
     # payments 1 % high in the identity check's rule rows; uniform(0, 1)
     # Vickrey, the matrix's first cell with payments, is caught
     "identity-payments-1.01": (

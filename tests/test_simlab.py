@@ -8,7 +8,8 @@ import sys
 
 import numpy as np
 import pytest
-from test_audit import UNPRICED, ladder_oracle, mc_estimate, rejects
+from test_audit import (UNPRICED, lb43_benchmark_rowwise, lb43_draws,
+                        ladder_oracle, mc_estimate, rejects)
 from test_mechanisms import grid_tol
 
 from burnlab.common import VERSION, Z99, MechanismEval, mc_eval, substream
@@ -134,29 +135,11 @@ def test_worst_case_corpus_shape():
 # experiments
 
 
-def lb43_draws(reps, seed):
-    return substream(seed, "lb43").exponential(1.0, size=(reps, 2))
-
-
 def lb43_opt_mc(reps, seed):
     """The optimum as the experiment used to estimate it: Monte Carlo over
     the seeded draws of the Bayes rule's residual, with its 99% interval."""
     V = lb43_draws(reps, seed)
     return mc_eval(_residual(V, *_bayes_rule(iron(exponential(1.0)), V, 1)), seed)
-
-
-def lb43_benchmark_rowwise(reps, seed):
-    """The benchmark columns as the experiment used to compute them, with
-    rowwise max and min."""
-    V = lb43_draws(reps, seed)
-    hi, lo = V.max(axis=1), V.min(axis=1)
-    g = np.maximum(0.5 * (hi + lo), hi - 0.5 * lo)
-    g_eval = mc_eval(g, seed)
-    mask = lo < 0.02
-    v2 = float(lo[mask].mean())
-    return {"g_mean": g_eval.mean, "g_ci_lo": g_eval.ci[0],
-            "g_ci_hi": g_eval.ci[1], "cond_g": float(g[mask].mean()),
-            "cond_pred": v2 + 0.5 * (1.0 + math.exp(-v2))}
 
 
 def test_lb43_experiment():
@@ -171,6 +154,21 @@ def test_lb43_experiment():
     assert abs(row["opt_mean"] - 1.0) <= grid_tol(row["opt_grid"], 2)
     assert row["ratio"] == row["g_mean"] / row["opt_mean"]
     assert row["cond_g"] == pytest.approx(row["cond_pred"], abs=0.15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lb43_empty_bin_is_nan():
+    # at 30 draws the bin of smaller values below 0.02 is often empty (it is
+    # at seed 2): the conditional columns are NaN, with no warning, and the
+    # benchmark columns are still those of the rowwise reductions
+    lo = lb43_draws(30, 2).min(axis=1)
+    assert not (lo < 0.02).any()
+    row = experiment_lb43(30, 2)
+    assert math.isnan(row["cond_g"]) and math.isnan(row["cond_pred"])
+    V = lb43_draws(30, 2)
+    hi = V.max(axis=1)
+    g = mc_eval(np.maximum(0.5 * (hi + lo), hi - 0.5 * lo), 2)
+    assert (row["g_mean"], row["g_ci_lo"], row["g_ci_hi"]) == (g.mean, *g.ci)
 
 
 # seeds the suite already runs lb43 on; at seed 0 the 99% interval misses

@@ -254,8 +254,10 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
     it is 1e-12*(1 + |T|), rounding alone.
 
     The draws run on blocks of at most 2^13 values (common.mc_blocks),
-    whose float temporaries fit under glibc's mmap threshold; the report is
-    that of one (reps, n) draw. reps below MIN_REPLICATES and n below 1 are
+    whose float temporaries fit under glibc's mmap threshold; u and c are
+    joined from the blocks, as beta reads them whole. mc_eval's fixed chunks
+    of 2^15 values make the report that of one (reps, n) draw, and numpy's
+    own up to 2^15 reps. reps below MIN_REPLICATES and n below 1 are
     rejected, and so is a mechanism without a prior view.
     """
     check_ironed_for(d, iv)
@@ -272,7 +274,8 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
         return _residual(V, X, P), (theta * X).sum(axis=1)
 
     rng = substream(seed, "utility-identity", mechanism, n, k)
-    u, c = mc_blocks(quantile_draw(d, rng), reps, n, sides)
+    blocks = mc_blocks(quantile_draw(d, rng), reps, n, sides)
+    u, c = map(np.concatenate, zip(*blocks))
     controlled = mc_eval(_controlled(u, c, virtual.mean - bottom), seed)
     # T's grid error, or the rounding of a closed form
     cells = virtual.replicates - 1

@@ -671,8 +671,10 @@ def expected_rsol(profile, k: int, mode: str = "exact",
     records the 2^n halvings). MC mode samples reps >= 30 halvings, each
     agent serving with probability 1/2, but keeps the branch expectations
     exact, so only the halving is estimated; its halvings are drawn on
-    blocks of at most 2^13 (common.mc_blocks), and the mean and interval
-    are those of one (reps, n) draw.
+    blocks of at most 2^13 (common.mc_blocks), whose values mc_eval
+    summarizes as they come, so no reps-long array is built. mc_eval's fixed
+    chunks of 2^15 values make the mean and interval those of one (reps, n)
+    draw, and numpy's own up to 2^15 reps.
     """
     _require_k(k)
     prof = as_profile(profile)
@@ -688,9 +690,9 @@ def expected_rsol(profile, k: int, mode: str = "exact",
         raise ValueError(f"reps: need at least {MIN_REPLICATES} replicates, "
                          f"got {reps}")
     rng = substream(seed, "rsol", n, k)
-    values, = mc_blocks(lambda shape: rng.random(shape) < 0.5, reps, n,
-                        lambda member: (_rsol_values(prof.sorted, member, k),))
-    return mc_eval(values, seed)
+    return mc_eval(mc_blocks(lambda shape: rng.random(shape) < 0.5, reps, n,
+                             lambda member: _rsol_values(prof.sorted, member, k)),
+                   seed)
 
 
 # ---------------------------------------------------------------------------

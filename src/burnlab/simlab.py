@@ -3,7 +3,7 @@ worst-case profile corpus, and the four reproducible experiments behind the
 headline quantitative claims. Results are flat CSV rows, bit-for-bit
 reproducible from (config, seed). Only lb43's benchmark columns and the
 estimate of RSOL are Monte Carlo, each drawn in blocks of at most 2^13
-values (common.mc_blocks) with the numbers of one whole-array draw; the
+values (common.mc_blocks) and summarized as a stream (common.mc_eval); the
 estimate of every rank rule, lb43's optimum (expected_under_prior),
 surplus-gap, rsol-ratio and thmub are exact.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +42,18 @@ def estimate(mechanism: str, d: ValueDistribution, n: int, k: int, reps: int,
     closed form); it uses neither reps nor seed. RSOL, no rank rule, returns
     the Monte Carlo mean over reps profiles of each one's exact value, run
     on blocks of at most 2^13 values (common.mc_blocks), whose float
-    temporaries fit under glibc's mmap threshold; the mean is that of one
-    (reps, n) draw. reps below MIN_REPLICATES and n below 1 are rejected
-    for every mechanism."""
+    temporaries fit under glibc's mmap threshold, and fed to mc_eval as they
+    come, so no reps-long array is built; mc_eval's fixed chunks of 2^15
+    values make the summary that of one (reps, n) draw, and numpy's own up
+    to 2^15 reps. reps below MIN_REPLICATES and n below 1 are rejected for
+    every mechanism."""
     entry = unpriced(mechanism)
     check_draws(reps, n)
     if entry.prior is not None:
         return entry.prior(d, n, k, Params())[0]
     rng = substream(seed, "estimate", mechanism, n, k)
-    values, = mc_blocks(quantile_draw(d, rng), reps, n,
-                        lambda V: (entry.value(V, k, Params()),))
-    return mc_eval(values, seed)
+    return mc_eval(mc_blocks(quantile_draw(d, rng), reps, n,
+                             lambda V: entry.value(V, k, Params())), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -98,22 +98,26 @@ def experiment_lb43(reps: int, seed: int) -> dict:
     draws whose smaller value is below 0.02; both are NaN when no draw is);
     the optimum (opt_mean) is exact, expected_under_prior on the
     opt_grid-point ironing grid. The draws run on blocks of at most 2^13
-    values (common.mc_blocks), and the mean and interval are those of one
-    (reps, 2) draw."""
+    values (common.mc_blocks), whose benchmark columns mc_eval summarizes
+    as they come, so no reps-long array is built; only the bin is joined.
+    mc_eval's fixed chunks of 2^15 values make the mean and interval those
+    of one (reps, 2) draw, and numpy's own up to 2^15 reps."""
+    iv = iron(exponential(1.0))
+    opt = expected_under_prior(PRIOR_OPTIMAL, iv.dist, 2, 1, iv)
     rng = substream(seed, "lb43")
+    bins = []
 
-    def columns(V):
+    def column(V):
         # on columns: numpy reduces a row of two one row at a time
         lo = np.minimum(V[:, 0], V[:, 1])
         g = _benchmark_two_exp(np.maximum(V[:, 0], V[:, 1]), lo)
         near = lo < 0.02
-        return g, g[near], lo[near]
+        bins.append((g[near], lo[near]))
+        return g
 
-    g, g_near, lo_near = mc_blocks(lambda shape: rng.exponential(1.0, size=shape),
-                                   reps, 2, columns)
-    g_eval = mc_eval(g, seed)
-    iv = iron(exponential(1.0))
-    opt = expected_under_prior(PRIOR_OPTIMAL, iv.dist, 2, 1, iv)
+    g_eval = mc_eval(mc_blocks(lambda shape: rng.exponential(1.0, size=shape),
+                               reps, 2, column), seed)
+    g_near, lo_near = map(np.concatenate, zip(*bins))
     cond_g = cond_pred = math.nan
     if lo_near.size:
         cond_g, v2 = float(g_near.mean()), float(lo_near.mean())
@@ -159,8 +163,10 @@ def experiment_rsol_ratio(corpus, k_list) -> list[dict]:
                 "n": prof.values.size, "k": k, "rsol": r, "g": g,
                 "ratio": r / g if g > 0 else float("inf"),
             })
-    ratios = [row["ratio"] for row in rows]
-    lo, med = min(ratios), statistics.median(ratios)
+    ratios = sorted(row["ratio"] for row in rows)
+    mid = len(ratios) // 2
+    lo = min(ratios)
+    med = ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
     for row in rows:
         row["min_ratio"] = lo
         row["median_ratio"] = med

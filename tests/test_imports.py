@@ -3,14 +3,18 @@ private name is used somewhere in the package, no module exits with a
 message through SystemExit (bad input is a ValueError that the CLI turns into
 one `burnlab: error:` line and exit status 2), and mechanism names are
 spelled only in the mechanism table's module (and the audit control's name
-in audit.py), so no other module dispatches on one.
+in audit.py), so no other module dispatches on one. A fresh `import
+burnlab` loads no standard-library module the package does not need.
 
 __init__.py is exempt from the import check: its imports are the package's
 public re-exports.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 from burnlab.audit import CONTROLS
 from burnlab.mechanisms import ALIASES, MECHANISMS
@@ -145,3 +149,16 @@ def test_mechanism_names_only_in_the_table():
                       if c[1] not in allowed.get(p.name, ())]
              for p in modules}
     assert not any(found.values()), {m: c for m, c in found.items() if c}
+
+
+def test_import_loads_no_statistics():
+    # statistics pulls in fractions and decimal, some 4-5 ms of each fresh
+    # import; numpy loads none of the three
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = ("import sys, burnlab; print(' '.join(m for m in "
+            "('statistics', 'fractions', 'decimal') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

@@ -19,6 +19,7 @@ import pytest
 import test_audit
 import test_benchmark
 import test_cli
+import test_common
 import test_ironing
 import test_mechanisms
 import test_simlab
@@ -196,6 +197,20 @@ MUTANTS = {
     "mc-blocks-overlap-one-row": (
         common, "mc_blocks", "range(0, reps, rows)", "range(0, reps, rows - 1)",
         [functools.partial(test_audit.test_mc_blocks_are_bitwise, cells=None)]),
+    # mc_eval's merge of chunk summaries: the between-chunk term of the sum
+    # of squares dropped, chunks one value short, or the first chunk merged
+    # into a zero state, which squares the chunk mean: near 1e155 that
+    # overflows, and inf * 0 is NaN
+    "mc-eval-no-cross-term": (
+        common, "mc_eval", "c_m2 + delta * delta * count * size / total", "c_m2",
+        [functools.partial(test_common.test_many_chunks_within_bound, "exp(1)")]),
+    "mc-eval-chunk-one-short": (
+        common, "_chunks", "cut = _CHUNK - count", "cut = _CHUNK - count - 1",
+        [functools.partial(test_common.test_one_chunk_is_numpy, "exp(1)")]),
+    "mc-eval-first-chunk-from-zero": (
+        common, "mc_eval", "if not count:", "if False:",
+        [functools.partial(test_common.test_one_chunk_is_numpy,
+                           "1e155*(1+U(0,1e-4))")]),
     # lb43's bin of small values read off the benchmark, not the smaller
     # value, and RSOL's Monte Carlo serving the complement of its halves
     "lb43-bin-from-benchmark": (

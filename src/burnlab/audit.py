@@ -126,10 +126,14 @@ class InterimRule:
 
 @dataclass(frozen=True)
 class PaymentIdentityReport:
+    """bid is the witness: the bid of the largest identity error, or the
+    first bid where a non-monotone win probability falls."""
+
     passed: bool
     monotone: bool
     max_error: float
     agent: int
+    bid: float
 
 
 def check_dsic(mech: AuditableMechanism, profile, bid_grid,
@@ -183,16 +187,20 @@ def check_payment_identity(rule: InterimRule,
     if rule.bids[0] != 0.0:
         raise ValueError("bid grid must start at 0 for the identity integral")
     eps = 1e-12
-    monotone = (np.all(np.diff(rule.x) >= -eps)
-                and np.all(rule.x_mid >= rule.x[:-1] - eps)
-                and np.all(rule.x_mid <= rule.x[1:] + eps))
-    if not monotone:
-        return PaymentIdentityReport(False, False, np.inf, rule.agent)
+    # per cell, written so that NaN fails: x falls by the midpoint, by the
+    # next bid, or from one bid to the next
+    by_mid = ~(rule.x_mid >= rule.x[:-1] - eps)
+    falls = by_mid | ~(rule.x_mid <= rule.x[1:] + eps) | ~(np.diff(rule.x) >= -eps)
+    if falls.any():
+        j = int(np.argmax(falls))
+        bid = 0.5 * (rule.bids[j] + rule.bids[j + 1]) if by_mid[j] else rule.bids[j + 1]
+        return PaymentIdentityReport(False, False, np.inf, rule.agent, float(bid))
     integral = np.concatenate(
         ([0.0], np.cumsum(rule.x_mid * np.diff(rule.bids))))
-    predicted = rule.bids * rule.x - integral
-    err = float(np.max(np.abs(rule.p - predicted)))
-    return PaymentIdentityReport(err <= tol, True, err, rule.agent)
+    err = np.abs(rule.p - (rule.bids * rule.x - integral))
+    j = int(np.argmax(err))
+    return PaymentIdentityReport(bool(err[j] <= tol), True, float(err[j]), rule.agent,
+                                 float(rule.bids[j]))
 
 
 def audit_profiles(seed: int, count: int = 100,

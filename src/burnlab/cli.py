@@ -127,7 +127,8 @@ def _cmd_audit(args) -> int:
                     tol=DSIC_TOL) for i in range(prof.n)]
         worst = max(pays, key=lambda rep: rep.max_error)
         ok = all(rep.passed for rep in pays)
-        rows.append([args.mech, idx, "payment", ok, worst.max_error, worst.agent, ""])
+        rows.append([args.mech, idx, "payment", ok, worst.max_error, worst.agent,
+                     worst.bid])
         all_passed &= dsic.passed and ok
     _write_csv(args.out, ["mech", "profile", "check", "passed", "max_violation",
                           "agent", "bid"], rows)

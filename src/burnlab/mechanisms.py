@@ -30,7 +30,9 @@ expected_rsol and the estimator, is one doubling pass over the agents in
 descending order (_rsol_exact): each agent doubles the halvings of the
 agents before it, and each halving carries O(1) numbers from which its
 learned price, lottery and Vickrey follow, so a profile costs O(2^n). Its
-audit interim sums the opponents' halvings (_rsol_interim).
+audit interim sums the opponents' halvings (_rsol_halving_sums) for one bid
+per region of the bid line, every agent of a profile in one call, and reads
+each bid's answer from that table, kept for the last profile (_rsol_interim).
 
 Under an i.i.d. prior the lottery, Vickrey, Bayes, the ladder and the
 two-agent mixture are rank rules: an agent's interim win probability xbar
@@ -453,10 +455,11 @@ def bayes_optimal_with_costs(prob: CostProblem, profile, rng=None) -> CostOutcom
 # RSOL
 
 
-def _halvings(n: int, start: int, stop: int) -> np.ndarray:
-    """Halvings start..stop-1, capped at 2^n: bit j of the number serves agent j."""
-    masks = np.arange(start, min(stop, 1 << n), dtype=np.uint32)
-    return (masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1 > 0
+def _halvings(bits: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Halvings start..stop-1 of the n agents of bits (..., n), capped at 2^n:
+    bit bits[..., j] of the number serves agent j. Shape (..., halvings, n)."""
+    masks = np.arange(start, min(stop, 1 << bits.shape[-1]))
+    return masks[:, None] >> bits[..., None, :] & 1 > 0
 
 
 def _rsol_values(V_desc: np.ndarray, member: np.ndarray, k: int) -> np.ndarray:
@@ -597,69 +600,101 @@ def rsol(profile, k: int, rng) -> Outcome:
     return _run(v, X, P, rng)
 
 
+@functools.lru_cache(maxsize=1)
+def _rsol_table(k: int, values: bytes) -> dict:
+    """The region table of the last profile audited, keyed by its values'
+    bytes, so an array changed in place keys afresh: agent -> (u, x, pay),
+    filled by _rsol_interim as agents are asked for."""
+    return {}
+
+
 def _rsol_interim(k: int, values, i, bids):
     """RSOL's exact interim rule, agent i (an int, or an int array aligned
     with the bids) against the others' values.
 
     _rsol_halving_sums compares a bid only with prices and thresholds that
     are 0 or an opponent's value, and its payments do not read the bid. So
-    the rule is constant on each region that u cuts out: u holds 0, the
-    opponents' values and NaN (where every comparison is False), sorted with
-    NaN last, and a bid's region key counts the u below it plus the u at or
-    below it. The kernel runs once per agent on one bid from each region
-    present, with a second copy of a lone region's bid when there are
-    several bids, since numpy adds the halvings of a single column pairwise
-    and of wider arrays one row after another. Each bid then reads its
-    region's answer, bit for bit the kernel's on all the bids."""
+    the rule is constant on each region that the cuts c, 0 and the
+    opponents' distinct values, cut out: below c, at each cut, in each gap,
+    above c, and NaN, where every comparison is False. An agent's table
+    holds the kernel's answer on one bid per region: -inf, each cut, each
+    gap's midpoint, +inf and NaN. A bid's region is the count of u, c with
+    NaN last, below it plus the count at or below it, and its answer is bit
+    for bit the kernel's on the bids themselves, since the kernel adds each
+    bid column's halvings in order. The agents a call asks for and the
+    table lacks are filled in one kernel call; the table is kept for the
+    last profile only (_rsol_table)."""
     _require_k(k)
     v = np.asarray(values, dtype=float)
     if v.size > RSOL_EXACT_CAP:
         raise ValueError(f"rsol audits take at most {RSOL_EXACT_CAP} agents")
     b = np.asarray(bids, dtype=float)
     agents = np.broadcast_to(i, b.shape)
+    asked = np.unique(agents).tolist()
+    table = _rsol_table(k, v.tobytes())
+    need = [a for a in asked if a not in table]
+    if need:
+        o = np.array([np.delete(v, a) for a in need])
+        cuts = [np.unique(np.append(row, 0.0)) for row in o]
+        # rows padded with NaN bids, whose answers no bid reads
+        reps = np.full((len(need), 2 * max(map(len, cuts)) + 2), np.nan)
+        for r, c in zip(reps, cuts):
+            r[0], r[2 * c.size] = -np.inf, np.inf
+            r[1:2 * c.size:2] = c
+            # each gap's midpoint, in a form that cannot overflow
+            r[2:2 * c.size - 1:2] = c[:-1] + 0.5 * np.diff(c)
+        rx, rp = _rsol_halving_sums(k, o, reps)
+        for a, c, x_a, p_a in zip(need, cuts, rx, rp):
+            # the NaN sentinel: a NaN bid sorts after every cut and reads NaN's
+            table[a] = np.append(c, np.nan), x_a, p_a
     x, pay = np.empty(b.size), np.empty(b.size)
-    for a in np.unique(agents):
+    for a in asked:
         at = agents == a
-        o, ba = np.delete(v, a), b[at]
-        u = np.sort(np.append(o, (0.0, np.nan)))
+        u, rx, rp = table[a]
+        ba = b[at]
         key = np.searchsorted(u, ba) + np.searchsorted(u, ba, "right")
-        _, first, region = np.unique(key, return_index=True, return_inverse=True)
-        first = np.resize(first, min(ba.size, max(first.size, 2)))
-        rx, rp = _rsol_halving_sums(k, o, ba[first])
-        x[at], pay[at] = rx[region], rp[region]
+        x[at], pay[at] = rx[key], rp[key]
     return x, pay
 
 
 def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
     """RSOL's interim at each bid b against the opponents' values o; the
-    bidder serves with probability 1/2. Every halving of the opponents
-    (numbered and summed in submission order) meets every bid, in chunks of
-    about _PASS_CELLS cells: a bid above the price p the kernel learns
-    outside the serving half joins the lottery of the M serving opponents
-    above p. Vickrey stays a closed form, as tiling _vickrey_rule over
-    (halving, bid) rows measured 5-6 times slower at n = 8: against the k-th
-    highest serving opponent t, a bid above t wins, a bid at t shares the
-    seats the a serving opponents above t leave with the c tied at t, and
-    winners pay t."""
-    order = np.argsort(-o, kind="stable")
-    o_desc, halvings = o[order], 1 << o.size
+    bidder serves with probability 1/2. o is (..., m) and b (..., B), one
+    row of each per agent. Every halving of the opponents (numbered and
+    summed in submission order) meets every bid, in chunks of about
+    _PASS_CELLS cells over all the agents: a bid above the price p the
+    kernel learns outside the serving half joins the lottery of the M
+    serving opponents above p. Vickrey stays a closed form, as tiling
+    _vickrey_rule over (halving, bid) rows measured 5-6 times slower at n =
+    8: against the k-th highest serving opponent t, a bid above t wins, a
+    bid at t shares the seats the a serving opponents above t leave with
+    the c tied at t, and winners pay t. A lone bid column is doubled, as
+    numpy adds a single column's halvings pairwise and wider arrays' one
+    row after another: the halvings always add in order."""
+    lone = b.shape[-1] == 1
+    if lone:
+        b = np.repeat(b, 2, axis=-1)
+    order = np.argsort(-o, axis=-1, kind="stable")
+    o_desc = np.take_along_axis(o, order, axis=-1)[..., None, :]
+    b, halvings = b[..., None, :], 1 << o.shape[-1]
     per = max(1, _PASS_CELLS // max(b.size, o.size, 1))
-    x, pay = np.zeros(b.size), np.zeros(b.size)
+    x = pay = 0.0
     for h in range(0, halvings, per):
-        serve = _halvings(o.size, h, h + per)[:, order]
-        p = _learned_price(o_desc, ~serve, k)[1][:, None]
-        m = (serve & (o_desc > p)).sum(axis=1, keepdims=True) + 1
+        serve = _halvings(order, h, h + per)
+        p = _learned_price(o_desc, ~serve, k)[1][..., None]
+        m = (serve & (o_desc > p)).sum(axis=-1, keepdims=True) + 1
         xl = np.where(b > p, np.minimum(k, m) / m, 0.0)
-        few = serve.sum(axis=1, keepdims=True) < k
-        t = ((serve & (np.cumsum(serve, axis=1) == k)) * o_desc).sum(axis=1, keepdims=True)
-        a = (serve & (o_desc > t)).sum(axis=1, keepdims=True)
-        c = (serve & (o_desc == t)).sum(axis=1, keepdims=True)
+        few = serve.sum(axis=-1, keepdims=True) < k
+        t = ((serve & (np.cumsum(serve, axis=-1) == k)) * o_desc).sum(axis=-1, keepdims=True)
+        a = (serve & (o_desc > t)).sum(axis=-1, keepdims=True)
+        c = (serve & (o_desc == t)).sum(axis=-1, keepdims=True)
         xv = np.where(few | (b > t), 1.0, np.where(b == t, (k - a) / (c + 1), 0.0))
         xs, ps = 0.5 * (xl + xv), 0.5 * (xl * p + xv * np.where(few, 0.0, t))
         # the running sums enter each chunk's first row: chunking keeps the order
-        xs[0], ps[0] = xs[0] + x, ps[0] + pay
-        x, pay = xs.sum(axis=0), ps.sum(axis=0)
-    return x * (0.5 / halvings), pay * (0.5 / halvings)
+        xs[..., 0, :], ps[..., 0, :] = xs[..., 0, :] + x, ps[..., 0, :] + pay
+        x, pay = xs.sum(axis=-2), ps.sum(axis=-2)
+    x, pay = x * (0.5 / halvings), pay * (0.5 / halvings)
+    return (x[..., :1], pay[..., :1]) if lone else (x, pay)
 
 
 def expected_rsol(profile, k: int, mode: str = "exact",

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from burnlab import common
-from burnlab.audit import (DSIC_TOL, DeviationReport, DominanceReport,
-                           IdentityReport, InterimRule,
+from burnlab import common, mechanisms
+from burnlab.audit import (DSIC_TOL, MIN_IDENTITY_GRID, DeviationReport,
+                           DominanceReport, IdentityReport, InterimRule,
                            audit_mechanism, audit_profiles,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
@@ -163,6 +163,9 @@ def test_firstprice_flagged():
     rule = extract_interim_rule(mech, prof, 0, np.linspace(0.0, 4.0, 256))
     pay = check_payment_identity(rule)
     assert not pay.passed and pay.max_error > 0.5
+    # agent 0 burns its bid b, where the identity charges 1 above 1: the
+    # error b - 1 is largest at the top bid
+    assert pay.bid == 4.0 and pay.max_error == pytest.approx(3.0, rel=1e-12)
 
 
 def rejects(call):
@@ -330,6 +333,9 @@ def region_cases(draw):
 @example((np.array([1.0, 2.0]), 0, np.array([1.0, 2.0])), 1)
 @example((np.array([1.0, 2.0]), 0, np.array([3.0, np.nan])), 1)
 @example((np.array([0.3, 0.7, 0.1, 0.9, 0.5, 0.2]), 0, np.array([2.0, 3.0])), 1)
+# a single bid against five opponents: 32 halvings, which numpy would add
+# pairwise in a lone column
+@example((np.array([0.3, 0.7, 0.1, 0.9, 0.5, 0.2]), 0, np.array([2.0])), 1)
 @settings(max_examples=300, deadline=None)
 def test_rsol_region_interim_is_bitwise(case, k):
     values, i, bids = case
@@ -351,9 +357,82 @@ def test_rsol_interim_chunking_invariant():
     pick = np.searchsorted(bids, few)
     x_few, pay_few = _rsol_halving_sums(2, o, few)
     assert np.array_equal(x[pick], x_few) and np.array_equal(pay[pick], pay_few)
-    # the interim runs the kernel once per region, here in one chunk
+    # the interim runs the kernel once on the profile's region table, here
+    # in one chunk
     x_all, pay_all = audit_mechanism("rsol", 2).interim(values, 3, bids)
     assert np.array_equal(x_all, x) and np.array_equal(pay_all, pay)
+
+
+@pytest.mark.parametrize("n, width", [(1, 2), (3, 1), (6, 5), (12, 24)])
+def test_rsol_kernel_agent_axis_is_bitwise(n, width):
+    # one call over every agent's opponents and bids equals the 1-D call per
+    # agent; at n = 12 the 2^11 halvings of 12 agents' 24 bids take many chunks
+    rng = np.random.default_rng(n)
+    values = np.round(rng.random(n) * 8) / 4
+    o = np.array([np.delete(values, a) for a in range(n)])
+    bids = rng.choice(np.append(values, (0.0, 0.1, 1.3, 2.5, np.inf, np.nan)),
+                      size=(n, width))
+    if n == 12:
+        assert (1 << o.shape[1]) * bids.size > 8 * _PASS_CELLS
+    x, pay = _rsol_halving_sums(2, o, bids)
+    for a in range(n):
+        ref_x, ref_pay = _rsol_halving_sums(2, o[a], bids[a])
+        assert np.array_equal(x[a], ref_x) and np.array_equal(pay[a], ref_pay)
+
+
+def test_rsol_table_matches_fresh_kernel():
+    # one profile at k = 1 then 2, profiles interleaved A, B, A, and A
+    # changed in place: every answer is a fresh kernel call's, bit for bit
+    rsol_table = mechanisms._rsol_table
+    rsol_table.cache_clear()
+    A = np.array([0.5, 1.0, 0.0, 1.0, 2.0])
+    B = np.array([3.0, 0.25, 0.75])
+
+    def bids_of(values):
+        u = np.unique(np.append(values, 0.0))
+        return np.concatenate((u, 0.5 * (u[1:] + u[:-1]), np.nextafter(u, np.inf),
+                               [-1.0, u[-1] + 1.0, np.inf, -np.inf, np.nan]))
+
+    def check(values, k):
+        # every agent in one call, as check_dsic asks, then each agent alone
+        bids = bids_of(values)
+        every = np.repeat(np.arange(values.size), bids.size)
+        x_all, pay_all = _rsol_interim(k, values, every, np.tile(bids, values.size))
+        for i in range(values.size):
+            ref = _rsol_halving_sums(k, np.delete(values, i), bids)
+            for got in ((x_all[every == i], pay_all[every == i]),
+                        _rsol_interim(k, values, i, bids)):
+                assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    for values, k in ((A, 1), (A, 2), (B, 2), (A, 2)):
+        check(values, k)
+    A[1] = 1.5
+    check(A, 2)
+    assert rsol_table.cache_info().currsize == 1
+
+
+def test_rsol_check_dsic_makes_one_kernel_call(monkeypatch):
+    # check_dsic fills every agent's table in one call; the extracts after it
+    # on the same profile read the table
+    calls = []
+    kernel = mechanisms._rsol_halving_sums
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(mechanisms, "_rsol_halving_sums", counted)
+    mechanisms._rsol_table.cache_clear()
+    mech = audit_mechanism("rsol", 1)
+    grid = np.linspace(0.0, 2.5, MIN_IDENTITY_GRID)
+    for prof in audit_profiles(5, count=3, n_range=(3, 7)):
+        calls.clear()
+        assert check_dsic(mech, prof, grid[::4]).passed
+        assert calls == [(prof.n, prof.n - 1)]
+        for i in range(prof.n):
+            assert check_payment_identity(
+                extract_interim_rule(mech, prof, i, grid)).passed
+        assert len(calls) == 1
 
 
 def test_rsol_interim_memory_is_chunked():
@@ -839,6 +918,12 @@ def test_nonmonotone_rule_fails_before_identity():
     report = check_payment_identity(rule)
     assert not report.passed and not report.monotone
     assert report.max_error == np.inf
+    # x already falls by the first midpoint
+    assert report.bid == 0.5 * bids[1]
+    # a step down at bid 150, with each midpoint at its cell's left value
+    x = np.where(np.arange(300) < 150, 1.0, 0.5)
+    report = check_payment_identity(InterimRule(0, bids, x, np.zeros(300), x[:-1]))
+    assert not report.monotone and report.bid == bids[150]
 
 
 # ---------------------------------------------------------------------------

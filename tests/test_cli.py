@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from burnlab.audit import audit_mechanism, check_dsic
+from burnlab.audit import (audit_mechanism, check_dsic, check_payment_identity,
+                           extract_interim_rule)
 from burnlab.cli import build_parser, main
 from burnlab.common import VERSION, substream
 from burnlab.distributions import distribution_from_spec, sample_profile
@@ -283,8 +284,8 @@ def test_audit_truthful_exit_zero(tmp_path):
     assert len(rows) == 11
     assert all(r[3] == "True" for r in rows[1:])
     assert {r[2] for r in rows[1:]} == {"dsic", "payment"}
-    # the payment row names its worst agent but no bid
-    assert all(r[5] in {"0", "1", "2"} and r[6] == "" for r in rows[2::2])
+    # the payment row names its worst agent and that agent's witness bid
+    assert all(r[5] in {"0", "1", "2"} and float(r[6]) >= 0.0 for r in rows[2::2])
 
 
 def test_audit_firstprice_exit_one(tmp_path):
@@ -304,6 +305,26 @@ def test_audit_firstprice_exit_one(tmp_path):
         assert row[2:] == ["dsic", "False", repr(report.max_gain),
                            str(report.agent), repr(report.bid)]
         assert 0.0 <= report.bid < prof.values[report.agent]
+
+
+def test_audit_payment_row_names_witness_bid(tmp_path):
+    # firstprice breaks the identity: each payment row names the agent with
+    # the largest error and the bid where it is largest
+    out = tmp_path / "audit.csv"
+    rc = main(["audit", "--mech", "firstprice", "--dist", "uniform(0,1)",
+               "--n", "3", "--profiles", "3", "--out", str(out)])
+    assert rc == 1
+    d = distribution_from_spec("uniform(0,1)")
+    mech = audit_mechanism("firstprice", 1)
+    for idx, row in enumerate(read_csv(out)[2::2]):
+        prof = sample_profile(d, 3, substream(0, "audit", idx))
+        grid = np.linspace(0.0, 1.25 * max(float(prof.values.max()), 1e-9), 256)
+        reports = [check_payment_identity(extract_interim_rule(mech, prof, i, grid))
+                   for i in range(3)]
+        worst = max(reports, key=lambda rep: rep.max_error)
+        assert row[2:] == ["payment", "False", repr(worst.max_error),
+                           str(worst.agent), repr(worst.bid)]
+        assert worst.bid in grid
 
 
 def test_audit_bayes_smoke(tmp_path):

@@ -458,7 +458,7 @@ def halving_enumeration(V, k):
     # mask, its coin value from the learned-price kernel, averaged per row
     rows, n = V.shape
     V_desc = np.repeat(np.sort(V, axis=1)[:, ::-1], 2 ** n, axis=0)
-    member = np.tile(_halvings(n, 0, 2 ** n), (rows, 1))
+    member = np.tile(_halvings(np.arange(n), 0, 2 ** n), (rows, 1))
     return _rsol_values(V_desc, member, k).reshape(rows, 2 ** n).mean(axis=-1)
 
 

@@ -66,12 +66,20 @@ MUTANTS = {
         "2 * np.searchsorted(u, ba)", [test_audit.test_rsol_region_interim_is_bitwise]),
     # a NaN bid, where every comparison is False, shares the top region
     "interim-nan-joins-top-region": (
-        mechanisms, "_rsol_interim", "(0.0, np.nan)", "0.0",
+        mechanisms, "_rsol_interim", "np.append(c, np.nan)", "c",
         [test_audit.test_rsol_region_interim_is_bitwise]),
     # numpy adds a single column's halvings pairwise, not in order
     "interim-lone-region-one-column": (
-        mechanisms, "_rsol_interim", "max(first.size, 2)", "first.size",
+        mechanisms, "_rsol_halving_sums", "lone = b.shape[-1] == 1", "lone = False",
         [test_audit.test_rsol_region_interim_is_bitwise]),
+    # k = 1's table answers the k = 2 audit of the same profile
+    "rsol-table-ignores-k": (
+        mechanisms, "_rsol_interim", "_rsol_table(k, v.tobytes())",
+        "_rsol_table(0, v.tobytes())", [test_audit.test_rsol_table_matches_fresh_kernel]),
+    # a bid inside a gap reads the answer of the value below it
+    "rsol-table-no-midpoint-reps": (
+        mechanisms, "_rsol_interim", "c[:-1] + 0.5 * np.diff(c)", "c[:-1]",
+        [test_audit.test_rsol_table_matches_fresh_kernel]),
     "dsic-scan-one-agent-off": (
         audit, "check_dsic", "zip(scans, np.cumsum(sizes))",
         "zip(scans, np.roll(np.cumsum(sizes), 1))",
@@ -186,8 +194,8 @@ MUTANTS = {
                            2 ** 10)]),
     # the estimator's exact path asks the prior view for one unit more
     "estimate-prior-k-plus-one": (
-        simlab, "estimate", "entry.prior(d, n, k, Params())",
-        "entry.prior(d, n, k + 1, Params())", [test_simlab.test_estimate_closed_forms]),
+        simlab, "estimate", "entry.prior(d, n, k, Params(iv=iv))",
+        "entry.prior(d, n, k + 1, Params(iv=iv))", [test_simlab.test_estimate_closed_forms]),
     # the row blocks of the prior-side Monte Carlo: the rows after the last
     # full block never drawn, or blocks that overlap by one row, which is
     # then drawn twice
@@ -246,7 +254,7 @@ MUTANTS = {
         audit, "verify_ironing_dominance", "band = slack + ", "band = slack + 0 * ",
         [test_audit.test_dominance_exact_cases]),
     "interim-chunk-sums-dropped": (
-        mechanisms, "_rsol_halving_sums", "xs[0] + x,", "xs[0],",
+        mechanisms, "_rsol_halving_sums", "xs[..., 0, :] + x,", "xs[..., 0, :],",
         [test_audit.test_rsol_interim_chunking_invariant]),
     "probe-limit-rounds-up": (
         audit, "balanced_sampling_probe", "3 * i // 4", "(3 * i + 3) // 4",

@@ -619,11 +619,13 @@ def _rsol_interim(k: int, values, i, bids):
     above c, and NaN, where every comparison is False. An agent's table
     holds the kernel's answer on one bid per region: -inf, each cut, each
     gap's midpoint, +inf and NaN. A bid's region is the count of u, c with
-    NaN last, below it plus the count at or below it, and its answer is bit
-    for bit the kernel's on the bids themselves, since the kernel adds each
-    bid column's halvings in order. The agents a call asks for and the
+    NaN last, below it plus the count at or below it. The kernel adds the
+    halvings of two or more bid columns in order, and the table has at
+    least four, so a bid's answer is bit for bit the kernel's on any two or
+    more bids that hold it. The agents a call asks for and the
     table lacks are filled in one kernel call; the table is kept for the
-    last profile only (_rsol_table)."""
+    last profile only (_rsol_table), and a call that asks for no agent
+    leaves it as it is."""
     _require_k(k)
     v = np.asarray(values, dtype=float)
     if v.size > RSOL_EXACT_CAP:
@@ -631,6 +633,8 @@ def _rsol_interim(k: int, values, i, bids):
     b = np.asarray(bids, dtype=float)
     agents = np.broadcast_to(i, b.shape)
     asked = np.unique(agents).tolist()
+    if not asked:
+        return np.empty(0), np.empty(0)
     table = _rsol_table(k, v.tobytes())
     need = [a for a in asked if a not in table]
     if need:
@@ -668,12 +672,9 @@ def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
     _vickrey_rule over (halving, bid) rows measured 5-6 times slower at n =
     8: against the k-th highest serving opponent t, a bid above t wins, a
     bid at t shares the seats the a serving opponents above t leave with
-    the c tied at t, and winners pay t. A lone bid column is doubled, as
-    numpy adds a single column's halvings pairwise and wider arrays' one
-    row after another: the halvings always add in order."""
-    lone = b.shape[-1] == 1
-    if lone:
-        b = np.repeat(b, 2, axis=-1)
+    the c tied at t, and winners pay t. numpy adds the halvings of two or
+    more bid columns one row after another, in order, but a single
+    column's pairwise."""
     order = np.argsort(-o, axis=-1, kind="stable")
     o_desc = np.take_along_axis(o, order, axis=-1)[..., None, :]
     b, halvings = b[..., None, :], 1 << o.shape[-1]
@@ -693,8 +694,7 @@ def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
         # the running sums enter each chunk's first row: chunking keeps the order
         xs[..., 0, :], ps[..., 0, :] = xs[..., 0, :] + x, ps[..., 0, :] + pay
         x, pay = xs.sum(axis=-2), ps.sum(axis=-2)
-    x, pay = x * (0.5 / halvings), pay * (0.5 / halvings)
-    return (x[..., :1], pay[..., :1]) if lone else (x, pay)
+    return x * (0.5 / halvings), pay * (0.5 / halvings)
 
 
 def expected_rsol(profile, k: int, mode: str = "exact",

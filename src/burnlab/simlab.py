@@ -22,7 +22,7 @@ from .common import (VERSION, MechanismEval, check_draws, mc_blocks, mc_eval,
                      quantile_draw, substream)
 from .distributions import (ValuationProfile, ValueDistribution, as_profile,
                             exponential)
-from .ironing import IronedVirtual, check_ironed_for, iron
+from .ironing import iron
 from .mechanisms import (PRIOR_OPTIMAL, Params, expected_log_price,
                          expected_rsol, expected_under_prior, unpriced)
 
@@ -32,27 +32,25 @@ from .mechanisms import (PRIOR_OPTIMAL, Params, expected_log_price,
 
 
 def estimate(mechanism: str, d: ValueDistribution, n: int, k: int, reps: int,
-             seed: int, iv: IronedVirtual | None = None) -> MechanismEval:
+             seed: int) -> MechanismEval:
     """Expected residual on n values drawn i.i.d. from d, k units, of a
     mechanism that reads no price (mechanisms.unpriced).
 
     A rank rule (the lotteries, Vickrey, Bayes, the ladder and the mixture)
-    returns its table entry's exact prior view, integrated on the grid of
-    iv, iron(d) when None, which the record's replicate count gives (1 for
-    the lottery's closed form); it uses neither reps nor seed. An iv ironed
-    for another distribution object than d is rejected. RSOL, no rank rule,
-    returns the Monte Carlo mean over reps profiles of each one's exact
-    value, run on blocks of at most 2^13 values (common.mc_blocks), whose
-    float temporaries fit under glibc's mmap threshold, and fed to mc_eval
-    as they come, so no reps-long array is built; mc_eval's fixed chunks of
-    2^15 values make the summary that of one (reps, n) draw, and numpy's own
-    up to 2^15 reps. reps below MIN_REPLICATES and n below 1 are rejected
-    for every mechanism."""
-    check_ironed_for(d, iv)
+    returns its table entry's exact prior view, integrated on iron(d)'s
+    grid, which the record's replicate count gives (1 for the lottery's
+    closed form); it uses neither reps nor seed. RSOL, no rank rule, returns
+    the Monte Carlo mean over reps profiles of each one's exact value, run
+    on blocks of at most 2^13 values (common.mc_blocks), whose float
+    temporaries fit under glibc's mmap threshold, and fed to mc_eval as they
+    come, so no reps-long array is built; mc_eval's fixed chunks of 2^15
+    values make the summary that of one (reps, n) draw, and numpy's own up
+    to 2^15 reps. reps below MIN_REPLICATES and n below 1 are rejected for
+    every mechanism."""
     entry = unpriced(mechanism)
     check_draws(reps, n)
     if entry.prior is not None:
-        return entry.prior(d, n, k, Params(iv=iv))[0]
+        return entry.prior(d, n, k, Params())[0]
     rng = substream(seed, "estimate", mechanism, n, k)
     return mc_eval(mc_blocks(quantile_draw(d, rng), reps, n,
                              lambda V: entry.value(V, k, Params())), seed)

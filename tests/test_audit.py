@@ -340,7 +340,10 @@ def region_cases(draw):
 def test_rsol_region_interim_is_bitwise(case, k):
     values, i, bids = case
     x, pay = _rsol_interim(k, values, i, bids)
-    ref_x, ref_pay = _rsol_halving_sums(k, np.delete(values, i), bids)
+    # the kernel on one more bid, as it adds a lone bid column's halvings
+    # pairwise and two or more columns' in order, as the table's
+    ref_x, ref_pay = (r[:bids.size] for r in _rsol_halving_sums(
+        k, np.delete(values, i), np.append(bids, 0.0)))
     assert np.array_equal(x, ref_x) and np.array_equal(pay, ref_pay)
 
 
@@ -413,7 +416,8 @@ def test_rsol_table_matches_fresh_kernel():
 
 def test_rsol_check_dsic_makes_one_kernel_call(monkeypatch):
     # check_dsic fills every agent's table in one call; the extracts after it
-    # on the same profile read the table
+    # on the same profile read the table, even after audit_mechanism's
+    # validation call, which asks for no agent
     calls = []
     kernel = mechanisms._rsol_halving_sums
 
@@ -429,6 +433,7 @@ def test_rsol_check_dsic_makes_one_kernel_call(monkeypatch):
         calls.clear()
         assert check_dsic(mech, prof, grid[::4]).passed
         assert calls == [(prof.n, prof.n - 1)]
+        audit_mechanism("rsol", 1)
         for i in range(prof.n):
             assert check_payment_identity(
                 extract_interim_rule(mech, prof, i, grid)).passed

@@ -68,9 +68,12 @@ MUTANTS = {
     "interim-nan-joins-top-region": (
         mechanisms, "_rsol_interim", "np.append(c, np.nan)", "c",
         [test_audit.test_rsol_region_interim_is_bitwise]),
-    # numpy adds a single column's halvings pairwise, not in order
+    # the table asks the kernel one region at a time, and numpy adds a
+    # single column's halvings pairwise, not in order
     "interim-lone-region-one-column": (
-        mechanisms, "_rsol_halving_sums", "lone = b.shape[-1] == 1", "lone = False",
+        mechanisms, "_rsol_interim", "rx, rp = _rsol_halving_sums(k, o, reps)",
+        "rx, rp = np.concatenate([_rsol_halving_sums(k, o, reps[:, j:j + 1])"
+        " for j in range(reps.shape[1])], axis=-1)",
         [test_audit.test_rsol_region_interim_is_bitwise]),
     # k = 1's table answers the k = 2 audit of the same profile
     "rsol-table-ignores-k": (
@@ -194,8 +197,8 @@ MUTANTS = {
                            2 ** 10)]),
     # the estimator's exact path asks the prior view for one unit more
     "estimate-prior-k-plus-one": (
-        simlab, "estimate", "entry.prior(d, n, k, Params(iv=iv))",
-        "entry.prior(d, n, k + 1, Params(iv=iv))", [test_simlab.test_estimate_closed_forms]),
+        simlab, "estimate", "entry.prior(d, n, k, Params())",
+        "entry.prior(d, n, k + 1, Params())", [test_simlab.test_estimate_closed_forms]),
     # the row blocks of the prior-side Monte Carlo: the rows after the last
     # full block never drawn, or blocks that overlap by one row, which is
     # then drawn twice

@@ -12,7 +12,6 @@ from test_audit import (UNPRICED, lb43_benchmark_rowwise, lb43_draws,
                         ladder_oracle, mc_estimate, rejects)
 from test_mechanisms import grid_tol
 
-from burnlab import mechanisms, simlab
 from burnlab.common import VERSION, Z99, MechanismEval, mc_eval, substream
 from burnlab.distributions import exponential, uniform
 from burnlab.ironing import DEFAULT_GRID, iron
@@ -91,27 +90,6 @@ def test_estimate_deterministic():
     a = estimate("rsol", uniform(0.0, 1.0), 3, 1, 200, 9)
     b = estimate("rsol", uniform(0.0, 1.0), 3, 1, 200, 9)
     assert a.mean == b.mean and a.ci == b.ci
-
-
-def test_estimate_reads_given_iv(monkeypatch):
-    # with iv given no name irons again, and each estimate is the one
-    # without iv bit for bit; an iv of another distribution object fails
-    d = exponential(1.0)
-    iv = iron(d)
-    calls = [(name, 2 if name == "mix" else 5, 1 if name == "mix" else 2)
-             for name in UNPRICED]
-    refs = [estimate(name, d, n, k, 100, 3) for name, n, k in calls]
-
-    def no_iron(*args, **kwargs):
-        raise AssertionError("iron called")
-
-    for module in (mechanisms, simlab):
-        monkeypatch.setattr(module, "iron", no_iron)
-    for (name, n, k), ref in zip(calls, refs):
-        ev = estimate(name, d, n, k, 100, 3, iv=iv)
-        assert ev == ref and ev.mean == ref.mean, name
-    with pytest.raises(ValueError, match="iv was ironed for exp"):
-        estimate("vickrey", exponential(1.0), 5, 2, 100, 3, iv=iv)
 
 
 def test_estimate_validation():

@@ -26,12 +26,9 @@ from .distributions import (SupportError, ValuationProfile, ValueDistribution,
 from .ironing import (DEFAULT_GRID, IronedInterval, IronedVirtual, iron,
                       ironed_value, lower_convex_hull)
 from .mechanisms import (CostOutcome, CostProblem, Outcome,
-                         bayes_optimal_outcome, bayes_optimal_with_costs,
-                         expected_log_price, expected_p_lottery,
-                         expected_pq_lottery, expected_rsol,
-                         expected_strict_p_lottery, expected_under_prior,
-                         mixed_vickrey_lottery, rsol, run_log_price,
-                         run_pq_lottery, vickrey)
+                         bayes_optimal_with_costs, evaluate,
+                         expected_log_price, expected_rsol,
+                         expected_under_prior, run)
 from .simlab import (ExperimentConfig, estimate, experiment_lb43,
                      experiment_rsol_ratio, experiment_surplus_gap,
                      experiment_thmub, parse_config, run_experiment,
@@ -46,20 +43,17 @@ __all__ = [
     "MechanismEval", "Outcome", "PaymentIdentityReport", "SupportError",
     "ValuationProfile", "ValueDistribution", "VERSION", "ZeroDensityError",
     "as_profile", "audit_mechanism", "audit_profiles",
-    "balanced_sampling_probe", "bayes_optimal_outcome",
-    "bayes_optimal_with_costs", "check_dsic", "check_payment_identity",
-    "distribution_from_spec", "estimate", "experiment_lb43",
-    "experiment_rsol_ratio", "experiment_surplus_gap", "experiment_thmub",
-    "expected_log_price", "expected_p_lottery", "expected_pq_lottery",
-    "expected_rsol", "expected_strict_p_lottery", "expected_under_prior",
-    "exponential",
+    "balanced_sampling_probe", "bayes_optimal_with_costs", "check_dsic",
+    "check_payment_identity", "distribution_from_spec", "estimate",
+    "evaluate", "experiment_lb43", "experiment_rsol_ratio",
+    "experiment_surplus_gap", "experiment_thmub", "expected_log_price",
+    "expected_rsol", "expected_under_prior", "exponential",
     "extract_interim_rule", "full_surplus", "hazard_classification", "iron",
     "ironed_value", "load_profile", "lottery_surplus_identity",
-    "lower_convex_hull", "mc_eval", "mixed_vickrey_lottery",
-    "optimal_p_lottery", "pareto", "parse_config", "piecewise_inverse_hazard",
-    "rsol", "run_experiment", "run_log_price", "run_pq_lottery",
+    "lower_convex_hull", "mc_eval", "optimal_p_lottery", "pareto",
+    "parse_config", "piecewise_inverse_hazard", "run", "run_experiment",
     "sample_profile", "substream", "two_piece", "two_price_benchmark",
     "uniform", "verify_ironing_dominance", "verify_utility_identity",
-    "vickrey", "virtual_value_payment", "virtual_value_utility",
-    "worst_case_corpus", "write_rows",
+    "virtual_value_payment", "virtual_value_utility", "worst_case_corpus",
+    "write_rows",
 ]

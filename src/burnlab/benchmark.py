@@ -55,8 +55,8 @@ def _pair_values(k: int, c, cnt, tail, i: np.ndarray, j: np.ndarray):
     the rows and j across; pairs with q > p read -inf.
 
     With s = cnt[i] agents above p and t = cnt[j] - s in (q, p], the cases
-    are those of expected_pq_lottery, with the top sum tail[i] and the band
-    sum tail[j] - tail[i].
+    are those of pqlottery's _two_price, with the top sum tail[i] and the
+    band sum tail[j] - tail[i].
     """
     p, s, top = c[i][:, None], cnt[i][:, None], tail[i][:, None]
     q, sq, total = c[j], cnt[j], tail[j]

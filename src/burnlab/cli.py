@@ -46,13 +46,13 @@ def _cmd_iron(args) -> int:
 
 
 # the optional flags that set each Params field; an entry with a Monte Carlo
-# path also reads --reps and --exact
+# path also reads --reps, --exact and, in Monte Carlo mode, --seed
 _FLAGS = {"p": ("p",), "q": ("q",), "iv": ("dist", "grid")}
 
 
 def _flags(mech) -> tuple[str, ...]:
     return (sum((_FLAGS[field] for field in mech.reads), ())
-            + (("reps", "exact") if mech.mc else ()))
+            + (("reps", "exact", "seed") if mech.mc else ()))
 
 
 def _reject_unread(args, command: str, flags, read) -> None:
@@ -82,16 +82,20 @@ def _cmd_eval(args) -> int:
     if mech.mc and not args.exact and (args.reps is not None
                                        or prof.n > mech.cap):
         ev = mech.mc(prof, args.k, 10_000 if args.reps is None else args.reps,
-                     args.seed)
+                     args.seed or 0)
         params.append(f"mode=mc;reps={ev.replicates}")
     else:
+        if args.seed is not None:
+            raise ValueError(f"--seed: eval --mech {args.mech} in exact mode "
+                             "does not read it")
         ev = MechanismEval(mech.one(prof, args.k, a), 0.0, "exact", 1)
         if mech.mc:
             params.append("mode=exact")
+    # an exact row's seed is None, written as an empty cell
     _write_csv(args.out, ["mech", "n", "k", "params", "expected_residual",
                           "ci_lo", "ci_hi", "seed"],
                [[args.mech, prof.n, args.k, ";".join(params) or "-", ev.mean,
-                 ev.ci[0], ev.ci[1], args.seed]])
+                 ev.ci[0], ev.ci[1], ev.seed]])
     return 0
 
 
@@ -168,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     # given
     p.add_argument("--p", type=float, help="price (default 0)")
     p.add_argument("--q", type=float, help="lower price (default 0)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="Monte Carlo mode only (default 0)")
     p.add_argument("--reps", type=int)
     p.add_argument("--exact", action="store_true", default=None)
     p.add_argument("--dist")

@@ -11,15 +11,18 @@ out. The rules: the lottery at price p (_lottery_rule), the top-share rule
 (Vickrey is top-share(k, k), the price ladder the mean of its rungs, the
 two-agent mixture Vickrey/3 + 1/3) and the two-price lottery (_two_price,
 sure winners paying _blended_price), whose rows are _pq_rule's and the
-bridged rows of the prior-optimal _bayes_rule. expected_* values are a
-rule's row residual (_residual) and runs return its row or with an rng one
-draw of it (_run).
+bridged rows of the prior-optimal _bayes_rule.
 
 MECHANISMS, at the end, maps each mechanism name to the Params it reads
 (p, q, the ironed prior iv) and its views: each row's exact value (which
 RSOL's estimate averages over drawn profiles), one profile's for `burnlab
-eval`, the rule for the identity checks, the interim (_tiled) for the audits
-and a rank rule's exact value under a prior for the estimator.
+eval` and evaluate, the run for run, the rule for the identity checks, the
+interim (_tiled) for the audits and a rank rule's exact value under a prior
+for the estimator. A rule's values are its row residual (_residual), and its
+run is its row, or with an rng one draw of it (_run); the ladder draws its
+round first, and Bayes checks the profile against the prior's support.
+evaluate(name, profile, k, **params) and run(name, profile, k, rng,
+**params) read the table, the one public spelling of every mechanism.
 
 RSOL (random-sampling optimal lottery: learn a price on a random half of the
 agents, apply it or Vickrey to the other half) has no rowwise rule. Given a
@@ -165,30 +168,12 @@ def _lottery_rule(V: np.ndarray, k: int, p: float | np.ndarray,
     return X, X * p
 
 
-def _lottery_value(profile, k: int, p: float, strict: bool) -> float:
+def _lottery_value(profile, k: int, p: float) -> float:
     # the row residual with the common win probability factored out of the
     # sum, which keeps the values of small profiles exact
     v = as_profile(profile).values
-    x = _lottery_rule(v[None, :], k, p, strict)[0][0]
+    x = _lottery_rule(v[None, :], k, p)[0][0]
     return float(x.max(initial=0.0) * (v[x > 0] - p).sum())
-
-
-def expected_p_lottery(profile, k: int, p: float) -> float:
-    """Exact residual surplus of a k-unit lottery at price p, eligibility v >= p.
-
-    Each of the m eligible agents wins with probability min(k, m)/m and pays p.
-    """
-    return _lottery_value(profile, k, p, False)
-
-
-def expected_strict_p_lottery(profile, k: int, p: float) -> float:
-    """Lottery value with strict eligibility v > p.
-
-    Agents priced exactly at their value are excluded instead of diluting the
-    lottery at zero utility; this is the variant whose optimum over p is
-    within a factor two of the two-price benchmark.
-    """
-    return _lottery_value(profile, k, p, True)
 
 
 def _learned_price(V_desc: np.ndarray, pool, k: int):
@@ -254,25 +239,6 @@ def _pq_rule(V: np.ndarray, k: int, p: float, q: float):
     return _two_price(top, (V > q) & ~top, k, q, p)
 
 
-def expected_pq_lottery(profile, k: int, p: float, q: float) -> float:
-    """Exact residual surplus of the k-unit two-price lottery.
-
-    With s agents strictly above p and t agents in (q, p]:
-    - s > k: lottery among the top s at price p;
-    - s + t <= k: everyone above q wins at price q;
-    - otherwise the top s win surely at the blended price
-      ((k-s+1)q + (s+t-k)p)/(t+1) and the band shares the remaining k-s units
-      at price q.
-    """
-    return _expected(_pq_rule, profile, k, p, q)
-
-
-def run_pq_lottery(profile, k: int, p: float, q: float, rng=None) -> Outcome:
-    """Two-price lottery outcome; realized with rng, marginal without."""
-    v = as_profile(profile).values
-    return _run(v, *_pq_rule(v[None, :], k, p, q), rng)
-
-
 # ---------------------------------------------------------------------------
 # Vickrey and the other top-share rules
 
@@ -302,16 +268,6 @@ def _vickrey_rule(V: np.ndarray, k: int, V_asc: np.ndarray | None = None):
     X, P = _top_share_rule(V, np.sort(V, axis=1) if V_asc is None else V_asc,
                            [k], k)
     return X[:, 0], P[:, 0]
-
-
-def vickrey(profile, k: int, rng=None) -> Outcome:
-    """k-unit Vickrey auction: top k win and pay the k+1-st value.
-
-    Ties at the margin break uniformly; marginal mode (rng=None) reports the
-    tie-averaged win probabilities and interim payments.
-    """
-    v = as_profile(profile).values
-    return _run(v, *_vickrey_rule(v[None, :], k), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +315,9 @@ def _bridged_rows(iv: IronedVirtual, V: np.ndarray, k: int, seg):
     return _two_price(levels > c, levels == c, k, lo, hi)
 
 
-def bayes_optimal_outcome(iv: IronedVirtual, profile, k: int, rng=None) -> Outcome:
-    """Optimal mechanism for the prior behind iv, evaluated on one profile.
+def _bayes_run(profile, k: int, iv: IronedVirtual, rng) -> Outcome:
+    """Bayes's run view: the optimal mechanism for the prior behind iv on one
+    profile, which must lie in the prior's support (_run of its rule row).
 
     Allocates k units to maximize total ironed virtual value and charges the
     payment-identity prices. If the marginal agent's level lies on a bridged
@@ -578,14 +535,16 @@ def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
     return total / (1 << n)
 
 
-def rsol(profile, k: int, rng) -> Outcome:
-    """One realized run of the random-sampling optimal lottery.
+def _rsol_run(profile, k: int, rng) -> Outcome:
+    """RSOL's run view, realized only, as it has no marginal rule row.
 
     Each agent lands in the serving half independently with probability 1/2;
     the other half only sets the price. A fair coin then picks the strict
     lottery at the learned price or Vickrey, and one draw of its rule row on
     the serving half (_run) decides the winners.
     """
+    if rng is None:
+        raise ValueError("rsol has no marginal run: pass an rng")
     _require_k(k)
     v = as_profile(profile).values
     n = v.size
@@ -746,14 +705,6 @@ def _mix_rule(V: np.ndarray, k: int = 1):
     return X / 3.0 + 1.0 / 3.0, P / 3.0
 
 
-def mixed_vickrey_lottery(profile, k: int = 1) -> MechanismEval:
-    """1/3 Vickrey, 2/3 free lottery for exactly two agents, one unit (k = 1).
-
-    The expectation telescopes to (2/3) of the higher value.
-    """
-    return MechanismEval(_expected(_mix_rule, profile, k), 0.0, "exact", 1, None)
-
-
 # ---------------------------------------------------------------------------
 # logarithmic price ladder
 
@@ -788,13 +739,14 @@ def expected_log_price(profile, k: int) -> float:
     return _expected(_ladder_rule, profile, k)
 
 
-def run_log_price(profile, k: int, rng) -> Outcome:
-    """One realized round of the price ladder: draw the round size L, then
-    one draw of the top-share(L, k) rule row (see _run)."""
+def _ladder_run(profile, k: int, rng) -> Outcome:
+    """The ladder's run view: its rule row, or with an rng one realized
+    round, the round size L drawn and then one draw of the top-share(L, k)
+    rule row (see _run)."""
     _require_k(k)
     v = as_profile(profile).values
-    if v.size == 0:
-        return _outcome(v, np.zeros(0), np.zeros(0), "realized")
+    if rng is None or not v.size:
+        return _run(v, *_ladder_rule(v[None, :], k), rng)
     sizes = _ladder_sizes(v.size, k)
     L = sizes[rng.integers(len(sizes))]
     X, P = _top_share_rule(v[None, :], np.sort(v)[None, :], [L], k)
@@ -963,9 +915,10 @@ class Mechanism:
     """A MECHANISMS entry: the Params fields it reads and its views, each
     taking the Params as a: its marginal rule (V, k, a) -> (X, P) on profile
     rows (RSOL's raises), each row's exact value (V, k, a), one profile's
-    (profile, k, a), its audit interim (k, a) -> (values, i, bids) -> (x, p)
-    and edges(a), the bids besides the opponents' where that interim may
-    jump; mc(profile, k, reps, seed) estimates profiles above cap agents.
+    (profile, k, a) for evaluate, its run (profile, k, a, rng) -> Outcome for
+    run, its audit interim (k, a) -> (values, i, bids) -> (x, p) and
+    edges(a), the bids besides the opponents' where that interim may jump;
+    mc(profile, k, reps, seed) estimates profiles above cap agents.
     A rank rule's xbar(q, n, k, iv) -> (left, right, top) is its interim win
     probability at Params' defaults on the quantile nodes q (see
     _rank_prior), and its prior(d, n, k, a) -> (MechanismEval, bottom) is its
@@ -979,6 +932,7 @@ class Mechanism:
     value: Callable
     one: Callable
     interim: Callable
+    run: Callable
     edges: Callable = lambda a: ()
     cap: float = math.inf
     mc: Callable | None = None
@@ -987,10 +941,16 @@ class Mechanism:
 
 
 def _ruled(reads, rule, **views) -> Mechanism:
-    """An entry whose views are its rule's: the row residual, the same for
-    one profile unless given, the tiled interim and, for a rank rule, the
-    prior view _rank_prior integrates from its xbar unless given."""
+    """An entry whose views are its rule's: the row residual, unless given
+    the same for one profile and the profile's rule row as its run (_run),
+    the tiled interim and, for a rank rule, the prior view _rank_prior
+    integrates from its xbar unless given."""
+    def row_run(prof, k, a, rng):
+        v = as_profile(prof).values
+        return _run(v, *rule(v[None, :], k, a), rng)
+
     views.setdefault("one", lambda prof, k, a: _expected(rule, prof, k, a))
+    views.setdefault("run", row_run)
     xbar = views.get("xbar")
     if xbar is not None:
         views.setdefault("prior", lambda d, n, k, a: _rank_prior(xbar, d, n, k, a))
@@ -1007,7 +967,7 @@ def _no_rule(V, k, a):
 MECHANISMS = {
     # one profile: the factored lottery value, exact on small profiles
     "plottery": _ruled(("p",), lambda V, k, a: _lottery_rule(V, k, a.p),
-                       one=lambda prof, k, a: expected_p_lottery(prof, k, a.p),
+                       one=lambda prof, k, a: _lottery_value(prof, k, a.p),
                        edges=lambda a: (a.p,),
                        xbar=lambda q, n, k, iv: _lottery_xbar(q, n, k, iv),
                        prior=lambda d, n, k, a: _lottery_prior(d, n, k, a)),
@@ -1017,19 +977,22 @@ MECHANISMS = {
                       xbar=lambda q, n, k, iv: _vickrey_xbar(q, n, k, iv)),
     # one profile: checked against the prior's support
     "bayes": _ruled(("iv",), lambda V, k, a: _bayes_rule(a.iv, V, k),
-                    one=lambda prof, k, a: bayes_optimal_outcome(
-                        a.iv, prof, k).residual_surplus,
+                    one=lambda prof, k, a: _bayes_run(
+                        prof, k, a.iv, None).residual_surplus,
+                    run=lambda prof, k, a, rng: _bayes_run(prof, k, a.iv, rng),
                     edges=lambda a: tuple(e for i in a.iv.intervals
                                           for e in (i.v_lo, i.v_hi)),
                     xbar=lambda q, n, k, iv: _bayes_xbar(q, n, k, iv)),
     "rsol": Mechanism((), _no_rule, lambda V, k, a: _rsol_exact(V, k),
                       lambda prof, k, a: expected_rsol(prof, k).mean,
                       lambda k, a: functools.partial(_rsol_interim, k),
+                      lambda prof, k, a, rng: _rsol_run(prof, k, rng),
                       cap=RSOL_EXACT_CAP, mc=lambda prof, k, reps, seed:
                       expected_rsol(prof, k, "mc", reps, seed)),
     "mix": _ruled((), lambda V, k, a: _mix_rule(V, k),
                   xbar=lambda q, n, k, iv: _mix_xbar(q, n, k, iv)),
     "logprice": _ruled((), lambda V, k, a: _ladder_rule(V, k),
+                       run=lambda prof, k, a, rng: _ladder_run(prof, k, rng),
                        xbar=lambda q, n, k, iv: _ladder_xbar(q, n, k, iv)),
 }
 # plottery at p = 0, Params' default, as the estimator and identity checks
@@ -1045,3 +1008,34 @@ def unpriced(name: str) -> Mechanism:
     if entry is None or name in MECHANISMS and {"p", "q"} & set(entry.reads):
         raise ValueError(f"unknown mechanism {name!r}")
     return entry
+
+
+def _entry(name: str, params: dict) -> tuple[Mechanism, Params]:
+    """The entry of a table name and the Params of the keywords given, each
+    a field the entry reads; an entry that reads iv needs it."""
+    entry = MECHANISMS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown mechanism {name!r}")
+    for field in params:
+        if field not in entry.reads:
+            raise ValueError(f"{field}: {name} does not read it")
+    if "iv" in entry.reads and params.get("iv") is None:
+        raise ValueError(f"iv: {name} needs an ironed virtual value")
+    return entry, Params(**params)
+
+
+def evaluate(name: str, profile, k: int, **params) -> float:
+    """Exact expected residual surplus of a table mechanism on one profile
+    with k units, its entry's one view; params are the Params fields it
+    reads (p, q, iv), each defaulting as in Params but iv."""
+    entry, a = _entry(name, params)
+    return entry.one(profile, k, a)
+
+
+def run(name: str, profile, k: int, rng=None, **params) -> Outcome:
+    """One run of a table mechanism on one profile, its entry's run view:
+    without an rng the marginal outcome (win probabilities and interim
+    expected payments, so residual_surplus is the expected residual), with
+    one a realized draw. RSOL's run is realized only. params as for evaluate."""
+    entry, a = _entry(name, params)
+    return entry.run(profile, k, a, rng)

@@ -16,8 +16,7 @@ from burnlab.distributions import (exponential, pareto,
                                    piecewise_inverse_hazard, two_piece,
                                    uniform)
 from burnlab.ironing import iron
-from burnlab.mechanisms import (expected_p_lottery, expected_pq_lottery,
-                                expected_rsol, mixed_vickrey_lottery)
+from burnlab.mechanisms import evaluate, expected_rsol
 from burnlab.simlab import (experiment_lb43, experiment_rsol_ratio,
                             experiment_surplus_gap, experiment_thmub,
                             worst_case_corpus)
@@ -65,9 +64,9 @@ def test_a3_mixture_guarantee():
     worst_eq = 0.0
     worst_dom = np.inf
     for row in V:
-        ev = mixed_vickrey_lottery(row)
-        worst_eq = max(worst_eq, abs(ev.mean - 2.0 / 3.0 * row.max()))
-        worst_dom = min(worst_dom, ev.mean
+        value = evaluate("mix", row, 1)
+        worst_eq = max(worst_eq, abs(value - 2.0 / 3.0 * row.max()))
+        worst_dom = min(worst_dom, value
                         - 2.0 / 3.0 * two_price_benchmark(row, 1).value)
     ok = worst_eq <= 1e-12 and worst_dom >= -1e-12
     detail = (f"max |value - (2/3) top| {worst_eq:.1e}, "
@@ -85,9 +84,9 @@ def test_a4_lottery_inequalities():
         vals = rng.uniform(0.0, 10.0, n) * scale
         k = int(rng.integers(1, 5))
         q, p = np.sort(rng.uniform(0.0, 12.0, 2) * scale)
-        combined = expected_pq_lottery(vals, k, p, q)
-        split = (expected_p_lottery(vals, k, p)
-                 + expected_p_lottery(vals, k, q))
+        combined = evaluate("pqlottery", vals, k, p=p, q=q)
+        split = (evaluate("plottery", vals, k, p=p)
+                 + evaluate("plottery", vals, k, p=q))
         worst_sub = max(worst_sub, combined - split)
         single, _ = optimal_p_lottery(vals, k)
         worst_half = max(worst_half,

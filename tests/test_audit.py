@@ -20,10 +20,8 @@ from burnlab.distributions import (ValuationProfile, as_profile, exponential,
 from burnlab.ironing import iron
 from burnlab.mechanisms import (ALIASES, MECHANISMS, Params, _ladder_sizes,
                                 _residual, _rsol_halving_sums, _rsol_interim,
-                                _rsol_values, bayes_optimal_outcome,
-                                expected_log_price, expected_p_lottery,
-                                expected_pq_lottery, expected_rsol,
-                                mixed_vickrey_lottery, unpriced, vickrey)
+                                _rsol_values, evaluate, expected_log_price,
+                                expected_rsol, run, unpriced)
 from burnlab.simlab import estimate, experiment_lb43
 
 PRIOR_RULES = ("lottery", "vickrey", "bayes")
@@ -177,39 +175,128 @@ def rejects(call):
     return False
 
 
-# each table name's one-profile function outside the table
-ONE_PROFILE = {
-    "plottery": lambda prof, k, a: expected_p_lottery(prof, k, a.p),
-    "pqlottery": lambda prof, k, a: expected_pq_lottery(prof, k, a.p, a.q),
-    "vickrey": lambda prof, k, a: vickrey(prof, k).residual_surplus,
-    "bayes": lambda prof, k, a: bayes_optimal_outcome(
-        a.iv, prof, k).residual_surplus,
-    "rsol": lambda prof, k, a: expected_rsol(prof, k).mean,
-    "mix": lambda prof, k, a: mixed_vickrey_lottery(prof, k).mean,
-    "logprice": lambda prof, k, a: expected_log_price(prof, k),
+# plain-Python oracles, each mechanism's expected residual from its
+# definition, with no call into the package but the ladder's rung sizes
+
+
+def lottery_oracle(values, k, p, strict=False):
+    # each of the m agents with v >= p (v > p when strict) wins min(k, m)/m
+    # and pays p
+    elig = [v for v in values if (v > p if strict else v >= p)]
+    m = len(elig)
+    return min(k, m) / m * sum(v - p for v in elig) if m else 0.0
+
+
+def two_price_oracle(top, band, k, lo, hi):
+    # the top share k units at hi if they are more than k, everyone wins at
+    # lo if all fit, else the top win surely at the blended price and the
+    # band shares the other k - s units at lo
+    s, t = len(top), len(band)
+    if s > k:
+        return k / s * sum(v - hi for v in top)
+    if s + t <= k:
+        return sum(v - lo for v in top + band)
+    price = ((k - s + 1) * lo + (s + t - k) * hi) / (t + 1)
+    return sum(v - price for v in top) + (k - s) / t * sum(v - lo for v in band)
+
+
+def vickrey_oracle(values, k):
+    # the top k win and pay the k+1-st value; agents tied at it gain nothing
+    desc = sorted(values, reverse=True)
+    price = desc[k] if len(desc) > k else 0.0
+    return sum(v - price for v in desc if v > price)
+
+
+def bayes_oracle(iv, values, k):
+    # Vickrey, unless the k+1-st value lies in an interior ironed interval
+    # [v_lo, v_hi): then the two-price lottery at its ends, with the values
+    # from v_hi up on top and the interval's in the band
+    desc = sorted(values, reverse=True)
+    for itv in iv.intervals:
+        if len(desc) > k and itv.v_lo <= desc[k] < itv.v_hi:
+            assert not itv.at_bottom and not itv.at_top
+            return two_price_oracle([v for v in desc if v >= itv.v_hi],
+                                    [v for v in desc if itv.v_lo <= v < itv.v_hi],
+                                    k, itv.v_lo, itv.v_hi)
+    return vickrey_oracle(values, k)
+
+
+def mix_oracle(values, k):
+    if len(values) != 2 or k != 1:
+        raise ValueError("the mixture takes two agents and one unit")
+    return 2.0 * max(values) / 3.0
+
+
+def strict_scan(values, k):
+    # best strict-lottery (value, price) over the prices 0 and the values,
+    # the smallest price on ties; each value sums the agents above the price
+    # in descending order, as the kernel does
+    best = (-1.0, 0.0)
+    for c in sorted({0.0, *values}):
+        elig = sorted((v for v in values if v > c), reverse=True)
+        m = len(elig)
+        value = min(k, m) / m * (sum(elig) - m * c) if m else 0.0
+        if value > best[0]:
+            best = (value, c)
+    return best
+
+
+def rsol_loop(values, k):
+    # plain Python: every halving equally likely, then a fair coin between
+    # the strict lottery at the price learned on the other half and Vickrey,
+    # both on the serving half
+    total = 0.0
+    for mask in range(1 << len(values)):
+        serve = sorted((v for i, v in enumerate(values) if mask >> i & 1),
+                       reverse=True)
+        pool = [v for i, v in enumerate(values) if not mask >> i & 1]
+        price = strict_scan(pool, k)[1]
+        elig = [v for v in serve if v > price]
+        m = len(elig)
+        lottery = min(k, m) / m * sum(v - price for v in elig) if m else 0.0
+        tau = serve[k] if len(serve) > k else 0.0
+        total += 0.5 * lottery + 0.5 * (sum(serve[:k]) - min(k, len(serve)) * tau)
+    return total / (1 << len(values))
+
+
+# each table name's oracle
+ORACLES = {
+    "plottery": lambda v, k, a: lottery_oracle(v, k, a.p),
+    "pqlottery": lambda v, k, a: two_price_oracle(
+        [x for x in v if x > a.p], [x for x in v if a.q < x <= a.p], k, a.q, a.p),
+    "vickrey": lambda v, k, a: vickrey_oracle(v, k),
+    "bayes": lambda v, k, a: bayes_oracle(a.iv, v, k),
+    "rsol": lambda v, k, a: rsol_loop(v, k),
+    "mix": lambda v, k, a: mix_oracle(v, k),
+    "logprice": lambda v, k, a: ladder_oracle(v, k),
 }
 
 
 def test_interim_totals_match_expectations(iv_bridge):
     # for every table entry, the agents' truthful interim utilities add up
-    # to the row value, to the one-profile value and to the function outside
-    # the table; a profile one rejects (the mixture's), all reject. The
-    # price p = 2 sits on a value, where the lottery's eligibility shows.
-    assert list(ONE_PROFILE) == list(MECHANISMS)
+    # to the row value, to the one-profile value, to evaluate's, to the
+    # marginal run's (RSOL's run is realized only) and to the oracle; a
+    # profile the oracle rejects (the mixture's), all reject. The price
+    # p = 2 sits on a value, where the lottery's eligibility shows.
+    assert list(ORACLES) == list(MECHANISMS)
     a = Params(p=2.0, q=0.5, iv=iv_bridge)
     for values in ([3.0, 1.0], [5.0, 4.0, 3.0, 2.0], [4.0, 4.0, 2.0]):
         prof = ValuationProfile(values)
         for name, entry in MECHANISMS.items():
+            kw = {field: getattr(a, field) for field in entry.reads}
             for k in (1, 2):
                 views = [
                     lambda: interim_total(audit_mechanism(
                         name, k, p=a.p, q=a.q, iv=a.iv), prof),
                     lambda: float(entry.value(prof.values[None, :], k, a)[0]),
-                    lambda: entry.one(prof, k, a)]
-                if rejects(lambda: ONE_PROFILE[name](prof, k, a)):
+                    lambda: entry.one(prof, k, a),
+                    lambda: evaluate(name, prof, k, **kw)]
+                if name != "rsol":
+                    views.append(lambda: run(name, prof, k, **kw).residual_surplus)
+                if rejects(lambda: ORACLES[name](values, k, a)):
                     assert all(map(rejects, views)), (name, values, k)
                     continue
-                want = ONE_PROFILE[name](prof, k, a)
+                want = ORACLES[name](values, k, a)
                 for view in views:
                     assert view() == pytest.approx(want), (name, values, k)
 

@@ -12,8 +12,7 @@ from burnlab.distributions import (ValuationProfile, as_profile, exponential,
                                    pareto, piecewise_inverse_hazard,
                                    sample_profile, two_piece, uniform)
 from burnlab.ironing import iron
-from burnlab.mechanisms import (bayes_optimal_outcome, expected_p_lottery,
-                                expected_pq_lottery, run_pq_lottery, vickrey)
+from burnlab.mechanisms import evaluate, run
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
                     max_size=8).map(ValuationProfile)
@@ -70,15 +69,16 @@ def test_candidate_sweep_attains_dense_grid():
         grid = np.linspace(0.0, float(vals.max()) * 1.1, 33)
         for i, p in enumerate(grid):
             for q in grid[:i + 1]:
-                assert expected_pq_lottery(vals, k, float(p),
-                                           float(q)) <= best + 1e-9
+                assert evaluate("pqlottery", vals, k, p=float(p),
+                                q=float(q)) <= best + 1e-9
 
 
 def pair_loop(vals, k):
     # the sweep as a plain loop over {0} union values, one
-    # expected_pq_lottery call per pair
+    # evaluate("pqlottery") call per pair
     cands = np.unique(np.concatenate(([0.0], np.asarray(vals, dtype=float))))
-    return {(float(p), float(q)): expected_pq_lottery(vals, k, float(p), float(q))
+    return {(float(p), float(q)): evaluate("pqlottery", vals, k, p=float(p),
+                                           q=float(q))
             for i, p in enumerate(cands) for q in cands[:i + 1]}
 
 
@@ -214,9 +214,9 @@ def test_benchmark_dominates_truthful_residuals(iv_uniform, iv_exp, iv_pareto,
         prof = sample_profile(d, int(rng.integers(2, 7)), rng)
         for k in (1, 2):
             bound = two_price_benchmark(prof, k).value + 1e-9
-            assert expected_p_lottery(prof, k, 0.0) <= bound
-            assert vickrey(prof, k).residual_surplus <= bound
-            assert bayes_optimal_outcome(iv, prof, k).residual_surplus <= bound
+            assert evaluate("plottery", prof, k, p=0.0) <= bound
+            assert run("vickrey", prof, k).residual_surplus <= bound
+            assert run("bayes", prof, k, iv=iv).residual_surplus <= bound
 
 
 @st.composite
@@ -248,7 +248,7 @@ def test_bayes_residual_at_most_benchmark(d, seed):
         if ends and rng.random() < 0.5:
             m = int(rng.integers(1, n + 1))
             values[rng.choice(n, m, replace=False)] = rng.choice(ends, m)
-        bayes = bayes_optimal_outcome(iv, values, k).residual_surplus
+        bayes = run("bayes", values, k, iv=iv).residual_surplus
         G = two_price_benchmark(values, k).value
         assert bayes <= G * (1.0 + 1e-12), (values, k, bayes, G)
 
@@ -272,9 +272,9 @@ def test_bridged_bayes_rows_are_pq_rows(d, seed):
         marginal = np.sort(values)[-k - 1]
         for itv in iv.intervals:
             if itv.v_lo < marginal < itv.v_hi:
-                bayes = bayes_optimal_outcome(iv, values, k)
-                pq = run_pq_lottery(values, k, itv.v_hi,
-                                    0.0 if itv.at_bottom else itv.v_lo)
+                bayes = run("bayes", values, k, iv=iv)
+                pq = run("pqlottery", values, k, p=itv.v_hi,
+                         q=0.0 if itv.at_bottom else itv.v_lo)
                 np.testing.assert_array_equal(bayes.allocation, pq.allocation)
                 np.testing.assert_array_equal(bayes.payments, pq.payments)
 

@@ -69,6 +69,8 @@ def test_eval_vickrey(tmp_path, capsys):
     assert row[:4] == ["vickrey", "2", "1", "-"]
     assert float(row[4]) == 2.0
     assert float(row[5]) == float(row[6]) == 2.0
+    # an exact row draws nothing, so its seed cell is empty
+    assert row[7] == ""
 
 
 def test_eval_plottery_params(tmp_path, capsys):
@@ -127,12 +129,21 @@ def test_eval_rsol_modes(tmp_path, capsys):
     row = out.splitlines()[1].split(",")
     assert row[3] == "mode=exact"
     assert float(row[4]) == 1.5 and float(row[5]) == float(row[6]) == 1.5
+    assert row[7] == ""
     rc, out = run_stdout(capsys, ["eval", "--mech", "rsol", "--profile", prof,
                                   "--k", "1", "--reps", "500", "--seed", "2"])
     assert rc == 0
     row = out.splitlines()[1].split(",")
     assert row[3] == "mode=mc;reps=500"
     assert float(row[5]) < float(row[6])
+    assert row[7] == "2"
+    # Monte Carlo mode without --seed draws from seed 0
+    rc, default = run_stdout(capsys, ["eval", "--mech", "rsol", "--profile",
+                                      prof, "--k", "1", "--reps", "500"])
+    rc0, zero = run_stdout(capsys, ["eval", "--mech", "rsol", "--profile", prof,
+                                    "--k", "1", "--reps", "500", "--seed", "0"])
+    assert rc == rc0 == 0 and default == zero
+    assert default.splitlines()[1].split(",")[7] == "0"
 
 
 @pytest.mark.parametrize("reps", ["0", "-5"])
@@ -157,8 +168,14 @@ def test_eval_rsol_bad_reps_exit_two(tmp_path, capsys, reps):
     ("pqlottery", ["--reps", "100"], "reps"),
     ("vickrey", ["--exact"], "exact"),
     ("rsol", ["--exact", "--reps", "100"], "exact"),
+    # --seed was once written into the seed column with nothing reading it:
+    # no Monte Carlo path, --exact, and RSOL's exact mode (n <= 20, no --reps)
+    ("vickrey", ["--seed", "7"], "seed"),
+    ("rsol", ["--exact", "--seed", "9"], "seed"),
+    ("rsol", ["--seed", "9"], "seed"),
 ], ids=["vickrey-p", "plottery-q", "bayes-p", "logprice-dist", "mix-grid",
-        "pqlottery-reps", "vickrey-exact", "rsol-exact-reps"])
+        "pqlottery-reps", "vickrey-exact", "rsol-exact-reps", "vickrey-seed",
+        "rsol-exact-seed", "rsol-exact-mode-seed"])
 def test_eval_unread_flag_exit_two(tmp_path, capsys, mech, flags, flag):
     prof = write_profile(tmp_path, [3.0, 1.0])
     rc = main(["eval", "--mech", mech, "--profile", prof, "--k", "1", *flags])

@@ -7,7 +7,7 @@ in audit.py), so no other module dispatches on one. A fresh `import
 burnlab` loads no standard-library module the package does not need.
 
 __init__.py is exempt from the import check: its imports are the package's
-public re-exports.
+public re-exports, and __all__ lists exactly those.
 """
 
 import ast
@@ -16,6 +16,7 @@ import pathlib
 import subprocess
 import sys
 
+import burnlab
 from burnlab.audit import CONTROLS
 from burnlab.mechanisms import ALIASES, MECHANISMS
 
@@ -33,6 +34,16 @@ def unused_imports(path: pathlib.Path) -> list[str]:
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def test_all_is_the_imported_names():
+    # a name dropped from the imports but not from __all__, or the other way
+    # round, fails here
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert len(burnlab.__all__) == len(set(burnlab.__all__))
+    assert set(burnlab.__all__) == imported
 
 
 def test_no_unused_imports():
@@ -112,15 +123,11 @@ def test_no_message_exits():
 
 def name_constants(tree: ast.Module, names) -> list[tuple[int, str]]:
     """(line, name) of each string constant equal to one of names, except
-    the identifiers in __all__ (such as the functions rsol and vickrey) and
     the column names of experiment rows: the keys of a dict display that
     also has the key "experiment" (rsol-ratio's rsol, thmub's logprice)."""
     skip = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            skip.update(id(c) for c in ast.walk(node.value))
-        elif isinstance(node, ast.Dict) and any(
+        if isinstance(node, ast.Dict) and any(
                 isinstance(key, ast.Constant) and key.value == "experiment"
                 for key in node.keys):
             skip.update(id(key) for key in node.keys)
@@ -133,7 +140,6 @@ def test_name_constants_detector():
     source = ('table = {"vickrey": 1}\n'
               'run("rsol")\n'
               'row = {"experiment": "thmub", "logprice": 1.0}\n'
-              '__all__ = ["rsol"]\n'
               'tag = "vickrey-ish"\n')
     assert name_constants(ast.parse(source), {"vickrey", "rsol", "logprice"}) == [
         (1, "vickrey"), (2, "rsol")]

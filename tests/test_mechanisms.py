@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_audit import mc_estimate
+from test_audit import (lottery_oracle, mc_estimate, rejects, rsol_loop,
+                        strict_scan)
 
 from burnlab.common import Z99, substream
 from burnlab.distributions import (ValuationProfile, exponential, pareto,
@@ -13,15 +14,12 @@ from burnlab.distributions import (ValuationProfile, exponential, pareto,
                                    uniform)
 from burnlab.ironing import iron
 from burnlab.mechanisms import (MECHANISMS, CostOutcome, CostProblem, Params,
-                                _bayes_rule, _halvings, _ladder_rule,
-                                _ladder_sizes, _learned_price, _rsol_exact,
-                                _rsol_interim, _rsol_values, _two_price,
-                                _vickrey_rule, bayes_optimal_outcome,
-                                bayes_optimal_with_costs, expected_log_price,
-                                expected_p_lottery, expected_pq_lottery,
-                                expected_rsol, expected_strict_p_lottery,
-                                expected_under_prior, mixed_vickrey_lottery,
-                                rsol, run_log_price, run_pq_lottery, vickrey)
+                                _bayes_rule, _halvings, _ladder_sizes,
+                                _learned_price, _rsol_exact, _rsol_interim,
+                                _rsol_values, _two_price, _vickrey_rule,
+                                bayes_optimal_with_costs, evaluate,
+                                expected_log_price, expected_rsol,
+                                expected_under_prior, run)
 from burnlab.simlab import estimate
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
@@ -42,47 +40,48 @@ def check_outcome(out, k):
 
 
 def test_p_lottery_oracles():
-    assert expected_p_lottery([3.0, 1.0], 1, 0.0) == 2.0
-    assert expected_p_lottery([3.0, 1.0], 1, 1.0) == 1.0
-    assert expected_p_lottery([3.0, 1.0], 1, 2.0) == 1.0
-    assert expected_p_lottery([3.0, 1.0], 1, 5.0) == 0.0
-    assert expected_p_lottery([5.0, 4.0, 3.0], 2, 3.0) == 2.0
+    assert evaluate("plottery", [3.0, 1.0], 1, p=0.0) == 2.0
+    assert evaluate("plottery", [3.0, 1.0], 1, p=1.0) == 1.0
+    assert evaluate("plottery", [3.0, 1.0], 1, p=2.0) == 1.0
+    assert evaluate("plottery", [3.0, 1.0], 1, p=5.0) == 0.0
+    assert evaluate("plottery", [5.0, 4.0, 3.0], 2, p=3.0) == 2.0
 
 
 def test_strict_lottery_excludes_at_price():
-    assert expected_strict_p_lottery([3.0, 1.0], 1, 1.0) == 2.0
-    assert expected_strict_p_lottery([3.0, 1.0], 1, 0.0) == 2.0
-    assert expected_strict_p_lottery([1.0, 1.0], 1, 1.0) == 0.0
+    # the strict lottery at p is the two-price lottery at q = p
+    assert evaluate("pqlottery", [3.0, 1.0], 1, p=1.0, q=1.0) == 2.0
+    assert evaluate("pqlottery", [3.0, 1.0], 1, p=0.0, q=0.0) == 2.0
+    assert evaluate("pqlottery", [1.0, 1.0], 1, p=1.0, q=1.0) == 0.0
 
 
 def test_pq_lottery_oracles():
-    assert expected_pq_lottery([3.0, 1.0], 1, 1.0, 0.0) == 2.5
-    assert expected_pq_lottery([5.0, 4.0, 3.0], 1, 3.0, 1.0) == 1.5
-    assert expected_pq_lottery([5.0, 4.0], 3, 4.5, 2.0) == 5.0
+    assert evaluate("pqlottery", [3.0, 1.0], 1, p=1.0, q=0.0) == 2.5
+    assert evaluate("pqlottery", [5.0, 4.0, 3.0], 1, p=3.0, q=1.0) == 1.5
+    assert evaluate("pqlottery", [5.0, 4.0], 3, p=4.5, q=2.0) == 5.0
 
 
 def test_pq_lottery_validation():
     for p, q in [(1.0, 2.0), (np.nan, 0.0), (1.0, np.nan), (np.nan, np.nan),
                  (np.inf, 0.0), (np.inf, np.inf)]:
         with pytest.raises(ValueError):
-            expected_pq_lottery([1.0], 1, p, q)
+            evaluate("pqlottery", [1.0], 1, p=p, q=q)
 
 
 def test_pq_collapses_to_strict_single_price():
     prof = [5.0, 4.0, 3.0, 1.0]
     for p in (0.0, 2.0, 3.0, 4.5):
-        assert expected_pq_lottery(prof, 2, p, p) == pytest.approx(
-            expected_strict_p_lottery(prof, 2, p))
+        assert evaluate("pqlottery", prof, 2, p=p, q=p) == pytest.approx(
+            lottery_oracle(prof, 2, p, strict=True))
 
 
 @given(profiles, st.integers(1, 4), st.floats(0.0, 12.0), st.floats(0.0, 12.0))
 @settings(max_examples=200, deadline=None)
 def test_pq_run_matches_expectation_and_ir(prof, k, a, b):
     p, q = max(a, b), min(a, b)
-    out = run_pq_lottery(prof, k, p, q)
+    out = run("pqlottery", prof, k, p=p, q=q)
     check_outcome(out, k)
     assert out.residual_surplus == pytest.approx(
-        expected_pq_lottery(prof, k, p, q), abs=1e-9)
+        evaluate("pqlottery", prof, k, p=p, q=q), abs=1e-9)
 
 
 @given(profiles, st.integers(1, 4), st.floats(0.0, 12.0), st.floats(0.0, 12.0))
@@ -91,9 +90,9 @@ def test_sublottery_inequality(prof, k, a, b):
     # the strict single-price form of the bound holds for every instance;
     # the inclusive form can be diluted by agents tied exactly at the price
     p, q = max(a, b), min(a, b)
-    combined = expected_pq_lottery(prof, k, p, q)
-    split = (expected_strict_p_lottery(prof, k, p)
-             + expected_strict_p_lottery(prof, k, q))
+    combined = evaluate("pqlottery", prof, k, p=p, q=q)
+    split = (evaluate("pqlottery", prof, k, p=p, q=p)
+             + evaluate("pqlottery", prof, k, p=q, q=q))
     assert combined <= split + 1e-9
 
 
@@ -104,8 +103,8 @@ def test_sublottery_inequality_inclusive_off_atoms(prof, k, a, b):
     p, q = max(a, b), min(a, b)
     if np.any(np.isin(prof.values, (p, q))):
         return
-    combined = expected_pq_lottery(prof, k, p, q)
-    split = expected_p_lottery(prof, k, p) + expected_p_lottery(prof, k, q)
+    combined = evaluate("pqlottery", prof, k, p=p, q=q)
+    split = evaluate("plottery", prof, k, p=p) + evaluate("plottery", prof, k, p=q)
     assert combined <= split + 1e-9
 
 
@@ -114,16 +113,16 @@ def test_sublottery_inequality_inclusive_off_atoms(prof, k, a, b):
 
 
 def test_vickrey_oracles():
-    assert vickrey([3.0, 1.0], 1).residual_surplus == 2.0
-    out = vickrey([5.0, 5.0, 5.0], 3)
+    assert run("vickrey", [3.0, 1.0], 1).residual_surplus == 2.0
+    out = run("vickrey", [5.0, 5.0, 5.0], 3)
     assert out.residual_surplus == 15.0
     np.testing.assert_array_equal(out.payments, 0.0)
-    assert vickrey([4.0, 4.0, 1.0], 1).residual_surplus == pytest.approx(0.0)
+    assert run("vickrey", [4.0, 4.0, 1.0], 1).residual_surplus == pytest.approx(0.0)
 
 
 def test_vickrey_realized_tie_break():
     rng = substream(0, "tie")
-    out = vickrey([4.0, 4.0, 1.0], 1, rng=rng)
+    out = run("vickrey", [4.0, 4.0, 1.0], 1, rng)
     check_outcome(out, 1)
     assert float(out.allocation.sum()) == 1.0
     assert float(out.payments.max()) == 4.0
@@ -133,7 +132,7 @@ def test_vickrey_empty_profile():
     # RSOL runs Vickrey on its serving half, which may be empty
     rng = substream(0, "empty")
     state = rng.bit_generator.state
-    for out in (vickrey([], 1), vickrey([], 2, rng=rng)):
+    for out in (run("vickrey", [], 1), run("vickrey", [], 2, rng)):
         assert out.allocation.size == 0 and out.residual_surplus == 0.0
     assert rng.bit_generator.state == state
 
@@ -141,7 +140,7 @@ def test_vickrey_empty_profile():
 @given(profiles, st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_vickrey_outcome_invariants(prof, k):
-    check_outcome(vickrey(prof, k), k)
+    check_outcome(run("vickrey", prof, k), k)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def test_vickrey_outcome_invariants(prof, k):
        st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_bayes_mhr_is_free_lottery(iv_uniform, vals, k):
-    out = bayes_optimal_outcome(iv_uniform, vals, k)
+    out = run("bayes", vals, k, iv=iv_uniform)
     np.testing.assert_array_equal(out.payments, 0.0)
     n = len(vals)
     np.testing.assert_allclose(out.allocation, min(k, n) / n)
@@ -163,14 +162,14 @@ def test_bayes_mhr_is_free_lottery(iv_uniform, vals, k):
        st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_bayes_antimhr_is_vickrey(iv_pareto, vals, k):
-    out = bayes_optimal_outcome(iv_pareto, vals, k)
-    ref = vickrey(vals, k)
+    out = run("bayes", vals, k, iv=iv_pareto)
+    ref = run("vickrey", vals, k)
     np.testing.assert_allclose(out.allocation, ref.allocation)
     np.testing.assert_array_equal(out.payments, ref.payments)
 
 
 def test_bayes_antimhr_oracle(iv_pareto):
-    out = bayes_optimal_outcome(iv_pareto, [3.0, 2.0, 1.0], 1)
+    out = run("bayes", [3.0, 2.0, 1.0], 1, iv=iv_pareto)
     np.testing.assert_allclose(out.allocation, [1.0, 0.0, 0.0])
     assert out.payments[0] == 2.0
 
@@ -178,7 +177,7 @@ def test_bayes_antimhr_oracle(iv_pareto):
 def test_bayes_bridged_interval_payment(iv_bridge):
     # interval spans [1, 2]: the marginal agent at 1.5 sits on the bridge,
     # the top agent wins surely and pays the midpoint of the interval ends
-    out = bayes_optimal_outcome(iv_bridge, [3.0, 1.5], 1)
+    out = run("bayes", [3.0, 1.5], 1, iv=iv_bridge)
     np.testing.assert_allclose(out.allocation, [1.0, 0.0])
     assert out.payments[0] == pytest.approx(1.5, abs=5e-3)
     assert out.payments[1] == 0.0
@@ -187,19 +186,22 @@ def test_bayes_bridged_interval_payment(iv_bridge):
 def test_bayes_bridged_tie_share(iv_bridge):
     # both agents inside the interval: one unit shared at the interval's
     # lower end, interim payment x * lo
-    out = bayes_optimal_outcome(iv_bridge, [1.8, 1.2], 1)
+    out = run("bayes", [1.8, 1.2], 1, iv=iv_bridge)
     np.testing.assert_allclose(out.allocation, [0.5, 0.5])
     np.testing.assert_allclose(out.payments, 0.5 * 1.0, atol=5e-3)
 
 
 def test_bayes_support_validation(iv_uniform):
-    with pytest.raises(ValueError):
-        bayes_optimal_outcome(iv_uniform, [1.5], 1)
+    # the run view checks the profile against the prior's support, and
+    # evaluate reads the run view
+    for verb in (run, evaluate):
+        assert rejects(lambda: verb("bayes", [1.5], 1, iv=iv_uniform)), verb
+        assert not rejects(lambda: verb("bayes", [0.5, 1.0], 1, iv=iv_uniform))
 
 
 def test_bayes_realized_mode(iv_bridge):
     rng = substream(5, "bayes")
-    out = bayes_optimal_outcome(iv_bridge, [1.8, 1.2], 1, rng=rng)
+    out = run("bayes", [1.8, 1.2], 1, rng, iv=iv_bridge)
     check_outcome(out, 1)
     assert set(np.unique(out.allocation)) <= {0.0, 1.0}
     winner = int(np.argmax(out.allocation))
@@ -302,7 +304,7 @@ def test_costs_recover_k_unit_rule(iv_pareto):
     phibar = tuple([iv_pareto.value] * 3)
     out = bayes_optimal_with_costs(CostProblem(phibar, cost), values)
     assert out.chosen == frozenset({0, 1})
-    ref = bayes_optimal_outcome(iv_pareto, values, k)
+    ref = run("bayes", values, k, iv=iv_pareto)
     assert sorted(np.flatnonzero(ref.allocation == 1.0)) == sorted(out.chosen)
 
 
@@ -381,20 +383,6 @@ def test_costs_match_mask_loop(n, seed, scale):
 # random sampling optimal lottery
 
 
-def strict_scan(values, k):
-    # best strict-lottery (value, price) over the prices 0 and the values,
-    # the smallest price on ties; each value sums the agents above the price
-    # in descending order, as the kernel does
-    best = (-1.0, 0.0)
-    for c in sorted({0.0, *values}):
-        elig = sorted((v for v in values if v > c), reverse=True)
-        m = len(elig)
-        value = min(k, m) / m * (sum(elig) - m * c) if m else 0.0
-        if value > best[0]:
-            best = (value, c)
-    return best
-
-
 @given(st.integers(0, 8), st.integers(1, 4), st.data())
 @settings(max_examples=300, deadline=None)
 def test_learned_price_matches_scan(n, k, data):
@@ -431,8 +419,8 @@ def test_rsol_exact_oracles():
 
 def test_rsol_realized_determinism():
     prof = [5.0, 3.0, 2.0, 1.0]
-    a = rsol(prof, 1, substream(9, "r"))
-    b = rsol(prof, 1, substream(9, "r"))
+    a = run("rsol", prof, 1, substream(9, "r"))
+    b = run("rsol", prof, 1, substream(9, "r"))
     np.testing.assert_array_equal(a.allocation, b.allocation)
     np.testing.assert_array_equal(a.payments, b.payments)
     check_outcome(a, 1)
@@ -460,24 +448,6 @@ def halving_enumeration(V, k):
     V_desc = np.repeat(np.sort(V, axis=1)[:, ::-1], 2 ** n, axis=0)
     member = np.tile(_halvings(np.arange(n), 0, 2 ** n), (rows, 1))
     return _rsol_values(V_desc, member, k).reshape(rows, 2 ** n).mean(axis=-1)
-
-
-def rsol_loop(values, k):
-    # plain Python: every halving equally likely, then a fair coin between
-    # the strict lottery at the price learned on the other half and Vickrey,
-    # both on the serving half
-    total = 0.0
-    for mask in range(1 << len(values)):
-        serve = sorted((v for i, v in enumerate(values) if mask >> i & 1),
-                       reverse=True)
-        pool = [v for i, v in enumerate(values) if not mask >> i & 1]
-        price = strict_scan(pool, k)[1]
-        elig = [v for v in serve if v > price]
-        m = len(elig)
-        lottery = min(k, m) / m * sum(v - price for v in elig) if m else 0.0
-        tau = serve[k] if len(serve) > k else 0.0
-        total += 0.5 * lottery + 0.5 * (sum(serve[:k]) - min(k, len(serve)) * tau)
-    return total / (1 << len(values))
 
 
 @st.composite
@@ -539,7 +509,8 @@ def test_rsol_exact_memory_is_blocked():
 def test_rsol_realized_mean_matches_exact(values, k):
     # 4,000 seeded runs against the exact value: a z-test at 99%
     rng = substream(7, "rsol-run", len(values), k)
-    draws = np.array([rsol(values, k, rng).residual_surplus for _ in range(4000)])
+    draws = np.array([run("rsol", values, k, rng).residual_surplus
+                      for _ in range(4000)])
     z = ((draws.mean() - expected_rsol(values, k).mean)
          / (draws.std(ddof=1) / np.sqrt(draws.size)))
     assert abs(z) < 2.58
@@ -548,7 +519,7 @@ def test_rsol_realized_mean_matches_exact(values, k):
 @given(profiles, st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_rsol_outcome_invariants(prof, k):
-    out = rsol(prof, k, substream(3, "inv"))
+    out = run("rsol", prof, k, substream(3, "inv"))
     check_outcome(out, k)
 
 
@@ -557,20 +528,20 @@ def test_rsol_outcome_invariants(prof, k):
 
 
 def test_mixture_oracles():
-    assert mixed_vickrey_lottery([3.0, 1.0]).mean == pytest.approx(2.0)
-    assert mixed_vickrey_lottery([4.0, 4.0]).mean == pytest.approx(8.0 / 3.0)
-    assert mixed_vickrey_lottery([3.0, 1.0]).mode == "exact"
+    assert evaluate("mix", [3.0, 1.0], 1) == pytest.approx(2.0)
+    assert evaluate("mix", [4.0, 4.0], 1) == pytest.approx(8.0 / 3.0)
+    assert type(evaluate("mix", [3.0, 1.0], 1)) is float
     with pytest.raises(ValueError):
-        mixed_vickrey_lottery([1.0, 2.0, 3.0])
+        evaluate("mix", [1.0, 2.0, 3.0], 1)
     with pytest.raises(ValueError, match="k=1"):
-        mixed_vickrey_lottery([3.0, 1.0], 2)
+        evaluate("mix", [3.0, 1.0], 2)
 
 
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0))
 @settings(max_examples=100, deadline=None)
 def test_mixture_formula(a, b):
     hi = max(a, b)
-    assert mixed_vickrey_lottery([a, b]).mean == pytest.approx(2.0 * hi / 3.0)
+    assert evaluate("mix", [a, b], 1) == pytest.approx(2.0 * hi / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +560,9 @@ def test_log_price_oracles():
 def test_log_price_realized():
     rng = substream(1, "lp")
     prof = [5.0, 3.0, 1.0]
-    out = run_log_price(prof, 1, rng)
+    out = run("logprice", prof, 1, rng)
     check_outcome(out, 1)
-    total = sum(run_log_price(prof, 1, substream(i, "lp")).residual_surplus
+    total = sum(run("logprice", prof, 1, substream(i, "lp")).residual_surplus
                 for i in range(400)) / 400
     assert total == pytest.approx(expected_log_price(prof, 1), rel=0.25)
 
@@ -611,49 +582,46 @@ def test_log_price_meets_bound(prof, k):
 # realized runs against their rule rows
 
 
-def outcome_row(out):
-    return out.allocation, out.payments
-
-
 def rsol_row(values, k):
     x, pay = zip(*(_rsol_interim(k, values, i, [values[i]])
                    for i in range(len(values))))
     return np.concatenate(x), np.concatenate(pay)
 
 
-# name -> (profile, k, one run with an rng, the rule's (x, P) row); every
-# profile has ties or a lottery band. The ladder's L = 2 round on [2, 1, 1, 1]
-# gives the top agent 1/2 and each tied agent 1/6, where a uniform draw over
-# the band would give each 1/4
+# name -> (profile, k, p, q), one row per table entry, in its order; every
+# profile has ties or a lottery band, and plottery's an agent at its price.
+# The ladder's L = 2 round on [2, 1, 1, 1] gives the top agent 1/2 and each
+# tied agent 1/6, where a uniform draw over the band would give each 1/4;
+# the mixture's band weights are 2/3 and 1/3
 REALIZED = {
-    "pq": ([3.0, 2.0, 2.0, 1.5, 1.0], 2,
-           lambda v, k, rng, iv: run_pq_lottery(v, k, 2.5, 1.2, rng),
-           lambda v, k, iv: outcome_row(run_pq_lottery(v, k, 2.5, 1.2))),
-    "vickrey": ([4.0, 3.0, 3.0, 3.0, 1.0], 2,
-                lambda v, k, rng, iv: vickrey(v, k, rng),
-                lambda v, k, iv: outcome_row(vickrey(v, k))),
-    "bayes": ([3.0, 1.8, 1.2], 2,
-              lambda v, k, rng, iv: bayes_optimal_outcome(iv, v, k, rng),
-              lambda v, k, iv: outcome_row(bayes_optimal_outcome(iv, v, k))),
-    "ladder": ([2.0, 1.0, 1.0, 1.0], 1,
-               lambda v, k, rng, iv: run_log_price(v, k, rng),
-               lambda v, k, iv: tuple(a[0] for a in _ladder_rule(np.array([v]), k))),
-    "rsol": ([1.2, 1.2, 0.9, 0.9, 0.9, 0.3, 0.0, 0.0], 2,
-             lambda v, k, rng, iv: rsol(v, k, rng),
-             lambda v, k, iv: rsol_row(v, k)),
+    "plottery": ([3.0, 2.0, 2.0, 1.0], 2, 2.0, 0.0),
+    "pqlottery": ([3.0, 2.0, 2.0, 1.5, 1.0], 2, 2.5, 1.2),
+    "vickrey": ([4.0, 3.0, 3.0, 3.0, 1.0], 2, 0.0, 0.0),
+    "bayes": ([3.0, 1.8, 1.2], 2, 0.0, 0.0),
+    "rsol": ([1.2, 1.2, 0.9, 0.9, 0.9, 0.3, 0.0, 0.0], 2, 0.0, 0.0),
+    "mix": ([3.0, 1.0], 1, 0.0, 0.0),
+    "logprice": ([2.0, 1.0, 1.0, 1.0], 1, 0.0, 0.0),
 }
+
+
+def test_realized_rows_are_the_table():
+    assert list(REALIZED) == list(MECHANISMS)
 
 
 @pytest.mark.parametrize("name", REALIZED)
 def test_realized_runs_match_rule_rows(name, iv_bridge):
     # 4,000 seeded runs: each agent's win frequency within 3.3 sigma of its
-    # x, and its mean payment within 3.3 standard errors of P
-    values, k, run, rule = REALIZED[name]
+    # x, and its mean payment within 3.3 standard errors of P, where (x, P)
+    # is the entry's rule row (RSOL's interim at each agent's value)
+    values, k, p, q = REALIZED[name]
+    entry, a = MECHANISMS[name], Params(p, q, iv_bridge)
     rng = substream(8, "realized", name)
-    outs = [run(values, k, rng, iv_bridge) for _ in range(4000)]
+    outs = [run(name, values, k, rng, **{f: getattr(a, f) for f in entry.reads})
+            for _ in range(4000)]
     wins = np.array([out.allocation for out in outs])
     pays = np.array([out.payments for out in outs])
-    x, P = rule(values, k, iv_bridge)
+    x, P = (rsol_row(values, k) if name == "rsol"
+            else (r[0] for r in entry.rule(np.array([values]), k, a)))
     assert set(np.unique(wins)) <= {0.0, 1.0}
     np.testing.assert_array_less(np.abs(wins.mean(axis=0) - x),
                                  3.3 * np.sqrt(x * (1 - x) / 4000) + 1e-12)
@@ -668,7 +636,7 @@ def test_realized_band_pairs_are_uniform():
     # show this; systematic sampling in a fixed order has exact marginals but
     # only ever picks the pairs {0, 2} and {1, 3}
     rng = substream(8, "co-win")
-    wins = np.array([run_pq_lottery([1.0] * 4, 2, 2.0, 0.0, rng).allocation
+    wins = np.array([run("pqlottery", [1.0] * 4, 2, rng, p=2.0, q=0.0).allocation
                      for _ in range(4000)])
     assert np.all(wins.sum(axis=1) == 2)
     pairs = (wins.T @ wins / 4000)[np.triu_indices(4, 1)]

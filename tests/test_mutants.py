@@ -43,7 +43,7 @@ MUTANTS = {
         mechanisms, "_run", "ends = np.cumsum(x[order])",
         "ends = np.cumsum(np.full(band.size, x[band].mean()))",
         [functools.partial(test_mechanisms.test_realized_runs_match_rule_rows,
-                           "ladder", None)]),
+                           "logprice", None)]),
     # systematic sampling in a fixed order still gives every agent its exact
     # x, so only which agents win together shows the missing shuffle
     "run-fixed-band-order": (
@@ -288,6 +288,15 @@ MUTANTS = {
         mechanisms, "MECHANISMS", '_ruled(("iv",),', '_ruled(("iv", "p"),',
         [functools.partial(test_cli.test_eval_unread_flag_exit_two, mech="bayes",
                            flags=["--dist", "exp(1)", "--p", "0"], flag="p")]),
+    # evaluate and run pass on no price: every entry at its defaults
+    "verbs-params-dropped": (
+        mechanisms, "_entry", "Params(**params)", "Params()",
+        [test_mechanisms.test_p_lottery_oracles, test_mechanisms.test_pq_lottery_oracles]),
+    # Bayes's run view, which evaluate reads too, takes off-support values
+    "bayes-run-no-support-check": (
+        mechanisms, "_bayes_run",
+        "if prof.n and (v.min() < lo_sup or v.max() > hi_sup):", "if False:",
+        [test_mechanisms.test_bayes_support_validation]),
     "unpriced-takes-priced-entries": (
         mechanisms, "unpriced", 'name in MECHANISMS and {"p", "q"} & set(entry.reads)',
         "False",

@@ -37,8 +37,8 @@ from .common import (MechanismEval, check_draws, mc_blocks, mc_eval,
 from .distributions import (ValueDistribution, ValuationProfile, as_profile,
                             sample_profile, virtual_value_utility)
 from .ironing import IronedVirtual, check_ironed_for, iron
-from .mechanisms import (MECHANISMS, Params, _require_k, _residual, _ruled,
-                         _vickrey_rule, unpriced)
+from .mechanisms import (MECHANISMS, Params, _entry, _require_k, _residual,
+                         _ruled, _vickrey_rule, unpriced)
 
 DSIC_TOL = 1e-9
 MIN_IDENTITY_GRID = 256
@@ -75,20 +75,15 @@ def _first_price_rule(V: np.ndarray, k: int):
 CONTROLS = {"firstprice": _ruled((), lambda V, k, a: _first_price_rule(V, k))}
 
 
-def audit_mechanism(name: str, k: int = 1, *, p: float = 0.0, q: float = 0.0,
-                    iv: IronedVirtual | None = None) -> AuditableMechanism:
+def audit_mechanism(name: str, k: int = 1, **params) -> AuditableMechanism:
     """Build the interim adapter for a mechanism name.
 
     Names match the CLI: the mechanism table's, plus the non-truthful
-    firstprice control. Bad parameters are rejected here, before any interim
-    is evaluated.
+    firstprice control. params are the Params fields the entry reads, as
+    for mechanisms.evaluate. An unread field and bad values are rejected
+    here, before any interim is evaluated.
     """
-    entry = MECHANISMS.get(name) or CONTROLS.get(name)
-    if entry is None:
-        raise ValueError(f"unknown mechanism {name!r}")
-    if "iv" in entry.reads and iv is None:
-        raise ValueError(f"{name} audit needs an ironed virtual value")
-    a = Params(p, q, iv)
+    entry, a = _entry(name, params, {**MECHANISMS, **CONTROLS})
     mech = AuditableMechanism(name, entry.interim(k, a), entry.edges(a))
     # each rule checks its own parameters; with no bids it does nothing else
     mech.interim(np.zeros(2), 0, [])
@@ -268,13 +263,11 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
     own up to 2^15 reps. reps below MIN_REPLICATES and n below 1 are
     rejected, and so is a mechanism without a prior view.
     """
-    check_ironed_for(d, iv)
-    entry = unpriced(mechanism)
+    entry = unpriced(mechanism, "prior")
     check_draws(reps, n)
-    if entry.prior is None:
-        raise ValueError(f"{mechanism!r} is no rank rule and has no exact prior value")
-    a = Params(iv=iron(d) if iv is None and "iv" in entry.reads else iv)
-    virtual, bottom = entry.prior(d, n, k, a)
+    iv = iron(d) if iv is None and "iv" in entry.reads else iv
+    virtual, bottom = entry.prior(d, n, k, iv)
+    a = Params(iv=iv)
 
     def sides(V):
         X, P = entry.rule(V, k, a)
@@ -350,15 +343,13 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
     (RSOL) are rejected.
     """
     check_ironed_for(d, iv)
-    entry = unpriced(monotone_rule)
+    entry = unpriced(monotone_rule, "xbar")
     # before the default slack, which scales with min(k, n)
     check_draws(reps, n)
     slack = float(1e-3 * min(k, n) * (1.0 + d.mean) if slack is None else slack)
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack}")
     _require_k(k)
-    if entry.xbar is None:
-        raise ValueError(f"{monotone_rule!r} is no rank rule")
     if iv is None:
         iv = iron(d)
     q = np.concatenate(([0.0], iv.q))

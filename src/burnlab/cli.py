@@ -17,7 +17,7 @@ from .benchmark import full_surplus as profile_full_surplus
 from .common import VERSION, MechanismEval, substream
 from .distributions import distribution_from_spec, load_profile, sample_profile
 from .ironing import DEFAULT_GRID, iron
-from .mechanisms import MECHANISMS, Params
+from .mechanisms import MECHANISMS, evaluate
 from .simlab import EXPERIMENT_NAMES, parse_config, run_experiment, write_rows
 
 
@@ -70,14 +70,14 @@ def _cmd_eval(args) -> int:
     if args.exact and args.reps is not None:
         raise ValueError("--exact: exact mode takes no --reps")
     prof = load_profile(args.profile)
-    a = Params(args.p or 0.0, args.q or 0.0)
-    params = [f"{field}={getattr(a, field)}" for field in mech.reads
-              if field != "iv"]
+    # the prices default to 0, as in mechanisms.Params
+    kw = {f: getattr(args, f) or 0.0 for f in mech.reads if f != "iv"}
+    params = [f"{field}={value}" for field, value in kw.items()]
     if "iv" in mech.reads:
         if not args.dist:
             raise ValueError(f"--dist: eval --mech {args.mech} requires it")
         grid = DEFAULT_GRID if args.grid is None else args.grid
-        a = Params(a.p, a.q, iron(distribution_from_spec(args.dist), grid=grid))
+        kw["iv"] = iron(distribution_from_spec(args.dist), grid=grid)
         params.append(f"dist={args.dist};grid={grid}")
     if mech.mc and not args.exact and (args.reps is not None
                                        or prof.n > mech.cap):
@@ -88,7 +88,8 @@ def _cmd_eval(args) -> int:
         if args.seed is not None:
             raise ValueError(f"--seed: eval --mech {args.mech} in exact mode "
                              "does not read it")
-        ev = MechanismEval(mech.one(prof, args.k, a), 0.0, "exact", 1)
+        ev = MechanismEval(evaluate(args.mech, prof, args.k, **kw), 0.0,
+                           "exact", 1)
         if mech.mc:
             params.append("mode=exact")
     # an exact row's seed is None, written as an empty cell
@@ -114,15 +115,17 @@ def _cmd_audit(args) -> int:
         raise ValueError(f"--profiles: need at least 1, got {args.profiles}")
     reads = {**MECHANISMS, **CONTROLS}[args.mech].reads
     _reject_unread(args, "audit", ("p", "q"), reads)
-    p, q = args.p or 0.0, args.q or 0.0
+    # only the prices given: the entry defaults the others, as in Params
+    prices = {field: getattr(args, field) for field in ("p", "q")
+              if getattr(args, field) is not None}
     d = distribution_from_spec(args.dist)
-    iv = iron(d) if "iv" in reads else None
-    mech = audit_mechanism(args.mech, args.k, p=p, q=q, iv=iv)
+    iv = {"iv": iron(d)} if "iv" in reads else {}
+    mech = audit_mechanism(args.mech, args.k, **prices, **iv)
     rows = []
     all_passed = True
     for idx in range(args.profiles):
         prof = sample_profile(d, args.n, substream(args.seed, "audit", idx))
-        hi = 1.25 * max(float(prof.values.max()), p, q, 1e-9)
+        hi = 1.25 * max(float(prof.values.max()), *prices.values(), 1e-9)
         dsic = check_dsic(mech, prof, np.linspace(0.0, hi, 64), tol=DSIC_TOL)
         rows.append([args.mech, idx, "dsic", dsic.passed, dsic.max_gain,
                      dsic.agent, dsic.bid])

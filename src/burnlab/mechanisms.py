@@ -21,8 +21,8 @@ interim (_tiled) for the audits and a rank rule's exact value under a prior
 for the estimator. A rule's values are its row residual (_residual), and its
 run is its row, or with an rng one draw of it (_run); the ladder draws its
 round first, and Bayes checks the profile against the prior's support.
-evaluate(name, profile, k, **params) and run(name, profile, k, rng,
-**params) read the table, the one public spelling of every mechanism.
+evaluate(name, profile, k, **params), run(name, profile, k, rng, **params)
+and the audits read the table through _entry, the prior side through unpriced.
 
 RSOL (random-sampling optimal lottery: learn a price on a random half of the
 agents, apply it or Vickrey to the other half) has no rowwise rule. Given a
@@ -58,7 +58,7 @@ import numpy as np
 
 from .common import (_PASS_CELLS, MIN_REPLICATES, MechanismEval, mc_blocks,
                      mc_eval, substream)
-from .distributions import as_profile
+from .distributions import _require_in_support, as_profile
 from .ironing import IronedVirtual, check_ironed_for, iron
 
 COST_AGENT_CAP = 20
@@ -327,12 +327,8 @@ def _bayes_run(profile, k: int, iv: IronedVirtual, rng) -> Outcome:
     Away from bridges the rule is the k-unit Vickrey auction.
     """
     _require_k(k)
-    prof = as_profile(profile)
-    v = prof.values
-    lo_sup, hi_sup = iv.dist.support
-    if prof.n and (v.min() < lo_sup or v.max() > hi_sup):
-        raise ValueError(
-            f"profile values outside the support {iv.dist.support} of {iv.dist.name}")
+    v = as_profile(profile).values
+    _require_in_support(iv.dist, v)
     return _run(v, *_bayes_rule(iv, v[None, :], k), rng)
 
 
@@ -657,18 +653,20 @@ def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
 
 
 def expected_rsol(profile, k: int, mode: str = "exact",
-                  reps: int = 10_000, seed: int = 0) -> MechanismEval:
+                  reps: int | None = None,
+                  seed: int | None = None) -> MechanismEval:
     """Expected residual surplus of RSOL over halves, coin, and lotteries.
 
     Exact mode averages all 2^n halvings (n <= 20), both branches weighted
     1/2, in one doubling pass over the agents (O(2^n) work; replicates
-    records the 2^n halvings). MC mode samples reps >= 30 halvings, each
-    agent serving with probability 1/2, but keeps the branch expectations
-    exact, so only the halving is estimated; its halvings are drawn on
-    blocks of at most 2^13 (common.mc_blocks), whose values mc_eval
-    summarizes as they come, so no reps-long array is built. mc_eval's fixed
-    chunks of 2^15 values make the mean and interval those of one (reps, n)
-    draw, and numpy's own up to 2^15 reps.
+    records the 2^n halvings) and takes no reps or seed. MC mode needs both:
+    it samples reps >= 30 halvings on seed's stream, each agent serving with
+    probability 1/2, but keeps the branch expectations exact, so only the
+    halving is estimated; its halvings are drawn on blocks of at most 2^13
+    (common.mc_blocks), whose values mc_eval summarizes as they come, so no
+    reps-long array is built. mc_eval's fixed chunks of 2^15 values make the
+    mean and interval those of one (reps, n) draw, and numpy's own up to
+    2^15 reps.
     """
     _require_k(k)
     prof = as_profile(profile)
@@ -676,10 +674,14 @@ def expected_rsol(profile, k: int, mode: str = "exact",
     if n == 0:
         raise ValueError("need at least one agent")
     if mode == "exact":
+        if reps is not None or seed is not None:
+            raise ValueError("exact mode takes no reps or seed")
         return MechanismEval(float(_rsol_exact(prof.values[None, :], k)[0]),
                              0.0, "exact", 1 << n, None)
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
+    if reps is None or seed is None:
+        raise ValueError("mc mode needs reps and seed")
     if reps < MIN_REPLICATES:
         raise ValueError(f"reps: need at least {MIN_REPLICATES} replicates, "
                          f"got {reps}")
@@ -786,25 +788,23 @@ def _rank_win_integral(q: float, n: int, k: int) -> float:
                for b in range(c + 1, n + 1)) / n
 
 
-def _check_prior(d, n: int, k: int, a) -> None:
+def _check_prior(d, n: int, k: int, iv) -> None:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    check_ironed_for(d, a.iv)
+    check_ironed_for(d, iv)
 
 
-def _lottery_prior(d, n: int, k: int, a) -> tuple[MechanismEval, float]:
+def _lottery_prior(d, n: int, k: int, iv) -> tuple[MechanismEval, float]:
     """The free lottery's prior view, a closed form: it sells min(k, n)
     units at the prior mean; its bottom term is min(k, n) * lo, since each
     agent wins min(k, n)/n whatever they bid."""
-    _check_prior(d, n, k, a)
-    if a.p:
-        raise ValueError(f"the lottery's prior view takes price 0, got {a.p}")
+    _check_prior(d, n, k, iv)
     units = min(k, n)
     return (MechanismEval(units * d.mean, 0.0, "exact", 1, None),
             units * float(d.support[0]))
 
 
-def _rank_prior(xbar, d, n: int, k: int, a) -> tuple[MechanismEval, float]:
+def _rank_prior(xbar, d, n: int, k: int, iv) -> tuple[MechanismEval, float]:
     """Exact expected residual of a rank rule on n values drawn i.i.d. from
     d, k units, with no profile drawn, and its bottom term n lo xbar(0).
 
@@ -814,14 +814,14 @@ def _rank_prior(xbar, d, n: int, k: int, a) -> tuple[MechanismEval, float]:
     lo, so the payment identity gives
         n * (lo xbar(0) + xbar(1) (mean - lo) - int (1 - q)(xbar(1) - xbar(q)) dv(q)).
     d.mean carries the tail, and the integrand vanishes at the top. The
-    integral is the trapezoid rule on the quantile grid of a.iv (iron(d) if
+    integral is the trapezoid rule on the quantile grid of iv (iron(d) if
     None), with a node (0, lo) in front for the strip below the grid; the
     record's replicate count is that grid. The bottom term is the utility
     the strip of bids below lo earns, which the virtual side of the utility
     identity lacks.
     """
-    _check_prior(d, n, k, a)
-    iv = iron(d) if a.iv is None else a.iv
+    _check_prior(d, n, k, iv)
+    iv = iron(d) if iv is None else iv
     lo = float(d.support[0])
     q = np.concatenate(([0.0], iv.q))
     v = np.concatenate(([lo], iv.v))
@@ -891,10 +891,7 @@ def expected_under_prior(name: str, d, n: int, k: int,
     mean of its table entry's prior view, integrated on the quantile grid of
     iv (iron(d) if None; see _rank_prior), or the free lottery's closed form
     min(k, n) * mean."""
-    prior = unpriced(name).prior
-    if prior is None:
-        raise ValueError(f"{name!r} is no rank rule and has no exact prior value")
-    return prior(d, n, k, Params(iv=iv))[0].mean
+    return unpriced(name, "prior").prior(d, n, k, iv)[0].mean
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +900,7 @@ def expected_under_prior(name: str, d, n: int, k: int,
 
 @dataclass(frozen=True)
 class Params:
-    """What an entry may read besides k: prices p >= q, the ironed prior iv."""
+    """What an entry may read besides k: prices p >= q, Bayes's ironed prior iv."""
 
     p: float = 0.0
     q: float = 0.0
@@ -921,11 +918,11 @@ class Mechanism:
     mc(profile, k, reps, seed) estimates profiles above cap agents.
     A rank rule's xbar(q, n, k, iv) -> (left, right, top) is its interim win
     probability at Params' defaults on the quantile nodes q (see
-    _rank_prior), and its prior(d, n, k, a) -> (MechanismEval, bottom) is its
-    exact expected residual on n values drawn i.i.d. from d, a.iv d's
-    ironing (built when None), and the part of it earned by bids below the
-    support's bottom lo, n lo xbar(0). Both are None for RSOL, no rank rule,
-    and for the two-price lottery, whose integral is not written."""
+    _rank_prior), and its prior(d, n, k, iv) -> (MechanismEval, bottom) is
+    its exact expected residual on n values drawn i.i.d. from d, integrated
+    on iv, d's ironing (built when None), and the part of it earned by bids
+    below the support's bottom lo, n lo xbar(0). Both are None for RSOL, no
+    rank rule, and for the two-price lottery, whose integral is not written."""
 
     reads: tuple[str, ...]
     rule: Callable
@@ -953,7 +950,7 @@ def _ruled(reads, rule, **views) -> Mechanism:
     views.setdefault("run", row_run)
     xbar = views.get("xbar")
     if xbar is not None:
-        views.setdefault("prior", lambda d, n, k, a: _rank_prior(xbar, d, n, k, a))
+        views.setdefault("prior", lambda d, n, k, iv: _rank_prior(xbar, d, n, k, iv))
     return Mechanism(reads, rule, lambda V, k, a: _residual(V, *rule(V, k, a)),
                      interim=lambda k, a: _tiled(lambda V: rule(V, k, a)), **views)
 
@@ -970,7 +967,7 @@ MECHANISMS = {
                        one=lambda prof, k, a: _lottery_value(prof, k, a.p),
                        edges=lambda a: (a.p,),
                        xbar=lambda q, n, k, iv: _lottery_xbar(q, n, k, iv),
-                       prior=lambda d, n, k, a: _lottery_prior(d, n, k, a)),
+                       prior=lambda d, n, k, iv: _lottery_prior(d, n, k, iv)),
     "pqlottery": _ruled(("p", "q"), lambda V, k, a: _pq_rule(V, k, a.p, a.q),
                         edges=lambda a: (a.q, a.p)),
     "vickrey": _ruled((), lambda V, k, a: _vickrey_rule(V, k),
@@ -1001,19 +998,25 @@ ALIASES = {"lottery": "plottery", "plottery0": "plottery"}
 PRIOR_OPTIMAL = "bayes"
 
 
-def unpriced(name: str) -> Mechanism:
-    """The entry of an alias, or of a name whose entry reads no price: what a
-    caller that passes none may take. The table is read at call time."""
+def unpriced(name: str, view: str | None = None) -> Mechanism:
+    """The prior side's door to the table, read at call time: the entry of an
+    alias or of a name whose entry reads no price, as a caller that passes
+    none may take; given a view ("prior" or "xbar"), only one that has it."""
     entry = MECHANISMS.get(ALIASES.get(name, name))
-    if entry is None or name in MECHANISMS and {"p", "q"} & set(entry.reads):
+    if entry is None:
         raise ValueError(f"unknown mechanism {name!r}")
+    if name in MECHANISMS and {"p", "q"} & set(entry.reads):
+        raise ValueError(f"{name!r} reads a price, which the prior side does not set")
+    if view is not None and getattr(entry, view) is None:
+        raise ValueError(f"{name!r} is no rank rule and has no {view} view")
     return entry
 
 
-def _entry(name: str, params: dict) -> tuple[Mechanism, Params]:
-    """The entry of a table name and the Params of the keywords given, each
-    a field the entry reads; an entry that reads iv needs it."""
-    entry = MECHANISMS.get(name)
+def _entry(name: str, params: dict, table: dict | None = None):
+    """The profile side's door to table, MECHANISMS read at call time if None:
+    the (entry, Params) of a name and the keywords given, each a field the
+    entry reads; an entry that reads iv needs it."""
+    entry = (MECHANISMS if table is None else table).get(name)
     if entry is None:
         raise ValueError(f"unknown mechanism {name!r}")
     for field in params:

@@ -50,7 +50,7 @@ def estimate(mechanism: str, d: ValueDistribution, n: int, k: int, reps: int,
     entry = unpriced(mechanism)
     check_draws(reps, n)
     if entry.prior is not None:
-        return entry.prior(d, n, k, Params())[0]
+        return entry.prior(d, n, k, None)[0]
     rng = substream(seed, "estimate", mechanism, n, k)
     return mc_eval(mc_blocks(quantile_draw(d, rng), reps, n,
                              lambda V: entry.value(V, k, Params())), seed)

@@ -21,7 +21,8 @@ from burnlab.ironing import iron
 from burnlab.mechanisms import (ALIASES, MECHANISMS, Params, _ladder_sizes,
                                 _residual, _rsol_halving_sums, _rsol_interim,
                                 _rsol_values, evaluate, expected_log_price,
-                                expected_rsol, run, unpriced)
+                                expected_rsol, expected_under_prior, run,
+                                unpriced)
 from burnlab.simlab import estimate, experiment_lb43
 
 PRIOR_RULES = ("lottery", "vickrey", "bayes")
@@ -175,6 +176,19 @@ def rejects(call):
     return False
 
 
+def refusal(call):
+    # the one-line message of the ValueError call raises; no error, or
+    # another one, fails with the AssertionError a mutant must raise
+    try:
+        call()
+    except ValueError as err:
+        assert "\n" not in str(err), err
+        return str(err)
+    except Exception as err:
+        raise AssertionError(f"not a ValueError: {err!r}") from err
+    raise AssertionError("not refused")
+
+
 # plain-Python oracles, each mechanism's expected residual from its
 # definition, with no call into the package but the ladder's rung sizes
 
@@ -286,8 +300,7 @@ def test_interim_totals_match_expectations(iv_bridge):
             kw = {field: getattr(a, field) for field in entry.reads}
             for k in (1, 2):
                 views = [
-                    lambda: interim_total(audit_mechanism(
-                        name, k, p=a.p, q=a.q, iv=a.iv), prof),
+                    lambda: interim_total(audit_mechanism(name, k, **kw), prof),
                     lambda: float(entry.value(prof.values[None, :], k, a)[0]),
                     lambda: entry.one(prof, k, a),
                     lambda: evaluate(name, prof, k, **kw)]
@@ -321,6 +334,20 @@ def test_audit_mechanism_validation(iv_uniform):
         with pytest.raises(ValueError):
             audit_mechanism(name, k, **prices)
     assert audit_mechanism("bayes", 1, iv=iv_uniform).name == "bayes"
+
+
+def test_audit_refuses_unread_params(iv_uniform):
+    # the audits take the fields an entry reads, as evaluate does: an unread
+    # price or prior, once dropped in silence, is refused with evaluate's
+    # message, and the control is reached through the same door
+    for name, k, params, field in [("vickrey", 2, {"p": 0.5}, "p"),
+                                   ("plottery", 1, {"p": 0.2, "q": 0.3}, "q"),
+                                   ("firstprice", 1, {"iv": iv_uniform}, "iv")]:
+        message = refusal(lambda: audit_mechanism(name, k, **params))
+        assert message == f"{field}: {name} does not read it", name
+        if name in MECHANISMS:
+            assert refusal(lambda: evaluate(name, [1.0], k, **params)) == message
+    assert audit_mechanism("firstprice", 1).name == "firstprice"
 
 
 def ladder_oracle(values, k):
@@ -585,7 +612,7 @@ def test_identity_boundary_term_positive_support():
     report = verify_utility_identity(d, "lottery", 1, 3, 40000, 2)
     assert report.passed
     assert report.virtual == MechanismEval(1.5, 0.0, "exact", 1, None)
-    assert unpriced("lottery").prior(d, 3, 1, Params())[1] == 1.0
+    assert unpriced("lottery").prior(d, 3, 1, None)[1] == 1.0
     assert report.utility.mean == pytest.approx(
         1.5, abs=2 * report.utility.ci_halfwidth)
 
@@ -743,7 +770,7 @@ def identity_draw(d, rule, k, n, reps, seed, iv):
 def identity_one_array(d, rule, k, n, reps, seed, iv):
     # the report from one draw: the control-variate statistic of
     # verify_utility_identity written out on whole arrays
-    virtual, bottom = unpriced(rule).prior(d, n, k, Params(iv=iv))
+    virtual, bottom = unpriced(rule).prior(d, n, k, iv)
     _, _, u, c = identity_draw(d, rule, k, n, reps, seed, iv)
     dc = c - c.mean()
     z = u
@@ -784,7 +811,7 @@ def test_identity_exact_sides_within_rerun_oracle():
              (piecewise_inverse_hazard([0.5, 1.0, 2.0], [3.0, 1.0, 5.0]), "bayes")]
     for d, rule in cells:
         iv = iron(d)
-        virtual, bottom = unpriced(rule).prior(d, 6, 2, Params(iv=iv))
+        virtual, bottom = unpriced(rule).prior(d, 6, 2, iv)
         utility, paired, rerun = identity_paired_reruns(d, rule, 2, 6, 20000, 11, iv)
         assert abs(bottom - rerun.mean) <= rerun.ci_halfwidth + 1e-12, (d.name, rule, rerun)
         assert abs(virtual.mean - paired.mean) <= paired.ci_halfwidth, (d.name, rule, paired)
@@ -976,12 +1003,23 @@ def test_mismatched_iv_rejected(iv_uniform, iv_exp):
 
 
 def test_batch_rule_validation():
-    # rsol has no rowwise rule, and the checks pass no price
-    for name in ("nosuch", "rsol", "plottery", "pqlottery"):
-        with pytest.raises(ValueError):
-            verify_utility_identity(uniform(0.0, 1.0), name, 1, 2, 1000, 0)
-        with pytest.raises(ValueError):
-            verify_ironing_dominance(uniform(0.0, 1.0), name, 1000, 0)
+    # every prior-side check asks unpriced for the view it reads: an unknown
+    # name, a table name that reads a price (no check passes one) and RSOL,
+    # which has no prior or xbar view, are refused in one line
+    d = uniform(0.0, 1.0)
+    checks = [
+        ("prior", lambda name: verify_utility_identity(d, name, 1, 2, 1000, 0)),
+        ("prior", lambda name: expected_under_prior(name, d, 2, 1)),
+        ("xbar", lambda name: verify_ironing_dominance(d, name, 1000, 0)),
+        (None, lambda name: estimate(name, d, 2, 1, 1000, 0))]
+    for view, check in checks:
+        assert refusal(lambda: check("nosuch")) == "unknown mechanism 'nosuch'"
+        for name in ("plottery", "pqlottery"):
+            assert refusal(lambda: check(name)) == (
+                f"{name!r} reads a price, which the prior side does not set")
+        if view is not None:
+            assert refusal(lambda: check("rsol")) == (
+                f"'rsol' is no rank rule and has no {view} view")
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,19 @@ def test_rsol_empty_profile_rejected():
         expected_rsol(ValuationProfile([]), 1)
 
 
+def test_rsol_draw_parameters_follow_the_mode():
+    # exact mode draws nothing, so a reps (even one below the floor) or a
+    # seed it would ignore is refused; Monte Carlo mode needs both
+    for kw in ({"reps": 5}, {"seed": 9}, {"reps": 5, "seed": 9},
+               {"reps": 100, "seed": 0}):
+        with pytest.raises(ValueError, match="^exact mode takes no reps or seed$"):
+            expected_rsol([3.0, 1.0], 1, **kw)
+    for kw in ({}, {"reps": 100}, {"seed": 9}):
+        with pytest.raises(ValueError, match="^mc mode needs reps and seed$"):
+            expected_rsol([3.0, 1.0], 1, "mc", **kw)
+    assert expected_rsol([3.0, 1.0], 1, "mc", 100, 9).mode == "mc"
+
+
 @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=10),
        st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
@@ -737,14 +750,11 @@ def test_prior_expectation_bad_input():
         (("bayes", d, 2, 1, iron(uniform(0.0, 1.0), grid=64)), "ironed for"),
         (("mix", d, 3, 1), "n=2, k=1"),
         (("mix", d, 2, 2), "n=2, k=1"),
-        (("pqlottery", d, 2, 1), "unknown mechanism 'pqlottery'"),
+        (("pqlottery", d, 2, 1),
+         "'pqlottery' reads a price, which the prior side does not set"),
         (("rsol", d, 2, 1), "'rsol' is no rank rule"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError, match=message) as err:
             expected_under_prior(*args)
         assert "\n" not in str(err.value)
-    # the table's free-lottery view reads no price
-    with pytest.raises(ValueError, match="price 0, got 0.5") as err:
-        MECHANISMS["plottery"].prior(d, 2, 1, Params(p=0.5))
-    assert "\n" not in str(err.value)

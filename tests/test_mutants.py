@@ -197,8 +197,8 @@ MUTANTS = {
                            2 ** 10)]),
     # the estimator's exact path asks the prior view for one unit more
     "estimate-prior-k-plus-one": (
-        simlab, "estimate", "entry.prior(d, n, k, Params())",
-        "entry.prior(d, n, k + 1, Params())", [test_simlab.test_estimate_closed_forms]),
+        simlab, "estimate", "entry.prior(d, n, k, None)",
+        "entry.prior(d, n, k + 1, None)", [test_simlab.test_estimate_closed_forms]),
     # the row blocks of the prior-side Monte Carlo: the rows after the last
     # full block never drawn, or blocks that overlap by one row, which is
     # then drawn twice
@@ -294,13 +294,21 @@ MUTANTS = {
         [test_mechanisms.test_p_lottery_oracles, test_mechanisms.test_pq_lottery_oracles]),
     # Bayes's run view, which evaluate reads too, takes off-support values
     "bayes-run-no-support-check": (
-        mechanisms, "_bayes_run",
-        "if prof.n and (v.min() < lo_sup or v.max() > hi_sup):", "if False:",
+        mechanisms, "_bayes_run", "_require_in_support(iv.dist, v)", "None",
         [test_mechanisms.test_bayes_support_validation]),
     "unpriced-takes-priced-entries": (
         mechanisms, "unpriced", 'name in MECHANISMS and {"p", "q"} & set(entry.reads)',
         "False",
-        [test_simlab.test_estimate_closed_forms]),
+        [test_simlab.test_estimate_closed_forms, test_audit.test_batch_rule_validation]),
+    # the prior side's door hands RSOL, with no prior or xbar view, to a
+    # check that calls the missing view
+    "unpriced-no-view-check": (
+        mechanisms, "unpriced", "view is not None and getattr(entry, view) is None",
+        "False", [test_audit.test_batch_rule_validation]),
+    # the audits' door reads the table alone, without the firstprice control
+    "audit-controls-dropped": (
+        audit, "audit_mechanism", "_entry(name, params, {**MECHANISMS, **CONTROLS})",
+        "_entry(name, params)", [test_audit.test_audit_refuses_unread_params]),
 }
 
 

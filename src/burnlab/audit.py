@@ -25,6 +25,7 @@ deviation scan must flag it.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,11 +59,6 @@ class AuditableMechanism:
     name: str
     interim: Callable
     edges: tuple = ()
-
-    def breakpoints(self, values: np.ndarray, i: int) -> np.ndarray:
-        """Bids where the interim allocation may jump."""
-        return np.unique(np.concatenate(
-            (np.delete(np.asarray(values, dtype=float), i), self.edges)))
 
 
 def _first_price_rule(V: np.ndarray, k: int):
@@ -138,37 +134,56 @@ def check_dsic(mech: AuditableMechanism, profile, bid_grid,
     agents in order, keeping the first strictly largest gain."""
     values = as_profile(profile).values
     grid = np.asarray(bid_grid, dtype=float)
-    worst = -np.inf
-    arg = (0, 0.0)
+    worst, arg = -np.inf, (0, 0.0)
     if values.size == 0:  # some rules reject an empty profile
         return DeviationReport(mech.name, True, worst, *arg, tol)
     scans = [np.unique(np.append(grid, v)) for v in values]
-    sizes = [bids.size for bids in scans]
-    x, pay = mech.interim(values, np.repeat(np.arange(values.size), sizes),
-                          np.concatenate(scans))
-    for i, (bids, end) in enumerate(zip(scans, np.cumsum(sizes))):
-        part = slice(end - bids.size, end)
-        utility = values[i] * x[part] - pay[part]
-        truth = int(np.searchsorted(bids, values[i]))
-        gain = utility - utility[truth]
+    for i, (bids, (x, pay)) in enumerate(zip(scans, _stacked(mech, values, scans))):
+        utility = values[i] * x - pay
+        gain = utility - utility[np.searchsorted(bids, values[i])]
         j = int(np.argmax(gain))
         if gain[j] > worst:
-            worst = float(gain[j])
-            arg = (i, float(bids[j]))
-    return DeviationReport(mech.name, worst <= tol, worst, arg[0], arg[1], tol)
+            worst, arg = float(gain[j]), (i, float(bids[j]))
+    return DeviationReport(mech.name, worst <= tol, worst, *arg, tol)
+
+
+def _stacked(mech: AuditableMechanism, values: np.ndarray, scans: list) -> list:
+    """One interim call on every agent's bids, scans[i]: each agent's (x, pay)."""
+    sizes = [bids.size for bids in scans]
+    x, pay = mech.interim(values, np.repeat(np.arange(len(scans)), sizes),
+                          np.concatenate(scans))
+    return [(x[e - s:e], pay[e - s:e]) for s, e in zip(sizes, np.cumsum(sizes))]
+
+
+@functools.lru_cache(maxsize=1)
+def _identity_table(interim, edges: tuple, values: bytes, grid: bytes) -> list:
+    """The last profile's rules, by bytes, so an array changed in place keys afresh."""
+    return []
 
 
 def extract_interim_rule(mech: AuditableMechanism, profile, i: int,
                          bid_grid) -> InterimRule:
-    """Tabulate agent i's interim rule on the grid plus known breakpoints."""
+    """Tabulate agent i's interim rule on 0, the grid, the edges and the
+    opponents' values (its own value only if one of them equals it). Callers
+    ask for every agent of a profile in turn, so one interim call fills the
+    table of the last profile and grid (_identity_table) with every agent's
+    rule, read-only; rows are independent, so each is bit for bit agent i's."""
     values = as_profile(profile).values
-    bids = np.unique(np.concatenate(
-        ([0.0], np.asarray(bid_grid, dtype=float), mech.breakpoints(values, i))))
-    mids = 0.5 * (bids[1:] + bids[:-1])
-    # rows are independent, so one call serves the grid and its midpoints
-    x, p = mech.interim(values, i, np.concatenate((bids, mids)))
-    m = bids.size
-    return InterimRule(i, bids, x[:m], p[:m], x[m:])
+    if not (isinstance(i, (int, np.integer)) and 0 <= i < values.size):
+        raise ValueError(f"agent must be an integer in 0..{values.size - 1}, got {i!r}")
+    grid = np.asarray(bid_grid, dtype=float)
+    table = _identity_table(mech.interim, mech.edges, values.tobytes(), grid.tobytes())
+    if not table:
+        fixed = np.concatenate(([0.0], grid, mech.edges))
+        union = np.unique(np.concatenate((fixed, values)))
+        shared = ((values[:, None] == values).sum(axis=1) > 1) | np.isin(values, fixed)
+        scans = [union[row] for row in (union != values[:, None]) | shared[:, None]]
+        parts = _stacked(mech, values, [np.concatenate((b, 0.5 * (b[1:] + b[:-1])))
+                                        for b in scans])
+        for a, (b, (x, p)) in enumerate(zip(scans, parts)):
+            b.flags.writeable = x.flags.writeable = p.flags.writeable = False
+            table.append(InterimRule(a, b, x[:b.size], p[:b.size], x[b.size:]))
+    return table[i]
 
 
 def check_payment_identity(rule: InterimRule,

@@ -16,10 +16,10 @@ Z99 = 2.58
 # Minimum replicate count for any Monte Carlo estimate.
 MIN_REPLICATES = 30
 
-# cells per block of the row-wise Monte Carlo and of RSOL's exact pass and
-# audit interim: each float temporary of a block is then 64 KiB, below
-# glibc's default mmap threshold (128 KiB), so it reuses freed heap memory
-# instead of faulting in fresh pages, and it stays in cache
+# cells per block of the row-wise Monte Carlo, RSOL's exact pass and every
+# audit interim (the tiled rows too: one call tabulates every agent's identity
+# rule): each float temporary is then 64 KiB, under glibc's default mmap
+# threshold (128 KiB), so it reuses freed heap memory and stays in cache
 _PASS_CELLS = 1 << 13
 
 # values per chunk of mc_eval's streamed summary (256 KiB of floats); fixed,

@@ -110,16 +110,21 @@ def _expected(rule, profile, *args) -> float:
 
 def _tiled(rule):
     """A marginal rule's interim: one row per bid, the bid in the column of
-    its agent, i (an int, or an int array aligned with the bids)."""
+    its agent, i (an int, or an int array aligned with the bids), in blocks
+    of at most _PASS_CELLS cells; with no bids the rule runs once, on none."""
     def interim(values, i, bids):
-        b = np.asarray(bids, dtype=float)
+        b, agent = np.broadcast_arrays(np.asarray(bids, dtype=float).reshape(-1), i)
         v = np.asarray(values, dtype=float)
-        V = np.tile(v, (b.size, 1))
-        # each row's bid cell in the flattened rows; cheaper than 2-D indexing
-        cell = np.arange(0, V.size, v.size) + i
-        V.reshape(-1)[cell] = b
-        X, P = rule(V)
-        return X.reshape(-1)[cell], P.reshape(-1)[cell]
+        rows = max(1, _PASS_CELLS // max(v.size, 1))
+        x, pay = np.empty((2, b.size))
+        for s in range(0, max(b.size, 1), rows):
+            V = np.tile(v, (b[s:s + rows].size, 1))
+            # each row's bid cell in the flattened rows; cheaper than 2-D indexing
+            cell = np.arange(0, V.size, v.size) + agent[s:s + rows]
+            V.reshape(-1)[cell] = b[s:s + rows]
+            X, P = rule(V)
+            x[s:s + rows], pay[s:s + rows] = X.reshape(-1)[cell], P.reshape(-1)[cell]
+        return x, pay
     return interim
 
 

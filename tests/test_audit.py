@@ -15,8 +15,8 @@ from burnlab.audit import (DSIC_TOL, MIN_IDENTITY_GRID, DeviationReport,
                            verify_ironing_dominance, verify_utility_identity)
 from burnlab.common import _PASS_CELLS, Z99, MechanismEval, mc_eval, substream
 from burnlab.distributions import (ValuationProfile, as_profile, exponential,
-                                   pareto, piecewise_inverse_hazard, two_piece,
-                                   uniform, virtual_value_utility)
+                                   pareto, piecewise_inverse_hazard, uniform,
+                                   virtual_value_utility)
 from burnlab.ironing import iron
 from burnlab.mechanisms import (ALIASES, MECHANISMS, Params, _ladder_sizes,
                                 _residual, _rsol_halving_sums, _rsol_interim,
@@ -85,11 +85,11 @@ def dsic_agent_loop(mech, profile, bid_grid, tol=DSIC_TOL):
     return DeviationReport(mech.name, worst <= tol, worst, *arg, tol)
 
 
-def test_check_dsic_matches_agent_loop(bridge_dist, iv_bridge):
+def a8_suites(bridge_dist, iv_bridge):
     # A8's corpora and adapters, plus the firstprice control on the shared
     # corpus, where its witness moves from profile to profile
     shared = audit_profiles(17, count=100, n_range=(2, 8))
-    suites = [
+    return [
         (audit_mechanism("plottery", 2, p=0.2), shared, 0.2),
         (audit_mechanism("pqlottery", 2, p=0.5, q=0.1), shared, 0.5),
         (audit_mechanism("vickrey", 2), shared, 0.0),
@@ -100,7 +100,10 @@ def test_check_dsic_matches_agent_loop(bridge_dist, iv_bridge):
          audit_profiles(17, count=100, n_range=(2, 6), dist=bridge_dist), 0.0),
         (audit_mechanism("mix"), audit_profiles(17, count=100, n_range=(2, 2)), 0.0),
     ]
-    for mech, corpus, pmax in suites:
+
+
+def test_check_dsic_matches_agent_loop(bridge_dist, iv_bridge):
+    for mech, corpus, pmax in a8_suites(bridge_dist, iv_bridge):
         for prof in corpus:
             grid = np.linspace(0.0, 1.25 * max(float(prof.values.max()), pmax, 1e-9), 64)
             assert check_dsic(mech, prof, grid) == dsic_agent_loop(mech, prof, grid)
@@ -131,14 +134,18 @@ def test_bayes_truthful_on_prior_corpus(bridge_dist, iv_bridge):
             assert check_payment_identity(rule).passed
 
 
-def test_bayes_truthful_at_interval_ends(iv_bridge):
+def interval_end_profiles(iv_bridge):
     # values exactly on v_lo or v_hi, where the hull segment (right-continuous
     # in the cdf) and a two-price band (q, p] would place a bid differently;
     # prior draws never land there
     itv = iv_bridge.intervals[0]
     lo, hi = itv.v_lo, itv.v_hi
-    profiles = [[hi, hi], [lo, 1.5], [2.5, hi, 1.2], [lo, lo], [hi, 1.5],
-                [lo, hi], [hi, lo, 1.5], [2.5, lo, 1.2], [hi, hi, lo, 1.5]]
+    return lo, hi, [[hi, hi], [lo, 1.5], [2.5, hi, 1.2], [lo, lo], [hi, 1.5],
+                    [lo, hi], [hi, lo, 1.5], [2.5, lo, 1.2], [hi, hi, lo, 1.5]]
+
+
+def test_bayes_truthful_at_interval_ends(iv_bridge):
+    lo, hi, profiles = interval_end_profiles(iv_bridge)
     for k in (1, 2):
         mech = audit_mechanism("bayes", k, iv=iv_bridge)
         for values in profiles:
@@ -151,6 +158,56 @@ def test_bayes_truthful_at_interval_ends(iv_bridge):
                                             np.linspace(0.0, top, 256))
                 pay = check_payment_identity(rule)
                 assert pay.passed, (k, values, i, pay)
+
+
+def extract_agent_loop(mech, profile, i, bid_grid):
+    # one agent's rule from its own interim call, on 0, the grid, the
+    # opponents' values and the edges
+    values = as_profile(profile).values
+    bids = np.unique(np.concatenate(
+        ([0.0], bid_grid, np.delete(values, i), mech.edges)))
+    mids = 0.5 * (bids[1:] + bids[:-1])
+    x, p = mech.interim(values, i, np.concatenate((bids, mids)))
+    return InterimRule(i, bids, x[:bids.size], p[:bids.size], x[bids.size:])
+
+
+def assert_rules_match_agent_loop(mech, profile, grid):
+    for i in range(as_profile(profile).n):
+        got = extract_interim_rule(mech, profile, i, grid)
+        ref = extract_agent_loop(mech, profile, i, grid)
+        assert got.agent == i, (mech.name, profile, i)
+        for field in ("bids", "x", "p", "x_mid"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(ref, field).tobytes()), (mech.name, profile, i, field)
+
+
+def test_extract_interim_rule_matches_agent_loop(bridge_dist, iv_bridge):
+    # stale keys first: the same values on another grid, the same profile
+    # under another k, and the values changed in place between calls
+    values = np.array([0.3, 1.1, 0.0, 1.1, 1.7])
+    for k in (1, 2):
+        mech = audit_mechanism("vickrey", k)
+        for top in (2.5, 3.0):
+            assert_rules_match_agent_loop(mech, values, np.linspace(0.0, top, 256))
+    values[1] = 1.5
+    assert_rules_match_agent_loop(mech, values, np.linspace(0.0, 3.0, 256))
+    for mech, corpus, pmax in a8_suites(bridge_dist, iv_bridge):
+        for prof in corpus:
+            hi = 1.25 * max(float(prof.values.max()), pmax, 1e-9)
+            assert_rules_match_agent_loop(mech, prof, np.linspace(0.0, hi, 256))
+    lo, hi, profiles = interval_end_profiles(iv_bridge)
+    for k in (1, 2):
+        mech = audit_mechanism("bayes", k, iv=iv_bridge)
+        for values in profiles:
+            assert_rules_match_agent_loop(mech, values,
+                                          np.linspace(0.0, 1.25 * max(values), 256))
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_extract_interim_rule_rejects_agent_outside_profile(i):
+    mech = audit_mechanism("vickrey", 1)
+    with pytest.raises(ValueError, match=r"agent must be an integer in 0\.\.2, got"):
+        extract_interim_rule(mech, [3.0, 1.0, 2.0], i, np.linspace(0.0, 4.0, 256))
 
 
 def test_firstprice_flagged():
@@ -582,8 +639,7 @@ def test_bayes_interim_steps_at_interval_edges(iv_bridge):
     values = np.array([1.8, 1.2])
     lo = iv_bridge.intervals[0].v_lo
     hi = iv_bridge.intervals[0].v_hi
-    bps = mech.breakpoints(values, 0)
-    assert lo in bps and hi in bps
+    assert lo in mech.edges and hi in mech.edges
     probes = np.array([0.5, lo - 1e-6, lo + 1e-6, 1.2, 1.5, hi - 1e-6,
                        hi + 1e-6, 2.5])
     x, pay = mech.interim(values, 0, probes)

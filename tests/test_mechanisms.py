@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_audit import (lottery_oracle, mc_estimate, rejects, rsol_loop,
                         strict_scan)
 
-from burnlab.common import Z99, substream
+from burnlab.common import substream
 from burnlab.distributions import (ValuationProfile, exponential, pareto,
                                    piecewise_inverse_hazard, two_piece,
                                    uniform)

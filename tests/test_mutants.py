@@ -83,10 +83,25 @@ MUTANTS = {
     "rsol-table-no-midpoint-reps": (
         mechanisms, "_rsol_interim", "c[:-1] + 0.5 * np.diff(c)", "c[:-1]",
         [test_audit.test_rsol_table_matches_fresh_kernel]),
+    # each agent reads the stacked call's answers for the agent before it
     "dsic-scan-one-agent-off": (
-        audit, "check_dsic", "zip(scans, np.cumsum(sizes))",
-        "zip(scans, np.roll(np.cumsum(sizes), 1))",
+        audit, "_stacked", "zip(sizes, np.cumsum(sizes))",
+        "zip(sizes, np.roll(np.cumsum(sizes), 1))",
         [test_audit.test_check_dsic_matches_agent_loop]),
+    # each agent's bids asked as the agent before it
+    "stacked-agent-alignment": (
+        audit, "_stacked", "np.repeat(np.arange(len(scans)), sizes)",
+        "np.repeat(np.roll(np.arange(len(scans)), 1), sizes)",
+        [test_audit.test_extract_interim_rule_matches_agent_loop,
+         test_audit.test_check_dsic_matches_agent_loop]),
+    # the same values on another grid read the first grid's rules
+    "identity-table-ignores-grid": (
+        audit, "extract_interim_rule", "values.tobytes(), grid.tobytes())",
+        'values.tobytes(), b"")',
+        [test_audit.test_extract_interim_rule_matches_agent_loop]),
+    "identity-bids-keep-lone-value": (
+        audit, "extract_interim_rule", "| shared[:, None]", "| True",
+        [test_audit.test_extract_interim_rule_matches_agent_loop]),
     # the two-price sweep holds _blended_price by name too
     "blended-price-discount": (
         mechanisms, "_blended_price", "return ((k - s + 1)",

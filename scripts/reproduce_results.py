@@ -4,7 +4,8 @@ Run from the repository root:
 
     python3 scripts/reproduce_results.py --outdir results
 
-Pass --quick for a fast smoke run at reduced replicate counts.
+Every experiment is exact, so the CSVs depend on the seed only through the
+worst-case corpus's random profiles.
 """
 
 import argparse
@@ -18,16 +19,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced replicate counts for a smoke run")
     args = parser.parse_args()
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    reps_big = 10_000 if args.quick else 1_000_000
 
     configs = [
-        ExperimentConfig("lb43", reps=reps_big, seed=args.seed),
+        ExperimentConfig("lb43", seed=args.seed),
         ExperimentConfig("surplus-gap", n=(32, 1024), k=(1,), seed=args.seed),
         ExperimentConfig("rsol-ratio", n=(4, 8, 16), k=(1, 2, 4),
                          seed=args.seed),

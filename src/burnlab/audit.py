@@ -273,9 +273,8 @@ def verify_utility_identity(d: ValueDistribution, mechanism: str, k: int,
 
     The draws run on blocks of at most 2^13 values (common.mc_blocks),
     whose float temporaries fit under glibc's mmap threshold; u and c are
-    joined from the blocks, as beta reads them whole. mc_eval's fixed chunks
-    of 2^15 values make the report that of one (reps, n) draw, and numpy's
-    own up to 2^15 reps. reps below MIN_REPLICATES and n below 1 are
+    joined from the blocks, as beta reads them whole, so the report is that
+    of one (reps, n) draw. reps below MIN_REPLICATES and n below 1 are
     rejected, and so is a mechanism without a prior view.
     """
     entry = unpriced(mechanism, "prior")

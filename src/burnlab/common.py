@@ -22,10 +22,6 @@ MIN_REPLICATES = 30
 # threshold (128 KiB), so it reuses freed heap memory and stays in cache
 _PASS_CELLS = 1 << 13
 
-# values per chunk of mc_eval's streamed summary (256 KiB of floats); fixed,
-# so that a summary does not depend on the blocks its input comes in
-_CHUNK = 1 << 15
-
 
 def substream(seed: int, *keys) -> np.random.Generator:
     """Deterministic child generator for (seed, keys).
@@ -87,10 +83,9 @@ def mc_blocks(draw, reps: int, n: int, body):
 
     draw(shape) returns a block's (rows, n) array; it holds a generator and
     draws from it in order, as quantile_draw(d, rng) does for i.i.d. values
-    from d. The result is a lazy iterator of body's output on each block,
-    never joined: mc_eval takes an iterator of 1-D outputs as it is, and a
-    caller that needs whole arrays concatenates them itself. Callers check
-    reps and n with check_draws first.
+    from d. The result is a lazy iterator of body's output on each block:
+    mc_eval joins 1-D outputs, and a caller that needs other whole arrays
+    concatenates them. Callers check reps and n with check_draws first.
 
     A block holds at most _PASS_CELLS = 2^13 cells (one row when n alone is
     more), so its float temporaries are 64 KiB: under glibc's default mmap
@@ -105,54 +100,23 @@ def mc_blocks(draw, reps: int, n: int, body):
     return (body(draw((min(rows, reps - r), n))) for r in range(0, reps, rows))
 
 
-def _chunks(blocks):
-    """The values of blocks, in order, cut into consecutive chunks of
-    _CHUNK values, the last one shorter; a chunk inside one block is a view
-    of it."""
-    pending, count = [], 0
-    for block in blocks:
-        block = np.asarray(block, dtype=float).ravel()
-        while count + block.size >= _CHUNK:
-            cut = _CHUNK - count
-            pending.append(block[:cut])
-            block = block[cut:]
-            yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-            pending, count = [], 0
-        pending.append(block)
-        count += block.size
-    if count:
-        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-
-
 def mc_eval(samples, seed: int | None) -> MechanismEval:
     """Summarize per-replicate values into a Monte Carlo MechanismEval.
 
     samples is an array, or an iterable of 1-D blocks in draw order (such
-    as mc_blocks' outputs), which is read once and never joined. Its values
-    are cut into consecutive chunks of _CHUNK = 2^15, whatever the blocks'
-    sizes. Each chunk's mean and sum of squared deviations are numpy's
-    two-pass ones, and the chunks are merged by the pairwise update of
-    Chan, Golub and LeVeque (1983). So a summary of at most 2^15 values is
-    numpy's mean() and std(ddof=1) bit for bit, and blocks give the summary
+    as mc_blocks' outputs), which is joined once. The mean and interval are
+    numpy's mean() and std(ddof=1) of the joined values, bit for bit: the
+    same two passes, without std's second mean. So blocks give the summary
     of their joined array bit for bit. A +inf, -inf or NaN sample gives
-    numpy's mean and a NaN interval, as numpy does.
+    numpy's mean and a NaN interval.
     """
-    count, mean, m2 = 0, 0.0, 0.0
-    for chunk in _chunks([samples] if isinstance(samples, np.ndarray) else samples):
-        size, c_mean = chunk.size, float(chunk.mean())
-        dev = chunk - c_mean
-        c_m2 = float(np.multiply(dev, dev, out=dev).sum())
-        if not count:
-            count, mean, m2 = size, c_mean, c_m2
-            continue
-        total = count + size
-        delta = c_mean - mean
-        # an infinite chunk mean makes delta infinite or NaN: take the sum
-        # of the means, whose inf or NaN is numpy's
-        mean = mean + delta * size / total if math.isfinite(delta) else mean + c_mean
-        m2 += c_m2 + delta * delta * count * size / total
-        count = total
-    if count < MIN_REPLICATES:
-        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {count}")
-    se = math.sqrt(m2 / (count - 1)) / math.sqrt(count)
-    return MechanismEval(mean, Z99 * se, "mc", count, seed)
+    if not isinstance(samples, np.ndarray):
+        samples = np.concatenate([np.empty(0), *map(np.ravel, samples)])
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {x.size}")
+    mean = float(x.mean())
+    dev = x - mean
+    var = float(np.multiply(dev, dev, out=dev).sum()) / (x.size - 1)
+    se = math.sqrt(var) / math.sqrt(x.size)
+    return MechanismEval(mean, Z99 * se, "mc", x.size, seed)

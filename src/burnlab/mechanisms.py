@@ -668,10 +668,8 @@ def expected_rsol(profile, k: int, mode: str = "exact",
     it samples reps >= 30 halvings on seed's stream, each agent serving with
     probability 1/2, but keeps the branch expectations exact, so only the
     halving is estimated; its halvings are drawn on blocks of at most 2^13
-    (common.mc_blocks), whose values mc_eval summarizes as they come, so no
-    reps-long array is built. mc_eval's fixed chunks of 2^15 values make the
-    mean and interval those of one (reps, n) draw, and numpy's own up to
-    2^15 reps.
+    (common.mc_blocks), so only the reps values are whole, and mc_eval
+    joins them: the mean and interval are those of one (reps, n) draw.
     """
     _require_k(k)
     prof = as_profile(profile)

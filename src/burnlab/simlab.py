@@ -1,11 +1,10 @@
 """Experiment orchestration: Monte Carlo estimation over priors, the
 worst-case profile corpus, and the four reproducible experiments behind the
 headline quantitative claims. Results are flat CSV rows, bit-for-bit
-reproducible from (config, seed). Only lb43's benchmark columns and the
-estimate of RSOL are Monte Carlo, each drawn in blocks of at most 2^13
-values (common.mc_blocks) and summarized as a stream (common.mc_eval); the
-estimate of every rank rule, lb43's optimum (expected_under_prior),
-surplus-gap, rsol-ratio and thmub are exact.
+reproducible from (config, seed). Only the estimate of RSOL is Monte Carlo,
+drawn in blocks of at most 2^13 values (common.mc_blocks) and summarized by
+common.mc_eval; the estimate of every rank rule and the four experiments
+are exact.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +42,9 @@ def estimate(mechanism: str, d: ValueDistribution, n: int, k: int, reps: int,
     closed form); it uses neither reps nor seed. RSOL, no rank rule, returns
     the Monte Carlo mean over reps profiles of each one's exact value, run
     on blocks of at most 2^13 values (common.mc_blocks), whose float
-    temporaries fit under glibc's mmap threshold, and fed to mc_eval as they
-    come, so no reps-long array is built; mc_eval's fixed chunks of 2^15
-    values make the summary that of one (reps, n) draw, and numpy's own up
-    to 2^15 reps. reps below MIN_REPLICATES and n below 1 are rejected for
-    every mechanism."""
+    temporaries fit under glibc's mmap threshold; mc_eval joins the reps
+    values, so the summary is that of one (reps, n) draw. reps below
+    MIN_REPLICATES and n below 1 are rejected for every mechanism."""
     entry = unpriced(mechanism)
     check_draws(reps, n)
     if entry.prior is not None:
@@ -84,50 +82,22 @@ def worst_case_corpus(seed: int, sizes=(4, 8, 16)) -> list[tuple[str, ValuationP
 # experiments
 
 
-def _benchmark_two_exp(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Closed-form two-agent benchmark max{(v1+v2)/2, v1 - v2/2} from the
-    higher and lower values."""
-    return np.maximum(0.5 * (hi + lo), hi - 0.5 * lo)
+def experiment_lb43() -> dict:
+    """Two exponential agents, one unit: the benchmark mean is 4/3 while the
+    prior-optimal mechanism earns 1.
 
-
-def experiment_lb43(reps: int, seed: int) -> dict:
-    """Two exponential agents, one unit: benchmark mean tends to 4/3 while
-    the prior-optimal mechanism earns 1. The benchmark mean is Monte Carlo
-    over reps seeded draws, which also spot-check the conditional benchmark
-    mean near the smaller value being 0 (cond_g against cond_pred, over the
-    draws whose smaller value is below 0.02; both are NaN when no draw is);
-    the optimum (opt_mean) is exact, expected_under_prior on the
-    opt_grid-point ironing grid. The draws run on blocks of at most 2^13
-    values (common.mc_blocks), whose benchmark columns mc_eval summarizes
-    as they come, so no reps-long array is built; only the bin is joined.
-    mc_eval's fixed chunks of 2^15 values make the mean and interval those
-    of one (reps, 2) draw, and numpy's own up to 2^15 reps."""
+    The benchmark of values hi >= lo is G = max{(hi + lo)/2, hi - lo/2}.
+    The smaller value lo is exp(2), and D = hi - lo is exp(1), independent
+    of lo. Then G = lo/2 + D/2 + max(lo, D)/2, and E[max(lo, D) | lo = l] =
+    l + e^-l, so E[G | lo = l] = l + 1/2 + e^-l/2 and
+    E[G] = E[lo] + 1/2 + E[e^-lo]/2 = 1/2 + 1/2 + (2/3)/2. The optimum
+    (opt_mean) is expected_under_prior on the opt_grid-point ironing grid."""
     iv = iron(exponential(1.0))
     opt = expected_under_prior(PRIOR_OPTIMAL, iv.dist, 2, 1, iv)
-    rng = substream(seed, "lb43")
-    bins = []
-
-    def column(V):
-        # on columns: numpy reduces a row of two one row at a time
-        lo = np.minimum(V[:, 0], V[:, 1])
-        g = _benchmark_two_exp(np.maximum(V[:, 0], V[:, 1]), lo)
-        near = lo < 0.02
-        bins.append((g[near], lo[near]))
-        return g
-
-    g_eval = mc_eval(mc_blocks(lambda shape: rng.exponential(1.0, size=shape),
-                               reps, 2, column), seed)
-    g_near, lo_near = map(np.concatenate, zip(*bins))
-    cond_g = cond_pred = math.nan
-    if lo_near.size:
-        cond_g, v2 = float(g_near.mean()), float(lo_near.mean())
-        cond_pred = v2 + 0.5 * (1.0 + math.exp(-v2))
-    return {
-        "experiment": "lb43", "n": 2, "k": 1, "reps": reps, "seed": seed,
-        "g_mean": g_eval.mean, "g_ci_lo": g_eval.ci[0], "g_ci_hi": g_eval.ci[1],
-        "opt_mean": opt, "opt_grid": iv.grid, "ratio": g_eval.mean / opt,
-        "cond_g": cond_g, "cond_pred": cond_pred,
-    }
+    mean_lo, laplace_lo = 1.0 / 2.0, 2.0 / (2.0 + 1.0)  # E[lo], E[e^-lo]
+    g_mean = mean_lo + 0.5 + 0.5 * laplace_lo
+    return {"experiment": "lb43", "n": 2, "k": 1, "g_mean": g_mean,
+            "opt_mean": opt, "opt_grid": iv.grid, "ratio": g_mean / opt}
 
 
 def experiment_surplus_gap(n_list, k: int) -> list[dict]:
@@ -203,21 +173,27 @@ EXPERIMENT_NAMES = ("lb43", "surplus-gap", "rsol-ratio", "thmub")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings; every experiment is exact, so reps is
+    deprecated and ignored."""
     experiment: str = "lb43"
     dist: str = "exp(1)"
     n: tuple[int, ...] = (32, 1024)
     k: tuple[int, ...] = (1,)
-    reps: int = 100_000
+    reps: int | None = None
     seed: int = 0
     out: str = ""
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.reps < 1:
-            raise ValueError("need at least one replicate")
+        if self.reps is not None:
+            warnings.warn("ExperimentConfig: every experiment is exact, so "
+                          "reps is ignored", DeprecationWarning, stacklevel=3)
         for key in ("n", "k"):
-            if min(getattr(self, key), default=1) < 1:
+            sizes = getattr(self, key)
+            if not sizes:
+                raise ValueError(f"{key}: give at least one size")
+            if min(sizes) < 1:
                 raise ValueError(f"{key}: every size must be at least 1")
         if self.dist != "exp(1)":
             raise ValueError(f"dist = {self.dist}: every experiment fixes "
@@ -228,8 +204,8 @@ class ExperimentConfig:
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Parse flat `key = value` config text (# starts a comment); experiment
-    overrides the text's own. lb43 takes no n or k; the exact surplus-gap,
-    rsol-ratio and thmub take no reps."""
+    overrides the text's own. A key may appear once. lb43 takes no n or k,
+    and no experiment takes reps: each is exact."""
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -238,29 +214,33 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("n", "k"):
-            fields[key] = tuple(int(tok) for tok in value.split(","))
-        elif key in ("reps", "seed"):
-            fields[key] = int(value)
-        elif key in ("experiment", "dist", "out"):
-            fields[key] = value
-        else:
+        if key not in ("n", "k", "reps", "seed", "experiment", "dist", "out"):
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in fields:
+            raise ValueError(f"line {lineno}: {key} is set twice")
+        try:
+            if key in ("n", "k"):
+                value = tuple(int(tok) for tok in value.split(","))
+            elif key == "seed":
+                value = int(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {key}: expected integers, got "
+                             f"{value!r}") from None
+        fields[key] = value
     if experiment is not None:
         fields["experiment"] = experiment
+    name = fields.get("experiment", "lb43")
     for key in ("n", "k"):
-        if key in fields and fields.get("experiment", "lb43") == "lb43":
+        if key in fields and name == "lb43":
             raise ValueError(f"{key}: lb43 always runs two agents, one unit")
-    if "reps" in fields and fields.get("experiment") in ("surplus-gap",
-                                                         "rsol-ratio", "thmub"):
-        raise ValueError(f"reps: {fields['experiment']} is exact and draws "
-                         "no replicates")
+    if "reps" in fields:
+        raise ValueError(f"reps: {name} is exact and draws no replicates")
     return ExperimentConfig(**fields)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     if config.experiment == "lb43":
-        return [experiment_lb43(config.reps, config.seed)]
+        return [experiment_lb43()]
     if config.experiment == "surplus-gap":
         return experiment_surplus_gap(config.n, config.k[0])
     corpus = worst_case_corpus(config.seed, sizes=config.n)

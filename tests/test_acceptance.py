@@ -45,17 +45,18 @@ def test_a1_ironed_virtual_constant():
 
 def test_a2_two_agent_gap():
     t0 = time.perf_counter()
-    row = experiment_lb43(10 ** 6, SEED)
+    row = experiment_lb43()
     elapsed = time.perf_counter() - t0
-    g_dev = abs(row["g_mean"] - 4.0 / 3.0) / (4.0 / 3.0)
+    g_dev = abs(row["g_mean"] - 4.0 / 3.0)
     opt_dev = abs(row["opt_mean"] - 1.0)
     # the exact optimum's trapezoid error bound on its grid, n = 2
     opt_tol = grid_tol(row["opt_grid"], 2)
-    ok = g_dev <= 0.01 and opt_dev <= opt_tol and elapsed < 60.0
-    detail = (f"benchmark mean {row['g_mean']:.4f} (target 4/3 +-1%), "
+    ok = (g_dev <= 1e-15 and opt_dev <= opt_tol
+          and row["ratio"] == row["g_mean"] / row["opt_mean"] and elapsed < 60.0)
+    detail = (f"benchmark mean {row['g_mean']!r} (exact, target 4/3 +-1e-15), "
               f"optimal {row['opt_mean']:.9f} (exact on {row['opt_grid']} "
               f"points, target 1 +-{opt_tol:.1e}), {elapsed:.1f}s")
-    assert report(2, "4/3 benchmark gap at 1e6 reps", ok, detail), detail
+    assert report(2, "4/3 benchmark gap", ok, detail), detail
 
 
 def test_a3_mixture_guarantee():

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -23,7 +22,7 @@ from burnlab.mechanisms import (ALIASES, MECHANISMS, Params, _ladder_sizes,
                                 _rsol_values, evaluate, expected_log_price,
                                 expected_rsol, expected_under_prior, run,
                                 unpriced)
-from burnlab.simlab import estimate, experiment_lb43
+from burnlab.simlab import estimate
 
 PRIOR_RULES = ("lottery", "vickrey", "bayes")
 
@@ -896,24 +895,6 @@ def estimate_one_array(name, d, n, k, reps, seed):
     return mc_eval(entry.value(V, k, a), seed)
 
 
-def lb43_draws(reps, seed):
-    return substream(seed, "lb43").exponential(1.0, size=(reps, 2))
-
-
-def lb43_benchmark_rowwise(reps, seed):
-    """The benchmark columns as the experiment used to compute them, with
-    rowwise max and min."""
-    V = lb43_draws(reps, seed)
-    hi, lo = V.max(axis=1), V.min(axis=1)
-    g = np.maximum(0.5 * (hi + lo), hi - 0.5 * lo)
-    g_eval = mc_eval(g, seed)
-    mask = lo < 0.02
-    v2 = float(lo[mask].mean())
-    return {"g_mean": g_eval.mean, "g_ci_lo": g_eval.ci[0],
-            "g_ci_hi": g_eval.ci[1], "cond_g": float(g[mask].mean()),
-            "cond_pred": v2 + 0.5 * (1.0 + math.exp(-v2))}
-
-
 def rsol_mc_one_array(values, k, reps, seed):
     # expected_rsol's Monte Carlo from one (reps, n) draw of serving halves
     # and one value call on all of it
@@ -937,17 +918,12 @@ UNPRICED = tuple(ALIASES) + tuple(name for name, entry in MECHANISMS.items()
 @pytest.mark.parametrize("cells", [1, None, 1 << 30])
 def test_mc_blocks_are_bitwise(monkeypatch, iv_uniform, iv_exp, iv_pareto,
                                iv_twopiece, iv_bridge, cells):
-    # 9001 rows: several default blocks at n = 6 (1365 rows each), at n = 1
-    # (8192) and at lb43's n = 2 (4096), the last one partial. One-row
-    # blocks take 41 rows, but lb43 draws 9001 under every block size, so
-    # that its bin (each block returns the rows it keeps) is not empty
-    reps = 9001
+    # 9001 rows: several default blocks at n = 6 (1365 rows each), at n = 2
+    # (4096) and at n = 1 (8192), the last one partial. One-row blocks take
+    # 41 rows
     if cells is not None:
         monkeypatch.setattr(common, "_PASS_CELLS", cells)
-    row = experiment_lb43(reps, 5)
-    for key, value in lb43_benchmark_rowwise(reps, 5).items():
-        assert row[key] == value, key
-    reps = 41 if cells == 1 else reps
+    reps = 41 if cells == 1 else 9001
     for values in RSOL_MC_PROFILES:
         for k in (1, 2):
             assert (expected_rsol(values, k, "mc", reps, 5)
@@ -999,12 +975,8 @@ def test_mc_checks_memory_is_blocked(iv_pareto, iv_twopiece):
         for check in checks:
             peak = traced_peak(check)
             assert peak < 2e6, (d.name, peak)
-    # lb43 streams its 10^6 benchmark values into mc_eval and keeps only its
-    # bin of about 2% of them (one (10^6, 2) draw peaked at 56 MB, its
-    # joined 8 MB column at 17 MB); RSOL's Monte Carlo streams 10^4 values
-    # (one (10^4, 200) draw peaked at 165 MB)
-    peak = traced_peak(lambda: experiment_lb43(10 ** 6, 0))
-    assert peak < 4e6, peak
+    # RSOL's Monte Carlo joins only its 10^4 values (one (10^4, 200) draw
+    # peaked at 165 MB)
     values = substream(3, "rsol-mc").exponential(1.0, 200)
     peak = traced_peak(lambda: expected_rsol(values, 2, "mc", 10 ** 4, 1))
     assert peak < 2e6, peak

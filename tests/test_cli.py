@@ -379,11 +379,14 @@ def test_experiment_with_config(tmp_path):
 
 def test_experiment_lb43_without_n_k(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("reps = 1000\nseed = 2\n")
+    cfg.write_text("seed = 2\n")
     rc, out = run_stdout(capsys, ["experiment", "--name", "lb43",
                                   "--config", str(cfg)])
     assert rc == 0
-    assert out.splitlines()[1].startswith("lb43,2,1,1000,2,")
+    lines = out.splitlines()
+    assert lines[0] == "experiment,n,k,g_mean,opt_mean,opt_grid,ratio"
+    assert lines[1].startswith(f"lb43,2,1,{4 / 3!r},")
+    assert lines[2] == f"# burnlab {VERSION} seed=2"
 
 
 def test_experiment_out_from_config(tmp_path):
@@ -402,6 +405,7 @@ def test_experiment_out_from_config(tmp_path):
     ("lb43", "n = 5\nk = 3\nreps = 1000\n", "n"),
     ("lb43", "k = 1\n", "k"),
     ("lb43", "experiment = thmub\nn = 4\n", "n"),
+    ("lb43", "seed = 2\nreps = 1000\n", "reps"),
     ("surplus-gap", "n = 32\nreps = 1000\n", "reps"),
     ("rsol-ratio", "n = 4\nreps = 1000\n", "reps"),
     ("thmub", "reps = 1\n", "reps"),
@@ -410,7 +414,7 @@ def test_experiment_out_from_config(tmp_path):
     ("rsol-ratio", "n = 0\n", "n"),
     ("thmub", "n = 0\n", "n"),
     ("thmub", "n = -3\n", "n"),
-], ids=["k", "dist", "lb43-n", "lb43-k", "lb43-overrides-text",
+], ids=["k", "dist", "lb43-n", "lb43-k", "lb43-overrides-text", "lb43-reps",
         "surplus-gap-reps", "rsol-ratio-reps", "thmub-reps", "surplus-gap-n0",
         "surplus-gap-k0", "rsol-ratio-n0", "thmub-n0", "thmub-n-negative"])
 def test_experiment_rejected_key_exit_two(tmp_path, capsys, name, text, key):

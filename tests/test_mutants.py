@@ -16,6 +16,7 @@ import sys
 import textwrap
 
 import pytest
+import test_acceptance
 import test_audit
 import test_benchmark
 import test_cli
@@ -223,25 +224,17 @@ MUTANTS = {
     "mc-blocks-overlap-one-row": (
         common, "mc_blocks", "range(0, reps, rows)", "range(0, reps, rows - 1)",
         [functools.partial(test_audit.test_mc_blocks_are_bitwise, cells=None)]),
-    # mc_eval's merge of chunk summaries: the between-chunk term of the sum
-    # of squares dropped, chunks one value short, or the first chunk merged
-    # into a zero state, which squares the chunk mean: near 1e155 that
-    # overflows, and inf * 0 is NaN
-    "mc-eval-no-cross-term": (
-        common, "mc_eval", "c_m2 + delta * delta * count * size / total", "c_m2",
+    # mc_eval's interval from the population variance
+    "mc-eval-ddof0": (
+        common, "mc_eval", "/ (x.size - 1)", "/ x.size",
         [functools.partial(test_common.test_many_chunks_within_bound, "exp(1)")]),
-    "mc-eval-chunk-one-short": (
-        common, "_chunks", "cut = _CHUNK - count", "cut = _CHUNK - count - 1",
-        [functools.partial(test_common.test_one_chunk_is_numpy, "exp(1)")]),
-    "mc-eval-first-chunk-from-zero": (
-        common, "mc_eval", "if not count:", "if False:",
-        [functools.partial(test_common.test_one_chunk_is_numpy,
-                           "1e155*(1+U(0,1e-4))")]),
-    # lb43's bin of small values read off the benchmark, not the smaller
-    # value, and RSOL's Monte Carlo serving the complement of its halves
-    "lb43-bin-from-benchmark": (
-        simlab, "experiment_lb43", "near = lo < 0.02", "near = g < 0.02",
-        [functools.partial(test_audit.test_mc_blocks_are_bitwise, cells=None)]),
+    # lb43's closed form without its E[e^-lo]/2 term: 1, not 4/3
+    "lb43-closed-form-term-dropped": (
+        simlab, "experiment_lb43", "mean_lo + 0.5 + 0.5 * laplace_lo",
+        "mean_lo + 0.5", [test_acceptance.test_a2_two_agent_gap,
+                          test_simlab.test_lb43_experiment]),
+    # RSOL's Monte Carlo serving the complement of its halves: the same
+    # distribution, so only the one-array oracle of its draws sees it
     "rsol-mc-serving-flipped": (
         mechanisms, "expected_rsol", "rng.random(shape) < 0.5",
         "rng.random(shape) >= 0.5",

@@ -2,16 +2,18 @@ import csv
 import math
 import os
 import pathlib
+import runpy
 import statistics
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from test_audit import (UNPRICED, lb43_benchmark_rowwise, lb43_draws,
-                        ladder_oracle, mc_estimate, rejects)
+from test_audit import UNPRICED, ladder_oracle, mc_estimate, rejects
 from test_mechanisms import grid_tol
 
+from burnlab import audit, common, mechanisms, simlab
+from burnlab.benchmark import two_price_benchmark
 from burnlab.common import VERSION, Z99, MechanismEval, mc_eval, substream
 from burnlab.distributions import exponential, uniform
 from burnlab.ironing import DEFAULT_GRID, iron
@@ -135,6 +137,17 @@ def test_worst_case_corpus_shape():
 # experiments
 
 
+def lb43_draws(reps, seed):
+    return substream(seed, "lb43").exponential(1.0, size=(reps, 2))
+
+
+def lb43_benchmark_rowwise(V):
+    """The two-agent benchmark max{(hi + lo)/2, hi - lo/2} of each row of V,
+    from its rowwise max hi and min lo, and lo itself."""
+    hi, lo = V.max(axis=1), V.min(axis=1)
+    return np.maximum(0.5 * (hi + lo), hi - 0.5 * lo), lo
+
+
 def lb43_opt_mc(reps, seed):
     """The optimum as the experiment used to estimate it: Monte Carlo over
     the seeded draws of the Bayes rule's residual, with its 99% interval."""
@@ -142,43 +155,58 @@ def lb43_opt_mc(reps, seed):
     return mc_eval(_residual(V, *_bayes_rule(iron(exponential(1.0)), V, 1)), seed)
 
 
+LB43_COLUMNS = ["experiment", "n", "k", "g_mean", "opt_mean", "opt_grid", "ratio"]
+
+
 def test_lb43_experiment():
-    row = experiment_lb43(20000, 4)
-    assert list(row) == ["experiment", "n", "k", "reps", "seed", "g_mean",
-                         "g_ci_lo", "g_ci_hi", "opt_mean", "opt_grid", "ratio",
-                         "cond_g", "cond_pred"]
+    row = experiment_lb43()
+    assert list(row) == LB43_COLUMNS
     assert row["experiment"] == "lb43" and (row["n"], row["k"]) == (2, 1)
-    assert row["g_mean"] == pytest.approx(4.0 / 3.0, abs=0.05)
-    assert row["g_ci_lo"] < row["g_mean"] < row["g_ci_hi"]
+    assert abs(row["g_mean"] - 4.0 / 3.0) <= 1e-15
     assert row["opt_grid"] == DEFAULT_GRID
     assert abs(row["opt_mean"] - 1.0) <= grid_tol(row["opt_grid"], 2)
     assert row["ratio"] == row["g_mean"] / row["opt_mean"]
-    assert row["cond_g"] == pytest.approx(row["cond_pred"], abs=0.15)
 
 
-@pytest.mark.filterwarnings("error")
-def test_lb43_empty_bin_is_nan():
-    # at 30 draws the bin of smaller values below 0.02 is often empty (it is
-    # at seed 2): the conditional columns are NaN, with no warning, and the
-    # benchmark columns are still those of the rowwise reductions
-    lo = lb43_draws(30, 2).min(axis=1)
-    assert not (lo < 0.02).any()
-    row = experiment_lb43(30, 2)
-    assert math.isnan(row["cond_g"]) and math.isnan(row["cond_pred"])
-    V = lb43_draws(30, 2)
-    hi = V.max(axis=1)
-    g = mc_eval(np.maximum(0.5 * (hi + lo), hi - 0.5 * lo), 2)
-    assert (row["g_mean"], row["g_ci_lo"], row["g_ci_hi"]) == (g.mean, *g.ci)
+def test_lb43_benchmark_rowwise_is_two_price_benchmark():
+    # the closed form's benchmark is the two-price benchmark at n = 2, k = 1,
+    # on draws, ties and zeros
+    V = substream(11, "lb43-benchmark").exponential(1.0, size=(2400, 2))
+    V[:400] = np.round(V[:400], 1)  # ties, zeros among them
+    V[400:600, 1] = V[400:600, 0]
+    V[600:700, 0] = 0.0
+    V[700:720] = 0.0
+    g, _ = lb43_benchmark_rowwise(V)
+    for v, want in zip(V, g):
+        got = two_price_benchmark(v, 1).value
+        assert abs(got - want) <= 1e-12 * want, (v, got, want)
 
 
-# seeds the suite already runs lb43 on; at seed 0 the 99% interval misses
-# 1 by z = -2.81, as a 99% interval does on about one seed in a hundred
+def lb43_cond_mean(c):
+    """E[G | lo < c] in closed form: E[lo + 1/2 + e^-lo/2 | lo < c] for lo
+    ~ exp(2), the smaller of two exp(1) values."""
+    p = -math.expm1(-2.0 * c)
+    mean_lo = 0.5 - c * math.exp(-2.0 * c) / p
+    laplace_lo = 2.0 / 3.0 * -math.expm1(-3.0 * c) / p
+    return mean_lo + 0.5 + 0.5 * laplace_lo
+
+
+# seeds the suite already ran lb43's Monte Carlo on; at seed 0 the optimum's
+# 99% interval misses 1 by z = -2.81, and the benchmark's misses 4/3 by
+# z = -2.59, as a 99% interval does on about one seed in a hundred
 @pytest.mark.parametrize("seed", [3, 4, 7, 20260823])
 def test_lb43_against_old_monte_carlo(seed):
-    row = experiment_lb43(10 ** 6, seed)
-    # the benchmark columns are those of the rowwise reductions, bit for bit
-    for key, value in lb43_benchmark_rowwise(10 ** 6, seed).items():
-        assert row[key] == value, key
+    row = experiment_lb43()
+    V = lb43_draws(10 ** 6, seed)
+    g, lo = lb43_benchmark_rowwise(V)
+    # the draws' 99% interval covers the closed form
+    ev = mc_eval(g, seed)
+    assert ev.ci[0] <= row["g_mean"] <= ev.ci[1]
+    # and so does the bin of smaller values below 0.02, about 4% of them
+    near = g[lo < 0.02]
+    assert lb43_cond_mean(0.02) == pytest.approx(1.0049995039932949, rel=1e-15)
+    se = near.std(ddof=1) / math.sqrt(near.size)
+    assert abs(near.mean() - lb43_cond_mean(0.02)) <= Z99 * se
     # the old estimate of the optimum covers the exact value, and would
     # reject it times 1.01
     ev = lb43_opt_mc(10 ** 6, seed)
@@ -284,12 +312,11 @@ def test_parse_config_full():
     # run the lb43 experiment
     experiment = lb43
     dist = exp(1)
-    reps = 1000   # small smoke run
-    seed = 7
+    seed = 7   # exact, but the seed still goes into the CSV trailer
     out = results.csv
     """
     assert parse_config(text) == ExperimentConfig(
-        "lb43", "exp(1)", (32, 1024), (1,), 1000, 7, "results.csv")
+        "lb43", "exp(1)", (32, 1024), (1,), None, 7, "results.csv")
     text = """
     experiment = surplus-gap
     dist = exp(1)
@@ -299,7 +326,7 @@ def test_parse_config_full():
     out = gap.csv
     """
     assert parse_config(text) == ExperimentConfig(
-        "surplus-gap", "exp(1)", (4, 8, 16), (2,), 100_000, 7, "gap.csv")
+        "surplus-gap", "exp(1)", (4, 8, 16), (2,), None, 7, "gap.csv")
 
 
 def test_parse_config_defaults():
@@ -316,7 +343,7 @@ def test_parse_config_lb43_takes_no_n_k():
     with pytest.raises(ValueError, match="^n: lb43"):
         parse_config("experiment = thmub\nn = 4", experiment="lb43")
     assert parse_config("n = 4", experiment="thmub").n == (4,)
-    assert parse_config("reps = 50", experiment="lb43").experiment == "lb43"
+    assert parse_config("seed = 50", experiment="lb43").experiment == "lb43"
 
 
 def test_parse_config_errors():
@@ -344,18 +371,59 @@ def test_parse_config_errors():
         parse_config("experiment = surplus-gap\nk = 0")
     with pytest.raises(ValueError, match="^k: "):
         ExperimentConfig("thmub", k=(1, 0))
-    for name in ("surplus-gap", "rsol-ratio", "thmub"):
-        with pytest.raises(ValueError, match=f"reps: {name}"):
+    for name in EXPERIMENT_NAMES:
+        with pytest.raises(ValueError, match=f"^reps: {name} is exact"):
             parse_config(f"experiment = {name}\nreps = 1")
-        with pytest.raises(ValueError, match=f"reps: {name}"):
+        with pytest.raises(ValueError, match=f"^reps: {name} is exact"):
             parse_config("reps = 1000", experiment=name)
-        assert parse_config("n = 4", experiment=name).reps == 100_000
-        assert ExperimentConfig(name, reps=1).reps == 1
+        assert parse_config("seed = 4", experiment=name).reps is None
     assert "lb43" in EXPERIMENT_NAMES
 
 
+def test_experiment_config_reps_is_deprecated():
+    # kept for callers that still pass it; nothing reads it
+    for name in EXPERIMENT_NAMES:
+        with pytest.warns(DeprecationWarning, match="reps is ignored"):
+            cfg = ExperimentConfig(name, n=(4,), reps=10)
+        assert run_experiment(cfg) == run_experiment(ExperimentConfig(name, n=(4,)))
+
+
+def one_line_error(call, message):
+    with pytest.raises(ValueError, match=message) as err:
+        call()
+    assert "\n" not in str(err.value), str(err.value)
+
+
+def test_config_rejects_empty_sizes():
+    # rejected with the config, before an experiment runs on no sizes
+    for name in EXPERIMENT_NAMES:
+        for key in ("n", "k"):
+            one_line_error(lambda: ExperimentConfig(name, **{key: ()}),
+                           f"^{key}: give at least one size$")
+
+
+def test_parse_config_rejects_repeated_key():
+    # no later line silently overrides an earlier one
+    for text, key in [("seed = 1\nseed = 2", "seed"),
+                      ("experiment = thmub\nn = 4\n# c\nn = 8", "n"),
+                      ("out = a.csv\nout = a.csv", "out")]:
+        line = len(text.splitlines())
+        one_line_error(lambda: parse_config(text, experiment="thmub"),
+                       f"^line {line}: {key} is set twice$")
+
+
+def test_parse_config_malformed_integer_names_line_and_key():
+    # int()'s own message names neither the line nor the key
+    for text, key, value in [("n = 4,", "n", "4,"),
+                             ("seed = 3\nk = 1;2", "k", "1;2"),
+                             ("seed = x", "seed", "x"), ("n =", "n", "")]:
+        line = len(text.splitlines())
+        one_line_error(lambda: parse_config(text, experiment="thmub"),
+                       f"^line {line}: {key}: expected integers, got {value!r}$")
+
+
 def test_run_experiment_dispatch():
-    cfg = ExperimentConfig("rsol-ratio", n=(4,), k=(1,), reps=100, seed=2)
+    cfg = ExperimentConfig("rsol-ratio", n=(4,), k=(1,), seed=2)
     rows = run_experiment(cfg)
     assert rows and all(row["experiment"] == "rsol-ratio" for row in rows)
 
@@ -383,20 +451,42 @@ def test_write_rows_empty():
 
 
 def test_experiment_csv_reproducible():
-    cfg = ExperimentConfig("lb43", reps=5000, seed=3)
+    cfg = ExperimentConfig("lb43", seed=3)
     first = rows_to_csv(run_experiment(cfg), cfg.seed)
     second = rows_to_csv(run_experiment(cfg), cfg.seed)
     assert first == second
     assert first.rstrip().endswith(f"# burnlab {VERSION} seed=3")
+    row, = csv.DictReader(first.splitlines()[:-1])
+    assert abs(float(row["g_mean"]) - 4.0 / 3.0) <= 1e-15
 
 
-def test_reproduce_script_quick(tmp_path):
-    root = pathlib.Path(__file__).resolve().parents[1]
+REPRODUCE_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+
+
+def test_reproduce_pass_draws_nothing(monkeypatch, tmp_path):
+    # every experiment is exact: a pass of the script's four configs calls
+    # neither Monte Carlo helper, under any name a module imported it as
+    def drawn(*args, **kwargs):
+        raise AssertionError("a reproduce pass drew Monte Carlo samples")
+
+    for module in (common, simlab, mechanisms, audit):
+        for name in ("mc_blocks", "mc_eval"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, drawn)
+    monkeypatch.setattr(sys, "argv", [str(REPRODUCE_SCRIPT), "--outdir", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(REPRODUCE_SCRIPT), run_name="__main__")
+    assert done.value.code == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        f"{name}.csv" for name in sorted(EXPERIMENT_NAMES)]
+
+
+def test_reproduce_script(tmp_path):
+    root = REPRODUCE_SCRIPT.parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    script = root / "scripts" / "reproduce_results.py"
-    subprocess.run([sys.executable, str(script), "--quick", "--outdir",
+    subprocess.run([sys.executable, str(REPRODUCE_SCRIPT), "--outdir",
                     str(tmp_path)], env=env, check=True, capture_output=True)
     counts = {"lb43": 1, "surplus-gap": 2, "rsol-ratio": 45, "thmub": 45}
     for name, count in counts.items():
@@ -408,7 +498,8 @@ def test_reproduce_script_quick(tmp_path):
         assert len(rows) == count
         assert all(row["experiment"] == name for row in rows)
         if name == "lb43":
-            assert "opt_grid" in header and "opt_ci_lo" not in header
+            assert header == LB43_COLUMNS
+            assert abs(float(rows[0]["g_mean"]) - 4.0 / 3.0) <= 1e-15
             opt = float(rows[0]["opt_mean"])
             assert abs(opt - 1.0) <= grid_tol(int(rows[0]["opt_grid"]), 2)
         if name == "surplus-gap":

@@ -1,12 +1,11 @@
 """burnlab: a laboratory for mechanisms that maximize residual surplus when
 payments are burned rather than collected.
 
-The package covers the prior-dependent side (hazard classification, quantile
-ironing of the utility virtual value, the optimal allocate-and-burn rule),
-the prior-free side (posted-price and two-price lotteries, Vickrey, random
-sampling, the log-price ladder, the two-price benchmark), and the harnesses
-that certify them (incentive audits, identity checks, experiment
-reproduction).
+The package covers the prior-dependent side (quantile ironing of the utility
+virtual value, the optimal allocate-and-burn rule), the prior-free side
+(posted-price and two-price lotteries, Vickrey, random sampling, the
+log-price ladder, the two-price benchmark), and the harnesses that certify
+them (incentive audits, identity checks, experiment reproduction).
 """
 
 from .audit import (AuditableMechanism, DeviationReport, DominanceReport,
@@ -14,17 +13,16 @@ from .audit import (AuditableMechanism, DeviationReport, DominanceReport,
                     audit_mechanism, audit_profiles, balanced_sampling_probe,
                     check_dsic, check_payment_identity, extract_interim_rule,
                     verify_ironing_dominance, verify_utility_identity)
-from .benchmark import (BenchmarkResult, full_surplus, lottery_surplus_identity,
-                        optimal_p_lottery, two_price_benchmark)
+from .benchmark import (BenchmarkResult, full_surplus, optimal_p_lottery,
+                        two_price_benchmark)
 from .common import VERSION, MechanismEval, mc_eval, substream
 from .distributions import (SupportError, ValuationProfile, ValueDistribution,
                             ZeroDensityError, as_profile, distribution_from_spec,
-                            exponential, hazard_classification, load_profile,
-                            pareto, piecewise_inverse_hazard, sample_profile,
-                            two_piece, uniform, virtual_value_payment,
-                            virtual_value_utility)
+                            exponential, load_profile, pareto,
+                            piecewise_inverse_hazard, sample_profile, two_piece,
+                            uniform, virtual_value_utility)
 from .ironing import (DEFAULT_GRID, IronedInterval, IronedVirtual, iron,
-                      ironed_value, lower_convex_hull)
+                      lower_convex_hull)
 from .mechanisms import (CostOutcome, CostProblem, Outcome,
                          bayes_optimal_with_costs, evaluate,
                          expected_log_price, expected_rsol,
@@ -48,12 +46,10 @@ __all__ = [
     "evaluate", "experiment_lb43", "experiment_rsol_ratio",
     "experiment_surplus_gap", "experiment_thmub", "expected_log_price",
     "expected_rsol", "expected_under_prior", "exponential",
-    "extract_interim_rule", "full_surplus", "hazard_classification", "iron",
-    "ironed_value", "load_profile", "lottery_surplus_identity",
+    "extract_interim_rule", "full_surplus", "iron", "load_profile",
     "lower_convex_hull", "mc_eval", "optimal_p_lottery", "pareto",
     "parse_config", "piecewise_inverse_hazard", "run", "run_experiment",
     "sample_profile", "substream", "two_piece", "two_price_benchmark",
     "uniform", "verify_ironing_dominance", "verify_utility_identity",
-    "virtual_value_payment", "virtual_value_utility", "worst_case_corpus",
-    "write_rows",
+    "virtual_value_utility", "worst_case_corpus", "write_rows",
 ]

@@ -15,9 +15,8 @@ profile with m candidates O(m^2) arithmetic and O(m) memory. Pairs are
 evaluated in blocks of about _BLOCK_PAIRS, keeping each row's maximum, so the
 m x m value matrix is never built.
 
-Also here: the sorted-rank identity that rewrites a strict lottery's value on
-an agent subset as a gap-weighted sum, and the full-surplus reference point
-(what transfers-based efficiency would extract).
+Also here: the full-surplus reference point (what transfers-based efficiency
+would extract).
 """
 
 from __future__ import annotations
@@ -111,38 +110,6 @@ def optimal_p_lottery(profile, k: int) -> tuple[float, float]:
     """
     _require_k(k)
     return tuple(map(float, _learned_price(as_profile(profile).sorted, True, k)))
-
-
-def lottery_surplus_identity(profile, subset, k: int, ell: int) -> float:
-    """Gap-form value of a strict lottery on a subset priced at the ell+1-st value.
-
-    subset holds agent indices, integers in 0..n-1 in submission order. With
-    n_i counting subset members among the top i ranks and d_i the descending
-    value gaps, the lottery serving subset members above the ell+1-st value
-    equals (min(k, n_ell)/n_ell) * sum_{i<=ell} n_i d_i. When equal values
-    straddle rank ell, ell advances past the tied block so the top-ell set is
-    unambiguous. Returns 0 when no subset member ranks in the top ell.
-    """
-    _require_k(k)
-    prof = as_profile(profile)
-    n = prof.n
-    if not 1 <= ell <= n:
-        raise ValueError("rank ell must lie in 1..n")
-    idx = np.asarray(subset)
-    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
-        raise ValueError("subset: need agent indices, integers in 0..n-1")
-    member = np.zeros(n, dtype=bool)
-    member[idx.astype(int)] = True
-    order = np.argsort(-prof.values, kind="stable")
-    member_by_rank = member[order]
-    s = prof.sorted
-    while ell < n and s[ell - 1] == s[ell]:
-        ell += 1
-    counts = np.cumsum(member_by_rank[:ell])
-    n_ell = int(counts[-1])
-    if n_ell == 0:
-        return 0.0
-    return min(k, n_ell) / n_ell * float(np.dot(counts, prof.gaps[:ell]))
 
 
 def full_surplus(profile, k: int) -> float:

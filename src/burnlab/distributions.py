@@ -1,13 +1,12 @@
 """Value distributions and valuation profiles.
 
 A ValueDistribution bundles the cdf, density, quantile function, and mean of a
-continuous prior over nonnegative values. Two virtual-value transforms matter
-downstream:
+continuous prior over nonnegative values. The transform that matters
+downstream is the utility virtual value
 
-    utility virtual value   theta(v) = (1 - F(v)) / f(v)
-    payment virtual value   phi(v)   = v - theta(v)
+    theta(v) = (1 - F(v)) / f(v),
 
-theta is the inverse hazard rate. Its monotonicity drives everything: a prior
+the inverse hazard rate. Its monotonicity drives everything: a prior
 with nonincreasing theta (monotone hazard rate) irons flat, one with
 nondecreasing theta keeps theta as-is, and mixed shapes iron on subintervals.
 
@@ -56,6 +55,12 @@ class ValueDistribution:
     quantile: Callable[[np.ndarray], np.ndarray]
     mean: float
 
+    def __post_init__(self):
+        # catches most NaN or infinite parameters, and finite ones whose
+        # mean overflows (exp(1e-320), pareto(1e308, 2))
+        if not math.isfinite(self.mean):
+            raise ValueError(f"{self.name}: need a finite mean, got {self.mean}")
+
     def __repr__(self):
         return f"ValueDistribution({self.name})"
 
@@ -83,36 +88,6 @@ def virtual_value_utility(d: ValueDistribution, v) -> np.ndarray | float:
     return out if np.ndim(v) else float(out)
 
 
-def virtual_value_payment(d: ValueDistribution, v) -> np.ndarray | float:
-    """phi(v) = v - theta(v), the classical revenue virtual value."""
-    theta = virtual_value_utility(d, v)
-    arr = np.asarray(v, dtype=float)
-    out = arr - theta
-    return out if np.ndim(v) else float(out)
-
-
-def hazard_classification(d: ValueDistribution, grid: int = 256,
-                          tol: float = 1e-9, eps: float = QUANTILE_EPS) -> str:
-    """Classify theta's monotonicity on a quantile grid.
-
-    Returns "MHR" when theta is nonincreasing (constant counts as MHR),
-    "antiMHR" when nondecreasing, "nonMHR" otherwise. tol is relative: steps
-    within tol * max|theta| count as flat, so rescaling values by any factor
-    keeps the class.
-    """
-    if grid < 16:
-        raise ValueError("classification grid must have at least 16 points")
-    q = np.linspace(eps, 1.0 - eps, grid)
-    theta = virtual_value_utility(d, d.quantile(q))
-    diffs = np.diff(theta)
-    flat = tol * float(np.max(np.abs(theta)))
-    if np.all(diffs <= flat):
-        return "MHR"
-    if np.all(diffs >= -flat):
-        return "antiMHR"
-    return "nonMHR"
-
-
 # ---------------------------------------------------------------------------
 # stock distributions
 
@@ -137,8 +112,8 @@ def uniform(lo: float, hi: float) -> ValueDistribution:
 
 
 def exponential(rate: float) -> ValueDistribution:
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
 
     def cdf(v):
         return -np.expm1(-rate * np.asarray(v, float))
@@ -157,7 +132,7 @@ def pareto(scale: float, shape: float) -> ValueDistribution:
     """Pareto tail F(v) = 1 - (v/scale)^(-shape) on [scale, inf).
 
     shape must exceed 1 so the mean is finite. theta(v) = v/shape grows
-    linearly, so these priors classify as antiMHR.
+    linearly, so ironing leaves it as it is.
     """
     if scale <= 0 or shape <= 1:
         raise ValueError("need scale > 0 and shape > 1")
@@ -183,7 +158,7 @@ def two_piece() -> ValueDistribution:
 
     F(v) = 1 - (1+v)^(-2) on [0, 1) and 1 - (2-v)/4 on [1, 2]. The density is
     continuous (1/4 at the junction) and theta(v) = (1+v)/2 below 1, 2 - v
-    above, so the classification is nonMHR. Ironing it bridges [1/3, 2] at the
+    above, so theta is not monotone. Ironing it bridges [1/3, 2] at the
     constant level 2/3.
     """
 
@@ -218,6 +193,10 @@ def piecewise_inverse_hazard(breaks, thetas) -> ValueDistribution:
     thetas = np.asarray(thetas, dtype=float)
     if breaks.ndim != 1 or breaks.size != thetas.size or breaks.size < 1:
         raise ValueError("breaks and thetas must be equal-length 1-d arrays")
+    if not (np.isfinite(breaks).all() and np.isfinite(thetas).all()):
+        raise ValueError("breaks and thetas must be finite")
+    if breaks[0] < 0:
+        raise ValueError("breaks[0] must be nonnegative")
     if np.any(np.diff(breaks) <= 0):
         raise ValueError("breaks must be strictly increasing")
     if np.any(thetas <= 0):
@@ -315,18 +294,6 @@ class ValuationProfile:
         """Values in descending order."""
         return np.sort(self.values)[::-1]
 
-    @cached_property
-    def gaps(self) -> np.ndarray:
-        """d_i = v_(i) - v_(i+1) over the descending order, with v_(n+1) = 0."""
-        s = self.sorted
-        return np.diff(np.concatenate((s, [0.0]))) * -1.0
-
-    def nth_highest(self, rank: int) -> float:
-        """v_(rank) with rank 1-based; ranks beyond n return 0."""
-        if rank < 1:
-            raise ValueError("rank is 1-based")
-        return float(self.sorted[rank - 1]) if rank <= self.n else 0.0
-
 
 def as_profile(profile) -> ValuationProfile:
     if isinstance(profile, ValuationProfile):
@@ -352,8 +319,12 @@ def load_profile(path) -> ValuationProfile:
     """Read a profile file: one decimal value per line, blank lines ignored."""
     values = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                values.append(float(line))
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: expected a number, "
+                                     f"got {line!r}") from None
     return ValuationProfile(np.array(values, dtype=float))

@@ -336,10 +336,3 @@ def check_ironed_for(d: ValueDistribution, iv: IronedVirtual | None) -> None:
     (None passes), with a one-line ValueError."""
     if iv is not None and iv.dist is not d:
         raise ValueError(f"iv was ironed for {iv.dist.name}, not for {d.name}")
-
-
-def ironed_value(d: ValueDistribution, v, grid: int = DEFAULT_GRID,
-                 eps: float = QUANTILE_EPS):
-    """phibar(v) for a one-off query; builds the grid representation first,
-    or reuses iron's live result for d, grid and eps."""
-    return iron(d, grid=grid, eps=eps).value(v)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from burnlab.benchmark import (full_surplus, lottery_surplus_identity,
-                               optimal_p_lottery, two_price_benchmark)
+from burnlab.benchmark import (full_surplus, optimal_p_lottery,
+                               two_price_benchmark)
 from burnlab.common import substream
 from burnlab.distributions import (ValuationProfile, as_profile, exponential,
                                    pareto, piecewise_inverse_hazard,
@@ -130,74 +130,6 @@ def test_sweep_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-
-
-# ---------------------------------------------------------------------------
-# gap-form identity for subset lotteries
-
-
-def direct_subset_value(prof, subset, k, ell):
-    # replays the contract directly: advance ell past a tied block, price at
-    # the next value down, serve subset members ranked in the top ell
-    s = prof.sorted
-    while ell < prof.n and s[ell - 1] == s[ell]:
-        ell += 1
-    price = s[ell] if ell < prof.n else 0.0
-    order = np.argsort(-prof.values, kind="stable")
-    member = np.zeros(prof.n, dtype=bool)
-    member[np.asarray(subset, dtype=int)] = True
-    top = order[:ell]
-    served = prof.values[top[member[top]]]
-    if served.size == 0:
-        return 0.0
-    share = min(k, served.size) / served.size
-    return share * float(np.sum(served - price))
-
-
-def test_identity_oracles():
-    prof = (5.0, 4.0, 4.0, 2.0, 1.0)
-    assert lottery_surplus_identity(prof, (0, 2, 4), 1, 2) == 2.5
-    assert lottery_surplus_identity(prof, (0, 2, 4), 2, 2) == 5.0
-    assert lottery_surplus_identity(prof, (0, 2, 4), 1, 1) == 1.0
-    assert lottery_surplus_identity(prof, (4,), 1, 2) == 0.0
-    assert lottery_surplus_identity(prof, (0, 2, 4), 2,
-                                    5) == pytest.approx(20.0 / 3.0)
-
-
-def test_identity_validation():
-    with pytest.raises(ValueError):
-        lottery_surplus_identity((1.0, 2.0), (0,), 1, 0)
-    with pytest.raises(ValueError):
-        lottery_surplus_identity((1.0, 2.0), (0,), 1, 3)
-    with pytest.raises(ValueError):
-        lottery_surplus_identity((1.0, 2.0), (0,), 0, 1)
-    # a negative index once wrapped to the last agent, a fraction truncated
-    # to agent 0 and index n ended in an IndexError
-    for subset in [(-1,), (0.7,), (2,), (0, 2), (True,)]:
-        with pytest.raises(ValueError):
-            lottery_surplus_identity((1.0, 2.0), subset, 1, 1)
-
-
-@st.composite
-def identity_cases(draw):
-    vals = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8))
-    if len(vals) > 1 and draw(st.booleans()):
-        vals[draw(st.integers(1, len(vals) - 1))] = vals[0]
-    mask = draw(st.lists(st.booleans(), min_size=len(vals),
-                         max_size=len(vals)))
-    subset = tuple(i for i, m in enumerate(mask) if m)
-    ell = draw(st.integers(1, len(vals)))
-    k = draw(st.integers(1, 4))
-    return ValuationProfile(vals), subset, k, ell
-
-
-@given(identity_cases())
-@settings(max_examples=300, deadline=None)
-def test_identity_matches_direct_enumeration(case):
-    prof, subset, k, ell = case
-    got = lottery_surplus_identity(prof, subset, k, ell)
-    assert got == pytest.approx(direct_subset_value(prof, subset, k, ell),
-                                abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ def test_benchmark_row(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, lines, message", [
     ("benchmark --profile {prof} --k 1", None, "No such file"),
-    ("benchmark --profile {prof} --k 1", ["3.0", "three"], "could not convert"),
+    ("benchmark --profile {prof} --k 1", ["3.0", "three"],
+     "line 2: expected a number, got 'three'"),
     ("benchmark --profile {prof} --k 0", ["3.0", "1.0"],
      "need at least one unit"),
     # NaN and infinite prices once slipped past the price checks and printed
@@ -269,10 +270,21 @@ def test_benchmark_row(tmp_path, capsys):
      "--profiles: "),
     ("audit --mech vickrey --dist uniform(0,1) --n 3 --profiles -1", None,
      "--profiles: "),
+    # priors with an infinite or overflowing parameter once printed
+    # numpy warnings, all-zero audits or a value
+    ("iron --dist exp(inf)", None, "rate must be positive and finite"),
+    ("iron --dist exp(1e-320)", None, "need a finite mean, got inf"),
+    ("audit --mech vickrey --dist exp(inf) --n 3", None,
+     "rate must be positive and finite"),
+    ("eval --mech bayes --profile {prof} --k 1 --dist pareto(1,inf)",
+     ["3.0", "1.0"], "pareto(1,inf): need a finite mean, got nan"),
+    ("iron --dist uniform(0,inf)", None, "need a finite mean, got inf"),
 ], ids=["benchmark-missing-file", "benchmark-non-numeric", "benchmark-k0",
         "eval-plottery-p-nan", "eval-pqlottery-p-nan", "eval-pqlottery-q-nan",
         "audit-plottery-p-nan", "eval-plottery-p-inf", "audit-plottery-p-inf",
-        "audit-pqlottery-p-inf", "audit-profiles-0", "audit-profiles-negative"])
+        "audit-pqlottery-p-inf", "audit-profiles-0", "audit-profiles-negative",
+        "iron-exp-inf", "iron-exp-tiny-rate", "audit-exp-inf",
+        "eval-bayes-pareto-shape-inf", "iron-uniform-hi-inf"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, lines, message):
     prof = (write_profile(tmp_path, lines) if lines
             else str(tmp_path / "missing.txt"))

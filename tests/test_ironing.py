@@ -14,7 +14,7 @@ from burnlab.distributions import (exponential, pareto,
                                    piecewise_inverse_hazard, two_piece,
                                    uniform, virtual_value_utility)
 from burnlab.ironing import (_BRIDGE_RTOL, DEFAULT_GRID, IronedInterval, iron,
-                             ironed_value, lower_convex_hull)
+                             lower_convex_hull)
 
 
 def test_uniform_constant(iv_uniform):
@@ -84,10 +84,6 @@ def test_value_scalar_and_array(iv_twopiece):
     arr = iv_twopiece.value(np.array([0.5, 1.5]))
     assert arr.shape == (2,)
     assert arr[0] == pytest.approx(scalar)
-
-
-def test_ironed_value_convenience():
-    assert ironed_value(uniform(0.0, 1.0), 0.3) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_grid_convergence():

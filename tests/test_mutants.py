@@ -21,11 +21,13 @@ import test_audit
 import test_benchmark
 import test_cli
 import test_common
+import test_distributions
 import test_ironing
 import test_mechanisms
 import test_simlab
 
-from burnlab import audit, benchmark, common, ironing, mechanisms, simlab
+from burnlab import (audit, benchmark, common, distributions, ironing, mechanisms,
+                     simlab)
 
 MUTANTS = {
     "pass-tie-largest-price": (
@@ -317,6 +319,11 @@ MUTANTS = {
     "audit-controls-dropped": (
         audit, "audit_mechanism", "_entry(name, params, {**MECHANISMS, **CONTROLS})",
         "_entry(name, params)", [test_audit.test_audit_refuses_unread_params]),
+    # exp(1e-320) passes the rate's own bounds, but its mean 1/rate is inf
+    "prior-mean-not-checked": (
+        distributions, "ValueDistribution.__post_init__",
+        "if not math.isfinite(self.mean):", "if False:",
+        [test_distributions.test_stock_priors_reject_bad_parameters]),
 }
 
 

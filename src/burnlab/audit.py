@@ -97,7 +97,6 @@ class DeviationReport:
     max_gain: float
     agent: int
     bid: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -127,16 +126,16 @@ class PaymentIdentityReport:
     bid: float
 
 
-def check_dsic(mech: AuditableMechanism, profile, bid_grid,
-               tol: float = DSIC_TOL) -> DeviationReport:
+def check_dsic(mech: AuditableMechanism, profile, bid_grid) -> DeviationReport:
     """Scan every agent and grid bid for a profitable deviation: one interim
     call on every agent's bids (the grid and the agent's value), then the
-    agents in order, keeping the first strictly largest gain."""
+    agents in order, keeping the first strictly largest gain. It passes
+    when that gain is at most DSIC_TOL."""
     values = as_profile(profile).values
     grid = np.asarray(bid_grid, dtype=float)
     worst, arg = -np.inf, (0, 0.0)
     if values.size == 0:  # some rules reject an empty profile
-        return DeviationReport(mech.name, True, worst, *arg, tol)
+        return DeviationReport(mech.name, True, worst, *arg)
     scans = [np.unique(np.append(grid, v)) for v in values]
     for i, (bids, (x, pay)) in enumerate(zip(scans, _stacked(mech, values, scans))):
         utility = values[i] * x - pay
@@ -144,7 +143,7 @@ def check_dsic(mech: AuditableMechanism, profile, bid_grid,
         j = int(np.argmax(gain))
         if gain[j] > worst:
             worst, arg = float(gain[j]), (i, float(bids[j]))
-    return DeviationReport(mech.name, worst <= tol, worst, *arg, tol)
+    return DeviationReport(mech.name, worst <= DSIC_TOL, worst, *arg)
 
 
 def _stacked(mech: AuditableMechanism, values: np.ndarray, scans: list) -> list:
@@ -186,9 +185,9 @@ def extract_interim_rule(mech: AuditableMechanism, profile, i: int,
     return table[i]
 
 
-def check_payment_identity(rule: InterimRule,
-                           tol: float = DSIC_TOL) -> PaymentIdentityReport:
-    """Verify p(b) = b*x(b) - integral of x on the tabulated rule.
+def check_payment_identity(rule: InterimRule) -> PaymentIdentityReport:
+    """Verify p(b) = b*x(b) - integral of x on the tabulated rule, up to
+    DSIC_TOL at every bid.
 
     A non-monotone win probability fails before the identity is evaluated.
     """
@@ -209,8 +208,8 @@ def check_payment_identity(rule: InterimRule,
         ([0.0], np.cumsum(rule.x_mid * np.diff(rule.bids))))
     err = np.abs(rule.p - (rule.bids * rule.x - integral))
     j = int(np.argmax(err))
-    return PaymentIdentityReport(bool(err[j] <= tol), True, float(err[j]), rule.agent,
-                                 float(rule.bids[j]))
+    return PaymentIdentityReport(bool(err[j] <= DSIC_TOL), True, float(err[j]),
+                                 rule.agent, float(rule.bids[j]))
 
 
 def audit_profiles(seed: int, count: int = 100,

@@ -4,9 +4,9 @@ The benchmark value on a profile is the residual surplus of the best k-unit
 two-price lottery, maximized over price pairs q <= p. Because lottery value is
 piecewise linear in the prices with breakpoints only at profile values, and
 nonincreasing in each price between breakpoints, the pairs drawn from the
-candidates {0} union {v_i} are exhaustive. The best single-price strict
-lottery is reported alongside; it is always within a factor two of the
-benchmark.
+candidates {0} union {v_i} are exhaustive. optimal_p_lottery gives the best
+single-price strict lottery, the factor-two reference point: it is always at
+least half the benchmark.
 
 The pair sweep is a closed form over counts and prefix sums: for each
 candidate c, the number of agents strictly above c and their value sum fix
@@ -36,17 +36,11 @@ _TIE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    """Best two-price lottery value and the prices achieving it.
-
-    single_value and single_p describe the best one-price strict lottery on
-    the same profile.
-    """
+    """Best two-price lottery value and the prices p >= q achieving it."""
 
     value: float
     p: float
     q: float
-    single_value: float
-    single_p: float
 
 
 def _pair_values(k: int, c, cnt, tail, i: np.ndarray, j: np.ndarray):
@@ -75,9 +69,10 @@ def two_price_benchmark(profile, k: int) -> BenchmarkResult:
     The candidates c are 0 and the distinct values, ascending; cnt[i] counts
     the agents strictly above c[i] and tail[i] sums their values. Rows of
     about _BLOCK_PAIRS / m prices p are evaluated at a time against every
-    q up to the block's largest p, keeping only each row's maximum. The result is the smallest pair, p first
-    and then q, whose value is within 1e-12 * max(1, |best|) of the best one,
-    so pairs that tie up to rounding resolve the same way on every profile.
+    q up to the block's largest p, keeping only each row's maximum. The
+    result is the smallest pair, p first and then q, whose value is within
+    1e-12 * max(1, |best|) of the best one, so pairs that tie up to rounding
+    resolve the same way on every profile.
     """
     _require_k(k)
     prof = as_profile(profile)
@@ -96,9 +91,7 @@ def two_price_benchmark(profile, k: int) -> BenchmarkResult:
     i = int(np.argmax(row_max >= floor))
     row = _pair_values(k, c, cnt, tail, cols[i:i + 1], cols[:i + 1])[0]
     j = int(np.argmax(row >= floor))
-    single_value, single_p = optimal_p_lottery(prof, k)
-    return BenchmarkResult(float(row[j]), float(c[i]), float(c[j]),
-                           single_value, single_p)
+    return BenchmarkResult(float(row[j]), float(c[i]), float(c[j]))
 
 
 def optimal_p_lottery(profile, k: int) -> tuple[float, float]:

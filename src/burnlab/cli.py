@@ -10,9 +10,9 @@ import sys
 
 import numpy as np
 
-from .audit import (CONTROLS, DSIC_TOL, audit_mechanism, check_dsic,
+from .audit import (CONTROLS, audit_mechanism, check_dsic,
                     check_payment_identity, extract_interim_rule)
-from .benchmark import two_price_benchmark
+from .benchmark import optimal_p_lottery, two_price_benchmark
 from .benchmark import full_surplus as profile_full_surplus
 from .common import VERSION, MechanismEval, substream
 from .distributions import distribution_from_spec, load_profile, sample_profile
@@ -45,31 +45,30 @@ def _cmd_iron(args) -> int:
     return 0
 
 
-# the optional flags that set each Params field; an entry with a Monte Carlo
-# path also reads --reps, --exact and, in Monte Carlo mode, --seed
+# the optional flags that set each Params field; above its cap an entry's
+# Monte Carlo mode also reads --reps and --seed
 _FLAGS = {"p": ("p",), "q": ("q",), "iv": ("dist", "grid")}
+_MC_FLAGS = ("reps", "seed")
 
 
-def _flags(mech) -> tuple[str, ...]:
-    return (sum((_FLAGS[field] for field in mech.reads), ())
-            + (("reps", "exact", "seed") if mech.mc else ()))
-
-
-def _reject_unread(args, command: str, flags, read) -> None:
+def _reject_unread(args, flags, read, command: str) -> None:
     """Reject the first given flag, in sorted order, not in read."""
     for flag in sorted(flags):
         if getattr(args, flag) is not None and flag not in read:
-            raise ValueError(f"--{flag}: {command} --mech {args.mech} "
-                             "does not read it")
+            raise ValueError(f"--{flag}: {command} does not read it")
 
 
 def _cmd_eval(args) -> int:
     mech = MECHANISMS[args.mech]
-    _reject_unread(args, "eval", {f for m in MECHANISMS.values() for f in _flags(m)},
-                   _flags(mech))
-    if args.exact and args.reps is not None:
-        raise ValueError("--exact: exact mode takes no --reps")
+    command = f"eval --mech {args.mech}"
+    _reject_unread(args, (*sum(_FLAGS.values(), ()), *_MC_FLAGS),
+                   sum((_FLAGS[field] for field in mech.reads),
+                       _MC_FLAGS if mech.mc else ()), command)
     prof = load_profile(args.profile)
+    mc = prof.n > mech.cap
+    if not mc:
+        _reject_unread(args, _MC_FLAGS, (), f"{command}, exact on profiles of "
+                       f"at most {mech.cap} agents,")
     # the prices default to 0, as in mechanisms.Params
     kw = {f: getattr(args, f) or 0.0 for f in mech.reads if f != "iv"}
     params = [f"{field}={value}" for field, value in kw.items()]
@@ -79,15 +78,11 @@ def _cmd_eval(args) -> int:
         grid = DEFAULT_GRID if args.grid is None else args.grid
         kw["iv"] = iron(distribution_from_spec(args.dist), grid=grid)
         params.append(f"dist={args.dist};grid={grid}")
-    if mech.mc and not args.exact and (args.reps is not None
-                                       or prof.n > mech.cap):
+    if mc:
         ev = mech.mc(prof, args.k, 10_000 if args.reps is None else args.reps,
                      args.seed or 0)
         params.append(f"mode=mc;reps={ev.replicates}")
     else:
-        if args.seed is not None:
-            raise ValueError(f"--seed: eval --mech {args.mech} in exact mode "
-                             "does not read it")
         ev = MechanismEval(evaluate(args.mech, prof, args.k, **kw), 0.0,
                            "exact", 1)
         if mech.mc:
@@ -105,7 +100,7 @@ def _cmd_benchmark(args) -> int:
     res = two_price_benchmark(prof, args.k)
     _write_csv(args.out, ["G", "p", "q", "best_single_value", "best_single_p",
                           "full_surplus"],
-               [[res.value, res.p, res.q, res.single_value, res.single_p,
+               [[res.value, res.p, res.q, *optimal_p_lottery(prof, args.k),
                  profile_full_surplus(prof, args.k)]])
     return 0
 
@@ -114,7 +109,7 @@ def _cmd_audit(args) -> int:
     if args.profiles < 1:
         raise ValueError(f"--profiles: need at least 1, got {args.profiles}")
     reads = {**MECHANISMS, **CONTROLS}[args.mech].reads
-    _reject_unread(args, "audit", ("p", "q"), reads)
+    _reject_unread(args, ("p", "q"), reads, f"audit --mech {args.mech}")
     # only the prices given: the entry defaults the others, as in Params
     prices = {field: getattr(args, field) for field in ("p", "q")
               if getattr(args, field) is not None}
@@ -126,12 +121,12 @@ def _cmd_audit(args) -> int:
     for idx in range(args.profiles):
         prof = sample_profile(d, args.n, substream(args.seed, "audit", idx))
         hi = 1.25 * max(float(prof.values.max()), *prices.values(), 1e-9)
-        dsic = check_dsic(mech, prof, np.linspace(0.0, hi, 64), tol=DSIC_TOL)
+        dsic = check_dsic(mech, prof, np.linspace(0.0, hi, 64))
         rows.append([args.mech, idx, "dsic", dsic.passed, dsic.max_gain,
                      dsic.agent, dsic.bid])
         pays = [check_payment_identity(
-                    extract_interim_rule(mech, prof, i, np.linspace(0.0, hi, 256)),
-                    tol=DSIC_TOL) for i in range(prof.n)]
+                    extract_interim_rule(mech, prof, i, np.linspace(0.0, hi, 256)))
+                for i in range(prof.n)]
         worst = max(pays, key=lambda rep: rep.max_error)
         ok = all(rep.passed for rep in pays)
         rows.append([args.mech, idx, "payment", ok, worst.max_error, worst.agent,
@@ -176,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, help="price (default 0)")
     p.add_argument("--q", type=float, help="lower price (default 0)")
     p.add_argument("--seed", type=int, help="Monte Carlo mode only (default 0)")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--exact", action="store_true", default=None)
+    p.add_argument("--reps", type=int,
+                   help="Monte Carlo mode only (default 10000)")
     p.add_argument("--dist")
     p.add_argument("--grid", type=int, help=f"default {DEFAULT_GRID}")
     p.add_argument("--out")
@@ -212,8 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command. Exit status 0 on success, 1 when an audit finds a
     violation, 2 on bad input (one line on stderr, no traceback)."""
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise ValueError(f"{unknown[0]}: {args.command} takes no such "
+                             "argument")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"burnlab: error: {exc}", file=sys.stderr)

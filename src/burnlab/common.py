@@ -27,9 +27,12 @@ def substream(seed: int, *keys) -> np.random.Generator:
     """Deterministic child generator for (seed, keys).
 
     String keys are hashed with crc32 so stream identities survive across runs
-    and platforms. Integer keys pass through unchanged.
+    and platforms. Integer keys pass through unchanged. The seed must be at
+    least 0.
     """
     parts = [int(seed)]
+    if parts[0] < 0:
+        raise ValueError(f"seed: need at least 0, got {seed}")
     for k in keys:
         if isinstance(k, str):
             parts.append(zlib.crc32(k.encode("utf-8")))

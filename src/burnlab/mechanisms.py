@@ -71,21 +71,21 @@ class Outcome:
 
     In realized mode allocation holds win indicators; in marginal mode it
     holds win probabilities and payments are interim expected payments, so
-    residual_surplus is the exact expected residual for the profile.
+    residual_surplus is the exact expected residual for the profile, and
+    in either mode allocation.sum() is the units used.
     """
 
     allocation: np.ndarray
     payments: np.ndarray
     utilities: np.ndarray
     residual_surplus: float
-    k_used: float
     mode: str
 
 
 def _outcome(values: np.ndarray, alloc: np.ndarray, pay: np.ndarray,
              mode: str) -> Outcome:
     util = values * alloc - pay
-    return Outcome(alloc, pay, util, float(util.sum()), float(alloc.sum()), mode)
+    return Outcome(alloc, pay, util, float(util.sum()), mode)
 
 
 def _require_k(k: int):

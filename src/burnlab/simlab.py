@@ -174,9 +174,9 @@ EXPERIMENT_NAMES = ("lb43", "surplus-gap", "rsol-ratio", "thmub")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's settings; every experiment is exact, so reps is
-    deprecated and ignored."""
+    deprecated and ignored. seed, at least 0, draws the worst-case corpus's
+    random profiles."""
     experiment: str = "lb43"
-    dist: str = "exp(1)"
     n: tuple[int, ...] = (32, 1024)
     k: tuple[int, ...] = (1,)
     reps: int | None = None
@@ -195,9 +195,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key}: give at least one size")
             if min(sizes) < 1:
                 raise ValueError(f"{key}: every size must be at least 1")
-        if self.dist != "exp(1)":
-            raise ValueError(f"dist = {self.dist}: every experiment fixes "
-                             "its prior, so dist must be exp(1)")
+        if self.seed < 0:
+            raise ValueError(f"seed: need at least 0, got {self.seed}")
         if self.experiment == "surplus-gap" and len(self.k) != 1:
             raise ValueError("k: surplus-gap takes a single k")
 
@@ -214,7 +213,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in ("n", "k", "reps", "seed", "experiment", "dist", "out"):
+        if key not in ("n", "k", "reps", "seed", "experiment", "out"):
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ValueError(f"line {lineno}: {key} is set twice")

@@ -69,7 +69,7 @@ def test_adapters_truthful_on_random_corpus():
                 assert pay.passed, (mech.name, prof.values, i, pay)
 
 
-def dsic_agent_loop(mech, profile, bid_grid, tol=DSIC_TOL):
+def dsic_agent_loop(mech, profile, bid_grid):
     # the deviation scan with one interim call per agent
     values = np.asarray(profile.values, dtype=float)
     worst, arg = -np.inf, (0, 0.0)
@@ -81,7 +81,7 @@ def dsic_agent_loop(mech, profile, bid_grid, tol=DSIC_TOL):
         j = int(np.argmax(gain))
         if gain[j] > worst:
             worst, arg = float(gain[j]), (i, float(bids[j]))
-    return DeviationReport(mech.name, worst <= tol, worst, *arg, tol)
+    return DeviationReport(mech.name, worst <= DSIC_TOL, worst, *arg)
 
 
 def a8_suites(bridge_dist, iv_bridge):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from burnlab import benchmark
 from burnlab.benchmark import (full_surplus, optimal_p_lottery,
                                two_price_benchmark)
 from burnlab.common import substream
@@ -13,6 +14,7 @@ from burnlab.distributions import (ValuationProfile, as_profile, exponential,
                                    sample_profile, two_piece, uniform)
 from burnlab.ironing import iron
 from burnlab.mechanisms import evaluate, run
+from burnlab.simlab import worst_case_corpus
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
                     max_size=8).map(ValuationProfile)
@@ -25,14 +27,14 @@ profiles = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
 def test_two_price_oracles():
     r = two_price_benchmark((3.0, 1.0), 1)
     assert (r.value, r.p, r.q) == (2.5, 1.0, 0.0)
-    assert (r.single_value, r.single_p) == (2.0, 0.0)
+    assert optimal_p_lottery((3.0, 1.0), 1) == (2.0, 0.0)
     r = two_price_benchmark((2.0, 2.0), 1)
     assert (r.value, r.p, r.q) == (2.0, 0.0, 0.0)
     r = two_price_benchmark((1.0, 2.0, 3.0), 5)
     assert (r.value, r.p, r.q) == (6.0, 0.0, 0.0)
     r = two_price_benchmark((10.0, 1.0, 1.0, 1.0), 1)
     assert (r.value, r.p, r.q) == (9.25, 1.0, 0.0)
-    assert (r.single_value, r.single_p) == (9.0, 1.0)
+    assert optimal_p_lottery((10.0, 1.0, 1.0, 1.0), 1) == (9.0, 1.0)
     assert two_price_benchmark((5.0, 4.0), 3).value == 9.0
 
 
@@ -55,9 +57,10 @@ def test_benchmark_validation():
 @settings(max_examples=100, deadline=None)
 def test_single_within_factor_two(prof, k):
     r = two_price_benchmark(prof, k)
+    single, _ = optimal_p_lottery(prof, k)
     assert r.q <= r.p
-    assert r.single_value <= r.value + 1e-9
-    assert r.single_value >= r.value / 2 - 1e-9
+    assert single <= r.value + 1e-9
+    assert single >= r.value / 2 - 1e-9
 
 
 def test_candidate_sweep_attains_dense_grid():
@@ -118,6 +121,32 @@ def test_sweep_matches_pair_loop(case):
     assert abs(r.value - best) <= tol
     assert (r.p, r.q) == min(pair for pair, value in values.items()
                              if value >= best - tol)
+
+
+def test_sweep_computes_no_single_price(monkeypatch):
+    # the benchmark alone: with the single-price search made to raise, the
+    # sweep gives the pair-loop oracle's smallest best pair, bit for bit
+    # what it gave before, on the corpus and on tied profiles
+    cases = [(prof.values, k) for _, prof in worst_case_corpus(0)
+             for k in (1, 2, 4)]
+    cases += [(vals, k) for vals in ((2.0, 2.0), (1.0, 1.0, 1.0),
+                                     (5.0, 5.0, 3.0, 3.0), (0.0, 0.0),
+                                     (1.25, 2.5, 1.25)) for k in (1, 2)]
+    before = [two_price_benchmark(vals, k) for vals, k in cases]
+    for (vals, k), r in zip(cases, before):
+        values = pair_loop(vals, k)
+        best = max(values.values())
+        tol = 1e-12 * max(1.0, abs(best))
+        assert abs(r.value - best) <= tol
+        assert (r.p, r.q) == min(pair for pair, value in values.items()
+                                 if value >= best - tol)
+
+    def refuse(*args):
+        raise AssertionError("the sweep asked for the best single price")
+
+    monkeypatch.setattr(benchmark, "optimal_p_lottery", refuse)
+    monkeypatch.setattr(benchmark, "_learned_price", refuse)
+    assert [two_price_benchmark(vals, k) for vals, k in cases] == before
 
 
 def test_sweep_memory_is_blocked():

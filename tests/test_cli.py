@@ -11,7 +11,7 @@ from burnlab.audit import (audit_mechanism, check_dsic, check_payment_identity,
 from burnlab.cli import build_parser, main
 from burnlab.common import VERSION, substream
 from burnlab.distributions import distribution_from_spec, sample_profile
-from burnlab.mechanisms import MECHANISMS
+from burnlab.mechanisms import MECHANISMS, evaluate, expected_rsol
 
 
 def write_profile(tmp_path, values, name="profile.txt"):
@@ -121,6 +121,10 @@ def test_eval_mix(tmp_path, capsys):
     assert float(out.splitlines()[1].split(",")[4]) == pytest.approx(2.0)
 
 
+# more agents than RSOL's exact cap of 20: the profile picks Monte Carlo mode
+MC_VALUES = [0.1 + 0.05 * i for i in range(21)]
+
+
 def test_eval_rsol_modes(tmp_path, capsys):
     prof = write_profile(tmp_path, [3.0, 1.0])
     rc, out = run_stdout(capsys, ["eval", "--mech", "rsol", "--profile", prof,
@@ -130,6 +134,7 @@ def test_eval_rsol_modes(tmp_path, capsys):
     assert row[3] == "mode=exact"
     assert float(row[4]) == 1.5 and float(row[5]) == float(row[6]) == 1.5
     assert row[7] == ""
+    prof = write_profile(tmp_path, MC_VALUES, "mc.txt")
     rc, out = run_stdout(capsys, ["eval", "--mech", "rsol", "--profile", prof,
                                   "--k", "1", "--reps", "500", "--seed", "2"])
     assert rc == 0
@@ -150,13 +155,39 @@ def test_eval_rsol_modes(tmp_path, capsys):
 def test_eval_rsol_bad_reps_exit_two(tmp_path, capsys, reps):
     # --reps 0 once ran the default 10,000 replicates, and -5 failed inside
     # numpy with a message naming no flag
-    prof = write_profile(tmp_path, [3.0, 1.0])
+    prof = write_profile(tmp_path, MC_VALUES)
     rc = main(["eval", "--mech", "rsol", "--profile", prof, "--k", "1",
                "--reps", reps])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == ("burnlab: error: reps: need at least 30 "
                             f"replicates, got {reps}\n")
+
+
+def test_eval_rsol_mode_boundary(tmp_path, capsys):
+    # the profile size alone picks RSOL's mode: exact up to 20 agents, where
+    # --reps and --seed are refused, and Monte Carlo above, where they
+    # default to 10,000 and 0
+    exact = write_profile(tmp_path, MC_VALUES[:20], "exact.txt")
+    argv = ["eval", "--mech", "rsol", "--profile", exact, "--k", "1"]
+    rc, out = run_stdout(capsys, argv)
+    row = out.splitlines()[1].split(",")
+    assert rc == 0 and row[:4] == ["rsol", "20", "1", "mode=exact"]
+    assert [float(x) for x in row[4:7]] == [evaluate("rsol", MC_VALUES[:20], 1)] * 3
+    assert row[7] == ""
+    for flag in ("--reps", "--seed"):
+        rc = main([*argv, flag, "100"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (f"burnlab: error: {flag}: eval --mech rsol, exact "
+                                "on profiles of at most 20 agents, does not read it\n")
+    argv[4] = write_profile(tmp_path, MC_VALUES, "mc.txt")
+    rc, out = run_stdout(capsys, argv)
+    row = out.splitlines()[1].split(",")
+    assert rc == 0 and row[:4] == ["rsol", "21", "1", "mode=mc;reps=10000"]
+    ev = expected_rsol(MC_VALUES, 1, "mc", 10_000, 0)
+    assert [float(x) for x in row[4:7]] == [ev.mean, *ev.ci]
+    assert row[7] == "0"
 
 
 @pytest.mark.parametrize("mech, flags, flag", [
@@ -166,16 +197,19 @@ def test_eval_rsol_bad_reps_exit_two(tmp_path, capsys, reps):
     ("logprice", ["--dist", "exp(1)"], "dist"),
     ("mix", ["--grid", "256"], "grid"),
     ("pqlottery", ["--reps", "100"], "reps"),
+    # --exact is gone: the profile size alone picks RSOL's mode
     ("vickrey", ["--exact"], "exact"),
     ("rsol", ["--exact", "--reps", "100"], "exact"),
     # --seed was once written into the seed column with nothing reading it:
-    # no Monte Carlo path, --exact, and RSOL's exact mode (n <= 20, no --reps)
+    # no Monte Carlo path, and RSOL's exact mode (n <= 20), which reads no
+    # --reps either
     ("vickrey", ["--seed", "7"], "seed"),
-    ("rsol", ["--exact", "--seed", "9"], "seed"),
+    ("rsol", ["--exact", "--seed", "9"], "exact"),
     ("rsol", ["--seed", "9"], "seed"),
+    ("rsol", ["--reps", "100"], "reps"),
 ], ids=["vickrey-p", "plottery-q", "bayes-p", "logprice-dist", "mix-grid",
         "pqlottery-reps", "vickrey-exact", "rsol-exact-reps", "vickrey-seed",
-        "rsol-exact-seed", "rsol-exact-mode-seed"])
+        "rsol-exact-seed", "rsol-exact-mode-seed", "rsol-exact-mode-reps"])
 def test_eval_unread_flag_exit_two(tmp_path, capsys, mech, flags, flag):
     prof = write_profile(tmp_path, [3.0, 1.0])
     rc = main(["eval", "--mech", mech, "--profile", prof, "--k", "1", *flags])
@@ -279,12 +313,27 @@ def test_benchmark_row(tmp_path, capsys):
     ("eval --mech bayes --profile {prof} --k 1 --dist pareto(1,inf)",
      ["3.0", "1.0"], "pareto(1,inf): need a finite mean, got nan"),
     ("iron --dist uniform(0,inf)", None, "need a finite mean, got inf"),
+    # a negative seed once exited 0 for lb43 and surplus-gap, which draw
+    # nothing, and elsewhere failed inside numpy with a message naming no seed
+    ("experiment --name lb43 --config {prof}", ["seed = -3"],
+     "seed: need at least 0, got -3"),
+    ("experiment --name surplus-gap --config {prof}", ["seed = -3"],
+     "seed: need at least 0, got -3"),
+    ("experiment --name thmub --config {prof}", ["seed = -3"],
+     "seed: need at least 0, got -3"),
+    ("audit --mech vickrey --dist uniform(0,1) --n 3 --seed -1", None,
+     "seed: need at least 0, got -1"),
+    ("eval --mech rsol --profile {prof} --k 1 --seed -2",
+     [str(v) for v in MC_VALUES], "seed: need at least 0, got -2"),
 ], ids=["benchmark-missing-file", "benchmark-non-numeric", "benchmark-k0",
         "eval-plottery-p-nan", "eval-pqlottery-p-nan", "eval-pqlottery-q-nan",
         "audit-plottery-p-nan", "eval-plottery-p-inf", "audit-plottery-p-inf",
         "audit-pqlottery-p-inf", "audit-profiles-0", "audit-profiles-negative",
         "iron-exp-inf", "iron-exp-tiny-rate", "audit-exp-inf",
-        "eval-bayes-pareto-shape-inf", "iron-uniform-hi-inf"])
+        "eval-bayes-pareto-shape-inf", "iron-uniform-hi-inf",
+        "experiment-lb43-seed-negative", "experiment-surplus-gap-seed-negative",
+        "experiment-thmub-seed-negative", "audit-seed-negative",
+        "eval-rsol-mc-seed-negative"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, lines, message):
     prof = (write_profile(tmp_path, lines) if lines
             else str(tmp_path / "missing.txt"))
@@ -413,7 +462,8 @@ def test_experiment_out_from_config(tmp_path):
 
 @pytest.mark.parametrize("name, text, key", [
     ("surplus-gap", "k = 1, 2\n", "k"),
-    ("surplus-gap", "dist = uniform(0,1)\n", "dist"),
+    # every experiment fixes its prior: dist is no key
+    ("surplus-gap", "dist = uniform(0,1)\n", "line 1: unknown key 'dist'"),
     ("lb43", "n = 5\nk = 3\nreps = 1000\n", "n"),
     ("lb43", "k = 1\n", "k"),
     ("lb43", "experiment = thmub\nn = 4\n", "n"),
@@ -436,7 +486,7 @@ def test_experiment_rejected_key_exit_two(tmp_path, capsys, name, text, key):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     # the key as a whole word: "n" must not match "negative dimensions ..."
-    assert re.match(rf"burnlab: error: {key}\b", captured.err)
+    assert re.match(rf"burnlab: error: {re.escape(key)}(?!\w)", captured.err)
 
 
 # ---------------------------------------------------------------------------

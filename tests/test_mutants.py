@@ -26,8 +26,8 @@ import test_ironing
 import test_mechanisms
 import test_simlab
 
-from burnlab import (audit, benchmark, common, distributions, ironing, mechanisms,
-                     simlab)
+from burnlab import (audit, benchmark, cli, common, distributions, ironing,
+                     mechanisms, simlab)
 
 MUTANTS = {
     "pass-tie-largest-price": (
@@ -324,6 +324,14 @@ MUTANTS = {
         distributions, "ValueDistribution.__post_init__",
         "if not math.isfinite(self.mean):", "if False:",
         [test_distributions.test_stock_priors_reject_bad_parameters]),
+    # a profile of exactly RSOL's cap of 20 agents estimated by Monte Carlo
+    "eval-mode-boundary-at-cap": (
+        cli, "_cmd_eval", "mc = prof.n > mech.cap", "mc = prof.n >= mech.cap",
+        [test_cli.test_eval_rsol_mode_boundary]),
+    # lb43 and surplus-gap draw nothing, so only the config sees the seed
+    "config-takes-negative-seed": (
+        simlab, "ExperimentConfig.__post_init__", "if self.seed < 0:", "if False:",
+        [test_simlab.test_config_rejects_negative_seed]),
 }
 
 

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from test_audit import UNPRICED, ladder_oracle, mc_estimate, rejects
+from test_audit import UNPRICED, ladder_oracle, mc_estimate, refusal, rejects
 from test_mechanisms import grid_tol
 
 from burnlab import audit, common, mechanisms, simlab
@@ -311,22 +311,20 @@ def test_parse_config_full():
     text = """
     # run the lb43 experiment
     experiment = lb43
-    dist = exp(1)
     seed = 7   # exact, but the seed still goes into the CSV trailer
     out = results.csv
     """
     assert parse_config(text) == ExperimentConfig(
-        "lb43", "exp(1)", (32, 1024), (1,), None, 7, "results.csv")
+        "lb43", (32, 1024), (1,), None, 7, "results.csv")
     text = """
     experiment = surplus-gap
-    dist = exp(1)
     n = 4, 8,16
     k = 2
     seed = 7   # exact, but the seed still goes into the CSV trailer
     out = gap.csv
     """
     assert parse_config(text) == ExperimentConfig(
-        "surplus-gap", "exp(1)", (4, 8, 16), (2,), None, 7, "gap.csv")
+        "surplus-gap", (4, 8, 16), (2,), None, 7, "gap.csv")
 
 
 def test_parse_config_defaults():
@@ -355,7 +353,7 @@ def test_parse_config_errors():
         parse_config("experiment = nosuch")
     with pytest.raises(ValueError):
         parse_config("reps = 0")
-    with pytest.raises(ValueError, match="dist"):
+    with pytest.raises(ValueError, match="^line 1: unknown key 'dist'$"):
         parse_config("dist = uniform(0,1)")
     with pytest.raises(ValueError, match="single k"):
         parse_config("experiment = surplus-gap\nk = 1, 2")
@@ -400,6 +398,23 @@ def test_config_rejects_empty_sizes():
         for key in ("n", "k"):
             one_line_error(lambda: ExperimentConfig(name, **{key: ()}),
                            f"^{key}: give at least one size$")
+
+
+def test_config_rejects_negative_seed():
+    # lb43 and surplus-gap draw nothing, so only the config can see the seed;
+    # it once went into their CSV trailers as given
+    for name in EXPERIMENT_NAMES:
+        assert refusal(lambda: ExperimentConfig(name, seed=-3)) == (
+            "seed: need at least 0, got -3")
+        assert refusal(lambda: parse_config("seed = -1", experiment=name)) == (
+            "seed: need at least 0, got -1")
+    assert ExperimentConfig("thmub", seed=0).seed == 0
+
+
+def test_substream_rejects_negative_seed():
+    # numpy's own message, "expected non-negative integer", names no seed
+    assert refusal(lambda: substream(-2, "audit", 0)) == "seed: need at least 0, got -2"
+    assert substream(0, "audit", 0).random() == substream(0, "audit", 0).random()
 
 
 def test_parse_config_rejects_repeated_key():

@@ -147,8 +147,15 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors, in subcommands too, exit 2 with one line, no usage."""
+
+    def error(self, message):
+        self.exit(2, f"burnlab: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="burnlab",
         description="Laboratory for mechanisms that maximize residual surplus "
                     "when payments are burned.")

@@ -10,8 +10,8 @@ bridged and phibar coincides with theta.
 Everything is computed on a clipped quantile grid. phibar is exposed both on
 the grid and as a right-continuous lookup in value space, together with the
 list of bridged intervals and their constant levels. iron hands out one
-result per distribution object, grid and eps while that result is alive, so
-its arrays are read-only.
+result per distribution object, grid and eps while that result is alive,
+and keeps the most recent one alive, so its arrays are read-only.
 
 The hull is a monotone-chain scan, and most of its steps are forced: along a
 convex stretch it pops nothing, and across a concave one each point pops the
@@ -40,8 +40,10 @@ DEFAULT_GRID = 2 ** 14
 _BRIDGE_RTOL = 1e-9
 
 # iron's results by (id(d), grid, eps), held weakly: an entry lives as long
-# as its IronedVirtual, which holds d, so the id is not reused meanwhile
+# as its IronedVirtual, which holds d, so the id is not reused meanwhile;
+# _RECENT holds the most recent one strongly, for callers that keep none
 _IRONED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_RECENT: list = [None]
 
 
 # The hull scan looks for a bulk run after every _STRIDE plain steps. A fan run
@@ -278,8 +280,9 @@ def iron(d: ValueDistribution, grid: int = DEFAULT_GRID,
 
     While a result is alive, another call with the same distribution object,
     grid and eps returns it instead of ironing again (an equal distribution
-    built separately is ironed afresh). Its arrays are read-only, since every
-    such caller shares them.
+    built separately is ironed afresh). The most recent result stays alive
+    until iron is called for another object, grid or eps. Its arrays are
+    read-only, since every such caller shares them.
     """
     if grid < 64:
         raise ValueError("ironing grid must have at least 64 points")
@@ -287,7 +290,7 @@ def iron(d: ValueDistribution, grid: int = DEFAULT_GRID,
         raise ValueError("eps must lie in (0, 0.5)")
     # a float grid raises here, as linspace would, and does not hit the memo
     key = (id(d), operator.index(grid), eps)
-    iv = _IRONED.get(key)
+    iv = _RECENT[0] = _IRONED.get(key)
     if iv is not None:
         return iv
     q = np.linspace(eps, 1.0 - eps, grid)
@@ -326,8 +329,8 @@ def iron(d: ValueDistribution, grid: int = DEFAULT_GRID,
             at_bottom=(i0 == 0), at_top=(i1 == grid - 1)))
     for a in (q, v, theta, H, G, phibar, hull_idx, slopes, seg):
         a.flags.writeable = False
-    iv = _IRONED[key] = IronedVirtual(d, q, v, theta, H, G, phibar, hull_idx,
-                                      slopes, tuple(intervals), seg)
+    iv = _IRONED[key] = _RECENT[0] = IronedVirtual(
+        d, q, v, theta, H, G, phibar, hull_idx, slopes, tuple(intervals), seg)
     return iv
 
 

@@ -29,10 +29,12 @@ agents, apply it or Vickrey to the other half) has no rowwise rule. Given a
 halving, the price is one kernel, _learned_price, and each branch is a rule
 row on the serving half, so the MC value (_rsol_values) and the realized run
 derive from _lottery_rule and _vickrey_rule. The exact value, for
-expected_rsol and the estimator, is one doubling pass over the agents in
-descending order (_rsol_exact): each agent doubles the halvings of the
-agents before it, and each halving carries O(1) numbers from which its
-learned price, lottery and Vickrey follow, so a profile costs O(2^n). Its
+expected_rsol, the estimator and rsol-ratio (one call per size of corpus
+profile), is one doubling pass over the agents in descending order
+(_rsol_exact): each agent doubles the halvings of the agents before it, and
+each halving carries O(1) numbers, packed in one state block, from which
+its learned price, lottery and Vickrey follow; the last agent's doubling
+is fused with the leaf sums (_rsol_leaves), so a profile costs O(2^n). Its
 audit interim sums the opponents' halvings (_rsol_halving_sums) for one bid
 per region of the bid line, every agent of a profile in one call, and reads
 each bid's answer from that table, kept for the last profile (_rsol_interim).
@@ -432,23 +434,14 @@ def _rsol_values(V_desc: np.ndarray, member: np.ndarray, k: int) -> np.ndarray:
                   + _residual(S, *_vickrey_rule(S, k)))
 
 
-def _rsol_states(rows: int, cells: int) -> list[np.ndarray]:
-    """Zero state buffers of the doubling pass, one (rows, cells) array each:
-    the pool's count and sum, the serving sum, the serving half's Vickrey
-    residual, the best strict-lottery value offered so far and the serving
-    half's lottery at its price."""
-    return [np.zeros((rows, cells), dtype=np.intp)] + [np.zeros((rows, cells))
-                                                       for _ in range(5)]
-
-
-def _rsol_offer(S, s: int, j: int, v, start, coef: np.ndarray) -> None:
+def _rsol_offer(F, pm, s: int, j: int, v, start, coef: np.ndarray) -> None:
     """Offer the first s states the price v, the value at position j where
     the rows in start begin a run of equal values: the pool agents so far
     are those above it and give its strict-lottery value, and a state whose
     best value so far is at most that takes it (so the smallest price wins
     ties) with the lottery the serving agents so far would run at v. coef[m]
     is each winner's share, min(k, m)/m, among m agents."""
-    pm, ps, ss, _, best, lot = (a[:, :s] for a in S)
+    pm, (ps, ss, _, best, lot) = pm[:, :s], F[:, :, :s]
     val = coef[pm] * (ps - pm * v)
     up = (val >= best) & start
     sr = j - pm
@@ -456,54 +449,78 @@ def _rsol_offer(S, s: int, j: int, v, start, coef: np.ndarray) -> None:
     np.copyto(lot, coef[sr] * (ss - sr * v), where=up)
 
 
-def _rsol_expand(S, s: int, V_desc: np.ndarray, start: np.ndarray,
+def _rsol_expand(F, pm, s: int, V_desc: np.ndarray, start: np.ndarray,
                  agents: range, k: int, coef: np.ndarray) -> int:
-    """Double the first s states of S once per agent, in descending order of
+    """Double the first s states once per agent, in descending order of
     value: the copies where the agent joins the pool stay in place and the
     ones where it serves follow them. Returns the new state count."""
     offers = start.any(axis=0)
+    ps, ss, vick = F[:3]
     for j in agents:
         v = V_desc[:, j:j + 1]
         if offers[j]:
-            _rsol_offer(S, s, j, v, start[:, j:j + 1], coef)
-        for a in S:
-            a[:, s:2 * s] = a[:, :s]
-        pm, _, ss, vick = (a[:, s:2 * s] for a in S[:4])
-        # where agent j serves, j - pm serving agents are ahead of it: the
+            _rsol_offer(F, pm, s, j, v, start[:, j:j + 1], coef)
+        F[:, :, s:2 * s] = F[:, :, :s]
+        pm[:, s:2 * s] = pm[:, :s]
+        m, sv = pm[:, s:2 * s], vick[:, s:2 * s]
+        # where agent j serves, j - m serving agents are ahead of it: the
         # top k add their values to Vickrey's residual, and the k+1-st is the
         # price all k pay
-        np.add(vick, v, out=vick, where=pm > j - k)
-        np.subtract(vick, k * v, out=vick, where=pm == j - k)
-        ss += v
-        S[0][:, :s] += 1
-        S[1][:, :s] += v
+        np.add(sv, v, out=sv, where=m > j - k)
+        np.subtract(sv, k * v, out=sv, where=m == j - k)
+        ss[:, s:2 * s] += v
+        pm[:, :s] += 1
+        ps[:, :s] += v
         s *= 2
     return s
 
 
-def _rsol_leaves(S, s: int, last, n: int, coef: np.ndarray) -> np.ndarray:
-    """Offer the first s states, each a full halving of n agents, the last
-    price 0 (in the rows in last, which have no agent at 0), then sum the
-    fair coin between the lottery and Vickrey over them, per row."""
-    _rsol_offer(S, s, n, 0.0, last, coef)
-    _, _, _, vick, _, lot = (a[:, :s] for a in S)
+def _rsol_leaves(F, pm, s: int, V_desc: np.ndarray, start: np.ndarray,
+                 k: int, coef: np.ndarray) -> np.ndarray:
+    """Double the first s states for the last agent j, laying the children,
+    each a full halving, out as _rsol_expand would; offer each the last
+    price 0 (where the row has no agent at 0), at which the pool's value is
+    coef[m] * ps and the lottery coef[n - m] * ss; and sum the fair coin
+    between the lottery and Vickrey over the children, per row."""
+    n = V_desc.shape[1]
+    j, v = n - 1, V_desc[:, n - 1:]
+    if start[:, j].any():
+        _rsol_offer(F, pm, s, j, v, start[:, j:], coef)
+    pm, (ps, ss, vick, best, lot) = pm[:, :s], F[:, :, :s]
+    last = v != 0
+    out = np.empty((len(v), 2 * s))
+    pool, served = out[:, :s], out[:, s:]
+    # where agent j joins the pool: m pool agents sum ps + v
+    m = pm + 1
+    up = (coef[m] * (ps + v) >= best) & last
+    np.add(np.where(up, coef[n - m] * ss, lot), vick, out=pool)
+    # where it serves, the lottery's sum and Vickrey's residual take it
+    up = (coef[pm] * ps >= best) & last
+    np.copyto(served, vick)
+    np.add(served, v, out=served, where=pm > j - k)
+    np.subtract(served, k * v, out=served, where=pm == j - k)
+    served += np.where(up, coef[n - pm] * (ss + v), lot)
     # halving the sum, not each term, keeps a subnormal half from rounding to 0
-    return (0.5 * (lot + vick)).sum(axis=1)
+    out *= 0.5
+    return out.sum(axis=1)
 
 
 def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
     """Exact expected RSOL residual of each profile row of V: the mean over
     all 2^n halvings, from one doubling pass over the agents in descending
     order of value, O(2^n) per row. A state is one halving of the agents
-    passed so far. It carries the pool's count and sum, which give the
+    passed so far: the pool's count (int array pm) and, packed in one
+    (5, rows, cells) block F, the pool's sum, which with the count gives the
     strict-lottery value of the price now offered (0 and the row's values,
-    as in _learned_price); the best value offered so far, with the lottery
-    the serving agents above its price run at it; and the serving half's sum
-    and Vickrey residual. A full halving's lottery and Vickrey branches are
-    read off its state. Sums add in descending order of value. The first
-    agents are doubled for a block of rows at once, up to _PASS_CELLS
-    states, and the rest for groups of those states in turn, so no array
-    exceeds _PASS_CELLS cells."""
+    as in _learned_price), the serving half's sum and Vickrey residual, and
+    the best value offered so far with the lottery the serving agents above
+    its price run at it. The last agent's doubling is fused with the leaves
+    (_rsol_leaves). Sums add in descending order of value. Up to 13 agents
+    the pass runs for a block of rows at once; beyond, the first 13 are
+    doubled for one row, the rest for groups of those states in turn in a
+    second block G, so every computed array holds at most _PASS_CELLS
+    cells. F and G are allocated once per call; numpy copies a doubling
+    through a temporary of 5 x rows x s cells, as F's fields interleave."""
     _require_k(k)
     rows, n = V.shape
     if not 1 <= n <= RSOL_EXACT_CAP:
@@ -515,24 +532,28 @@ def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
     start[:, 1:] = V_desc[:, 1:] != V_desc[:, :-1]
     m = np.arange(n + 1)
     coef = np.minimum(k, m) / np.maximum(m, 1)
-    head = min(n, _PASS_CELLS.bit_length() - 1)
+    bits = _PASS_CELLS.bit_length() - 1
+    head = min(n - 1, bits)
     step = max(1, _PASS_CELLS >> n)
-    group = _PASS_CELLS >> (n - head)
+    F = np.empty((5, min(rows, step), 1 << head))
+    pm = np.empty(F.shape[1:], dtype=np.intp)
+    if n > bits:
+        group = _PASS_CELLS >> (n - bits)
+        G = np.empty((5, 1, _PASS_CELLS >> 1))
+        gm = np.empty(G.shape[1:], dtype=np.intp)
     total = np.zeros(rows)
     for r in range(0, rows, step):
         Vb, sb = V_desc[r:r + step], start[r:r + step]
-        last = Vb[:, -1:] != 0
-        S = _rsol_states(len(Vb), 1 << head)
-        s = _rsol_expand(S, 1, Vb, sb, range(head), k, coef)
-        if head == n:
-            total[r:r + step] = _rsol_leaves(S, s, last, n, coef)
+        Fb, mb = F[:, :len(Vb)], pm[:len(Vb)]
+        Fb[:, :, 0], mb[:, 0] = 0.0, 0
+        s = _rsol_expand(Fb, mb, 1, Vb, sb, range(head), k, coef)
+        if n <= bits:
+            total[r:r + step] = _rsol_leaves(Fb, mb, s, Vb, sb, k, coef)
             continue
-        T = _rsol_states(1, _PASS_CELLS)
         for h in range(0, s, group):
-            for a, b in zip(T, S):
-                a[:, :group] = b[:, h:h + group]
-            t = _rsol_expand(T, group, Vb, sb, range(head, n), k, coef)
-            total[r] += _rsol_leaves(T, t, last, n, coef)[0]
+            G[:, :, :group], gm[:, :group] = F[:, :, h:h + group], pm[:, h:h + group]
+            t = _rsol_expand(G, gm, group, Vb, sb, range(head, n - 1), k, coef)
+            total[r] += _rsol_leaves(G, gm, t, Vb, sb, k, coef)[0]
     return total / (1 << n)
 
 

@@ -23,8 +23,8 @@ from .common import (VERSION, MechanismEval, check_draws, mc_blocks, mc_eval,
 from .distributions import (ValuationProfile, ValueDistribution, as_profile,
                             exponential)
 from .ironing import iron
-from .mechanisms import (PRIOR_OPTIMAL, Params, expected_log_price,
-                         expected_rsol, expected_under_prior, unpriced)
+from .mechanisms import (PRIOR_OPTIMAL, Params, _rsol_exact,
+                         expected_log_price, expected_under_prior, unpriced)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,9 @@ def worst_case_corpus(seed: int, sizes=(4, 8, 16)) -> list[tuple[str, ValuationP
 # experiments
 
 
+_EXP1 = exponential(1.0)
+
+
 def experiment_lb43() -> dict:
     """Two exponential agents, one unit: the benchmark mean is 4/3 while the
     prior-optimal mechanism earns 1.
@@ -91,8 +94,9 @@ def experiment_lb43() -> dict:
     of lo. Then G = lo/2 + D/2 + max(lo, D)/2, and E[max(lo, D) | lo = l] =
     l + e^-l, so E[G | lo = l] = l + 1/2 + e^-l/2 and
     E[G] = E[lo] + 1/2 + E[e^-lo]/2 = 1/2 + 1/2 + (2/3)/2. The optimum
-    (opt_mean) is expected_under_prior on the opt_grid-point ironing grid."""
-    iv = iron(exponential(1.0))
+    (opt_mean) is expected_under_prior on the opt_grid-point ironing grid
+    of one module-level exp(1) prior, so iron's memo serves repeat calls."""
+    iv = iron(_EXP1)
     opt = expected_under_prior(PRIOR_OPTIMAL, iv.dist, 2, 1, iv)
     mean_lo, laplace_lo = 1.0 / 2.0, 2.0 / (2.0 + 1.0)  # E[lo], E[e^-lo]
     g_mean = mean_lo + 0.5 + 0.5 * laplace_lo
@@ -121,12 +125,20 @@ def experiment_surplus_gap(n_list, k: int) -> list[dict]:
 def experiment_rsol_ratio(corpus, k_list) -> list[dict]:
     """Exact random-sampling-lottery value against the two-price benchmark
     on every corpus profile; min and median ratios are repeated on each row
-    so the CSV is self-contained."""
-    rows = []
-    for name, prof in corpus:
-        prof = as_profile(prof)
+    so the CSV is self-contained. RSOL's exact pass takes the profiles of
+    one size together, one call per k, each row bit for bit its own value."""
+    corpus = [(name, as_profile(prof)) for name, prof in corpus]
+    rsol = {}
+    for n in dict.fromkeys(prof.n for _, prof in corpus):
+        block = [i for i, (_, prof) in enumerate(corpus) if prof.n == n]
+        V = np.array([corpus[i][1].values for i in block])
         for k in k_list:
-            r = expected_rsol(prof, k, mode="exact").mean
+            for i, r in zip(block, _rsol_exact(V, k).tolist()):
+                rsol[i, k] = r
+    rows = []
+    for i, (name, prof) in enumerate(corpus):
+        for k in k_list:
+            r = rsol[i, k]
             g = two_price_benchmark(prof, k).value
             rows.append({
                 "experiment": "rsol-ratio", "profile": name,

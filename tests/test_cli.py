@@ -500,6 +500,21 @@ def test_version_flag(capsys):
     assert f"burnlab {VERSION}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mech", "rsol", "--k", "x"], "argument --k: invalid int value: 'x'"),
+    (["--mech", "rsol"], "the following arguments are required: --k"),
+    (["--mech", "nosuch", "--k", "1"], "argument --mech: invalid choice: 'nosuch'"),
+], ids=["bad-int", "missing-k", "bad-choice"])
+def test_eval_parse_errors_take_one_line(tmp_path, capsys, flags, message):
+    prof = write_profile(tmp_path, [1.0])
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--profile", prof, *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"burnlab: error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_mech_rejected(tmp_path, capsys):
     prof = write_profile(tmp_path, [1.0])
     with pytest.raises(SystemExit):

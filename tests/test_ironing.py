@@ -139,9 +139,14 @@ def test_iron_memo():
     for a in shared:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
-    # the memo keeps neither the result nor its prior alive
+    # the memo keeps the most recent result and its prior alive, and no
+    # other: once another prior is ironed, neither stays
+    assert iron(d, grid=1000) is iv
     ref, dist_ref = weakref.ref(iv), weakref.ref(d)
     del iv, d
+    gc.collect()
+    assert ref() is not None and dist_ref() is not None
+    assert iron(uniform(0.0, 1.0), grid=64).grid == 64
     gc.collect()
     assert ref() is None and dist_ref() is None
 

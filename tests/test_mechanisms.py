@@ -488,6 +488,9 @@ def test_rsol_exact_matches_enumeration(V, k):
 @given(st.lists(st.one_of(st.integers(0, 8).map(lambda j: j / 4),
                           st.floats(0.0, 10.0)), min_size=1, max_size=6),
        st.integers(1, 4))
+# the last price, 0, ties the one above it in a pool child: the pool {3, 1}
+# is worth 2 at price 1 and at price 0, and the smaller price wins
+@example([3.0, 2.0, 1.0], 1)
 @settings(max_examples=200, deadline=None)
 def test_rsol_exact_matches_plain_loop(vals, k):
     ref = rsol_loop(vals, k)

@@ -24,6 +24,7 @@ import test_common
 import test_distributions
 import test_ironing
 import test_mechanisms
+import test_rsol_golden
 import test_simlab
 
 from burnlab import (audit, benchmark, cli, common, distributions, ironing,
@@ -34,9 +35,24 @@ MUTANTS = {
         mechanisms, "_rsol_offer", "up = (val >= best)", "up = (val > best)",
         [test_mechanisms.test_rsol_exact_matches_plain_loop]),
     "pass-vickrey-price-rank-k": (
-        mechanisms, "_rsol_expand", "where=pm == j - k)", "where=pm == j - k + 1)",
+        mechanisms, "_rsol_expand", "where=m == j - k)", "where=m == j - k + 1)",
         [test_mechanisms.test_rsol_exact_matches_enumeration,
          test_mechanisms.test_rsol_exact_matches_plain_loop]),
+    # the fused last level holds its own copies of the tie rule, for each
+    # child, and of the Vickrey rank
+    "leaves-pool-tie-largest-price": (
+        mechanisms, "_rsol_leaves", "(coef[m] * (ps + v) >= best)",
+        "(coef[m] * (ps + v) > best)", [test_mechanisms.test_rsol_exact_matches_plain_loop]),
+    "leaves-served-tie-largest-price": (
+        mechanisms, "_rsol_leaves", "(coef[pm] * ps >= best)", "(coef[pm] * ps > best)",
+        [test_rsol_golden.test_rsol_ratio_rows_golden]),
+    "leaves-vickrey-price-rank-k": (
+        mechanisms, "_rsol_leaves", "where=pm == j - k)", "where=pm == j - k + 1)",
+        [test_rsol_golden.test_rsol_ratio_rows_golden]),
+    # the pool child leaves the last agent out of its pool's count
+    "leaves-pool-count-misses-last-agent": (
+        mechanisms, "_rsol_leaves", "m = pm + 1", "m = pm",
+        [test_rsol_golden.test_rsol_ratio_rows_golden]),
     "learned-price-largest-on-ties": (
         mechanisms, "_learned_price", "prices, np.inf).min(axis=-1)",
         "prices, -np.inf).max(axis=-1)",

@@ -1,0 +1,107 @@
+"""RSOL's exact pass pinned bit for bit.
+
+GOLDEN holds float.hex of mechanisms._rsol_exact, computed at commit ef6eaf4
+(six state arrays, a separate leaf pass, one rsol-ratio call per profile),
+on two sets of inputs: the rsol-ratio corpus at n = 4, 8 and 16 with k = 1,
+2 and 4, and seeded rows with ties, zeros and subnormals at n = 13 to 18,
+across the split above 13 agents where the pass doubles its states in
+groups. Each input is checked as one block of rows and row by row.
+"""
+
+import numpy as np
+import pytest
+
+from burnlab.common import substream
+from burnlab.mechanisms import _rsol_exact
+from burnlab.simlab import experiment_rsol_ratio, worst_case_corpus
+
+GOLDEN = {
+    "corpus-4-k1": [
+        "0x1.b2fffffffffffp-3", "0x1.3000000000000p-1", "0x1.0000000000000p-1",
+        "0x1.e453309b31d3ap-2", "0x1.7c00000000000p-2"],
+    "corpus-4-k2": [
+        "0x1.82fffffffffffp-2", "0x1.5000000000000p+0", "0x1.0000000000000p-1",
+        "0x1.da5c701c8575cp-1", "0x1.0f33333333333p-1"],
+    "corpus-4-k4": [
+        "0x1.e000000000000p-2", "0x1.0000000000000p+1", "0x1.0000000000000p-1",
+        "0x1.39621a392141ep+0", "0x1.4cccccccccccep-1"],
+    "corpus-8-k1": [
+        "0x1.7c0ef77777778p-3", "0x1.0700000000000p-1", "0x1.0000000000000p-1",
+        "0x1.5a1429eec3674p-2", "0x1.0513333333334p-1"],
+    "corpus-8-k2": [
+        "0x1.45eba22222222p-2", "0x1.1b00000000000p+0", "0x1.0000000000000p-1",
+        "0x1.85c4ed56e99b1p-1", "0x1.98c0000000001p-1"],
+    "corpus-8-k4": [
+        "0x1.ce47000000001p-2", "0x1.5d00000000000p+1", "0x1.0000000000000p-1",
+        "0x1.99375265de473p+0", "0x1.1aa6666666667p+0"],
+    "corpus-16-k1": [
+        "0x1.7a72a2115b484p-3", "0x1.000f000000000p-1", "0x1.0000000000000p-1",
+        "0x1.4ac3db8c58454p-2", "0x1.0ab83d9f7390dp-1"],
+    "corpus-16-k2": [
+        "0x1.42a121e600440p-2", "0x1.0077000000000p+0", "0x1.0000000000000p-1",
+        "0x1.5d1999ce46c33p-1", "0x1.2774e5d9f7391p+0"],
+    "corpus-16-k4": [
+        "0x1.aa7758e580000p-2", "0x1.082b000000000p+1", "0x1.0000000000000p-1",
+        "0x1.8e9ab18693906p+0", "0x1.a64db7390d2a6p+0"],
+    "seeded-13-k1": [
+        "0x1.5a7445549fc30p-2", "0x1.80fb150e682c6p-2", "0x0.0000000000001p-1022"],
+    "seeded-13-k3": [
+        "0x1.6c12931569315p+0", "0x1.3e9e4129e412ap+0", "0x0.0000000000002p-1022"],
+    "seeded-14-k1": [
+        "0x1.7c5fc1f07c1f0p-2", "0x1.8c4fd1304637ap-2", "0x0.0000000000001p-1022"],
+    "seeded-14-k3": [
+        "0x1.78af6b0df6b0dp+0", "0x1.8291eb851eb84p+0", "0x0.0000000000002p-1022"],
+    "seeded-15-k1": [
+        "0x1.89e05838b6beap-2", "0x1.67c39f434354cp-2", "0x0.0000000000001p-1022"],
+    "seeded-15-k3": [
+        "0x1.630f237237238p+0", "0x1.68492b52b52b4p+0", "0x0.0000000000002p-1022"],
+    "seeded-16-k1": [
+        "0x1.71897f97f97f8p-2", "0x1.3e731dec0d4c7p-2", "0x0.0000000000001p-1022"],
+    "seeded-16-k3": [
+        "0x1.34fb333333334p+0", "0x1.28524cccccccdp+0", "0x0.0000000000002p-1022"],
+    "seeded-17-k1": [
+        "0x1.6349795ba858cp-2", "0x1.3f11be09d74e4p-2", "0x0.0000000000001p-1022"],
+    "seeded-17-k3": [
+        "0x1.47b3e2be2be2cp+0", "0x1.394d39a9342cep+0", "0x0.0000000000002p-1022"],
+    "seeded-18-k1": [
+        "0x1.3b501c502b693p-2", "0x1.33bf5f1888ab4p-2", "0x0.0000000000001p-1022"],
+    "seeded-18-k3": [
+        "0x1.31c01b9c86955p+0", "0x1.206685ea42078p+0", "0x0.0000000000002p-1022"],
+}
+
+CORPUS = worst_case_corpus(0, sizes=(4, 8, 16))
+
+
+def corpus_rows(n):
+    return np.array([prof.values for _, prof in CORPUS if prof.n == n])
+
+
+def seeded_rows(n):
+    # fifths from 0 to 1: ties and zeros; then one subnormal value, and a
+    # row of subnormals and zeros whose value is itself subnormal
+    V = substream(29, "rsol-golden", n).integers(0, 6, (3, n)) / 5
+    V[1, n // 2] = 5e-324
+    V[2] = np.where(V[2] > 0.5, 5e-324, 0.0)
+    V[2, 0] = 1e-323
+    return V
+
+
+CASES = ([(f"corpus-{n}-k{k}", corpus_rows, n, k)
+          for n in (4, 8, 16) for k in (1, 2, 4)]
+         + [(f"seeded-{n}-k{k}", seeded_rows, n, k)
+            for n in range(13, 19) for k in (1, 3)])
+
+
+@pytest.mark.parametrize("key, rows, n, k", CASES, ids=[c[0] for c in CASES])
+def test_rsol_exact_golden(key, rows, n, k):
+    V = rows(n)
+    assert [x.hex() for x in _rsol_exact(V, k).tolist()] == GOLDEN[key]
+    assert [_rsol_exact(V[r:r + 1], k)[0].hex() for r in range(len(V))] == GOLDEN[key]
+
+
+def test_rsol_ratio_rows_golden():
+    rows = experiment_rsol_ratio(CORPUS, (1, 2, 4))
+    got = {}
+    for row in rows:
+        got.setdefault(f"corpus-{row['n']}-k{row['k']}", []).append(row["rsol"].hex())
+    assert got == {key: GOLDEN[key] for key in got} and len(got) == 9

@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 import os
 import pathlib
@@ -12,7 +13,7 @@ import pytest
 from test_audit import UNPRICED, ladder_oracle, mc_estimate, refusal, rejects
 from test_mechanisms import grid_tol
 
-from burnlab import audit, common, mechanisms, simlab
+from burnlab import audit, common, ironing, mechanisms, simlab
 from burnlab.benchmark import two_price_benchmark
 from burnlab.common import VERSION, Z99, MechanismEval, mc_eval, substream
 from burnlab.distributions import exponential, uniform
@@ -94,6 +95,29 @@ def test_estimate_deterministic():
     assert a.mean == b.mean and a.ci == b.ci
 
 
+def counted_ironings(monkeypatch) -> list:
+    """A list that grows by one each time iron irons afresh, starting with
+    its memo holding no exp(1) result: another prior takes the most recent
+    slot and the collector frees the rest."""
+    iron(uniform(0.0, 1.0), grid=64)
+    gc.collect()
+    calls, hull = [], ironing.lower_convex_hull
+    monkeypatch.setattr(ironing, "lower_convex_hull",
+                        lambda *a: calls.append(1) or hull(*a))
+    return calls
+
+
+def test_estimate_rank_rules_iron_once(monkeypatch):
+    # neither call keeps an iv, and the second reads the first's ironing
+    calls = counted_ironings(monkeypatch)
+    d = exponential(1.0)
+    a = estimate("vickrey", d, 4, 1, 100, 0)
+    b = estimate("logprice", d, 4, 1, 100, 0)
+    assert len(calls) == 1
+    assert (a.mean, b.mean) == (estimate("vickrey", d, 4, 1, 100, 0).mean,
+                                estimate("logprice", d, 4, 1, 100, 0).mean)
+
+
 def test_estimate_validation():
     # reps below 30 and n below 1 fail for every name, exact or Monte Carlo,
     # each with one line
@@ -166,6 +190,12 @@ def test_lb43_experiment():
     assert row["opt_grid"] == DEFAULT_GRID
     assert abs(row["opt_mean"] - 1.0) <= grid_tol(row["opt_grid"], 2)
     assert row["ratio"] == row["g_mean"] / row["opt_mean"]
+
+
+def test_lb43_irons_once(monkeypatch):
+    calls = counted_ironings(monkeypatch)
+    assert experiment_lb43() == experiment_lb43()
+    assert len(calls) == 1
 
 
 def test_lb43_benchmark_rowwise_is_two_price_benchmark():

@@ -225,8 +225,7 @@ def audit_profiles(seed: int, count: int = 100,
         rng = substream(seed, "audit-corpus", idx)
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         if dist is not None:
-            prof = sample_profile(dist, n, rng)
-            values = prof.values.copy()
+            values = sample_profile(dist, n, rng).values.copy()
         else:
             values = 10.0 ** rng.uniform(-1, 1) * rng.random(n)
         if n >= 2 and rng.random() < 0.3:
@@ -370,7 +369,7 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
     # xbar integrated over the strip below the grid, each cell, the strip above
     pieces = np.append(0.5 * (left + right) * np.diff(q),
                        0.5 * (right[-1] + top) * (1.0 - q[-1]))
-    phibar, theta = (np.pad(w, 1, mode="edge")
+    phibar, theta = (np.concatenate((w[:1], w, w[-1:]))
                      for w in (iv.phibar[:-1], iv.cell_slopes))
     gain = n * float((phibar - theta) @ pieces)
     band = slack + 1e-12 * n * float((phibar + theta) @ pieces)

@@ -12,7 +12,7 @@ The pair sweep is a closed form over counts and prefix sums: for each
 candidate c, the number of agents strictly above c and their value sum fix
 every quantity the two-price lottery needs, so a pair costs O(1) and a
 profile with m candidates O(m^2) arithmetic and O(m) memory. Pairs are
-evaluated in blocks of about _BLOCK_PAIRS, keeping each row's maximum, so the
+evaluated in blocks of about _PASS_CELLS, keeping each row's maximum, so the
 m x m value matrix is never built.
 
 Also here: the full-surplus reference point (what transfers-based efficiency
@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .common import _PASS_CELLS
 from .distributions import as_profile
 from .mechanisms import _blended_price, _learned_price, _require_k
 
-# pairs evaluated per block of the two-price sweep; bounds its scratch memory
-_BLOCK_PAIRS = 8192
 # two pair values within this share of max(1, |best|) count as a tie
 _TIE_RTOL = 1e-12
 
@@ -68,7 +67,7 @@ def two_price_benchmark(profile, k: int) -> BenchmarkResult:
 
     The candidates c are 0 and the distinct values, ascending; cnt[i] counts
     the agents strictly above c[i] and tail[i] sums their values. Rows of
-    about _BLOCK_PAIRS / m prices p are evaluated at a time against every
+    about _PASS_CELLS / m prices p are evaluated at a time against every
     q up to the block's largest p, keeping only each row's maximum. The
     result is the smallest pair, p first and then q, whose value is within
     1e-12 * max(1, |best|) of the best one, so pairs that tie up to rounding
@@ -82,7 +81,7 @@ def two_price_benchmark(profile, k: int) -> BenchmarkResult:
     cnt = v.size - np.searchsorted(v, c, side="right")
     tail = np.concatenate((np.cumsum(v[::-1])[::-1], [0.0]))[v.size - cnt]
     cols = np.arange(m)
-    rows = max(1, _BLOCK_PAIRS // m)
+    rows = max(1, _PASS_CELLS // m)
     row_max = np.concatenate([
         _pair_values(k, c, cnt, tail, cols[i:i + rows], cols[:i + rows]).max(axis=1)
         for i in range(0, m, rows)])

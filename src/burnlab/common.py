@@ -16,10 +16,10 @@ Z99 = 2.58
 # Minimum replicate count for any Monte Carlo estimate.
 MIN_REPLICATES = 30
 
-# cells per block of the row-wise Monte Carlo, RSOL's exact pass and every
-# audit interim (the tiled rows too: one call tabulates every agent's identity
-# rule): each float temporary is then 64 KiB, under glibc's default mmap
-# threshold (128 KiB), so it reuses freed heap memory and stays in cache.
+# cells per block of the row-wise Monte Carlo, RSOL's exact pass, the
+# two-price sweep and every audit interim (one call tabulates every agent's
+# identity rule): each float temporary is then 64 KiB, under glibc's default
+# mmap threshold (128 KiB), so it reuses freed heap memory and stays in cache.
 # RSOL's exact pass keeps its state in a packed block of five fields of this
 # size, allocated once per call: state, not temporaries
 _PASS_CELLS = 1 << 13

@@ -41,12 +41,12 @@ each bid's answer from that table, kept for the last profile (_rsol_interim).
 
 Under an i.i.d. prior the lottery, Vickrey, Bayes, the ladder and the
 two-agent mixture are rank rules: an agent's interim win probability xbar
-depends only on its quantile. Each one's entry carries its xbar
-(_lottery_xbar, _vickrey_xbar, _bayes_xbar, _ladder_xbar or _mix_xbar), and
-its prior view integrates the payment identity over xbar once on the
-ironing grid, with no profile drawn (_rank_prior); the lottery's is the
-closed form min(k, n) * mean. The estimator and expected_under_prior read
-the prior view, the ironing-dominance check xbar itself.
+depends only on its quantile. Each one's xbar is derived from its rule
+(_rank_xbar) but Bayes's, whose rule reads the prior (_bayes_xbar), and its
+prior view integrates the payment identity over xbar once on the ironing
+grid, with no profile drawn (_rank_prior); the lottery's is the closed form
+min(k, n) * mean. The estimator and expected_under_prior read the prior
+view, the ironing-dominance check xbar itself.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .ironing import IronedVirtual, check_ironed_for, iron
 
 COST_AGENT_CAP = 20
 RSOL_EXACT_CAP = 20
+_K_MAX = int(np.iinfo(np.intp).max)  # the most units numpy can index
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,15 @@ def _outcome(values: np.ndarray, alloc: np.ndarray, pay: np.ndarray,
 def _require_k(k: int):
     if k < 1:
         raise ValueError("need at least one unit")
+    if k > _K_MAX:
+        raise ValueError(f"at most {_K_MAX} units supported, got {k}")
+
+
+def _require_agents(i, n: int):
+    a = np.asarray(i).reshape(-1)
+    bad = a[(a < 0) | (a >= n)] if a.dtype.kind in "iu" else a
+    if bad.size:
+        raise ValueError(f"agent must be an integer in 0..{n - 1}, got {bad[0].item()!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +125,9 @@ def _tiled(rule):
     its agent, i (an int, or an int array aligned with the bids), in blocks
     of at most _PASS_CELLS cells; with no bids the rule runs once, on none."""
     def interim(values, i, bids):
-        b, agent = np.broadcast_arrays(np.asarray(bids, dtype=float).reshape(-1), i)
         v = np.asarray(values, dtype=float)
+        _require_agents(i, v.size)
+        b, agent = np.broadcast_arrays(np.asarray(bids, dtype=float).reshape(-1), i)
         rows = max(1, _PASS_CELLS // max(v.size, 1))
         x, pay = np.empty((2, b.size))
         for s in range(0, max(b.size, 1), rows):
@@ -611,6 +622,7 @@ def _rsol_interim(k: int, values, i, bids):
     v = np.asarray(values, dtype=float)
     if v.size > RSOL_EXACT_CAP:
         raise ValueError(f"rsol audits take at most {RSOL_EXACT_CAP} agents")
+    _require_agents(i, v.size)
     b = np.asarray(bids, dtype=float)
     agents = np.broadcast_to(i, b.shape)
     asked = np.unique(agents).tolist()
@@ -719,14 +731,10 @@ def expected_rsol(profile, k: int, mode: str = "exact",
 # two-agent mixture
 
 
-def _require_mix(n: int, k: int):
-    if n != 2 or k != 1:
-        raise ValueError("the mixture mechanism is defined for n=2, k=1")
-
-
 def _mix_rule(V: np.ndarray, k: int = 1):
     """1/3 Vickrey, 2/3 free lottery for exactly two agents and one unit."""
-    _require_mix(V.shape[1], k)
+    if V.shape[1] != 2 or k != 1:
+        raise ValueError("the mixture mechanism is defined for n=2, k=1")
     X, P = _vickrey_rule(V, 1)
     return X / 3.0 + 1.0 / 3.0, P / 3.0
 
@@ -783,16 +791,18 @@ def _ladder_run(profile, k: int, rng) -> Outcome:
 # exact expectations under an i.i.d. prior
 
 
-def _binom_pmf(m: int, j: int, p: np.ndarray) -> np.ndarray:
-    """P(Bin(m, p) = j) for each p in [0, 1], through logs so that large m
-    neither overflows the binomial coefficient nor underflows early."""
-    log = math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+def _binom_pmfs(m: int, js: range, p):
+    """P(Bin(m, p) = j) for each j in js and p in [0, 1], through logs taken
+    once, so large m neither overflows the binomial nor underflows early."""
     with np.errstate(divide="ignore"):
+        lp, lq = np.log(p) if js[-1] else None, np.log1p(-p)
+    for j in js:
+        log = math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
         if j:
-            log = log + j * np.log(p)
+            log = log + j * lp
         if m - j:
-            log = log + (m - j) * np.log1p(-p)
-    return np.exp(log)
+            log = log + (m - j) * lq
+        yield np.exp(log)
 
 
 def _rank_win(q: np.ndarray, n: int, L: int) -> np.ndarray:
@@ -800,16 +810,15 @@ def _rank_win(q: np.ndarray, n: int, L: int) -> np.ndarray:
     agents, P(Bin(n - 1, 1 - q) <= L - 1): fewer than L others lie above."""
     if L >= n:
         return np.ones_like(q)
-    return sum(_binom_pmf(n - 1, j, 1.0 - q) for j in range(L))
+    return functools.reduce(np.add, _binom_pmfs(n - 1, range(L), 1.0 - q))
 
 
 def _rank_win_integral(q: float, n: int, k: int) -> float:
     """Integral of _rank_win(s, n, k) over s in [0, q]: E[(B - c)^+] / n for
     B ~ Bin(n, q) and c = max(n - k, 0), because integrating a Bin(n - 1, s)
     term in s gives a Bin(n, q) tail over n."""
-    c = max(n - k, 0)
-    return sum((b - c) * float(_binom_pmf(n, b, q))
-               for b in range(c + 1, n + 1)) / n
+    tail = _binom_pmfs(n, range(max(n - k, 0) + 1, n + 1), q)
+    return sum(i * float(x) for i, x in enumerate(tail, 1)) / n
 
 
 def _check_prior(d, n: int, k: int, iv) -> None:
@@ -861,24 +870,18 @@ def _rank_prior(xbar, d, n: int, k: int, iv) -> tuple[MechanismEval, float]:
             float(n * lo * left[0]))
 
 
-def _lottery_xbar(q, n: int, k: int, iv):
-    """The free lottery's xbar: min(k, n)/n at every quantile."""
-    x = np.full(q.size - 1, min(k, n) / n)
-    return x, x, min(k, n) / n
-
-
-def _vickrey_xbar(q, n: int, k: int, iv):
-    """Vickrey's xbar: the top-k chance, _rank_win."""
-    x = _rank_win(q, n, k)
-    return x[:-1], x[1:], 1.0
-
-
-def _ladder_xbar(q, n: int, k: int, iv):
-    """The ladder's xbar: the mean over its rungs L of min(k, L)/L times the
-    top-L chance."""
-    sizes = _ladder_sizes(n, k)
-    x = sum(min(k, L) / L * _rank_win(q, n, L) for L in sizes) / len(sizes)
-    return x[:-1], x[1:], sum(min(k, L) / L for L in sizes) / len(sizes)
+def _rank_xbar(rule, q, n: int, k: int):
+    """A rank rule's xbar from its rule (V, k, a) at Params' defaults: with x_r
+    rank r's allocation on n distinct values, x_n + sum_r (x_r - x_{r+1}) *
+    _rank_win(q, n, r); a step of 1 is not multiplied, an x_n of 0 not added."""
+    x = rule(np.arange(n, 0, -1.0)[None, :], k, Params())[0][0]
+    xbar = np.full(q.shape, x[-1]) if x[-1] or not x.any() else None
+    for r in np.flatnonzero(x[:-1] != x[1:]).tolist():
+        w = _rank_win(q, n, r + 1)
+        if x[r] - x[r + 1] != 1.0:
+            w *= x[r] - x[r + 1]
+        xbar = w if xbar is None else np.add(xbar, w, out=xbar)
+    return xbar[:-1], xbar[1:], float(x[0])
 
 
 def _bayes_xbar(q, n: int, k: int, iv):
@@ -899,13 +902,6 @@ def _bayes_xbar(q, n: int, k: int, iv):
             if itv.at_top:
                 top = mean
     return left, right, top
-
-
-def _mix_xbar(q, n: int, k: int, iv):
-    """The mixture's xbar: Vickrey's / 3 + 1/3, so 2/3 at the top."""
-    _require_mix(n, k)
-    x = _rank_win(q, n, k) / 3.0 + 1.0 / 3.0
-    return x[:-1], x[1:], 2.0 / 3.0
 
 
 def expected_under_prior(name: str, d, n: int, k: int,
@@ -942,11 +938,12 @@ class Mechanism:
     mc(profile, k, reps, seed) estimates profiles above cap agents.
     A rank rule's xbar(q, n, k, iv) -> (left, right, top) is its interim win
     probability at Params' defaults on the quantile nodes q (see
-    _rank_prior), and its prior(d, n, k, iv) -> (MechanismEval, bottom) is
-    its exact expected residual on n values drawn i.i.d. from d, integrated
-    on iv, d's ironing (built when None), and the part of it earned by bids
-    below the support's bottom lo, n lo xbar(0). Both are None for RSOL, no
-    rank rule, and for the two-price lottery, whose integral is not written."""
+    _rank_prior), derived from its rule (_rank_xbar) but for Bayes's, and
+    its prior(d, n, k, iv) -> (MechanismEval, bottom) is its exact expected
+    residual on n values drawn i.i.d. from d, integrated on iv, d's ironing
+    (built when None), and the part of it earned by bids below the support's
+    bottom lo, n lo xbar(0). Both are None for RSOL, no rank rule, and for
+    the two-price lottery, whose integral is not written."""
 
     reads: tuple[str, ...]
     rule: Callable
@@ -961,19 +958,19 @@ class Mechanism:
     prior: Callable | None = None
 
 
-def _ruled(reads, rule, **views) -> Mechanism:
+def _ruled(reads, rule, rank=False, **views) -> Mechanism:
     """An entry whose views are its rule's: the row residual, unless given
     the same for one profile and the profile's rule row as its run (_run),
-    the tiled interim and, for a rank rule, the prior view _rank_prior
-    integrates from its xbar unless given."""
+    the tiled interim and, for a rank rule, its xbar (_rank_xbar) and the
+    prior view _rank_prior integrates from it, each unless given."""
     def row_run(prof, k, a, rng):
         v = as_profile(prof).values
         return _run(v, *rule(v[None, :], k, a), rng)
 
     views.setdefault("one", lambda prof, k, a: _expected(rule, prof, k, a))
     views.setdefault("run", row_run)
-    xbar = views.get("xbar")
-    if xbar is not None:
+    if rank:
+        xbar = views.setdefault("xbar", lambda q, n, k, iv: _rank_xbar(rule, q, n, k))
         views.setdefault("prior", lambda d, n, k, iv: _rank_prior(xbar, d, n, k, iv))
     return Mechanism(reads, rule, lambda V, k, a: _residual(V, *rule(V, k, a)),
                      interim=lambda k, a: _tiled(lambda V: rule(V, k, a)), **views)
@@ -989,13 +986,11 @@ MECHANISMS = {
     # one profile: the factored lottery value, exact on small profiles
     "plottery": _ruled(("p",), lambda V, k, a: _lottery_rule(V, k, a.p),
                        one=lambda prof, k, a: _lottery_value(prof, k, a.p),
-                       edges=lambda a: (a.p,),
-                       xbar=lambda q, n, k, iv: _lottery_xbar(q, n, k, iv),
+                       edges=lambda a: (a.p,), rank=True,
                        prior=lambda d, n, k, iv: _lottery_prior(d, n, k, iv)),
     "pqlottery": _ruled(("p", "q"), lambda V, k, a: _pq_rule(V, k, a.p, a.q),
                         edges=lambda a: (a.q, a.p)),
-    "vickrey": _ruled((), lambda V, k, a: _vickrey_rule(V, k),
-                      xbar=lambda q, n, k, iv: _vickrey_xbar(q, n, k, iv)),
+    "vickrey": _ruled((), lambda V, k, a: _vickrey_rule(V, k), rank=True),
     # one profile: checked against the prior's support
     "bayes": _ruled(("iv",), lambda V, k, a: _bayes_rule(a.iv, V, k),
                     one=lambda prof, k, a: _bayes_run(
@@ -1003,18 +998,16 @@ MECHANISMS = {
                     run=lambda prof, k, a, rng: _bayes_run(prof, k, a.iv, rng),
                     edges=lambda a: tuple(e for i in a.iv.intervals
                                           for e in (i.v_lo, i.v_hi)),
-                    xbar=lambda q, n, k, iv: _bayes_xbar(q, n, k, iv)),
+                    rank=True, xbar=lambda q, n, k, iv: _bayes_xbar(q, n, k, iv)),
     "rsol": Mechanism((), _no_rule, lambda V, k, a: _rsol_exact(V, k),
                       lambda prof, k, a: expected_rsol(prof, k).mean,
                       lambda k, a: functools.partial(_rsol_interim, k),
                       lambda prof, k, a, rng: _rsol_run(prof, k, rng),
                       cap=RSOL_EXACT_CAP, mc=lambda prof, k, reps, seed:
                       expected_rsol(prof, k, "mc", reps, seed)),
-    "mix": _ruled((), lambda V, k, a: _mix_rule(V, k),
-                  xbar=lambda q, n, k, iv: _mix_xbar(q, n, k, iv)),
-    "logprice": _ruled((), lambda V, k, a: _ladder_rule(V, k),
-                       run=lambda prof, k, a, rng: _ladder_run(prof, k, rng),
-                       xbar=lambda q, n, k, iv: _ladder_xbar(q, n, k, iv)),
+    "mix": _ruled((), lambda V, k, a: _mix_rule(V, k), rank=True),
+    "logprice": _ruled((), lambda V, k, a: _ladder_rule(V, k), rank=True,
+                       run=lambda prof, k, a, rng: _ladder_run(prof, k, rng)),
 }
 # plottery at p = 0, Params' default, as the estimator and identity checks
 # name the free lottery

@@ -147,11 +147,9 @@ def experiment_rsol_ratio(corpus, k_list) -> list[dict]:
             })
     ratios = sorted(row["ratio"] for row in rows)
     mid = len(ratios) // 2
-    lo = min(ratios)
     med = ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
     for row in rows:
-        row["min_ratio"] = lo
-        row["median_ratio"] = med
+        row.update(min_ratio=ratios[0], median_ratio=med)
     return rows
 
 

@@ -209,6 +209,27 @@ def test_extract_interim_rule_rejects_agent_outside_profile(i):
         extract_interim_rule(mech, [3.0, 1.0, 2.0], i, np.linspace(0.0, 4.0, 256))
 
 
+@pytest.mark.parametrize("name", ["vickrey", "rsol"])
+@pytest.mark.parametrize("i, bad", [(3, "3"), (-1, "-1"), (1.0, "1.0"),
+                                    (np.array([0, 1, 2]), None),
+                                    (np.array([0, 5, 1]), "5"),
+                                    (np.array([2, 1, -2]), "-2"),
+                                    (np.array([0.0, 1.0, 2.0]), "0.0")])
+def test_interim_rejects_agent_outside_profile(name, i, bad):
+    # the tiled interim (vickrey) and RSOL's table refuse alike, for one
+    # agent and for an agent array aligned with the bids; -1 no longer
+    # answers for the last agent
+    mech = audit_mechanism(name, 1)
+    values, bids = [3.0, 1.0, 2.0], [1.0, 2.0, 3.0]
+    if bad is None:
+        x, pay = mech.interim(values, i, bids)
+        assert x.shape == pay.shape == (3,)
+        return
+    with pytest.raises(ValueError) as exc:
+        mech.interim(values, i, bids)
+    assert str(exc.value) == f"agent must be an integer in 0..2, got {bad}"
+
+
 def test_firstprice_flagged():
     mech = audit_mechanism("firstprice", 1)
     prof = np.array([3.0, 1.0])

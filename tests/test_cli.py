@@ -515,6 +515,32 @@ def test_eval_parse_errors_take_one_line(tmp_path, capsys, flags, message):
     assert captured.err.count("\n") == 1
 
 
+HUGE_K = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["benchmark", "--k", HUGE_K],
+    ["eval", "--mech", "plottery", "--k", HUGE_K],
+    ["eval", "--mech", "rsol", "--k", HUGE_K],
+    ["eval", "--mech", "vickrey", "--k", HUGE_K],
+    ["experiment", "--name", "rsol-ratio"],
+], ids=["benchmark", "eval-plottery", "eval-rsol", "eval-vickrey", "rsol-ratio"])
+def test_k_beyond_numpy_exits_two(tmp_path, capsys, argv):
+    # numpy cannot hold such a k: one line instead of an OverflowError
+    # traceback, and vickrey refuses where it used to print a value
+    if argv[0] == "experiment":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 4\nk = {HUGE_K}\n")
+        argv = [*argv, "--config", str(cfg)]
+    else:
+        argv = [*argv, "--profile", write_profile(tmp_path, [3.0, 1.0, 2.0])]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"burnlab: error: at most {np.iinfo(np.intp).max} "
+                            f"units supported, got {HUGE_K}\n")
+
+
 def test_unknown_mech_rejected(tmp_path, capsys):
     prof = write_profile(tmp_path, [1.0])
     with pytest.raises(SystemExit):

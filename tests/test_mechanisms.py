@@ -19,7 +19,7 @@ from burnlab.mechanisms import (MECHANISMS, CostOutcome, CostProblem, Params,
                                 _rsol_values, _two_price, _vickrey_rule,
                                 bayes_optimal_with_costs, evaluate,
                                 expected_log_price, expected_rsol,
-                                expected_under_prior, run)
+                                expected_under_prior, run, unpriced)
 from burnlab.simlab import estimate
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
@@ -712,6 +712,35 @@ def test_prior_expectation_closed_forms(grid):
     for d in PRIORS.values():
         for n, k in [(2, 1), (6, 2), (3, 5)]:
             assert expected_under_prior("lottery", d, n, k) == min(k, n) * d.mean
+
+
+def test_rank_xbar_matches_binomial_oracle():
+    # each rank rule's xbar, derived from its rule, against plain Python:
+    # x_r from the rule's own formula, weighted by the chance C(n-1, r-1)
+    # (1 - q)^(r-1) q^(n-r) that an agent at quantile q has rank r
+    def rank_x(name, n, k):
+        if name == "plottery0":
+            return [min(k, n) / n] * n
+        if name == "vickrey":
+            return [float(r <= k) for r in range(1, n + 1)]
+        if name == "mix":
+            return [2 / 3, 1 / 3]
+        sizes = _ladder_sizes(n, k)
+        return [sum(min(k, L) / L * (r <= L) for L in sizes) / len(sizes)
+                for r in range(1, n + 1)]
+
+    qs = [0.0, 0.1, 0.5, 0.9, 1.0 - 1e-9]
+    for name in ["plottery0", "vickrey", "logprice", "mix"]:
+        cases = ([(2, 1)] if name == "mix" else
+                 [(n, k) for n in range(1, 10) for k in (1, 2, 3, 5, 12)])
+        for n, k in cases:
+            x = rank_x(name, n, k)
+            left, right, top = unpriced(name, "xbar").xbar(np.array(qs), n, k, None)
+            assert top == x[0], (name, n, k, top)
+            for q, got in zip(qs, [*left, right[-1]]):
+                want = sum(x[r - 1] * math.comb(n - 1, r - 1) * (1 - q) ** (r - 1)
+                           * q ** (n - r) for r in range(1, n + 1))
+                assert abs(got - want) <= 1e-14, (name, n, k, q, got, want)
 
 
 @pytest.mark.parametrize("prior", PRIORS)

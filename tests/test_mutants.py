@@ -203,7 +203,7 @@ MUTANTS = {
         [test_mechanisms.test_costs_match_mask_loop]),
     # the closed forms on the coarsest grid their test runs
     "prior-top-chance-bound-off-by-one": (
-        mechanisms, "_rank_win", "for j in range(L))", "for j in range(L + 1))",
+        mechanisms, "_rank_win", "range(L), 1.0 - q)", "range(L + 1), 1.0 - q)",
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
     # uniform(0, 1) irons flat: without the averaging Bayes reads Vickrey's
@@ -215,8 +215,8 @@ MUTANTS = {
                            2 ** 10)]),
     # exp(1) at k = 3 has a rung L = 2 < k, where k/L exceeds one unit each
     "prior-ladder-share-k-over-L": (
-        mechanisms, "_ladder_xbar", "min(k, L) / L * _rank_win",
-        "k / L * _rank_win",
+        mechanisms, "_top_share_rule", "[[min(units, L) / L] for L in tops]",
+        "[[units / L] for L in tops]",
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
     # the plain trapezoid on the top cell errs by about 0.03 on pareto(1, 2)
@@ -224,9 +224,14 @@ MUTANTS = {
         mechanisms, "_rank_prior", "g_left[-1] = g_right[-1]", "pass",
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
-    # the mixture's xbar a half above Vickrey's third, its top still 2/3
+    # the mixture's rule, and so its xbar, a half above Vickrey's third
     "prior-mix-offset-half": (
-        mechanisms, "_mix_xbar", "+ 1.0 / 3.0", "+ 1.0 / 2.0",
+        mechanisms, "_mix_rule", "X / 3.0 + 1.0 / 3.0", "X / 3.0 + 1.0 / 2.0",
+        [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
+                           2 ** 10)]),
+    # xbar read from the rule on ascending values: rank r gets x_{n+1-r}
+    "rank-xbar-ranks-reversed": (
+        mechanisms, "_rank_xbar", "np.arange(n, 0, -1.0)", "np.arange(1.0, n + 1.0)",
         [functools.partial(test_mechanisms.test_prior_expectation_closed_forms,
                            2 ** 10)]),
     # the estimator's exact path asks the prior view for one unit more

@@ -349,11 +349,11 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
     integral is the trapezoid of xbar's left and right ends, so Bayes's
     jumps at its intervals' ends count on each side. With no ironing the
     gain is 0.0 exactly. The band is slack plus 1e-12 of the two sides the
-    gain cancels, n * sum_c (phibar_c + theta_c) * int_c xbar dq. No profile
+    gain cancels, n * sum_c (phibar_c + theta_c) * int_c xbar dq, each sum
+    an np.add.reduce, as a BLAS dot's bits vary with its threads. No profile
     is drawn, so reps and seed are not read; reps below MIN_REPLICATES, n or
     k below 1, a negative or non-finite slack and a rule with no xbar
-    (RSOL) are rejected.
-    """
+    (RSOL) are rejected."""
     check_ironed_for(d, iv)
     entry = unpriced(monotone_rule, "xbar")
     # before the default slack, which scales with min(k, n)
@@ -371,8 +371,8 @@ def verify_ironing_dominance(d: ValueDistribution, monotone_rule: str,
                        0.5 * (right[-1] + top) * (1.0 - q[-1]))
     phibar, theta = (np.concatenate((w[:1], w, w[-1:]))
                      for w in (iv.phibar[:-1], iv.cell_slopes))
-    gain = n * float((phibar - theta) @ pieces)
-    band = slack + 1e-12 * n * float((phibar + theta) @ pieces)
+    gain = n * float(np.add.reduce((phibar - theta) * pieces))
+    band = slack + 1e-12 * n * float(np.add.reduce((phibar + theta) * pieces))
     return DominanceReport(gain, 0.0, slack, gain >= -band, abs(gain) <= band,
                            gain > band)
 

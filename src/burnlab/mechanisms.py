@@ -26,18 +26,16 @@ and the audits read the table through _entry, the prior side through unpriced.
 
 RSOL (random-sampling optimal lottery: learn a price on a random half of the
 agents, apply it or Vickrey to the other half) has no rowwise rule. Given a
-halving, the price is one kernel, _learned_price, and each branch is a rule
-row on the serving half, so the MC value (_rsol_values) and the realized run
-derive from _lottery_rule and _vickrey_rule. The exact value, for
-expected_rsol, the estimator and rsol-ratio (one call per size of corpus
-profile), is one doubling pass over the agents in descending order
-(_rsol_exact): each agent doubles the halvings of the agents before it, and
-each halving carries O(1) numbers, packed in one state block, from which
-its learned price, lottery and Vickrey follow; the last agent's doubling
-is fused with the leaf sums (_rsol_leaves), so a profile costs O(2^n). Its
-audit interim sums the opponents' halvings (_rsol_halving_sums) for one bid
-per region of the bid line, every agent of a profile in one call, and reads
-each bid's answer from that table, kept for the last profile (_rsol_interim).
+halving, the price is one kernel, _learned_price, and the realized run draws
+either branch's rule row on the serving half. Vickrey on a random half is a
+closed form on the odds of each rank (_rank_odds): a mean (_vickrey_half)
+and an audit interim. The lottery alone needs the halvings: the MC value
+(_rsol_values) draws them, and the exact value is one doubling pass over
+the agents in descending order (_rsol_exact), O(1) numbers per halving in
+one state block and the last doubling fused with the leaf sums, O(2^n) per
+profile. The audit interim sums the opponents' halvings for one bid per
+region of the bid line (_rsol_halving_sums), every agent of a profile in
+one call, and reads each bid's answer from that table (_rsol_interim).
 
 Under an i.i.d. prior the lottery, Vickrey, Bayes, the ladder and the
 two-agent mixture are rank rules: an agent's interim win probability xbar
@@ -426,23 +424,52 @@ def bayes_optimal_with_costs(prob: CostProblem, profile, rng=None) -> CostOutcom
 # RSOL
 
 
-def _halvings(bits: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Halvings start..stop-1 of the n agents of bits (..., n), capped at 2^n:
-    bit bits[..., j] of the number serves agent j. Shape (..., halvings, n)."""
-    masks = np.arange(start, min(stop, 1 << bits.shape[-1]))
-    return masks[:, None] >> bits[..., None, :] & 1 > 0
+@functools.lru_cache(maxsize=64)
+def _rank_odds(n: int, k: int) -> np.ndarray:
+    """P(Bin(j, 1/2) < k) and P(Bin(j, 1/2) = k), j < n: the chances that fewer
+    than k and exactly k of the j agents above one serve, by Pascal's rule
+    halved row by row, exact while C(j, i) fits 53 bits, up to j = 56."""
+    odds, out = np.eye(1, min(k, n) + 2)[0], np.empty((2, n))
+    for j in range(n):
+        out[:, j] = odds[:k].sum(), odds[min(k, n + 1)]
+        odds = 0.5 * (odds + np.append(0.0, odds[:-1]))
+    out.flags.writeable = False
+    return out
+
+
+def _vickrey_half(V_desc: np.ndarray, k: int, halvings: int = 1) -> np.ndarray:
+    """Vickrey's residual on a random half of each row of V_desc (descending),
+    summed over `halvings` equally likely ones: a value serves with chance
+    1/2, wins if fewer than k above it serve, is the price if k do."""
+    wins, sets = _rank_odds(V_desc.shape[-1], k)
+    return (V_desc * ((wins - k * sets) * (0.5 * halvings))).sum(axis=-1)
+
+
+def _vickrey_half_interim(k: int, o_desc: np.ndarray, b: np.ndarray):
+    """Vickrey's half as an interim (x, pay) at bids b (..., B) of a serving
+    bidder against opponents o_desc (..., m) sorted descending. Ties break
+    uniformly: the bidder takes a slot r drawn uniformly from the opponents
+    not at or below the bid (all, at NaN) to those not below it, wins when
+    fewer than k of the r above serve, and pays the one below that serves
+    with k - 1 serving above it."""
+    o, bid, r = o_desc[..., None, :], b[..., None], np.arange(o_desc.shape[-1] + 1)
+    slots = (((~(o <= bid)).sum(axis=-1, keepdims=True) <= r)
+             & (r <= (~(o < bid)).sum(axis=-1, keepdims=True)))
+    count = slots.sum(axis=-1)
+    # the opponent of rank j sets the price at the slots r <= j
+    wins, sets = _rank_odds(r.size, k)[0], _rank_odds(r.size, k - 1)[1, :-1]
+    price = o * (0.5 * sets) * np.cumsum(slots, axis=-1)[..., :-1]
+    return (slots * wins).sum(axis=-1) / count, price.sum(axis=-1) / count
 
 
 def _rsol_values(V_desc: np.ndarray, member: np.ndarray, k: int) -> np.ndarray:
-    """Expected residual of each (profile, halving) row: a fair coin between
-    the strict lottery at the price the kernel learns on the other half and
-    Vickrey, both on the serving half S with the pool zeroed, which neither
-    rule serves. V_desc (sorted descending along the last axis) and member
-    (True in the serving half) broadcast to 2-D rows."""
+    """Each (profile, halving) row's expected residual: a fair coin between
+    the strict lottery on the serving half at the price learned on the other
+    and Vickrey's half, exact. V_desc (descending) and member broadcast."""
     S = V_desc * member
     p2 = _learned_price(V_desc, ~member, k)[1][:, None]
     return 0.5 * (_residual(S, *_lottery_rule(S, k, p2, strict=True))
-                  + _residual(S, *_vickrey_rule(S, k)))
+                  + _vickrey_half(V_desc, k))
 
 
 def _rsol_offer(F, pm, s: int, j: int, v, start, coef: np.ndarray) -> None:
@@ -452,7 +479,7 @@ def _rsol_offer(F, pm, s: int, j: int, v, start, coef: np.ndarray) -> None:
     best value so far is at most that takes it (so the smallest price wins
     ties) with the lottery the serving agents so far would run at v. coef[m]
     is each winner's share, min(k, m)/m, among m agents."""
-    pm, (ps, ss, _, best, lot) = pm[:, :s], F[:, :, :s]
+    pm, (ps, ss, best, lot) = pm[:, :s], F[:, :, :s]
     val = coef[pm] * (ps - pm * v)
     up = (val >= best) & start
     sr = j - pm
@@ -466,19 +493,13 @@ def _rsol_expand(F, pm, s: int, V_desc: np.ndarray, start: np.ndarray,
     value: the copies where the agent joins the pool stay in place and the
     ones where it serves follow them. Returns the new state count."""
     offers = start.any(axis=0)
-    ps, ss, vick = F[:3]
+    ps, ss = F[:2]
     for j in agents:
         v = V_desc[:, j:j + 1]
         if offers[j]:
             _rsol_offer(F, pm, s, j, v, start[:, j:j + 1], coef)
         F[:, :, s:2 * s] = F[:, :, :s]
         pm[:, s:2 * s] = pm[:, :s]
-        m, sv = pm[:, s:2 * s], vick[:, s:2 * s]
-        # where agent j serves, j - m serving agents are ahead of it: the
-        # top k add their values to Vickrey's residual, and the k+1-st is the
-        # price all k pay
-        np.add(sv, v, out=sv, where=m > j - k)
-        np.subtract(sv, k * v, out=sv, where=m == j - k)
         ss[:, s:2 * s] += v
         pm[:, :s] += 1
         ps[:, :s] += v
@@ -491,29 +512,19 @@ def _rsol_leaves(F, pm, s: int, V_desc: np.ndarray, start: np.ndarray,
     """Double the first s states for the last agent j, laying the children,
     each a full halving, out as _rsol_expand would; offer each the last
     price 0 (where the row has no agent at 0), at which the pool's value is
-    coef[m] * ps and the lottery coef[n - m] * ss; and sum the fair coin
-    between the lottery and Vickrey over the children, per row."""
+    coef[m] * ps and the lottery coef[n - m] * ss; and sum their lotteries."""
     n = V_desc.shape[1]
     j, v = n - 1, V_desc[:, n - 1:]
     if start[:, j].any():
         _rsol_offer(F, pm, s, j, v, start[:, j:], coef)
-    pm, (ps, ss, vick, best, lot) = pm[:, :s], F[:, :, :s]
+    pm, (ps, ss, best, lot) = pm[:, :s], F[:, :, :s]
     last = v != 0
-    out = np.empty((len(v), 2 * s))
-    pool, served = out[:, :s], out[:, s:]
     # where agent j joins the pool: m pool agents sum ps + v
     m = pm + 1
-    up = (coef[m] * (ps + v) >= best) & last
-    np.add(np.where(up, coef[n - m] * ss, lot), vick, out=pool)
-    # where it serves, the lottery's sum and Vickrey's residual take it
-    up = (coef[pm] * ps >= best) & last
-    np.copyto(served, vick)
-    np.add(served, v, out=served, where=pm > j - k)
-    np.subtract(served, k * v, out=served, where=pm == j - k)
-    served += np.where(up, coef[n - pm] * (ss + v), lot)
-    # halving the sum, not each term, keeps a subnormal half from rounding to 0
-    out *= 0.5
-    return out.sum(axis=1)
+    pool = np.where((coef[m] * (ps + v) >= best) & last, coef[n - m] * ss, lot)
+    # where it serves, the lottery's sum takes it
+    served = np.where((coef[pm] * ps >= best) & last, coef[n - pm] * (ss + v), lot)
+    return np.concatenate((pool, served), axis=1).sum(axis=1)
 
 
 def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
@@ -521,17 +532,18 @@ def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
     all 2^n halvings, from one doubling pass over the agents in descending
     order of value, O(2^n) per row. A state is one halving of the agents
     passed so far: the pool's count (int array pm) and, packed in one
-    (5, rows, cells) block F, the pool's sum, which with the count gives the
+    (4, rows, cells) block F, the pool's sum, which with the count gives the
     strict-lottery value of the price now offered (0 and the row's values,
-    as in _learned_price), the serving half's sum and Vickrey residual, and
-    the best value offered so far with the lottery the serving agents above
-    its price run at it. The last agent's doubling is fused with the leaves
-    (_rsol_leaves). Sums add in descending order of value. Up to 13 agents
-    the pass runs for a block of rows at once; beyond, the first 13 are
-    doubled for one row, the rest for groups of those states in turn in a
-    second block G, so every computed array holds at most _PASS_CELLS
-    cells. F and G are allocated once per call; numpy copies a doubling
-    through a temporary of 5 x rows x s cells, as F's fields interleave."""
+    as in _learned_price), the serving half's sum, and the best value
+    offered so far with the lottery the serving agents above its price run
+    at it. The last agent's doubling is fused with the leaves
+    (_rsol_leaves). Sums add in descending order of value; Vickrey's half
+    over every halving (_vickrey_half), in whole weights, joins them before
+    the one scaling by 0.5 / 2^n, so a subnormal row stays exact. Up to 13
+    agents the pass runs for a block of rows at once; beyond, the first 13
+    are doubled for one row, the rest for groups of those states in turn in
+    a second block G: no array exceeds _PASS_CELLS cells. F and G are made
+    once per call; a doubling copies through a 4 x rows x s temporary."""
     _require_k(k)
     rows, n = V.shape
     if not 1 <= n <= RSOL_EXACT_CAP:
@@ -546,11 +558,11 @@ def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
     bits = _PASS_CELLS.bit_length() - 1
     head = min(n - 1, bits)
     step = max(1, _PASS_CELLS >> n)
-    F = np.empty((5, min(rows, step), 1 << head))
+    F = np.empty((4, min(rows, step), 1 << head))
     pm = np.empty(F.shape[1:], dtype=np.intp)
     if n > bits:
         group = _PASS_CELLS >> (n - bits)
-        G = np.empty((5, 1, _PASS_CELLS >> 1))
+        G = np.empty((4, 1, _PASS_CELLS >> 1))
         gm = np.empty(G.shape[1:], dtype=np.intp)
     total = np.zeros(rows)
     for r in range(0, rows, step):
@@ -565,7 +577,7 @@ def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
             G[:, :, :group], gm[:, :group] = F[:, :, h:h + group], pm[:, h:h + group]
             t = _rsol_expand(G, gm, group, Vb, sb, range(head, n - 1), k, coef)
             total[r] += _rsol_leaves(G, gm, t, Vb, sb, k, coef)[0]
-    return total / (1 << n)
+    return (total + _vickrey_half(V_desc, k, 1 << n)) * (0.5 / (1 << n))
 
 
 def _rsol_run(profile, k: int, rng) -> Outcome:
@@ -614,10 +626,9 @@ def _rsol_interim(k: int, values, i, bids):
     NaN last, below it plus the count at or below it. The kernel adds the
     halvings of two or more bid columns in order, and the table has at
     least four, so a bid's answer is bit for bit the kernel's on any two or
-    more bids that hold it. The agents a call asks for and the
-    table lacks are filled in one kernel call; the table is kept for the
-    last profile only (_rsol_table), and a call that asks for no agent
-    leaves it as it is."""
+    more bids that hold it. The agents a call asks for and the table lacks
+    are filled in one kernel call; the table is kept for the last profile
+    only (_rsol_table), and a call that asks for no agent leaves it as is."""
     _require_k(k)
     v = np.asarray(values, dtype=float)
     if v.size > RSOL_EXACT_CAP:
@@ -657,41 +668,31 @@ def _rsol_interim(k: int, values, i, bids):
 def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
     """RSOL's interim at each bid b against the opponents' values o; the
     bidder serves with probability 1/2. o is (..., m) and b (..., B), one
-    row of each per agent. Every halving of the opponents (numbered and
-    summed in submission order) meets every bid, in chunks of about
-    _PASS_CELLS cells over all the agents: a bid above the price p the
-    kernel learns outside the serving half joins the lottery of the M
-    serving opponents above p. Vickrey stays a closed form, as tiling
-    _vickrey_rule over (halving, bid) rows measured 5-6 times slower at n =
-    8: against the k-th highest serving opponent t, a bid above t wins, a
-    bid at t shares the seats the a serving opponents above t leave with
-    the c tied at t, and winners pay t. numpy adds the halvings of two or
-    more bid columns one row after another, in order, but a single
-    column's pairwise."""
-    order = np.argsort(-o, axis=-1, kind="stable")
-    o_desc = np.take_along_axis(o, order, axis=-1)[..., None, :]
-    b, halvings = b[..., None, :], 1 << o.shape[-1]
+    row of each per agent. Every halving of the opponents (bit j of its
+    number serves the j-th highest; summed in order) meets every bid, in
+    chunks of about _PASS_CELLS cells over all the agents: a bid above the
+    price p the kernel learns outside the serving half joins the lottery of
+    the M serving opponents above p; Vickrey's half is added once, in closed
+    form. numpy adds the halvings of two or more bid columns one row after
+    another, in order, but a single column's pairwise."""
+    o_desc = np.sort(o, axis=-1)[..., ::-1]
+    bc, halvings, rank = b[..., None, :], 1 << o.shape[-1], np.arange(o.shape[-1])
     per = max(1, _PASS_CELLS // max(b.size, o.size, 1))
     x = pay = 0.0
     for h in range(0, halvings, per):
-        serve = _halvings(order, h, h + per)
-        p = _learned_price(o_desc, ~serve, k)[1][..., None]
-        m = (serve & (o_desc > p)).sum(axis=-1, keepdims=True) + 1
-        xl = np.where(b > p, np.minimum(k, m) / m, 0.0)
-        few = serve.sum(axis=-1, keepdims=True) < k
-        t = ((serve & (np.cumsum(serve, axis=-1) == k)) * o_desc).sum(axis=-1, keepdims=True)
-        a = (serve & (o_desc > t)).sum(axis=-1, keepdims=True)
-        c = (serve & (o_desc == t)).sum(axis=-1, keepdims=True)
-        xv = np.where(few | (b > t), 1.0, np.where(b == t, (k - a) / (c + 1), 0.0))
-        xs, ps = 0.5 * (xl + xv), 0.5 * (xl * p + xv * np.where(few, 0.0, t))
+        serve = np.arange(h, min(h + per, halvings))[:, None] >> rank & 1 > 0
+        p = _learned_price(o_desc[..., None, :], ~serve, k)[1][..., None]
+        m = (serve & (o_desc[..., None, :] > p)).sum(axis=-1, keepdims=True) + 1
+        xs = np.where(bc > p, np.minimum(k, m) / m, 0.0)
+        ps = xs * p
         # the running sums enter each chunk's first row: chunking keeps the order
         xs[..., 0, :], ps[..., 0, :] = xs[..., 0, :] + x, ps[..., 0, :] + pay
         x, pay = xs.sum(axis=-2), ps.sum(axis=-2)
-    return x * (0.5 / halvings), pay * (0.5 / halvings)
+    xv, pv = _vickrey_half_interim(k, o_desc, b)
+    return 0.25 * (x / halvings + xv), 0.25 * (pay / halvings + pv)
 
 
-def expected_rsol(profile, k: int, mode: str = "exact",
-                  reps: int | None = None,
+def expected_rsol(profile, k: int, mode: str = "exact", reps: int | None = None,
                   seed: int | None = None) -> MechanismEval:
     """Expected residual surplus of RSOL over halves, coin, and lotteries.
 
@@ -699,11 +700,10 @@ def expected_rsol(profile, k: int, mode: str = "exact",
     1/2, in one doubling pass over the agents (O(2^n) work; replicates
     records the 2^n halvings) and takes no reps or seed. MC mode needs both:
     it samples reps >= 30 halvings on seed's stream, each agent serving with
-    probability 1/2, but keeps the branch expectations exact, so only the
-    halving is estimated; its halvings are drawn on blocks of at most 2^13
-    (common.mc_blocks), so only the reps values are whole, and mc_eval
-    joins them: the mean and interval are those of one (reps, n) draw.
-    """
+    probability 1/2, for the lottery alone, whose expectation given the
+    halving is exact, as Vickrey's half is (_rsol_values), on blocks of at
+    most 2^13 (common.mc_blocks), so only the reps values are whole:
+    mc_eval's mean and interval are those of one (reps, n) draw."""
     _require_k(k)
     prof = as_profile(profile)
     n = prof.n

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -492,11 +496,12 @@ def rsol_interim_oracle(values, i, bids, k):
 @settings(max_examples=150, deadline=None)
 def test_rsol_interim_matches_halving_oracle(vals, k, extra, data):
     # values on a coarse grid, so ties are common; bids at, between and
-    # beside the values
+    # beside the values, and NaN, at which every comparison fails, so that it
+    # answers as a bid below every value
     i = data.draw(st.integers(0, len(vals) - 1))
-    bids = np.array(sorted({0.0, *vals, *extra, *(v + 0.125 for v in vals)}))
+    bids = np.array(sorted({0.0, *vals, *extra, *(v + 0.125 for v in vals)}) + [np.nan])
     x, pay = audit_mechanism("rsol", k).interim(np.array(vals), i, bids)
-    ref_x, ref_pay = rsol_interim_oracle(vals, i, bids, k)
+    ref_x, ref_pay = rsol_interim_oracle(vals, i, np.nan_to_num(bids, nan=-1.0), k)
     np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(pay, ref_pay, rtol=1e-12, atol=1e-12)
 
@@ -724,6 +729,28 @@ def test_dominance_strict_when_ironing_binds(iv_uniform, iv_twopiece):
         dom = verify_ironing_dominance(iv.dist, "vickrey", 20000, 11, k=2, n=6,
                                        iv=iv)
         assert dom.strict and not dom.equality, (iv.dist.name, dom)
+
+
+# the stock priors' dominance reports; with the gain a threaded BLAS dot, 22
+# of these 36 read other bits on one thread
+DOMINANCE_REPORTS = """
+from burnlab.audit import verify_ironing_dominance
+from burnlab.distributions import exponential, pareto, two_piece, uniform
+print([verify_ironing_dominance(d, rule, 30, 1, k=k, n=n)
+       for d in (uniform(0.0, 1.0), exponential(1.0), pareto(1.0, 2.0), two_piece())
+       for rule in ("lottery", "vickrey", "bayes") for n, k in ((1, 1), (6, 2), (16, 3))])
+"""
+
+
+def test_dominance_is_independent_of_blas_threads(capsys):
+    # the reports' reprs, which round-trip every float, on one BLAS thread in
+    # a fresh interpreter and on the default threads here
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(pathlib.Path(mechanisms.__file__).parents[1])}
+    one = subprocess.run([sys.executable, "-c", DOMINANCE_REPORTS], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    exec(DOMINANCE_REPORTS, {})
+    assert one.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (6, 2), (8, 1), (8, 4), (20, 3)])

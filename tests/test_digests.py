@@ -1,0 +1,45 @@
+"""perfbench's four output digests, pinned in tier-1.
+
+One pass of each workload in perfbench/workloads.py at seeds 1 and 2, run
+as perfbench/run.py runs it (setup, run_pass, check) but untimed, must pass
+every check and give the digest below. benchmark_gpq is the value that
+BENCH_30/change records; exact_rows, audit_reports and mc_outputs were
+pinned when RSOL's Vickrey half became a closed form and the dominance gain
+a reduction, which moved them at rounding level. The digests do not depend
+on the BLAS thread count. A change that moves an output re-pins its digest
+here and records the old and new values.
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+import burnlab
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+OUTPUTS = {"reproduce": "exact_rows", "audit": "audit_reports",
+           "prior-free": "benchmark_gpq", "prior-mc": "mc_outputs"}
+DIGESTS = {
+    ("reproduce", 1): "f5a8552e9c1a11424eb7c84c18552f5cf679b744de98bc1b6c10f092e5ba5ffc",
+    ("reproduce", 2): "421b9e335f87b69239e9f74ac7e0d8091956d36fd46fd06fd5f347eede54a670",
+    ("audit", 1): "7a0ffcb2a04ce3d0cb5888ca50c63167ddcbc4b913986370408bf4e19171d560",
+    ("audit", 2): "3be1d05e88aeac9f072aadaf31014bcbac8133a14d5688839fca5407dacdfd7b",
+    ("prior-free", 1): "90b35d7e74615004428e77083e1d457804876c9174704bf1552bc1a9d58f8df2",
+    ("prior-free", 2): "46df624bd9afa9120dfe17ed1fee9e146d9b03da16a87ce1254658f59f799641",
+    ("prior-mc", 1): "68776834d3fa5a26dbaeae0da4336ab3e7ff2afb9b30cfe231017e2579df1b4f",
+    ("prior-mc", 2): "99b6ec6163f3cab2bbac795de2551e78a15a5e60d6983e3e76b5ffc9518b0e47",
+}
+
+
+@pytest.mark.parametrize("name, seed", DIGESTS, ids=[f"{n}-{s}" for n, s in DIGESTS])
+def test_workload_digest(name, seed):
+    workload = workloads.WORKLOADS[name]()
+    inputs = workload.setup(burnlab, seed)
+    ops, checks = workloads.Ops(), workloads.Checks()
+    out = workload.run_pass(burnlab, inputs, ops)
+    workload.check(inputs, out, checks)
+    assert ops.errors == [] and checks.failures == []
+    assert checks.digests == {OUTPUTS[name]: DIGESTS[name, seed]}

@@ -14,9 +14,9 @@ from burnlab.distributions import (ValuationProfile, exponential, pareto,
                                    uniform)
 from burnlab.ironing import iron
 from burnlab.mechanisms import (MECHANISMS, CostOutcome, CostProblem, Params,
-                                _bayes_rule, _halvings, _ladder_sizes,
-                                _learned_price, _rsol_exact, _rsol_interim,
-                                _rsol_values, _two_price, _vickrey_rule,
+                                _bayes_rule, _ladder_sizes, _learned_price,
+                                _lottery_rule, _residual, _rsol_exact,
+                                _rsol_interim, _two_price, _vickrey_rule,
                                 bayes_optimal_with_costs, evaluate,
                                 expected_log_price, expected_rsol,
                                 expected_under_prior, run, unpriced)
@@ -456,11 +456,16 @@ def test_rsol_exact_matches_mc(vals, k):
 
 def halving_enumeration(V, k):
     # the n * 2^n enumeration the doubling pass replaced: every halving as a
-    # mask, its coin value from the learned-price kernel, averaged per row
+    # mask, a fair coin between the strict lottery at the learned price and
+    # Vickrey's rule on the masked row, averaged per row
     rows, n = V.shape
     V_desc = np.repeat(np.sort(V, axis=1)[:, ::-1], 2 ** n, axis=0)
-    member = np.tile(_halvings(np.arange(n), 0, 2 ** n), (rows, 1))
-    return _rsol_values(V_desc, member, k).reshape(rows, 2 ** n).mean(axis=-1)
+    member = np.tile(np.arange(2 ** n)[:, None] >> np.arange(n) & 1 > 0, (rows, 1))
+    S = V_desc * member
+    p2 = _learned_price(V_desc, ~member, k)[1][:, None]
+    values = 0.5 * (_residual(S, *_lottery_rule(S, k, p2, strict=True))
+                    + _residual(S, *_vickrey_rule(S, k)))
+    return values.reshape(rows, 2 ** n).mean(axis=-1)
 
 
 @st.composite

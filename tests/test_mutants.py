@@ -21,6 +21,7 @@ import test_audit
 import test_benchmark
 import test_cli
 import test_common
+import test_digests
 import test_distributions
 import test_ironing
 import test_mechanisms
@@ -34,20 +35,24 @@ MUTANTS = {
     "pass-tie-largest-price": (
         mechanisms, "_rsol_offer", "up = (val >= best)", "up = (val > best)",
         [test_mechanisms.test_rsol_exact_matches_plain_loop]),
+    # the rank odds that Vickrey's half reads in the exact pass, the Monte
+    # Carlo and the audit interim: the price set by the k+2-nd value, or k+1
+    # winners
     "pass-vickrey-price-rank-k": (
-        mechanisms, "_rsol_expand", "where=m == j - k)", "where=m == j - k + 1)",
-        [test_mechanisms.test_rsol_exact_matches_enumeration,
-         test_mechanisms.test_rsol_exact_matches_plain_loop]),
+        mechanisms, "_rank_odds", "odds[min(k, n + 1)]", "odds[min(k + 1, n + 1)]",
+        [test_rsol_golden.test_rsol_exact_matches_fraction_oracle,
+         test_rsol_golden.test_rsol_ratio_rows_golden]),
+    "vickrey-half-top-count-plus-one": (
+        mechanisms, "_rank_odds", "odds[:k].sum()", "odds[:k + 1].sum()",
+        [test_rsol_golden.test_rsol_exact_matches_fraction_oracle,
+         test_rsol_golden.test_rsol_ratio_rows_golden]),
     # the fused last level holds its own copies of the tie rule, for each
-    # child, and of the Vickrey rank
+    # child
     "leaves-pool-tie-largest-price": (
         mechanisms, "_rsol_leaves", "(coef[m] * (ps + v) >= best)",
         "(coef[m] * (ps + v) > best)", [test_mechanisms.test_rsol_exact_matches_plain_loop]),
     "leaves-served-tie-largest-price": (
         mechanisms, "_rsol_leaves", "(coef[pm] * ps >= best)", "(coef[pm] * ps > best)",
-        [test_rsol_golden.test_rsol_ratio_rows_golden]),
-    "leaves-vickrey-price-rank-k": (
-        mechanisms, "_rsol_leaves", "where=pm == j - k)", "where=pm == j - k + 1)",
         [test_rsol_golden.test_rsol_ratio_rows_golden]),
     # the pool child leaves the last agent out of its pool's count
     "leaves-pool-count-misses-last-agent": (
@@ -68,12 +73,23 @@ MUTANTS = {
     "run-fixed-band-order": (
         mechanisms, "_run", "order = rng.permutation(band)", "order = band",
         [test_mechanisms.test_realized_band_pairs_are_uniform]),
+    # the Monte Carlo's Vickrey on every agent, not on a random half
     "rsol-values-vickrey-on-all-agents": (
-        mechanisms, "_rsol_values", "_residual(S, *_vickrey_rule(S, k))",
-        "_residual(V_desc, *_vickrey_rule(V_desc, k))",
-        [test_mechanisms.test_rsol_exact_matches_enumeration]),
+        mechanisms, "_rsol_values", "_vickrey_half(V_desc, k))",
+        "_residual(np.atleast_2d(V_desc), *_vickrey_rule(np.atleast_2d(V_desc), k)))",
+        [test_mechanisms.test_rsol_exact_matches_mc]),
+    # the audit interim's Vickrey half: a tie shared with one slot too many,
+    # the price set by the k+1-st serving opponent, and a NaN bid that every
+    # opponent is above taken for one that none is above
     "interim-vickrey-share": (
-        mechanisms, "_rsol_halving_sums", "(k - a) / (c + 1)", "(k - a) / (c + 2)",
+        mechanisms, "_vickrey_half_interim", "(r <= (~(o < bid))",
+        "(r <= 1 + (~(o < bid))", [test_audit.test_rsol_interim_matches_halving_oracle]),
+    "interim-vickrey-price-rank-k": (
+        mechanisms, "_vickrey_half_interim", "_rank_odds(r.size, k - 1)",
+        "_rank_odds(r.size, k)",
+        [test_audit.test_rsol_interim_matches_halving_oracle]),
+    "interim-vickrey-nan-bid-below-all": (
+        mechanisms, "_vickrey_half_interim", "(~(o <= bid))", "(o > bid)",
         [test_audit.test_rsol_interim_matches_halving_oracle]),
     "interim-lottery-count-plus-two": (
         mechanisms, "_rsol_halving_sums", "keepdims=True) + 1", "keepdims=True) + 2",
@@ -160,6 +176,11 @@ MUTANTS = {
     "ladder-rule-one-unit": (
         mechanisms, "_ladder_rule", "sizes, k)", "sizes, 1)",
         [test_simlab.test_estimate_logprice_is_ladder_rule]),
+    # one ulp on the benchmark's value, which the pinned output digest sees
+    "benchmark-value-one-ulp-up": (
+        benchmark, "two_price_benchmark", "BenchmarkResult(float(row[j]),",
+        "BenchmarkResult(float(np.nextafter(row[j], np.inf)),",
+        [functools.partial(test_digests.test_workload_digest, "prior-free", 1)]),
     "sweep-count-side-left": (
         benchmark, "two_price_benchmark", 'np.searchsorted(v, c, side="right")',
         'np.searchsorted(v, c, side="left")',

@@ -37,7 +37,7 @@ def main() -> int:
         path = outdir / f"{config.experiment}.csv"
         path.write_text(rows_to_csv(rows, config.seed))
         print(f"{config.experiment}: {len(rows)} rows -> {path} "
-              f"({time.perf_counter() - t0:.1f}s)")
+              f"({(time.perf_counter() - t0) * 1e3:.1f} ms)")
     return 0
 
 

@@ -30,12 +30,13 @@ halving, the price is one kernel, _learned_price, and the realized run draws
 either branch's rule row on the serving half. Vickrey on a random half is a
 closed form on the odds of each rank (_rank_odds): a mean (_vickrey_half)
 and an audit interim. The lottery alone needs the halvings: the MC value
-(_rsol_values) draws them, and the exact value is one doubling pass over
-the agents in descending order (_rsol_exact), O(1) numbers per halving in
-one state block and the last doubling fused with the leaf sums, O(2^n) per
-profile. The audit interim sums the opponents' halvings for one bid per
-region of the bid line (_rsol_halving_sums), every agent of a profile in
-one call, and reads each bid's answer from that table (_rsol_interim).
+(_rsol_values) draws them, and the exact value is one pass over the agents
+in descending order (_rsol_exact), a Pascal step each: a run of c equal
+values gives c + 1 classes of halvings, weighted C(c, m), so a profile
+costs prod(c + 1) states, 2^n when its values are distinct. The audit
+interim sums the opponents' halvings for one bid per region of the bid line
+(_rsol_halving_sums), every agent of a profile in one call, and reads each
+bid's answer from that table (_rsol_interim).
 
 Under an i.i.d. prior the lottery, Vickrey, Bayes, the ladder and the
 two-agent mixture are rank rules: an agent's interim win probability xbar
@@ -472,111 +473,110 @@ def _rsol_values(V_desc: np.ndarray, member: np.ndarray, k: int) -> np.ndarray:
                   + _vickrey_half(V_desc, k))
 
 
-def _rsol_offer(F, pm, s: int, j: int, v, start, coef: np.ndarray) -> None:
-    """Offer the first s states the price v, the value at position j where
-    the rows in start begin a run of equal values: the pool agents so far
-    are those above it and give its strict-lottery value, and a state whose
-    best value so far is at most that takes it (so the smallest price wins
-    ties) with the lottery the serving agents so far would run at v. coef[m]
-    is each winner's share, min(k, m)/m, among m agents."""
-    pm, (ps, ss, best, lot) = pm[:, :s], F[:, :, :s]
-    val = coef[pm] * (ps - pm * v)
-    up = (val >= best) & start
-    sr = j - pm
-    np.copyto(best, val, where=up)
-    np.copyto(lot, coef[sr] * (ss - sr * v), where=up)
-
-
-def _rsol_expand(F, pm, s: int, V_desc: np.ndarray, start: np.ndarray,
-                 agents: range, k: int, coef: np.ndarray) -> int:
-    """Double the first s states once per agent, in descending order of
-    value: the copies where the agent joins the pool stay in place and the
-    ones where it serves follow them. Returns the new state count."""
-    offers = start.any(axis=0)
-    ps, ss = F[:2]
+def _rsol_expand(F, pm, s: int, V_desc: np.ndarray, first: list,
+                 agents: range, coef: np.ndarray) -> int:
+    """One Pascal step per agent j, in descending order of value. Where a
+    run of equal values starts, the s states are offered its value v as a
+    price: the m pool agents so far are those above it and give its
+    strict-lottery value (coef[m] is each winner's share, min(k, m)/m), and
+    a state whose best value so far is at most that takes it (so the
+    smallest price wins ties) with the lottery the j - m serving agents so
+    far would run at v. The i = j - first[j] agents of j's run passed so far
+    split the states into i + 1 blocks, block t where t of them serve: j
+    joins the pool in place, and a copy of the last block, where j serves,
+    follows. Halvings that differ only in which agents of a run serve meet
+    the same prices and add the same sums, so block t stands for C(c, t) of
+    them after a run of c, and a lone agent doubles the states."""
+    ps, ss, best, lot = F
     for j in agents:
         v = V_desc[:, j:j + 1]
-        if offers[j]:
-            _rsol_offer(F, pm, s, j, v, start[:, j:j + 1], coef)
-        F[:, :, s:2 * s] = F[:, :, :s]
-        pm[:, s:2 * s] = pm[:, :s]
-        ss[:, s:2 * s] += v
+        if 0 < j == first[j]:  # the top price, with no pool above, is worth 0
+            m, sr = pm[:, :s], j - pm[:, :s]
+            val = coef[m] * (ps[:, :s] - m * v)
+            up = val >= best[:, :s]
+            np.copyto(best[:, :s], val, where=up)
+            np.copyto(lot[:, :s], coef[sr] * (ss[:, :s] - sr * v), where=up)
+        base = s // (j - first[j] + 1)
+        F[:, :, s:s + base] = F[:, :, s - base:s]
+        pm[:, s:s + base] = pm[:, s - base:s]
         pm[:, :s] += 1
         ps[:, :s] += v
-        s *= 2
+        ss[:, s:s + base] += v
+        s += base
     return s
 
 
-def _rsol_leaves(F, pm, s: int, V_desc: np.ndarray, start: np.ndarray,
-                 k: int, coef: np.ndarray) -> np.ndarray:
-    """Double the first s states for the last agent j, laying the children,
-    each a full halving, out as _rsol_expand would; offer each the last
-    price 0 (where the row has no agent at 0), at which the pool's value is
-    coef[m] * ps and the lottery coef[n - m] * ss; and sum their lotteries."""
-    n = V_desc.shape[1]
-    j, v = n - 1, V_desc[:, n - 1:]
-    if start[:, j].any():
-        _rsol_offer(F, pm, s, j, v, start[:, j:], coef)
-    pm, (ps, ss, best, lot) = pm[:, :s], F[:, :, :s]
-    last = v != 0
-    # where agent j joins the pool: m pool agents sum ps + v
-    m = pm + 1
-    pool = np.where((coef[m] * (ps + v) >= best) & last, coef[n - m] * ss, lot)
-    # where it serves, the lottery's sum takes it
-    served = np.where((coef[pm] * ps >= best) & last, coef[n - pm] * (ss + v), lot)
-    return np.concatenate((pool, served), axis=1).sum(axis=1)
+@functools.lru_cache(maxsize=64)
+def _rsol_plan(n: int, key: int):
+    """The pass over n agents whose runs of equal values start at key's set
+    bits: each agent's run start; the agents a block of rows steps, all
+    while the leaves fit in _PASS_CELLS, else the runs whose states do; the
+    halvings each of those states and each state's tail stands for, the
+    first run's block varying fastest; and whether a run has two agents."""
+    starts = [j for j in range(n) if key >> j & 1]
+    runs = np.diff(starts + [n])
+    states = np.cumprod(runs + 1)
+    cut = (runs.size if states[-1] <= _PASS_CELLS
+           else int(np.searchsorted(states[:-1], _PASS_CELLS, "right")))
+    w = [np.ones(1), np.ones(1)]
+    for i, c in enumerate(runs):
+        w[i >= cut] = np.outer([math.comb(c, t) for t in range(c + 1)], w[i >= cut]).ravel()
+    for a in w:
+        a.flags.writeable = False
+    return np.repeat(starts, runs).tolist(), (starts + [n])[cut], *w, runs.max() > 1
 
 
 def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
     """Exact expected RSOL residual of each profile row of V: the mean over
-    all 2^n halvings, from one doubling pass over the agents in descending
-    order of value, O(2^n) per row. A state is one halving of the agents
-    passed so far: the pool's count (int array pm) and, packed in one
-    (4, rows, cells) block F, the pool's sum, which with the count gives the
-    strict-lottery value of the price now offered (0 and the row's values,
-    as in _learned_price), the serving half's sum, and the best value
-    offered so far with the lottery the serving agents above its price run
-    at it. The last agent's doubling is fused with the leaves
-    (_rsol_leaves). Sums add in descending order of value; Vickrey's half
-    over every halving (_vickrey_half), in whole weights, joins them before
-    the one scaling by 0.5 / 2^n, so a subnormal row stays exact. Up to 13
-    agents the pass runs for a block of rows at once; beyond, the first 13
-    are doubled for one row, the rest for groups of those states in turn in
-    a second block G: no array exceeds _PASS_CELLS cells. F and G are made
-    once per call; a doubling copies through a 4 x rows x s temporary."""
+    all 2^n halvings, from one pass over the agents in descending order of
+    value, a Pascal step each (_rsol_expand), prod(c + 1) states for runs of
+    c equal values, 2^n for distinct ones, for rows whose runs start alike
+    together (_rsol_plan). A state is a class of halvings: the pool's count
+    (int array pm) and, packed in one (4, rows, cells) block F, the pool's
+    sum, the serving half's sum, and the best strict-lottery value offered
+    so far (the prices are 0 and the row's values, as in _learned_price)
+    with the lottery the serving agents above its price run at it. Sums add
+    in descending order; Vickrey's half (_vickrey_half), in whole weights,
+    joins them before the one scaling by 0.5 / 2^n, so a subnormal row stays
+    exact. Beyond _PASS_CELLS leaves a row is split: groups of the states of
+    its first runs step the rest in turn in a second block G, so no array
+    exceeds _PASS_CELLS cells."""
     _require_k(k)
     rows, n = V.shape
     if not 1 <= n <= RSOL_EXACT_CAP:
         raise ValueError(f"exact mode needs 1 to {RSOL_EXACT_CAP} agents")
     V_desc = np.sort(V, axis=1)[:, ::-1]
-    # a price is offered where a run of equal values starts; the first, with
-    # no pool agent above it, is worth 0 like the zero start state
-    start = np.zeros((rows, n), dtype=bool)
-    start[:, 1:] = V_desc[:, 1:] != V_desc[:, :-1]
-    m = np.arange(n + 1)
-    coef = np.minimum(k, m) / np.maximum(m, 1)
-    bits = _PASS_CELLS.bit_length() - 1
-    head = min(n - 1, bits)
-    step = max(1, _PASS_CELLS >> n)
-    F = np.empty((4, min(rows, step), 1 << head))
-    pm = np.empty(F.shape[1:], dtype=np.intp)
-    if n > bits:
-        group = _PASS_CELLS >> (n - bits)
-        G = np.empty((4, 1, _PASS_CELLS >> 1))
-        gm = np.empty(G.shape[1:], dtype=np.intp)
+    # bit j of a row's key is set where a run of equal values starts
+    keys = 1 + np.left_shift(V_desc[:, 1:] != V_desc[:, :-1], np.arange(1, n)).sum(axis=1)
+    coef = np.minimum(k, np.arange(n + 1)) / np.maximum(np.arange(n + 1), 1)
     total = np.zeros(rows)
-    for r in range(0, rows, step):
-        Vb, sb = V_desc[r:r + step], start[r:r + step]
-        Fb, mb = F[:, :len(Vb)], pm[:len(Vb)]
-        Fb[:, :, 0], mb[:, 0] = 0.0, 0
-        s = _rsol_expand(Fb, mb, 1, Vb, sb, range(head), k, coef)
-        if n <= bits:
-            total[r:r + step] = _rsol_leaves(Fb, mb, s, Vb, sb, k, coef)
-            continue
-        for h in range(0, s, group):
-            G[:, :, :group], gm[:, :group] = F[:, :, h:h + group], pm[:, h:h + group]
-            t = _rsol_expand(G, gm, group, Vb, sb, range(head, n - 1), k, coef)
-            total[r] += _rsol_leaves(G, gm, t, Vb, sb, k, coef)[0]
+    for key in np.unique(keys).tolist():
+        at = np.flatnonzero(keys == key)
+        first, head, w_head, w_tail, tied = _rsol_plan(n, key)
+        step = max(1, _PASS_CELLS // (w_head.size * w_tail.size))
+        F = np.empty((4, min(at.size, step), w_head.size))
+        pm = np.empty(F.shape[1:], dtype=np.intp)
+        # split, the tails of groups of the block's states in turn, in G
+        group, G, gm = _PASS_CELLS // w_tail.size, F, pm
+        if w_tail.size > 1:
+            G, gm = np.empty((4, 1, _PASS_CELLS)), np.empty((1, _PASS_CELLS), dtype=np.intp)
+        for r in range(0, at.size, step):
+            rb = at[r:r + step]
+            Vb, Fb, mb = V_desc[rb], F[:, :rb.size], pm[:rb.size]
+            Fb[:, :, 0], mb[:, 0] = 0.0, 0
+            s = _rsol_expand(Fb, mb, 1, Vb, first, range(head), coef)
+            for h in range(0, s, group):
+                g = min(group, s - h)
+                if G is not F:
+                    G[:, :, :g], gm[:, :g] = F[:, :, h:h + g], pm[:, h:h + g]
+                t = _rsol_expand(G[:, :rb.size], gm[:rb.size], g, Vb, first, range(head, n), coef)
+                # each leaf, a full halving, is offered the last price, 0,
+                # where the row has no agent at 0
+                (ps, ss, best, lot), m = G[:, :rb.size, :t], gm[:rb.size, :t]
+                lots = np.where((coef[m] * ps >= best) & (Vb[:, -1:] != 0), coef[n - m] * ss, lot)
+                if tied:
+                    lots *= np.outer(w_tail, w_head[h:h + g]).ravel()
+                total[rb] += lots.sum(axis=1)
     return (total + _vickrey_half(V_desc, k, 1 << n)) * (0.5 / (1 << n))
 
 
@@ -697,7 +697,7 @@ def expected_rsol(profile, k: int, mode: str = "exact", reps: int | None = None,
     """Expected residual surplus of RSOL over halves, coin, and lotteries.
 
     Exact mode averages all 2^n halvings (n <= 20), both branches weighted
-    1/2, in one doubling pass over the agents (O(2^n) work; replicates
+    1/2, in one pass over the agents (_rsol_exact, <= 2^n states; replicates
     records the 2^n halvings) and takes no reps or seed. MC mode needs both:
     it samples reps >= 30 halvings on seed's stream, each agent serving with
     probability 1/2, for the lottery alone, whose expectation given the

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import full_surplus, two_price_benchmark
+from .benchmark import two_price_benchmark
 from .common import (VERSION, MechanismEval, check_draws, mc_blocks, mc_eval,
                      quantile_draw, substream)
 from .distributions import (ValuationProfile, ValueDistribution, as_profile,
                             exponential)
 from .ironing import iron
-from .mechanisms import (PRIOR_OPTIMAL, Params, _rsol_exact,
-                         expected_log_price, expected_under_prior, unpriced)
+from .mechanisms import (PRIOR_OPTIMAL, Params, _ladder_rule, _residual,
+                         _rsol_exact, expected_under_prior, unpriced)
 
 
 # ---------------------------------------------------------------------------
@@ -122,29 +122,31 @@ def experiment_surplus_gap(n_list, k: int) -> list[dict]:
     return rows
 
 
-def experiment_rsol_ratio(corpus, k_list) -> list[dict]:
-    """Exact random-sampling-lottery value against the two-price benchmark
-    on every corpus profile; min and median ratios are repeated on each row
-    so the CSV is self-contained. RSOL's exact pass takes the profiles of
-    one size together, one call per k, each row bit for bit its own value."""
+def _by_size(corpus, k_list, values) -> list[tuple]:
+    """(name, profile, k, value) for each corpus profile and k in order, the
+    value from values(V, k) on the profiles of each size stacked as the rows
+    of V, one call per k, each row bit for bit the profile's own."""
     corpus = [(name, as_profile(prof)) for name, prof in corpus]
-    rsol = {}
+    out = {}
     for n in dict.fromkeys(prof.n for _, prof in corpus):
         block = [i for i, (_, prof) in enumerate(corpus) if prof.n == n]
         V = np.array([corpus[i][1].values for i in block])
         for k in k_list:
-            for i, r in zip(block, _rsol_exact(V, k).tolist()):
-                rsol[i, k] = r
+            out.update(zip([(i, k) for i in block], values(V, k).tolist()))
+    return [(name, prof, k, out[i, k]) for i, (name, prof) in enumerate(corpus)
+            for k in k_list]
+
+
+def experiment_rsol_ratio(corpus, k_list) -> list[dict]:
+    """Exact random-sampling-lottery value against the two-price benchmark
+    on every corpus profile; min and median ratios are repeated on each row
+    so the CSV is self-contained. RSOL's exact pass takes the profiles of
+    one size together (_by_size)."""
     rows = []
-    for i, (name, prof) in enumerate(corpus):
-        for k in k_list:
-            r = rsol[i, k]
-            g = two_price_benchmark(prof, k).value
-            rows.append({
-                "experiment": "rsol-ratio", "profile": name,
-                "n": prof.values.size, "k": k, "rsol": r, "g": g,
-                "ratio": r / g if g > 0 else float("inf"),
-            })
+    for name, prof, k, r in _by_size(corpus, k_list, _rsol_exact):
+        g = two_price_benchmark(prof, k).value
+        rows.append({"experiment": "rsol-ratio", "profile": name, "n": prof.n, "k": k,
+                     "rsol": r, "g": g, "ratio": r / g if g > 0 else float("inf")})
     ratios = sorted(row["ratio"] for row in rows)
     mid = len(ratios) // 2
     med = ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
@@ -155,22 +157,20 @@ def experiment_rsol_ratio(corpus, k_list) -> list[dict]:
 
 def experiment_thmub(profile_corpus, k_list) -> list[dict]:
     """Log-price ladder mechanism against the full-surplus guarantee
-    V*/(2(1+log2(n/k))) on every corpus profile."""
+    V*/(2(1+log2(n/k))) on every corpus profile with k <= n. The profiles of
+    one size take one ladder rule call per k (_by_size), and the full
+    surplus is the top-k sum of their sorted rows."""
+    # each row's ladder value and full surplus
+    values = _by_size(profile_corpus, k_list, lambda V, k: np.stack(
+        (_residual(V, *_ladder_rule(V, k)), np.sort(V)[:, ::-1][:, :k].sum(axis=1)), axis=1))
     rows = []
-    for name, prof in profile_corpus:
-        prof = as_profile(prof)
-        n = prof.values.size
-        for k in k_list:
-            if k > n:
-                continue
-            lp = expected_log_price(prof, k)
-            full = full_surplus(prof, k)
-            bound = full / (2.0 * (1.0 + math.log2(n / k)))
-            rows.append({
-                "experiment": "thmub", "profile": name, "n": n, "k": k,
-                "logprice": lp, "full": full, "bound": bound,
-                "slack": lp - bound, "passed": lp >= bound,
-            })
+    for name, prof, k, (lp, full) in values:
+        if k > prof.n:
+            continue
+        bound = full / (2.0 * (1.0 + math.log2(prof.n / k)))
+        rows.append({"experiment": "thmub", "profile": name, "n": prof.n, "k": k,
+                     "logprice": lp, "full": full, "bound": bound,
+                     "slack": lp - bound, "passed": lp >= bound})
     return rows
 
 

@@ -481,12 +481,17 @@ def rsol_interim_oracle(values, i, bids, k):
                 m = 1 + sum(v > price for v in serve)
                 x[idx] += 0.5 * min(k, m) / m
                 pay[idx] += 0.5 * min(k, m) / m * price
-            above = sum(v > b for v in serve)
+            # as in the kernel, a NaN bid is at or below no opponent, so it
+            # ranks below them all, as -inf does
+            above = sum(not v <= b for v in serve)
             tied = sum(v == b for v in serve)
             win = min(1.0, max(0.0, (k - above) / (tied + 1)))
-            everyone = sorted(serve + [b], reverse=True)
             x[idx] += 0.5 * win
-            pay[idx] += 0.5 * win * (everyone[k] if len(everyone) > k else 0.0)
+            if win:
+                # the k+1-st of the serving half and the bid; one that ranks
+                # below every opponent and wins has fewer than k of them above
+                everyone = sorted(serve + [b], reverse=True)
+                pay[idx] += 0.5 * win * (everyone[k] if len(everyone) > k else 0.0)
     scale = 0.5 / (1 << len(opp))
     return np.array(x) * scale, np.array(pay) * scale
 
@@ -496,12 +501,13 @@ def rsol_interim_oracle(values, i, bids, k):
 @settings(max_examples=150, deadline=None)
 def test_rsol_interim_matches_halving_oracle(vals, k, extra, data):
     # values on a coarse grid, so ties are common; bids at, between and
-    # beside the values, and NaN, at which every comparison fails, so that it
-    # answers as a bid below every value
+    # beside the values, -inf, and NaN, at which every comparison fails, so
+    # that it answers as a bid below every value
     i = data.draw(st.integers(0, len(vals) - 1))
-    bids = np.array(sorted({0.0, *vals, *extra, *(v + 0.125 for v in vals)}) + [np.nan])
+    bids = np.array([-np.inf, *sorted({0.0, *vals, *extra, *(v + 0.125 for v in vals)}),
+                     np.nan])
     x, pay = audit_mechanism("rsol", k).interim(np.array(vals), i, bids)
-    ref_x, ref_pay = rsol_interim_oracle(vals, i, np.nan_to_num(bids, nan=-1.0), k)
+    ref_x, ref_pay = rsol_interim_oracle(vals, i, bids, k)
     np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(pay, ref_pay, rtol=1e-12, atol=1e-12)
 

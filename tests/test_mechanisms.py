@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_audit import (lottery_oracle, mc_estimate, rejects, rsol_loop,
                         strict_scan)
 
-from burnlab.common import substream
+from burnlab.common import _PASS_CELLS, substream
 from burnlab.distributions import (ValuationProfile, exponential, pareto,
                                    piecewise_inverse_hazard, two_piece,
                                    uniform)
@@ -16,7 +16,8 @@ from burnlab.ironing import iron
 from burnlab.mechanisms import (MECHANISMS, CostOutcome, CostProblem, Params,
                                 _bayes_rule, _ladder_sizes, _learned_price,
                                 _lottery_rule, _residual, _rsol_exact,
-                                _rsol_interim, _two_price, _vickrey_rule,
+                                _rsol_interim, _rsol_plan, _two_price,
+                                _vickrey_rule,
                                 bayes_optimal_with_costs, evaluate,
                                 expected_log_price, expected_rsol,
                                 expected_under_prior, run, unpriced)
@@ -500,6 +501,29 @@ def test_rsol_exact_matches_enumeration(V, k):
 def test_rsol_exact_matches_plain_loop(vals, k):
     ref = rsol_loop(vals, k)
     assert abs(expected_rsol(vals, k).mean - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_rsol_exact_splits_tied_rows(n):
+    # distinct values but for a pair at the top, a pair at the bottom, or two
+    # pairs: more than _PASS_CELLS states, so the pass steps the first runs
+    # for one row and the tails for groups of those states, the last group
+    # short where the tail's states do not divide _PASS_CELLS; the pair at
+    # the bottom is a run inside each tail
+    V = substream(32, "rsol-split-ties", n).random((3, n))
+    V[0, 1] = V[0, 0]
+    V[1, :2], V[1, 2:] = 0.5, V[1, 2:] + 1.0
+    V[2, [3, 6]] = V[2, [4, 7]]
+    short = []
+    for row in V:
+        desc = np.sort(row)[::-1]
+        key = int(np.append(True, desc[1:] != desc[:-1]) @ (1 << np.arange(n)))
+        _, _, w_head, w_tail, _ = _rsol_plan(n, key)
+        assert w_tail.size > 1
+        short.append(w_head.size % (_PASS_CELLS // w_tail.size) > 0)
+    assert any(short)
+    ref = np.concatenate([halving_enumeration(V[r:r + 1], 2) for r in range(len(V))])
+    np.testing.assert_allclose(_rsol_exact(V, 2), ref, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("rows, n", [(2100, 3), (40, 9), (3, 13), (3, 15)])

@@ -33,8 +33,27 @@ from burnlab import (audit, benchmark, cli, common, distributions, ironing,
 
 MUTANTS = {
     "pass-tie-largest-price": (
-        mechanisms, "_rsol_offer", "up = (val >= best)", "up = (val > best)",
+        mechanisms, "_rsol_expand", "up = val >= best[:, :s]", "up = val > best[:, :s]",
         [test_mechanisms.test_rsol_exact_matches_plain_loop]),
+    # a run of c equal values: block m weighted C(c, m - 1), by Pascal's rule
+    # C(c + 1, m) - C(c, m), where it stands for C(c, m) halvings
+    "pass-run-weight-one-off": (
+        mechanisms, "_rsol_plan", "math.comb(c, t)", "(math.comb(c + 1, t) - math.comb(c, t))",
+        [test_rsol_golden.test_rsol_exact_closed_forms,
+         test_rsol_golden.test_rsol_exact_matches_fraction_oracle]),
+    # inside a run, the agent's value goes to the serving sum where it joins
+    # the pool and to the pool's sum where it serves
+    "pass-run-join-serve-swapped": (
+        mechanisms, "_rsol_expand", "ps[:, :s] += v\n        ss[:, s:s + base] += v",
+        "join, serve = (ps, ss) if j == first[j] else (ss, ps)\n"
+        "        join[:, :s] += v\n        serve[:, s:s + base] += v",
+        [test_rsol_golden.test_rsol_exact_closed_forms,
+         test_rsol_golden.test_rsol_exact_matches_fraction_oracle]),
+    # a split row's tails weighted with the head's block varying slowest
+    "pass-split-weights-transposed": (
+        mechanisms, "_rsol_exact", "np.outer(w_tail, w_head[h:h + g])",
+        "np.outer(w_head[h:h + g], w_tail)",
+        [functools.partial(test_mechanisms.test_rsol_exact_splits_tied_rows, 14)]),
     # the rank odds that Vickrey's half reads in the exact pass, the Monte
     # Carlo and the audit interim: the price set by the k+2-nd value, or k+1
     # winners
@@ -46,17 +65,14 @@ MUTANTS = {
         mechanisms, "_rank_odds", "odds[:k].sum()", "odds[:k + 1].sum()",
         [test_rsol_golden.test_rsol_exact_matches_fraction_oracle,
          test_rsol_golden.test_rsol_ratio_rows_golden]),
-    # the fused last level holds its own copies of the tie rule, for each
-    # child
+    # the leaves' offer of the last price, 0, holds its own copy of the tie
+    # rule
     "leaves-pool-tie-largest-price": (
-        mechanisms, "_rsol_leaves", "(coef[m] * (ps + v) >= best)",
-        "(coef[m] * (ps + v) > best)", [test_mechanisms.test_rsol_exact_matches_plain_loop]),
-    "leaves-served-tie-largest-price": (
-        mechanisms, "_rsol_leaves", "(coef[pm] * ps >= best)", "(coef[pm] * ps > best)",
-        [test_rsol_golden.test_rsol_ratio_rows_golden]),
-    # the pool child leaves the last agent out of its pool's count
+        mechanisms, "_rsol_exact", "(coef[m] * ps >= best)", "(coef[m] * ps > best)",
+        [test_mechanisms.test_rsol_exact_matches_plain_loop]),
+    # the last agent joins the pool but is left out of its count
     "leaves-pool-count-misses-last-agent": (
-        mechanisms, "_rsol_leaves", "m = pm + 1", "m = pm",
+        mechanisms, "_rsol_expand", "pm[:, :s] += 1", "pm[:, :s] += j < V_desc.shape[1] - 1",
         [test_rsol_golden.test_rsol_ratio_rows_golden]),
     "learned-price-largest-on-ties": (
         mechanisms, "_learned_price", "prices, np.inf).min(axis=-1)",

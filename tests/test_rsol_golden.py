@@ -1,20 +1,24 @@
-"""RSOL's exact pass pinned bit for bit, and held to an exact oracle.
+"""RSOL's exact pass pinned bit for bit, and held to exact oracles.
 
-GOLDEN holds float.hex of mechanisms._rsol_exact, computed by the pass of
-four state fields that carries the lottery alone, Vickrey's half added once
-per row as a closed form (pinned at the commit after 737ab45; 25 of the 81
-values moved by one or two ulps from ef6eaf4's six-array pass), on two sets
-of inputs: the rsol-ratio corpus at n = 4, 8 and 16 with k = 1, 2 and 4,
-and seeded rows with ties, zeros and subnormals at n = 13 to 18, across the
-split above 13 agents where the pass doubles its states in groups. Each
-input is checked as one block of rows and row by row.
+GOLDEN holds float.hex of mechanisms._rsol_exact, computed by the pass that
+takes a run of c equal values as c Pascal steps, c + 1 blocks of states
+weighted C(c, m), and a row of distinct values as one doubling per agent,
+Vickrey's half added once per row as a closed form. It was re-pinned when
+runs of equal values became Pascal steps: the 18 values of rows with
+distinct values kept their bits, and 17 of the 63 values of tied rows moved
+by one or two ulps from the doubling pass at d80fabc. The inputs: the
+rsol-ratio corpus at n = 4, 8 and 16 with k = 1, 2 and 4, and seeded rows
+with ties, zeros and subnormals at n = 13 to 18. Each input is checked as
+one block of rows and row by row.
 
 rsol_fraction enumerates every halving in exact rationals. Its profiles are
 dyadic, in eighths: on tenths the learned price's tie between two candidate
 prices is decided in float, and a rational oracle may take the other price.
+Beyond its reach, spike-n and equal-n have closed forms up to 20 agents.
 """
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -35,19 +39,19 @@ GOLDEN = {
         "0x1.39621a392141ep+0", "0x1.4cccccccccccep-1"],
     "corpus-8-k1": [
         "0x1.7c0ef77777777p-3", "0x1.0700000000000p-1", "0x1.0000000000000p-1",
-        "0x1.5a1429eec3674p-2", "0x1.0513333333334p-1"],
+        "0x1.5a1429eec3674p-2", "0x1.0513333333333p-1"],
     "corpus-8-k2": [
         "0x1.45eba22222222p-2", "0x1.1b00000000000p+0", "0x1.0000000000000p-1",
-        "0x1.85c4ed56e99b0p-1", "0x1.98c0000000001p-1"],
+        "0x1.85c4ed56e99b0p-1", "0x1.98c0000000000p-1"],
     "corpus-8-k4": [
         "0x1.ce47000000000p-2", "0x1.5d00000000000p+1", "0x1.0000000000000p-1",
-        "0x1.99375265de472p+0", "0x1.1aa6666666667p+0"],
+        "0x1.99375265de472p+0", "0x1.1aa6666666666p+0"],
     "corpus-16-k1": [
         "0x1.7a72a2115b484p-3", "0x1.000f000000000p-1", "0x1.0000000000000p-1",
-        "0x1.4ac3db8c58454p-2", "0x1.0ab83d9f7390ep-1"],
+        "0x1.4ac3db8c58454p-2", "0x1.0ab83d9f7390dp-1"],
     "corpus-16-k2": [
         "0x1.42a121e600440p-2", "0x1.0077000000000p+0", "0x1.0000000000000p-1",
-        "0x1.5d1999ce46c32p-1", "0x1.2774e5d9f7392p+0"],
+        "0x1.5d1999ce46c32p-1", "0x1.2774e5d9f7391p+0"],
     "corpus-16-k4": [
         "0x1.aa7758e580000p-2", "0x1.082b000000000p+1", "0x1.0000000000000p-1",
         "0x1.8e9ab18693907p+0", "0x1.a64db7390d2a7p+0"],
@@ -58,23 +62,23 @@ GOLDEN = {
     "seeded-14-k1": [
         "0x1.7c5fc1f07c1f0p-2", "0x1.8c4fd13046379p-2", "0x0.0000000000001p-1022"],
     "seeded-14-k3": [
-        "0x1.78af6b0df6b0ep+0", "0x1.8291eb851eb84p+0", "0x0.0000000000002p-1022"],
+        "0x1.78af6b0df6b0ep+0", "0x1.8291eb851eb85p+0", "0x0.0000000000002p-1022"],
     "seeded-15-k1": [
-        "0x1.89e05838b6be9p-2", "0x1.67c39f434354cp-2", "0x0.0000000000001p-1022"],
+        "0x1.89e05838b6beap-2", "0x1.67c39f434354dp-2", "0x0.0000000000001p-1022"],
     "seeded-15-k3": [
-        "0x1.630f237237238p+0", "0x1.68492b52b52b5p+0", "0x0.0000000000002p-1022"],
+        "0x1.630f237237237p+0", "0x1.68492b52b52b5p+0", "0x0.0000000000002p-1022"],
     "seeded-16-k1": [
-        "0x1.71897f97f97fap-2", "0x1.3e731dec0d4c8p-2", "0x0.0000000000001p-1022"],
+        "0x1.71897f97f97f9p-2", "0x1.3e731dec0d4c8p-2", "0x0.0000000000001p-1022"],
     "seeded-16-k3": [
         "0x1.34fb333333334p+0", "0x1.28524cccccccdp+0", "0x0.0000000000002p-1022"],
     "seeded-17-k1": [
-        "0x1.6349795ba858bp-2", "0x1.3f11be09d74e4p-2", "0x0.0000000000001p-1022"],
+        "0x1.6349795ba858cp-2", "0x1.3f11be09d74e5p-2", "0x0.0000000000001p-1022"],
     "seeded-17-k3": [
-        "0x1.47b3e2be2be2bp+0", "0x1.394d39a9342cep+0", "0x0.0000000000002p-1022"],
+        "0x1.47b3e2be2be2cp+0", "0x1.394d39a9342cep+0", "0x0.0000000000002p-1022"],
     "seeded-18-k1": [
-        "0x1.3b501c502b693p-2", "0x1.33bf5f1888ab6p-2", "0x0.0000000000001p-1022"],
+        "0x1.3b501c502b692p-2", "0x1.33bf5f1888ab5p-2", "0x0.0000000000001p-1022"],
     "seeded-18-k3": [
-        "0x1.31c01b9c86954p+0", "0x1.206685ea4207ap+0", "0x0.0000000000002p-1022"],
+        "0x1.31c01b9c86953p+0", "0x1.206685ea42078p+0", "0x0.0000000000002p-1022"],
 }
 
 CORPUS = worst_case_corpus(0, sizes=(4, 8, 16))
@@ -139,12 +143,38 @@ def rsol_fraction(values, k):
 
 
 def test_rsol_exact_matches_fraction_oracle():
-    # 80 seeded profiles of eighths in [0, 2], n <= 9 and k <= 4, and the
-    # zero profile: within 4e-16 relative, and 0 where the value is 0. Over
-    # 900 such profiles the pass erred by at most 1.44e-16
+    # 80 seeded profiles of eighths in [0, 2], n <= 9 and k <= 4, 20 more
+    # that end in a run of zeros, where no price-0 offer is made at the
+    # leaves, and the zero profile: within 4e-16 relative, and 0 where the
+    # value is 0. Over 900 such profiles, a third of them ending in zeros,
+    # the pass erred by at most 1.78e-16, and the doubling pass before it by
+    # at most 1.56e-16
     rng = substream(31, "rsol-fraction")
     cases = [(rng.integers(0, 17, int(rng.integers(1, 10))) / 8, int(rng.integers(1, 5)))
-             for _ in range(80)] + [(np.zeros(3), 2)]
-    for V, k in cases:
+             for _ in range(80)]
+    for _ in range(20):
+        zeros = int(rng.integers(2, 6))
+        V = np.concatenate((rng.integers(1, 17, int(rng.integers(1, 10 - zeros))) / 8,
+                            np.zeros(zeros)))
+        cases.append((V, int(rng.integers(1, 5))))
+    for V, k in cases + [(np.zeros(3), 2)]:
         ref, got = rsol_fraction(V.tolist(), k), _rsol_exact(V[None, :], k)[0]
         assert got == 0.0 if ref == 0 else abs(Fraction(got) - ref) <= 4e-16 * ref, (V, k)
+
+
+def test_rsol_exact_closed_forms():
+    # S ~ Bin(n, 1/2) agents serve. spike-n, (1, 0, ..., 0), is worth
+    # exactly 1/2: the top agent serves half the time, then wins at price 0
+    # in either branch. On equal-n at v every price learned is 0, so the
+    # lottery gives v * min(k, S) and Vickrey v * S when S <= k, else 0.
+    # Both hold to the bit at dyadic v for n = 1 to 20 and k = 1 to n + 1
+    for n in range(1, 21):
+        weights = [Fraction(comb(n, s), 2 << n) for s in range(n + 1)]
+        spike = np.zeros((1, n))
+        spike[0, 0] = 1.0
+        for k in range(1, n + 2):
+            assert _rsol_exact(spike, k)[0] == 0.5, (n, k)
+            equal = sum(w * (min(k, s) + (s if s <= k else 0)) for s, w in enumerate(weights))
+            for v in (1.0, 0.375, 2.5):
+                ref = float(Fraction(v) * equal)
+                assert _rsol_exact(np.full((1, n), v), k)[0] == ref, (n, k, v)

@@ -3,6 +3,7 @@ import gc
 import math
 import os
 import pathlib
+import re
 import runpy
 import statistics
 import subprocess
@@ -531,9 +532,13 @@ def test_reproduce_script(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, str(REPRODUCE_SCRIPT), "--outdir",
-                    str(tmp_path)], env=env, check=True, capture_output=True)
+    out = subprocess.run([sys.executable, str(REPRODUCE_SCRIPT), "--outdir",
+                          str(tmp_path)], env=env, check=True, capture_output=True,
+                         text=True).stdout
     counts = {"lb43": 1, "surplus-gap": 2, "rsol-ratio": 45, "thmub": 45}
+    # one line per experiment, timed in milliseconds
+    assert [re.fullmatch(r"(\S+): (\d+) rows -> .+ \(\d+\.\d ms\)", line).groups()
+            for line in out.splitlines()] == [(name, str(c)) for name, c in counts.items()]
     for name, count in counts.items():
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
         header = lines[0].split(",")

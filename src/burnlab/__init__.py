@@ -14,7 +14,7 @@ from .audit import (AuditableMechanism, DeviationReport, DominanceReport,
                     check_dsic, check_payment_identity, extract_interim_rule,
                     verify_ironing_dominance, verify_utility_identity)
 from .benchmark import (BenchmarkResult, full_surplus, optimal_p_lottery,
-                        two_price_benchmark)
+                        two_price_benchmark, two_price_benchmark_rows)
 from .common import VERSION, MechanismEval, mc_eval, substream
 from .distributions import (SupportError, ValuationProfile, ValueDistribution,
                             ZeroDensityError, as_profile, distribution_from_spec,
@@ -42,14 +42,14 @@ __all__ = [
     "ValuationProfile", "ValueDistribution", "VERSION", "ZeroDensityError",
     "as_profile", "audit_mechanism", "audit_profiles",
     "balanced_sampling_probe", "bayes_optimal_with_costs", "check_dsic",
-    "check_payment_identity", "distribution_from_spec", "estimate",
-    "evaluate", "experiment_lb43", "experiment_rsol_ratio",
-    "experiment_surplus_gap", "experiment_thmub", "expected_log_price",
-    "expected_rsol", "expected_under_prior", "exponential",
-    "extract_interim_rule", "full_surplus", "iron", "load_profile",
-    "lower_convex_hull", "mc_eval", "optimal_p_lottery", "pareto",
-    "parse_config", "piecewise_inverse_hazard", "run", "run_experiment",
-    "sample_profile", "substream", "two_piece", "two_price_benchmark",
-    "uniform", "verify_ironing_dominance", "verify_utility_identity",
+    "check_payment_identity", "distribution_from_spec", "estimate", "evaluate",
+    "experiment_lb43", "experiment_rsol_ratio", "experiment_surplus_gap",
+    "experiment_thmub", "expected_log_price", "expected_rsol",
+    "expected_under_prior", "exponential", "extract_interim_rule",
+    "full_surplus", "iron", "load_profile", "lower_convex_hull", "mc_eval",
+    "optimal_p_lottery", "pareto", "parse_config", "piecewise_inverse_hazard",
+    "run", "run_experiment", "sample_profile", "substream", "two_piece",
+    "two_price_benchmark", "two_price_benchmark_rows", "uniform",
+    "verify_ironing_dominance", "verify_utility_identity",
     "virtual_value_utility", "worst_case_corpus", "write_rows",
 ]

@@ -91,6 +91,8 @@ def _outcome(values: np.ndarray, alloc: np.ndarray, pay: np.ndarray,
 
 
 def _require_k(k: int):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k: need an integer number of units, got {k!r}")
     if k < 1:
         raise ValueError("need at least one unit")
     if k > _K_MAX:
@@ -193,15 +195,11 @@ def _lottery_value(profile, k: int, p: float) -> float:
     return float(x.max(initial=0.0) * (v[x > 0] - p).sum())
 
 
-def _learned_price(V_desc: np.ndarray, pool, k: int):
-    """Best (value, price) of the strict lottery on each row's pool, smallest
-    price on ties; V_desc (nonnegative, sorted descending along the last
-    axis) and the pool mask broadcast. The prices tried are 0 and the row's
-    values: between pool values the lottery value falls in p, so a value
-    outside the pool never beats the next lower price. The pool agents above
-    a price are those ahead of its run of equal values, so prefix counts m
-    and sums (added in descending order) give min(k, m)/m * (sum - m*p) in
-    O(n) per row."""
+def _price_runs(V_desc: np.ndarray, pool):
+    """Each row's prices, its values and then 0, with the count m and sum
+    (added in descending order) of the pool agents above each, those ahead
+    of its run of equal prices, and a mask of each run's first. V_desc
+    (nonnegative, sorted descending along the last axis) and pool broadcast."""
     column = V_desc.shape[:-1] + (1,)
     prices = np.concatenate((V_desc, np.zeros(column)), axis=-1)
     run_start = prices != np.concatenate((np.full(column, -1.0), V_desc), axis=-1)
@@ -212,6 +210,14 @@ def _learned_price(V_desc: np.ndarray, pool, k: int):
     counts, sums = np.cumsum(ahead > 0, axis=-1), np.cumsum(ahead, axis=-1)
     m = np.maximum.accumulate(np.where(run_start, counts, 0), axis=-1)
     tops = np.maximum.accumulate(np.where(run_start, sums, 0.0), axis=-1)
+    return prices, m, tops, run_start
+
+
+def _learned_price(V_desc: np.ndarray, pool, k: int):
+    """Best (value, price) of the strict lottery on each row's pool, smallest
+    price on ties, over _price_runs: between pool values the lottery value
+    falls in p, so a value outside the pool never beats the next lower one."""
+    prices, m, tops, _ = _price_runs(V_desc, pool)
     # with no pool agent above a price (m = 0) its sum is 0 and so is its value
     vals = np.minimum(k, m) / np.maximum(m, 1) * (tops - m * prices)
     best = vals.max(axis=-1)
@@ -333,16 +339,9 @@ def _bridged_rows(iv: IronedVirtual, V: np.ndarray, k: int, seg):
 
 
 def _bayes_run(profile, k: int, iv: IronedVirtual, rng) -> Outcome:
-    """Bayes's run view: the optimal mechanism for the prior behind iv on one
-    profile, which must lie in the prior's support (_run of its rule row).
-
-    Allocates k units to maximize total ironed virtual value and charges the
-    payment-identity prices. If the marginal agent's level lies on a bridged
-    segment, everyone at that level shares the leftover units uniformly: sure
-    winners pay a blend of the segment's endpoints and lottery winners pay its
-    lower endpoint (zero when the bridge reaches the bottom of the support).
-    Away from bridges the rule is the k-unit Vickrey auction.
-    """
+    """Bayes's run view: the optimal mechanism for the prior behind iv
+    (_bayes_rule) on one profile, which must lie in the prior's support:
+    _run of its rule row."""
     _require_k(k)
     v = as_profile(profile).values
     _require_in_support(iv.dist, v)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import two_price_benchmark
+from .benchmark import two_price_benchmark_rows
 from .common import (VERSION, MechanismEval, check_draws, mc_blocks, mc_eval,
                      quantile_draw, substream)
 from .distributions import (ValuationProfile, ValueDistribution, as_profile,
@@ -140,11 +140,11 @@ def _by_size(corpus, k_list, values) -> list[tuple]:
 def experiment_rsol_ratio(corpus, k_list) -> list[dict]:
     """Exact random-sampling-lottery value against the two-price benchmark
     on every corpus profile; min and median ratios are repeated on each row
-    so the CSV is self-contained. RSOL's exact pass takes the profiles of
-    one size together (_by_size)."""
+    so the CSV is self-contained. RSOL's exact pass and the benchmark take
+    the profiles of one size together (_by_size)."""
     rows = []
-    for name, prof, k, r in _by_size(corpus, k_list, _rsol_exact):
-        g = two_price_benchmark(prof, k).value
+    for name, prof, k, (r, g) in _by_size(corpus, k_list, lambda V, k: np.stack(
+            (_rsol_exact(V, k), two_price_benchmark_rows(V, k)[0]), axis=1)):
         rows.append({"experiment": "rsol-ratio", "profile": name, "n": prof.n, "k": k,
                      "rsol": r, "g": g, "ratio": r / g if g > 0 else float("inf")})
     ratios = sorted(row["ratio"] for row in rows)

@@ -10,13 +10,14 @@ from burnlab.audit import (audit_mechanism, audit_profiles,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
-from burnlab.benchmark import optimal_p_lottery, two_price_benchmark
+from burnlab.benchmark import (optimal_p_lottery, two_price_benchmark,
+                               two_price_benchmark_rows)
 from burnlab.common import substream
 from burnlab.distributions import (exponential, pareto,
                                    piecewise_inverse_hazard, two_piece,
                                    uniform)
 from burnlab.ironing import iron
-from burnlab.mechanisms import evaluate, expected_rsol
+from burnlab.mechanisms import MECHANISMS, Params, evaluate, expected_rsol
 from burnlab.simlab import (experiment_lb43, experiment_rsol_ratio,
                             experiment_surplus_gap, experiment_thmub,
                             worst_case_corpus)
@@ -62,13 +63,10 @@ def test_a2_two_agent_gap():
 def test_a3_mixture_guarantee():
     rng = substream(SEED, "acceptance", 3)
     V = rng.uniform(0.0, 10.0, (10 ** 4, 2))
-    worst_eq = 0.0
-    worst_dom = np.inf
-    for row in V:
-        value = evaluate("mix", row, 1)
-        worst_eq = max(worst_eq, abs(value - 2.0 / 3.0 * row.max()))
-        worst_dom = min(worst_dom, value
-                        - 2.0 / 3.0 * two_price_benchmark(row, 1).value)
+    # the mixture's rule rows, each bit for bit evaluate("mix", row, 1)
+    value = MECHANISMS["mix"].value(V, 1, Params())
+    worst_eq = float(np.abs(value - 2.0 / 3.0 * V.max(axis=1)).max())
+    worst_dom = float((value - 2.0 / 3.0 * two_price_benchmark_rows(V, 1)[0]).min())
     ok = worst_eq <= 1e-12 and worst_dom >= -1e-12
     detail = (f"max |value - (2/3) top| {worst_eq:.1e}, "
               f"min margin over (2/3) benchmark {worst_dom:.1e} (tol 1e-12)")
@@ -79,6 +77,7 @@ def test_a4_lottery_inequalities():
     rng = substream(SEED, "acceptance", 4)
     worst_sub = -np.inf
     worst_half = -np.inf
+    by_k = {}
     for _ in range(10 ** 4):
         n = int(rng.integers(1, 9))
         scale = 10.0 ** rng.uniform(-1, 1)
@@ -90,8 +89,14 @@ def test_a4_lottery_inequalities():
                  + evaluate("plottery", vals, k, p=q))
         worst_sub = max(worst_sub, combined - split)
         single, _ = optimal_p_lottery(vals, k)
-        worst_half = max(worst_half,
-                         two_price_benchmark(vals, k).value / 2.0 - single)
+        by_k.setdefault(k, []).append((vals, single))
+    # the benchmark of each k's profiles at once, zero-padded to 8 values
+    for k, cases in by_k.items():
+        V = np.zeros((len(cases), 8))
+        for row, (vals, _) in zip(V, cases):
+            row[:vals.size] = vals
+        G = two_price_benchmark_rows(V, k)[0]
+        worst_half = max(worst_half, (G / 2.0 - [s for _, s in cases]).max())
     ok = worst_sub <= 1e-9 and worst_half <= 1e-9
     detail = (f"max two-price excess {worst_sub:.1e}, "
               f"max half-benchmark deficit {worst_half:.1e} (tol 1e-9)")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,13 @@ from hypothesis import strategies as st
 
 from burnlab import benchmark
 from burnlab.benchmark import (full_surplus, optimal_p_lottery,
-                               two_price_benchmark)
+                               two_price_benchmark, two_price_benchmark_rows)
 from burnlab.common import substream
 from burnlab.distributions import (ValuationProfile, as_profile, exponential,
                                    pareto, piecewise_inverse_hazard,
                                    sample_profile, two_piece, uniform)
 from burnlab.ironing import iron
-from burnlab.mechanisms import evaluate, run
+from burnlab.mechanisms import evaluate, expected_rsol, run
 from burnlab.simlab import worst_case_corpus
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
@@ -51,6 +52,28 @@ def test_benchmark_validation():
         optimal_p_lottery((1.0,), 0)
     with pytest.raises(ValueError):
         full_surplus((1.0,), 0)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, np.float64(2.0), True, "2"],
+                         ids=["half", "float", "numpy-float", "bool", "str"])
+@pytest.mark.parametrize("call", [
+    lambda k: two_price_benchmark((1.0, 2.0, 3.0), k),
+    lambda k: two_price_benchmark_rows([[1.0, 2.0, 3.0]], k),
+    lambda k: optimal_p_lottery((1.0, 2.0, 3.0), k),
+    lambda k: full_surplus((1.0, 2.0, 3.0), k),
+    lambda k: evaluate("plottery", (1.0, 2.0, 3.0), k, p=1.0),
+    lambda k: evaluate("logprice", (1.0, 2.0, 3.0), k),
+    lambda k: evaluate("vickrey", (1.0, 2.0, 3.0), k),
+    lambda k: expected_rsol((1.0, 2.0, 3.0), k)],
+    ids=["benchmark", "benchmark-rows", "single-price", "full-surplus",
+         "plottery", "logprice", "vickrey", "rsol"])
+def test_units_must_be_an_integer(call, k):
+    # 1.5 units once priced a lottery and a ladder, and broke others with a
+    # traceback; 2.0 and True are refused as well
+    with pytest.raises(ValueError, match="k: need an integer number of units") as err:
+        call(k)
+    assert "\n" not in str(err.value)
+    call(np.int64(2))
 
 
 @given(profiles, st.integers(1, 4))
@@ -96,24 +119,44 @@ def test_tie_break_smallest_pair(vals, k):
     assert (r.p, r.q) == min(winners)
 
 
-@st.composite
-def sweep_cases(draw):
+def grid_or_floats(draw):
     # half the profiles sit on a coarse grid, so they hold ties
     if draw(st.booleans()):
-        elements = st.integers(0, 8).map(lambda i: i * 1.25)
-    else:
-        elements = st.floats(0.0, 10.0)
-    vals = draw(st.lists(elements, max_size=10))
-    return vals, draw(st.integers(1, len(vals) + 2))
+        return st.integers(0, 8).map(lambda i: i * 1.25)
+    return st.floats(0.0, 10.0)
+
+
+@st.composite
+def sweep_cases(draw):
+    # a block of profiles of mixed sizes, k up to two past the first one's;
+    # at times a later one is long enough that its m^2 pairs pass
+    # _PASS_CELLS, so every row of the block, padded to its length, takes
+    # its prices p in runs
+    block = [draw(st.lists(grid_or_floats(draw), max_size=10))
+             for _ in range(draw(st.integers(1, 4)))]
+    k = draw(st.integers(1, len(block[0]) + 2))
+    if draw(st.integers(0, 3)) == 0:
+        block.insert(draw(st.integers(1, len(block))), draw(st.lists(
+            grid_or_floats(draw), min_size=91, max_size=100)))
+    return block, k
+
+
+def bits(results):
+    # (value, p, q) of each result as integers, so 0.0 and -0.0 differ
+    return np.array(results, dtype=float).view(np.int64)
 
 
 @given(sweep_cases())
 # pairs (0, 0), (1.25, 0) and (2.5, 0) all earn 10/3, (1.25, 0) one ulp
 # more: the smallest pair wins, whatever the last bit says
-@example(([1.25, 2.5, 1.25], 2))
+@example(([[1.25, 2.5, 1.25]], 2))
+# rows whose bests differ, the first's at (1, 0): each row's tie floor is
+# its own
+@example(([[10.0, 1.0, 1.0, 1.0], [100.0, 1.0], [1.25, 2.5, 1.25]], 1))
 @settings(max_examples=300, deadline=None)
 def test_sweep_matches_pair_loop(case):
-    vals, k = case
+    block, k = case
+    vals = block[0]
     r = two_price_benchmark(vals, k)
     values = pair_loop(vals, k)
     best = max(values.values())
@@ -121,6 +164,13 @@ def test_sweep_matches_pair_loop(case):
     assert abs(r.value - best) <= tol
     assert (r.p, r.q) == min(pair for pair, value in values.items()
                              if value >= best - tol)
+    # the batched sweep, on the block padded with zeros, gives every row's
+    # own bits
+    V = np.zeros((len(block), max(map(len, block))))
+    for row, prof in zip(V, block):
+        row[:len(prof)] = prof
+    want = [dataclasses.astuple(two_price_benchmark(prof, k)) for prof in block]
+    np.testing.assert_array_equal(bits(two_price_benchmark_rows(V, k).T), bits(want))
 
 
 def test_sweep_computes_no_single_price(monkeypatch):

@@ -194,19 +194,27 @@ MUTANTS = {
         [test_simlab.test_estimate_logprice_is_ladder_rule]),
     # one ulp on the benchmark's value, which the pinned output digest sees
     "benchmark-value-one-ulp-up": (
-        benchmark, "two_price_benchmark", "BenchmarkResult(float(row[j]),",
-        "BenchmarkResult(float(np.nextafter(row[j], np.inf)),",
+        benchmark, "_sweep", "out[:, s:s + g] = row[r, j],",
+        "out[:, s:s + g] = np.nextafter(row[r, j], np.inf),",
         [functools.partial(test_digests.test_workload_digest, "prior-free", 1)]),
+    # prefixes that take in each price's own agent: on distinct values the
+    # count and sum of the agents at or above it, a left-side count
     "sweep-count-side-left": (
-        benchmark, "two_price_benchmark", 'np.searchsorted(v, c, side="right")',
-        'np.searchsorted(v, c, side="left")',
+        mechanisms, "_price_runs", "np.concatenate((np.zeros(w.shape[:-1] + (1,)), w), axis=-1)",
+        "np.concatenate((w, np.zeros(w.shape[:-1] + (1,))), axis=-1)",
         [test_benchmark.test_sweep_matches_pair_loop]),
     "sweep-band-sum-with-top": (
         benchmark, "_pair_values", "(total - top - t * q)", "(total - t * q)",
         [test_benchmark.test_sweep_matches_pair_loop]),
     "sweep-tie-floor-at-best": (
-        benchmark, "two_price_benchmark",
-        "floor = best - _TIE_RTOL * max(1.0, abs(best))", "floor = best",
+        benchmark, "_sweep",
+        "floor = best - 1e-12 * np.maximum(1.0, np.abs(best))", "floor = best",
+        [test_benchmark.test_sweep_matches_pair_loop]),
+    # one tie floor for a block of rows, from the best of them all: a row
+    # whose own best is lower finds no pair above it and reads (0, 0)
+    "sweep-tie-floor-from-block": (
+        benchmark, "_sweep", "best = row_max.max(axis=1, keepdims=True)",
+        "best = row_max.max(keepdims=True)",
         [test_benchmark.test_sweep_matches_pair_loop]),
     "cell-no-down-correction": (
         ironing, "IronedVirtual._cell", "cell -= q.take(cell) > qv", "pass",

@@ -127,31 +127,27 @@ class PaymentIdentityReport:
 
 
 def check_dsic(mech: AuditableMechanism, profile, bid_grid) -> DeviationReport:
-    """Scan every agent and grid bid for a profitable deviation: one interim
-    call on every agent's bids (the grid and the agent's value), then the
-    agents in order, keeping the first strictly largest gain. It passes
-    when that gain is at most DSIC_TOL."""
+    """Scan every agent at the same bids, the grid, the values and the edges,
+    in one interim call, for the first strictly largest gain over bidding
+    truthfully, agents in order and then bids. It passes when that gain is at
+    most DSIC_TOL; a NaN gain is the witness and fails."""
     values = as_profile(profile).values
-    grid = np.asarray(bid_grid, dtype=float)
-    worst, arg = -np.inf, (0, 0.0)
     if values.size == 0:  # some rules reject an empty profile
-        return DeviationReport(mech.name, True, worst, *arg)
-    scans = [np.unique(np.append(grid, v)) for v in values]
-    for i, (bids, (x, pay)) in enumerate(zip(scans, _stacked(mech, values, scans))):
-        utility = values[i] * x - pay
-        gain = utility - utility[np.searchsorted(bids, values[i])]
-        j = int(np.argmax(gain))
-        if gain[j] > worst:
-            worst, arg = float(gain[j]), (i, float(bids[j]))
-    return DeviationReport(mech.name, worst <= DSIC_TOL, worst, *arg)
+        return DeviationReport(mech.name, True, -np.inf, 0, 0.0)
+    bids = np.unique(np.concatenate((np.asarray(bid_grid, dtype=float), values, mech.edges)))
+    x, pay = _scan(mech, values, bids)
+    utility = values[:, None] * x - pay
+    gain = utility - utility[np.arange(values.size), np.searchsorted(bids, values), None]
+    i, j = np.unravel_index(np.argmax(gain), gain.shape)
+    return DeviationReport(mech.name, bool(gain[i, j] <= DSIC_TOL), float(gain[i, j]),
+                           int(i), float(bids[j]))
 
 
-def _stacked(mech: AuditableMechanism, values: np.ndarray, scans: list) -> list:
-    """One interim call on every agent's bids, scans[i]: each agent's (x, pay)."""
-    sizes = [bids.size for bids in scans]
-    x, pay = mech.interim(values, np.repeat(np.arange(len(scans)), sizes),
-                          np.concatenate(scans))
-    return [(x[e - s:e], pay[e - s:e]) for s, e in zip(sizes, np.cumsum(sizes))]
+def _scan(mech: AuditableMechanism, values: np.ndarray, bids: np.ndarray) -> tuple:
+    """One interim call asking every agent the same bids: (x, pay), each (agents, bids)."""
+    n = values.size
+    x, pay = mech.interim(values, np.repeat(np.arange(n), bids.size), np.tile(bids, n))
+    return x.reshape(n, -1), pay.reshape(n, -1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -163,25 +159,21 @@ def _identity_table(interim, edges: tuple, values: bytes, grid: bytes) -> list:
 def extract_interim_rule(mech: AuditableMechanism, profile, i: int,
                          bid_grid) -> InterimRule:
     """Tabulate agent i's interim rule on 0, the grid, the edges and the
-    opponents' values (its own value only if one of them equals it). Callers
-    ask for every agent of a profile in turn, so one interim call fills the
-    table of the last profile and grid (_identity_table) with every agent's
-    rule, read-only; rows are independent, so each is bit for bit agent i's."""
+    values, its own included. Callers ask for every agent of a profile in
+    turn, so one interim call, every agent at the same bids, fills the table
+    of the last profile and grid (_identity_table) with every agent's rule,
+    read-only; rows are independent, so each is bit for bit agent i's."""
     values = as_profile(profile).values
     if not (isinstance(i, (int, np.integer)) and 0 <= i < values.size):
         raise ValueError(f"agent must be an integer in 0..{values.size - 1}, got {i!r}")
     grid = np.asarray(bid_grid, dtype=float)
     table = _identity_table(mech.interim, mech.edges, values.tobytes(), grid.tobytes())
     if not table:
-        fixed = np.concatenate(([0.0], grid, mech.edges))
-        union = np.unique(np.concatenate((fixed, values)))
-        shared = ((values[:, None] == values).sum(axis=1) > 1) | np.isin(values, fixed)
-        scans = [union[row] for row in (union != values[:, None]) | shared[:, None]]
-        parts = _stacked(mech, values, [np.concatenate((b, 0.5 * (b[1:] + b[:-1])))
-                                        for b in scans])
-        for a, (b, (x, p)) in enumerate(zip(scans, parts)):
-            b.flags.writeable = x.flags.writeable = p.flags.writeable = False
-            table.append(InterimRule(a, b, x[:b.size], p[:b.size], x[b.size:]))
+        b = np.unique(np.concatenate(([0.0], grid, mech.edges, values)))
+        x, p = _scan(mech, values, np.concatenate((b, 0.5 * (b[1:] + b[:-1]))))
+        b.flags.writeable = x.flags.writeable = p.flags.writeable = False
+        table += [InterimRule(a, b, x[a, :b.size], p[a, :b.size], x[a, b.size:])
+                  for a in range(values.size)]
     return table[i]
 
 

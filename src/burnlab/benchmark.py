@@ -51,8 +51,8 @@ def _pair_values(k: int, c, cnt, tail, lo: int, hi: int):
 
 def _sweep(k: int, c, cnt, tail) -> np.ndarray:
     """(value, p, q) of each row's best pair as a (3, rows) array: the
-    smallest pair, p first, within 1e-12 * max(1, |best|) of the row's own
-    best, so pairs that tie up to rounding resolve alike on every profile.
+    smallest pair, p first, within 1e-12 * |best| of the row's own best, so
+    pairs that tie up to rounding resolve alike on every profile, at any scale.
     The candidates come in _price_runs' order and are swept ascending: a
     block holds many rows when a row's m x m pairs fit in _PASS_CELLS, else
     one row's prices p in runs of about _PASS_CELLS / m."""
@@ -68,7 +68,7 @@ def _sweep(k: int, c, cnt, tail) -> np.ndarray:
         row_max = np.concatenate([(vals := _pair_values(k, *blk, i, min(i + step, m))).max(axis=2)
                                   for i in range(0, m, step)], axis=1)
         best = row_max.max(axis=1, keepdims=True)
-        floor = best - 1e-12 * np.maximum(1.0, np.abs(best))
+        floor = best - 1e-12 * np.abs(best)
         i = np.argmax(row_max >= floor, axis=1)
         # a row swept in runs (g is 1) takes its price's pairs again
         row = vals[r, i] if step >= m else _pair_values(k, *blk, i[0], i[0] + 1)[:, 0]

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burnlab import common, mechanisms
-from burnlab.audit import (DSIC_TOL, MIN_IDENTITY_GRID, DeviationReport,
-                           DominanceReport, IdentityReport, InterimRule,
-                           audit_mechanism, audit_profiles,
+from burnlab.audit import (DSIC_TOL, MIN_IDENTITY_GRID, AuditableMechanism,
+                           DeviationReport, DominanceReport, IdentityReport,
+                           InterimRule, audit_mechanism, audit_profiles,
                            balanced_sampling_probe, check_dsic,
                            check_payment_identity, extract_interim_rule,
                            verify_ironing_dominance, verify_utility_identity)
@@ -74,11 +74,12 @@ def test_adapters_truthful_on_random_corpus():
 
 
 def dsic_agent_loop(mech, profile, bid_grid):
-    # the deviation scan with one interim call per agent
+    # the deviation scan with one interim call per agent, on the grid, the
+    # values and the edges
     values = np.asarray(profile.values, dtype=float)
+    bids = np.unique(np.concatenate((bid_grid, values, mech.edges)))
     worst, arg = -np.inf, (0, 0.0)
     for i in range(values.size):
-        bids = np.unique(np.concatenate((bid_grid, [values[i]])))
         x, pay = mech.interim(values, i, bids)
         utility = values[i] * x - pay
         gain = utility - utility[int(np.searchsorted(bids, values[i]))]
@@ -165,10 +166,9 @@ def test_bayes_truthful_at_interval_ends(iv_bridge):
 
 def extract_agent_loop(mech, profile, i, bid_grid):
     # one agent's rule from its own interim call, on 0, the grid, the
-    # opponents' values and the edges
+    # values, its own included, and the edges
     values = as_profile(profile).values
-    bids = np.unique(np.concatenate(
-        ([0.0], bid_grid, np.delete(values, i), mech.edges)))
+    bids = np.unique(np.concatenate(([0.0], bid_grid, values, mech.edges)))
     mids = 0.5 * (bids[1:] + bids[:-1])
     x, p = mech.interim(values, i, np.concatenate((bids, mids)))
     return InterimRule(i, bids, x[:bids.size], p[:bids.size], x[bids.size:])
@@ -246,6 +246,69 @@ def test_firstprice_flagged():
     # agent 0 burns its bid b, where the identity charges 1 above 1: the
     # error b - 1 is largest at the top bid
     assert pay.bid == 4.0 and pay.max_error == pytest.approx(3.0, rel=1e-12)
+
+
+def test_check_dsic_flags_a_tie_only_deviation():
+    # Vickrey, but a bid equal to an opponent's value pays nothing: the one
+    # profitable deviation is agent 1 bidding agent 0's value 3, a tie no
+    # grid point hits, won half the time for free
+    vickrey = audit_mechanism("vickrey", 1)
+
+    def interim(values, i, bids):
+        x, pay = vickrey.interim(values, i, bids)
+        values, bids = np.asarray(values, dtype=float), np.asarray(bids, dtype=float)
+        own = np.broadcast_to(i, bids.shape)[:, None] == np.arange(values.size)
+        tied = ((bids[:, None] == values) & ~own).any(axis=1)
+        return x, np.where(tied, 0.0, pay)
+
+    mech = AuditableMechanism("tie-waiver", interim)
+    grid = np.linspace(0.0, 4.0, 64)
+    assert not np.isin([1.0, 3.0], grid).any()
+    assert check_dsic(mech, [3.0, 1.0], grid) == DeviationReport(
+        "tie-waiver", False, 0.5, 1, 3.0)
+
+
+def test_check_dsic_nan_gain_fails():
+    # a NaN payment at bid 4 once hid firstprice's profitable underbid: the
+    # scan skipped it and passed with gain -inf; now it is the witness
+    firstprice = audit_mechanism("firstprice", 1)
+
+    def interim(values, i, bids):
+        x, pay = firstprice.interim(values, i, bids)
+        return x, np.where(np.asarray(bids) == 4.0, np.nan, pay)
+
+    report = check_dsic(AuditableMechanism("nan-pay", interim), [3.0, 1.0], [4.0])
+    assert not report.passed and np.isnan(report.max_gain)
+    assert (report.agent, report.bid) == (0, 4.0)
+
+
+def test_audits_ask_every_agent_one_bid_row(bridge_dist, iv_bridge):
+    # check_dsic and a fresh identity table each make one interim call per
+    # profile and grid, with the same bids for every agent: the DSIC row is
+    # the grid, the values and the edges; the identity row adds 0 and the
+    # midpoints
+    for mech, corpus, pmax in a8_suites(bridge_dist, iv_bridge):
+        calls = []
+
+        def counted(values, i, bids, interim=mech.interim):
+            calls.append((np.asarray(i), np.asarray(bids)))
+            return interim(values, i, bids)
+
+        wrapped = AuditableMechanism(mech.name, counted, mech.edges)
+        for prof in corpus[:20]:
+            hi = 1.25 * max(float(prof.values.max()), pmax, 1e-9)
+            dsic_grid, pay_grid = np.linspace(0.0, hi, 64), np.linspace(0.0, hi, 256)
+            calls.clear()
+            check_dsic(wrapped, prof, dsic_grid)
+            for i in range(prof.n):
+                extract_interim_rule(wrapped, prof, i, pay_grid)
+            assert len(calls) == 2, (mech.name, prof.values)
+            b = np.unique(np.concatenate(([0.0], pay_grid, mech.edges, prof.values)))
+            rows = [np.unique(np.concatenate((dsic_grid, prof.values, mech.edges))),
+                    np.concatenate((b, 0.5 * (b[1:] + b[:-1])))]
+            for (agents, bids), row in zip(calls, rows):
+                assert np.array_equal(agents, np.repeat(np.arange(prof.n), row.size))
+                assert np.array_equal(bids, np.tile(row, prof.n))
 
 
 def rejects(call):

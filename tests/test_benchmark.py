@@ -160,7 +160,7 @@ def test_sweep_matches_pair_loop(case):
     r = two_price_benchmark(vals, k)
     values = pair_loop(vals, k)
     best = max(values.values())
-    tol = 1e-12 * max(1.0, abs(best))
+    tol = 1e-12 * abs(best)
     assert abs(r.value - best) <= tol
     assert (r.p, r.q) == min(pair for pair, value in values.items()
                              if value >= best - tol)
@@ -186,7 +186,7 @@ def test_sweep_computes_no_single_price(monkeypatch):
     for (vals, k), r in zip(cases, before):
         values = pair_loop(vals, k)
         best = max(values.values())
-        tol = 1e-12 * max(1.0, abs(best))
+        tol = 1e-12 * abs(best)
         assert abs(r.value - best) <= tol
         assert (r.p, r.q) == min(pair for pair, value in values.items()
                                  if value >= best - tol)
@@ -197,6 +197,24 @@ def test_sweep_computes_no_single_price(monkeypatch):
     monkeypatch.setattr(benchmark, "optimal_p_lottery", refuse)
     monkeypatch.setattr(benchmark, "_learned_price", refuse)
     assert [two_price_benchmark(vals, k) for vals, k in cases] == before
+
+
+@pytest.mark.parametrize("e", [20, 43, 60, 700])
+def test_benchmark_is_homogeneous(e):
+    # scaling a profile by 2^-e scales every pair value exactly, so G's
+    # value, p and q scale bit for bit: the tie floor is relative, and a
+    # small-valued profile's pairs do not all tie
+    scale = 2.0 ** -e
+    rng = substream(e, "homogeneous")
+    cases = [(np.array((0.9, 0.5, 0.45, 0.2)), 1)]  # G = 0.525 at (0.5, 0)
+    for _ in range(300):
+        n, k = int(rng.integers(1, 11)), int(rng.integers(1, 5))
+        cases.append((rng.integers(0, 9, n) * 1.25 if rng.random() < 0.5
+                      else rng.uniform(0.0, 10.0, n), k))
+    for vals, k in cases:
+        want = np.array(dataclasses.astuple(two_price_benchmark(vals, k))) * scale
+        got = dataclasses.astuple(two_price_benchmark(vals * scale, k))
+        np.testing.assert_array_equal(bits([got]), bits([want]))
 
 
 def test_sweep_memory_is_blocked():

@@ -134,24 +134,25 @@ MUTANTS = {
     "rsol-table-no-midpoint-reps": (
         mechanisms, "_rsol_interim", "c[:-1] + 0.5 * np.diff(c)", "c[:-1]",
         [test_audit.test_rsol_table_matches_fresh_kernel]),
-    # each agent reads the stacked call's answers for the agent before it
+    # each agent reads the scan's answers for the agent before it
     "dsic-scan-one-agent-off": (
-        audit, "_stacked", "zip(sizes, np.cumsum(sizes))",
-        "zip(sizes, np.roll(np.cumsum(sizes), 1))",
+        audit, "_scan", "return x.reshape(n, -1), pay.reshape(n, -1)",
+        "return np.roll(x.reshape(n, -1), 1, 0), np.roll(pay.reshape(n, -1), 1, 0)",
         [test_audit.test_check_dsic_matches_agent_loop]),
-    # each agent's bids asked as the agent before it
+    # agents vary fastest in the call, so each asks bids out of its row
     "stacked-agent-alignment": (
-        audit, "_stacked", "np.repeat(np.arange(len(scans)), sizes)",
-        "np.repeat(np.roll(np.arange(len(scans)), 1), sizes)",
+        audit, "_scan", "np.repeat(np.arange(n), bids.size)", "np.tile(np.arange(n), bids.size)",
         [test_audit.test_extract_interim_rule_matches_agent_loop,
          test_audit.test_check_dsic_matches_agent_loop]),
+    # the scan never bids an opponent's value, where a tie-only deviation pays
+    "dsic-bids-drop-values": (
+        audit, "check_dsic", "np.asarray(bid_grid, dtype=float), values, mech.edges",
+        "np.asarray(bid_grid, dtype=float), mech.edges",
+        [test_audit.test_check_dsic_flags_a_tie_only_deviation]),
     # the same values on another grid read the first grid's rules
     "identity-table-ignores-grid": (
         audit, "extract_interim_rule", "values.tobytes(), grid.tobytes())",
         'values.tobytes(), b"")',
-        [test_audit.test_extract_interim_rule_matches_agent_loop]),
-    "identity-bids-keep-lone-value": (
-        audit, "extract_interim_rule", "| shared[:, None]", "| True",
         [test_audit.test_extract_interim_rule_matches_agent_loop]),
     # the two-price sweep holds _blended_price by name too
     "blended-price-discount": (
@@ -208,7 +209,7 @@ MUTANTS = {
         [test_benchmark.test_sweep_matches_pair_loop]),
     "sweep-tie-floor-at-best": (
         benchmark, "_sweep",
-        "floor = best - 1e-12 * np.maximum(1.0, np.abs(best))", "floor = best",
+        "floor = best - 1e-12 * np.abs(best)", "floor = best",
         [test_benchmark.test_sweep_matches_pair_loop]),
     # one tie floor for a block of rows, from the best of them all: a row
     # whose own best is lower finds no pair above it and reads (0, 0)

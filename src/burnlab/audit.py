@@ -131,16 +131,25 @@ def check_dsic(mech: AuditableMechanism, profile, bid_grid) -> DeviationReport:
     in one interim call, for the first strictly largest gain over bidding
     truthfully, agents in order and then bids. It passes when that gain is at
     most DSIC_TOL; a NaN gain is the witness and fails."""
-    values = as_profile(profile).values
+    values, grid = as_profile(profile).values, _grid(bid_grid)
     if values.size == 0:  # some rules reject an empty profile
         return DeviationReport(mech.name, True, -np.inf, 0, 0.0)
-    bids = np.unique(np.concatenate((np.asarray(bid_grid, dtype=float), values, mech.edges)))
+    bids = np.unique(np.concatenate((grid, values, mech.edges)))
     x, pay = _scan(mech, values, bids)
     utility = values[:, None] * x - pay
     gain = utility - utility[np.arange(values.size), np.searchsorted(bids, values), None]
     i, j = np.unravel_index(np.argmax(gain), gain.shape)
     return DeviationReport(mech.name, bool(gain[i, j] <= DSIC_TOL), float(gain[i, j]),
                            int(i), float(bids[j]))
+
+
+def _grid(bid_grid) -> np.ndarray:
+    """The bid grid as floats; a NaN or infinite bid gets no verdict."""
+    grid = np.asarray(bid_grid, dtype=float)
+    bad = grid[~np.isfinite(grid)]
+    if bad.size:
+        raise ValueError(f"bid grid must be finite, got {bad[0].item()!r}")
+    return grid
 
 
 def _scan(mech: AuditableMechanism, values: np.ndarray, bids: np.ndarray) -> tuple:
@@ -164,9 +173,9 @@ def extract_interim_rule(mech: AuditableMechanism, profile, i: int,
     of the last profile and grid (_identity_table) with every agent's rule,
     read-only; rows are independent, so each is bit for bit agent i's."""
     values = as_profile(profile).values
-    if not (isinstance(i, (int, np.integer)) and 0 <= i < values.size):
+    if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 0 <= i < values.size):
         raise ValueError(f"agent must be an integer in 0..{values.size - 1}, got {i!r}")
-    grid = np.asarray(bid_grid, dtype=float)
+    grid = _grid(bid_grid)
     table = _identity_table(mech.interim, mech.edges, values.tobytes(), grid.tobytes())
     if not table:
         b = np.unique(np.concatenate(([0.0], grid, mech.edges, values)))

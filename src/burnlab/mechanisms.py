@@ -34,9 +34,9 @@ and an audit interim. The lottery alone needs the halvings: the MC value
 in descending order (_rsol_exact), a Pascal step each: a run of c equal
 values gives c + 1 classes of halvings, weighted C(c, m), so a profile
 costs prod(c + 1) states, 2^n when its values are distinct. The audit
-interim sums the opponents' halvings for one bid per region of the bid line
-(_rsol_halving_sums), every agent of a profile in one call, and reads each
-bid's answer from that table (_rsol_interim).
+interim sums the opponents' halvings (_rsol_halving_sums) for every agent of
+a profile in one call on one shared row, a bid per region that 0 and the
+values cut out (_rsol_table), and reads each bid's answer (_rsol_interim).
 
 Under an i.i.d. prior the lottery, Vickrey, Bayes, the ladder and the
 two-agent mixture are rank rules: an agent's interim win probability xbar
@@ -604,11 +604,20 @@ def _rsol_run(profile, k: int, rng) -> Outcome:
 
 
 @functools.lru_cache(maxsize=1)
-def _rsol_table(k: int, values: bytes) -> dict:
+def _rsol_table(k: int, values: bytes):
     """The region table of the last profile audited, keyed by its values'
-    bytes, so an array changed in place keys afresh: agent -> (u, x, pay),
-    filled by _rsol_interim as agents are asked for."""
-    return {}
+    bytes, so an array changed in place keys afresh: the cuts with NaN last
+    and every agent's (n, regions) answers x and pay, read-only."""
+    v = np.frombuffer(values)
+    n, c = v.size, np.unique(np.append(v, 0.0))
+    # one bid per region, in order: -inf, each cut, each gap's midpoint (in a
+    # form that cannot overflow), +inf and NaN, which sorts last
+    row = np.sort(np.concatenate(([-np.inf, np.inf, np.nan], c, c[:-1] + 0.5 * np.diff(c))))
+    o = np.broadcast_to(v, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    x, pay = _rsol_halving_sums(k, o, np.broadcast_to(row, (n, row.size)))
+    u = np.append(c, np.nan)
+    u.flags.writeable = x.flags.writeable = pay.flags.writeable = False
+    return u, x, pay
 
 
 def _rsol_interim(k: int, values, i, bids):
@@ -617,62 +626,41 @@ def _rsol_interim(k: int, values, i, bids):
 
     _rsol_halving_sums compares a bid only with prices and thresholds that
     are 0 or an opponent's value, and its payments do not read the bid. So
-    the rule is constant on each region that the cuts c, 0 and the
-    opponents' distinct values, cut out: below c, at each cut, in each gap,
-    above c, and NaN, where every comparison is False. An agent's table
-    holds the kernel's answer on one bid per region: -inf, each cut, each
-    gap's midpoint, +inf and NaN. A bid's region is the count of u, c with
-    NaN last, below it plus the count at or below it. The kernel adds the
-    halvings of two or more bid columns in order, and the table has at
-    least four, so a bid's answer is bit for bit the kernel's on any two or
-    more bids that hold it. The agents a call asks for and the table lacks
-    are filled in one kernel call; the table is kept for the last profile
-    only (_rsol_table), and a call that asks for no agent leaves it as is."""
+    the rule is constant on each region that the cuts c, 0 and every value,
+    cut out: below c, at each cut, in each gap, above c, and NaN, where
+    every comparison is False; an agent's own cuts are among c, so its
+    regions are unions of these. One kernel call asks every agent the same
+    row, one bid per region (_rsol_table), even when a call asks for one
+    agent. A bid's region is the count of u, c with NaN last, below it plus
+    the count at or below it. The kernel adds the halvings of two or more
+    bid columns in order, and the row has at least four, so a bid's answer
+    is bit for bit the kernel's on any two or more bids that hold it. The
+    table is kept for the last profile only, and a call that asks for no
+    agent leaves it as is."""
     _require_k(k)
     v = np.asarray(values, dtype=float)
     if v.size > RSOL_EXACT_CAP:
         raise ValueError(f"rsol audits take at most {RSOL_EXACT_CAP} agents")
     _require_agents(i, v.size)
-    b = np.asarray(bids, dtype=float)
+    b = np.asarray(bids, dtype=float).ravel()
     agents = np.broadcast_to(i, b.shape)
-    asked = np.unique(agents).tolist()
-    if not asked:
+    if not b.size:
         return np.empty(0), np.empty(0)
-    table = _rsol_table(k, v.tobytes())
-    need = [a for a in asked if a not in table]
-    if need:
-        o = np.array([np.delete(v, a) for a in need])
-        cuts = [np.unique(np.append(row, 0.0)) for row in o]
-        # rows padded with NaN bids, whose answers no bid reads
-        reps = np.full((len(need), 2 * max(map(len, cuts)) + 2), np.nan)
-        for r, c in zip(reps, cuts):
-            r[0], r[2 * c.size] = -np.inf, np.inf
-            r[1:2 * c.size:2] = c
-            # each gap's midpoint, in a form that cannot overflow
-            r[2:2 * c.size - 1:2] = c[:-1] + 0.5 * np.diff(c)
-        rx, rp = _rsol_halving_sums(k, o, reps)
-        for a, c, x_a, p_a in zip(need, cuts, rx, rp):
-            # the NaN sentinel: a NaN bid sorts after every cut and reads NaN's
-            table[a] = np.append(c, np.nan), x_a, p_a
-    x, pay = np.empty(b.size), np.empty(b.size)
-    for a in asked:
-        at = agents == a
-        u, rx, rp = table[a]
-        ba = b[at]
-        key = np.searchsorted(u, ba) + np.searchsorted(u, ba, "right")
-        x[at], pay[at] = rx[key], rp[key]
-    return x, pay
+    u, x, pay = _rsol_table(k, v.tobytes())
+    key = np.searchsorted(u, b) + np.searchsorted(u, b, "right")
+    return x[agents, key], pay[agents, key]
 
 
 def _rsol_halving_sums(k: int, o: np.ndarray, b: np.ndarray):
     """RSOL's interim at each bid b against the opponents' values o; the
     bidder serves with probability 1/2. o is (..., m) and b (..., B), one
-    row of each per agent. Every halving of the opponents (bit j of its
-    number serves the j-th highest; summed in order) meets every bid, in
-    chunks of about _PASS_CELLS cells over all the agents: a bid above the
-    price p the kernel learns outside the serving half joins the lottery of
-    the M serving opponents above p; Vickrey's half is added once, in closed
-    form. numpy adds the halvings of two or more bid columns one row after
+    row of each per agent; the audit's table broadcasts one bid row to all.
+    Every halving of the opponents (bit j of its number serves the j-th
+    highest; summed in order) meets every bid, in chunks of about
+    _PASS_CELLS cells over all the agents: a bid above the price p the
+    kernel learns outside the serving half joins the lottery of the M
+    serving opponents above p; Vickrey's half is added once, in closed form.
+    numpy adds the halvings of two or more bid columns one row after
     another, in order, but a single column's pairwise."""
     o_desc = np.sort(o, axis=-1)[..., ::-1]
     bc, halvings, rank = b[..., None, :], 1 << o.shape[-1], np.arange(o.shape[-1])

@@ -213,6 +213,32 @@ def test_extract_interim_rule_rejects_agent_outside_profile(i):
         extract_interim_rule(mech, [3.0, 1.0, 2.0], i, np.linspace(0.0, 4.0, 256))
 
 
+def test_extract_interim_rule_rejects_bool_agent():
+    # isinstance(True, int) holds, but True is no agent: the extract refuses
+    # it as the interim does, rather than reading agent 1's rule
+    mech = audit_mechanism("vickrey", 1)
+    grid = np.linspace(0.0, 4.0, 256)
+    for call in (lambda: extract_interim_rule(mech, [3.0, 1.0], True, grid),
+                 lambda: mech.interim([3.0, 1.0], True, [1.0])):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "agent must be an integer in 0..1, got True"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_audits_reject_non_finite_grid_bid(bad):
+    # a NaN grid bid once got a verdict: check_dsic passed on [0, 1, nan],
+    # and Vickrey's identity check failed with NaN as its witness bid
+    mech = audit_mechanism("vickrey", 1)
+    grid = np.append(np.linspace(0.0, 4.0, 256), bad)
+    for call in (lambda: check_dsic(mech, [3.0, 1.0], [0.0, 1.0, bad]),
+                 lambda: check_dsic(mech, [], [bad]),
+                 lambda: extract_interim_rule(mech, [3.0, 1.0], 0, grid)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"bid grid must be finite, got {bad!r}"
+
+
 @pytest.mark.parametrize("name", ["vickrey", "rsol"])
 @pytest.mark.parametrize("i, bad", [(3, "3"), (-1, "-1"), (1.0, "1.0"),
                                     (np.array([0, 1, 2]), None),
@@ -601,6 +627,8 @@ def region_cases(draw):
 # a single bid against five opponents: 32 halvings, which numpy would add
 # pairwise in a lone column
 @example((np.array([0.3, 0.7, 0.1, 0.9, 0.5, 0.2]), 0, np.array([2.0])), 1)
+# a bid at another agent's value, which is a cut of the shared row
+@example((np.array([1.0, 3.0]), 1, np.array([1.0])), 1)
 @settings(max_examples=300, deadline=None)
 def test_rsol_region_interim_is_bitwise(case, k):
     values, i, bids = case
@@ -703,6 +731,25 @@ def test_rsol_check_dsic_makes_one_kernel_call(monkeypatch):
             assert check_payment_identity(
                 extract_interim_rule(mech, prof, i, grid)).passed
         assert len(calls) == 1
+
+
+def test_rsol_single_agent_calls_share_one_kernel_call(monkeypatch):
+    # agent 0's call fills the table with every agent's answers, so agent
+    # 1's call on the same profile reads it
+    calls = []
+    kernel = mechanisms._rsol_halving_sums
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(mechanisms, "_rsol_halving_sums", counted)
+    mechanisms._rsol_table.cache_clear()
+    mech = audit_mechanism("rsol", 1)
+    values, bids = np.array([3.0, 1.0, 2.0]), np.linspace(0.0, 4.0, 9)
+    for i in (0, 1):
+        mech.interim(values, i, bids)
+    assert calls == [(3, 2)]
 
 
 def test_rsol_interim_memory_is_chunked():

@@ -113,18 +113,19 @@ MUTANTS = {
     # a bid exactly at a value takes the answer of the gap below it
     "interim-region-key-no-equality": (
         mechanisms, "_rsol_interim",
-        'np.searchsorted(u, ba) + np.searchsorted(u, ba, "right")',
-        "2 * np.searchsorted(u, ba)", [test_audit.test_rsol_region_interim_is_bitwise]),
+        'np.searchsorted(u, b) + np.searchsorted(u, b, "right")',
+        "2 * np.searchsorted(u, b)", [test_audit.test_rsol_region_interim_is_bitwise]),
     # a NaN bid, where every comparison is False, shares the top region
     "interim-nan-joins-top-region": (
-        mechanisms, "_rsol_interim", "np.append(c, np.nan)", "c",
+        mechanisms, "_rsol_table", "np.append(c, np.nan)", "c",
         [test_audit.test_rsol_region_interim_is_bitwise]),
     # the table asks the kernel one region at a time, and numpy adds a
     # single column's halvings pairwise, not in order
     "interim-lone-region-one-column": (
-        mechanisms, "_rsol_interim", "rx, rp = _rsol_halving_sums(k, o, reps)",
-        "rx, rp = np.concatenate([_rsol_halving_sums(k, o, reps[:, j:j + 1])"
-        " for j in range(reps.shape[1])], axis=-1)",
+        mechanisms, "_rsol_table",
+        "x, pay = _rsol_halving_sums(k, o, np.broadcast_to(row, (n, row.size)))",
+        "x, pay = np.concatenate([_rsol_halving_sums(k, o, np.broadcast_to(row[j:j + 1], (n, 1)))"
+        " for j in range(row.size)], axis=-1)",
         [test_audit.test_rsol_region_interim_is_bitwise]),
     # k = 1's table answers the k = 2 audit of the same profile
     "rsol-table-ignores-k": (
@@ -132,8 +133,13 @@ MUTANTS = {
         "_rsol_table(0, v.tobytes())", [test_audit.test_rsol_table_matches_fresh_kernel]),
     # a bid inside a gap reads the answer of the value below it
     "rsol-table-no-midpoint-reps": (
-        mechanisms, "_rsol_interim", "c[:-1] + 0.5 * np.diff(c)", "c[:-1]",
+        mechanisms, "_rsol_table", "c[:-1] + 0.5 * np.diff(c)", "c[:-1]",
         [test_audit.test_rsol_table_matches_fresh_kernel]),
+    # the shared cuts miss the first agent's value, so the others read a bid
+    # at it from the gap around it
+    "rsol-table-cuts-miss-a-value": (
+        mechanisms, "_rsol_table", "np.unique(np.append(v, 0.0))",
+        "np.unique(np.append(v[1:], 0.0))", [test_audit.test_rsol_region_interim_is_bitwise]),
     # each agent reads the scan's answers for the agent before it
     "dsic-scan-one-agent-off": (
         audit, "_scan", "return x.reshape(n, -1), pay.reshape(n, -1)",
@@ -146,8 +152,7 @@ MUTANTS = {
          test_audit.test_check_dsic_matches_agent_loop]),
     # the scan never bids an opponent's value, where a tie-only deviation pays
     "dsic-bids-drop-values": (
-        audit, "check_dsic", "np.asarray(bid_grid, dtype=float), values, mech.edges",
-        "np.asarray(bid_grid, dtype=float), mech.edges",
+        audit, "check_dsic", "grid, values, mech.edges", "grid, mech.edges",
         [test_audit.test_check_dsic_flags_a_tie_only_deviation]),
     # the same values on another grid read the first grid's rules
     "identity-table-ignores-grid": (

@@ -77,10 +77,12 @@ def audit_mechanism(name: str, k: int = 1, **params) -> AuditableMechanism:
     Names match the CLI: the mechanism table's, plus the non-truthful
     firstprice control. params are the Params fields the entry reads, as
     for mechanisms.evaluate. An unread field and bad values are rejected
-    here, before any interim is evaluated.
-    """
+    here, before any interim is evaluated. The interim refuses values that
+    as_profile refuses and a bid that is not finite and at least 0 (_bids)."""
     entry, a = _entry(name, params, {**MECHANISMS, **CONTROLS})
-    mech = AuditableMechanism(name, entry.interim(k, a), entry.edges(a))
+    rule = entry.interim(k, a)
+    mech = AuditableMechanism(name, lambda values, i, bids: rule(
+        as_profile(values).values, i, _bids(bids, "bids")), entry.edges(a))
     # each rule checks its own parameters; with no bids it does nothing else
     mech.interim(np.zeros(2), 0, [])
     return mech
@@ -131,7 +133,7 @@ def check_dsic(mech: AuditableMechanism, profile, bid_grid) -> DeviationReport:
     in one interim call, for the first strictly largest gain over bidding
     truthfully, agents in order and then bids. It passes when that gain is at
     most DSIC_TOL; a NaN gain is the witness and fails."""
-    values, grid = as_profile(profile).values, _grid(bid_grid)
+    values, grid = as_profile(profile).values, _bids(bid_grid, "bid grid")
     if values.size == 0:  # some rules reject an empty profile
         return DeviationReport(mech.name, True, -np.inf, 0, 0.0)
     bids = np.unique(np.concatenate((grid, values, mech.edges)))
@@ -143,13 +145,14 @@ def check_dsic(mech: AuditableMechanism, profile, bid_grid) -> DeviationReport:
                            int(i), float(bids[j]))
 
 
-def _grid(bid_grid) -> np.ndarray:
-    """The bid grid as floats; a NaN or infinite bid gets no verdict."""
-    grid = np.asarray(bid_grid, dtype=float)
-    bad = grid[~np.isfinite(grid)]
+def _bids(bids, what: str) -> np.ndarray:
+    """Bids as floats; one that is not finite and at least 0 gets no verdict."""
+    b = np.asarray(bids, dtype=float)
+    bad = b[~((b >= 0) & (b < np.inf))]
     if bad.size:
-        raise ValueError(f"bid grid must be finite, got {bad[0].item()!r}")
-    return grid
+        need = "at least 0" if np.isfinite(bad[0]) else "finite"
+        raise ValueError(f"{what} must be {need}, got {bad[0].item()!r}")
+    return b
 
 
 def _scan(mech: AuditableMechanism, values: np.ndarray, bids: np.ndarray) -> tuple:
@@ -175,10 +178,10 @@ def extract_interim_rule(mech: AuditableMechanism, profile, i: int,
     values = as_profile(profile).values
     if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 0 <= i < values.size):
         raise ValueError(f"agent must be an integer in 0..{values.size - 1}, got {i!r}")
-    grid = _grid(bid_grid)
+    grid = np.asarray(bid_grid, dtype=float)
     table = _identity_table(mech.interim, mech.edges, values.tobytes(), grid.tobytes())
     if not table:
-        b = np.unique(np.concatenate(([0.0], grid, mech.edges, values)))
+        b = np.unique(np.concatenate(([0.0], _bids(grid, "bid grid"), mech.edges, values)))
         x, p = _scan(mech, values, np.concatenate((b, 0.5 * (b[1:] + b[:-1]))))
         b.flags.writeable = x.flags.writeable = p.flags.writeable = False
         table += [InterimRule(a, b, x[a, :b.size], p[a, :b.size], x[a, b.size:])

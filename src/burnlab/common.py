@@ -20,8 +20,8 @@ MIN_REPLICATES = 30
 # two-price sweep and every audit interim (one call tabulates every agent's
 # identity rule): each float temporary is then 64 KiB, under glibc's default
 # mmap threshold (128 KiB), so it reuses freed heap memory and stays in cache.
-# RSOL's exact pass keeps its state in a packed block of four fields of this
-# size, allocated once per call: state, not temporaries
+# RSOL's exact pass keeps its state in a block of two fields, and two more per
+# unit count, of this size, allocated once per call: state, not temporaries
 _PASS_CELLS = 1 << 13
 
 

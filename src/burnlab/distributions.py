@@ -281,7 +281,7 @@ class ValuationProfile:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1:
             raise ValueError("profile must be one-dimensional")
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
+        if arr.size and not (np.isfinite(arr).all() and (arr >= 0).all()):
             raise ValueError("profile values must be finite and nonnegative")
         object.__setattr__(self, "values", arr)
 

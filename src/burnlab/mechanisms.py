@@ -30,10 +30,10 @@ halving, the price is one kernel, _learned_price, and the realized run draws
 either branch's rule row on the serving half. Vickrey on a random half is a
 closed form on the odds of each rank (_rank_odds): a mean (_vickrey_half)
 and an audit interim. The lottery alone needs the halvings: the MC value
-(_rsol_values) draws them, and the exact value is one pass over the agents
-in descending order (_rsol_exact), a Pascal step each: a run of c equal
-values gives c + 1 classes of halvings, weighted C(c, m), so a profile
-costs prod(c + 1) states, 2^n when its values are distinct. The audit
+(_rsol_values) draws them, and the exact value, at every unit count asked,
+is one pass over the agents in descending order (_rsol_exact), a Pascal
+step each: a run of c equal values gives c + 1 classes of halvings, weighted
+C(c, m), so a profile costs prod(c + 1) states, 2^n if distinct. The audit
 interim sums the opponents' halvings (_rsol_halving_sums) for every agent of
 a profile in one call on one shared row, a bid per region that 0 and the
 values cut out (_rsol_table), and reads each bid's answer (_rsol_interim).
@@ -472,33 +472,34 @@ def _rsol_values(V_desc: np.ndarray, member: np.ndarray, k: int) -> np.ndarray:
                   + _vickrey_half(V_desc, k))
 
 
-def _rsol_expand(F, pm, s: int, V_desc: np.ndarray, first: list,
-                 agents: range, coef: np.ndarray) -> int:
-    """One Pascal step per agent j, in descending order of value. Where a
-    run of equal values starts, the s states are offered its value v as a
-    price: the m pool agents so far are those above it and give its
-    strict-lottery value (coef[m] is each winner's share, min(k, m)/m), and
-    a state whose best value so far is at most that takes it (so the
-    smallest price wins ties) with the lottery the j - m serving agents so
-    far would run at v. The i = j - first[j] agents of j's run passed so far
-    split the states into i + 1 blocks, block t where t of them serve: j
-    joins the pool in place, and a copy of the last block, where j serves,
-    follows. Halvings that differ only in which agents of a run serve meet
-    the same prices and add the same sums, so block t stands for C(c, t) of
-    them after a run of c, and a lone agent doubles the states."""
-    ps, ss, best, lot = F
+def _rsol_expand(F, s: int, V_desc: np.ndarray, first: list, agents: range,
+                 coefs: list, pool: np.ndarray) -> int:
+    """One Pascal step per agent j, in descending order of value, for every
+    unit count at once. Where a run of equal values starts, the s states are
+    offered its value v as a price: the m pool agents so far are those above
+    it and give its strict-lottery value (coef[m], a 1-D row per count, is
+    each winner's share, min(k, m)/m), and a state whose best value so far is
+    at most that takes it (so the smallest price wins ties) with the lottery
+    the j - m serving agents so far would run at v. The i = j - first[j]
+    agents of j's run passed so far split the states into i + 1 blocks, block
+    t where t of them serve: j joins the pool in place, and a copy of the last
+    block, where j serves, follows, so m is a state's final count (pool) less
+    the agents from j on. Halvings that differ only in which agents of a run
+    serve meet the same prices and add the same sums, so block t stands for
+    C(c, t) of them after a run of c, and a lone agent doubles the states."""
+    (ps, ss), offers = F[:2], list(zip(coefs, F[2::2], F[3::2]))
     for j in agents:
         v = V_desc[:, j:j + 1]
         if 0 < j == first[j]:  # the top price, with no pool above, is worth 0
-            m, sr = pm[:, :s], j - pm[:, :s]
-            val = coef[m] * (ps[:, :s] - m * v)
-            up = val >= best[:, :s]
-            np.copyto(best[:, :s], val, where=up)
-            np.copyto(lot[:, :s], coef[sr] * (ss[:, :s] - sr * v), where=up)
+            m, sr = pool[:s] - (agents.stop - j), agents.stop - pool[:s]
+            pool_less, serve_less = ps[:, :s] - m * v, ss[:, :s] - sr * v
+            for coef, best, lot in offers:
+                val = coef[m] * pool_less
+                up = val >= best[:, :s]
+                np.copyto(best[:, :s], val, where=up)
+                np.copyto(lot[:, :s], coef[sr] * serve_less, where=up)
         base = s // (j - first[j] + 1)
         F[:, :, s:s + base] = F[:, :, s - base:s]
-        pm[:, s:s + base] = pm[:, s - base:s]
-        pm[:, :s] += 1
         ps[:, :s] += v
         ss[:, s:s + base] += v
         s += base
@@ -508,75 +509,81 @@ def _rsol_expand(F, pm, s: int, V_desc: np.ndarray, first: list,
 @functools.lru_cache(maxsize=64)
 def _rsol_plan(n: int, key: int):
     """The pass over n agents whose runs of equal values start at key's set
-    bits: each agent's run start; the agents a block of rows steps, all
-    while the leaves fit in _PASS_CELLS, else the runs whose states do; the
-    halvings each of those states and each state's tail stands for, the
-    first run's block varying fastest; and whether a run has two agents."""
+    bits: each agent's run start; the agents a block of rows steps, all while
+    the leaves fit in _PASS_CELLS, else the runs whose states do; the halvings
+    each of those states and tails stands for, the first run's block fastest;
+    whether a run has two agents; and their pool counts, c - t in block t."""
     starts = [j for j in range(n) if key >> j & 1]
     runs = np.diff(starts + [n])
     states = np.cumprod(runs + 1)
     cut = (runs.size if states[-1] <= _PASS_CELLS
            else int(np.searchsorted(states[:-1], _PASS_CELLS, "right")))
-    w = [np.ones(1), np.ones(1)]
+    w, pool = [np.ones(1), np.ones(1)], [np.zeros(1, dtype=np.intp)] * 2
     for i, c in enumerate(runs):
         w[i >= cut] = np.outer([math.comb(c, t) for t in range(c + 1)], w[i >= cut]).ravel()
-    for a in w:
+        pool[i >= cut] = np.add.outer(c - np.arange(c + 1), pool[i >= cut]).ravel()
+    for a in w + pool:
         a.flags.writeable = False
-    return np.repeat(starts, runs).tolist(), (starts + [n])[cut], *w, runs.max() > 1
+    return np.repeat(starts, runs).tolist(), (starts + [n])[cut], *w, runs.max() > 1, *pool
 
 
-def _rsol_exact(V: np.ndarray, k: int) -> np.ndarray:
-    """Exact expected RSOL residual of each profile row of V: the mean over
-    all 2^n halvings, from one pass over the agents in descending order of
-    value, a Pascal step each (_rsol_expand), prod(c + 1) states for runs of
-    c equal values, 2^n for distinct ones, for rows whose runs start alike
-    together (_rsol_plan). A state is a class of halvings: the pool's count
-    (int array pm) and, packed in one (4, rows, cells) block F, the pool's
-    sum, the serving half's sum, and the best strict-lottery value offered
-    so far (the prices are 0 and the row's values, as in _learned_price)
-    with the lottery the serving agents above its price run at it. Sums add
-    in descending order; Vickrey's half (_vickrey_half), in whole weights,
+def _rsol_exact(V: np.ndarray, k) -> np.ndarray:
+    """Exact expected RSOL residual of each profile row of V: (rows,) at k
+    units, or (rows, len(k)) at each count of a tuple k, in one pass over the
+    agents in descending order of value, a Pascal step each (_rsol_expand):
+    the mean over all 2^n halvings in prod(c + 1) states for runs of c equal
+    values, 2^n for distinct ones, rows whose runs start alike together
+    (_rsol_plan). A state is a class of halvings: its pool count (the plan's)
+    and, in one (2 + 2K, rows, cells) block F, the pool's and the serving
+    half's sums, shared by the counts, then per count the best strict-lottery
+    value offered so far (the prices are 0 and the row's values, as in
+    _learned_price) and the lottery the serving agents above its price run
+    at it. Sums add in descending order; Vickrey's half, in whole weights,
     joins them before the one scaling by 0.5 / 2^n, so a subnormal row stays
     exact. Beyond _PASS_CELLS leaves a row is split: groups of the states of
-    its first runs step the rest in turn in a second block G, so no array
+    its first runs step the rest in turn in a second block G, so no field
     exceeds _PASS_CELLS cells."""
-    _require_k(k)
+    ks = k if isinstance(k, tuple) else (k,)
+    for kk in ks or (0,):  # an empty tuple is refused as k = 0 is
+        _require_k(kk)
     rows, n = V.shape
     if not 1 <= n <= RSOL_EXACT_CAP:
         raise ValueError(f"exact mode needs 1 to {RSOL_EXACT_CAP} agents")
     V_desc = np.sort(V, axis=1)[:, ::-1]
     # bit j of a row's key is set where a run of equal values starts
     keys = 1 + np.left_shift(V_desc[:, 1:] != V_desc[:, :-1], np.arange(1, n)).sum(axis=1)
-    coef = np.minimum(k, np.arange(n + 1)) / np.maximum(np.arange(n + 1), 1)
-    total = np.zeros(rows)
-    for key in np.unique(keys).tolist():
+    coefs = [np.minimum(kk, np.arange(n + 1)) / np.maximum(np.arange(n + 1), 1) for kk in ks]
+    total = np.zeros((len(ks), rows))
+    for key in sorted(set(keys.tolist())):
         at = np.flatnonzero(keys == key)
-        first, head, w_head, w_tail, tied = _rsol_plan(n, key)
+        first, head, w_head, w_tail, tied, pool_head, pool_tail = _rsol_plan(n, key)
         step = max(1, _PASS_CELLS // (w_head.size * w_tail.size))
-        F = np.empty((4, min(at.size, step), w_head.size))
-        pm = np.empty(F.shape[1:], dtype=np.intp)
+        F = np.empty((2 + 2 * len(ks), min(at.size, step), w_head.size))
         # split, the tails of groups of the block's states in turn, in G
-        group, G, gm = _PASS_CELLS // w_tail.size, F, pm
-        if w_tail.size > 1:
-            G, gm = np.empty((4, 1, _PASS_CELLS)), np.empty((1, _PASS_CELLS), dtype=np.intp)
+        group = _PASS_CELLS // w_tail.size
+        G = np.empty((F.shape[0], 1, _PASS_CELLS)) if w_tail.size > 1 else F
         for r in range(0, at.size, step):
             rb = at[r:r + step]
-            Vb, Fb, mb = V_desc[rb], F[:, :rb.size], pm[:rb.size]
-            Fb[:, :, 0], mb[:, 0] = 0.0, 0
-            s = _rsol_expand(Fb, mb, 1, Vb, first, range(head), coef)
+            Vb, F[:, :, 0] = V_desc[rb], 0.0
+            s = _rsol_expand(F[:, :rb.size], 1, Vb, first, range(head), coefs, pool_head)
             for h in range(0, s, group):
                 g = min(group, s - h)
                 if G is not F:
-                    G[:, :, :g], gm[:, :g] = F[:, :, h:h + g], pm[:, h:h + g]
-                t = _rsol_expand(G[:, :rb.size], gm[:rb.size], g, Vb, first, range(head, n), coef)
-                # each leaf, a full halving, is offered the last price, 0,
-                # where the row has no agent at 0
-                (ps, ss, best, lot), m = G[:, :rb.size, :t], gm[:rb.size, :t]
-                lots = np.where((coef[m] * ps >= best) & (Vb[:, -1:] != 0), coef[n - m] * ss, lot)
-                if tied:
-                    lots *= np.outer(w_tail, w_head[h:h + g]).ravel()
-                total[rb] += lots.sum(axis=1)
-    return (total + _vickrey_half(V_desc, k, 1 << n)) * (0.5 / (1 << n))
+                    G[:, :, :g] = F[:, :, h:h + g]
+                m = pool_head if G is F else np.add.outer(pool_tail, pool_head[h:h + g]).ravel()
+                t = _rsol_expand(G[:, :rb.size], g, Vb, first, range(head, n), coefs, m)
+                leaf = G[:, :rb.size, :t]
+                ps, ss, rest = leaf[0], leaf[1], n - m
+                weights = np.outer(w_tail, w_head[h:h + g]).ravel() if tied else None
+                for coef, best, lot, tot in zip(coefs, leaf[2::2], leaf[3::2], total):
+                    # each leaf is offered the last price, 0, where the row has no 0
+                    take = (coef[m] * ps >= best) & (Vb[:, -1:] != 0)
+                    np.copyto(lot, coef[rest] * ss, where=take)
+                    if tied:
+                        lot *= weights
+                    tot[rb] += lot.sum(axis=1)
+    total = (total + np.array([_vickrey_half(V_desc, kk, 1 << n) for kk in ks])) * (0.5 / (1 << n))
+    return total.T if isinstance(k, tuple) else total[0]
 
 
 def _rsol_run(profile, k: int, rng) -> Outcome:

@@ -124,27 +124,27 @@ def experiment_surplus_gap(n_list, k: int) -> list[dict]:
 
 def _by_size(corpus, k_list, values) -> list[tuple]:
     """(name, profile, k, value) for each corpus profile and k in order, the
-    value from values(V, k) on the profiles of each size stacked as the rows
-    of V, one call per k, each row bit for bit the profile's own."""
+    value from values(V, ks), (rows, len(ks), ...), on each size's profiles
+    stacked as the rows of V, one call per size, each row bit for bit its own."""
     corpus = [(name, as_profile(prof)) for name, prof in corpus]
-    out = {}
+    ks, out = tuple(k_list), {}
     for n in dict.fromkeys(prof.n for _, prof in corpus):
         block = [i for i, (_, prof) in enumerate(corpus) if prof.n == n]
         V = np.array([corpus[i][1].values for i in block])
-        for k in k_list:
-            out.update(zip([(i, k) for i in block], values(V, k).tolist()))
+        for i, row in zip(block, values(V, ks).tolist()):
+            out.update(zip([(i, k) for k in ks], row))
     return [(name, prof, k, out[i, k]) for i, (name, prof) in enumerate(corpus)
-            for k in k_list]
+            for k in ks]
 
 
 def experiment_rsol_ratio(corpus, k_list) -> list[dict]:
     """Exact random-sampling-lottery value against the two-price benchmark
     on every corpus profile; min and median ratios are repeated on each row
-    so the CSV is self-contained. RSOL's exact pass and the benchmark take
-    the profiles of one size together (_by_size)."""
+    so the CSV is self-contained. RSOL's exact pass takes each size's profiles
+    and every k in one call, the benchmark one call per k (_by_size)."""
     rows = []
-    for name, prof, k, (r, g) in _by_size(corpus, k_list, lambda V, k: np.stack(
-            (_rsol_exact(V, k), two_price_benchmark_rows(V, k)[0]), axis=1)):
+    for name, prof, k, (r, g) in _by_size(corpus, k_list, lambda V, ks: np.dstack((
+            _rsol_exact(V, ks), np.transpose([two_price_benchmark_rows(V, k)[0] for k in ks])))):
         rows.append({"experiment": "rsol-ratio", "profile": name, "n": prof.n, "k": k,
                      "rsol": r, "g": g, "ratio": r / g if g > 0 else float("inf")})
     ratios = sorted(row["ratio"] for row in rows)
@@ -161,8 +161,9 @@ def experiment_thmub(profile_corpus, k_list) -> list[dict]:
     one size take one ladder rule call per k (_by_size), and the full
     surplus is the top-k sum of their sorted rows."""
     # each row's ladder value and full surplus
-    values = _by_size(profile_corpus, k_list, lambda V, k: np.stack(
-        (_residual(V, *_ladder_rule(V, k)), np.sort(V)[:, ::-1][:, :k].sum(axis=1)), axis=1))
+    values = _by_size(profile_corpus, k_list, lambda V, ks: np.array([
+        (_residual(V, *_ladder_rule(V, k)), np.sort(V)[:, ::-1][:, :k].sum(axis=1))
+        for k in ks]).transpose(2, 0, 1))
     rows = []
     for name, prof, k, (lp, full) in values:
         if k > prof.n:

@@ -239,6 +239,37 @@ def test_audits_reject_non_finite_grid_bid(bad):
         assert str(exc.value) == f"bid grid must be finite, got {bad!r}"
 
 
+def test_audits_reject_negative_grid_bid():
+    # a grid bid below 0 once got a verdict, as no value can be one
+    mech = audit_mechanism("vickrey", 1)
+    grid = np.append(np.linspace(0.0, 4.0, 256), -5.0)
+    for call in (lambda: check_dsic(mech, [3.0, 1.0], [-5.0, 0.0, 1.0]),
+                 lambda: extract_interim_rule(mech, [3.0, 1.0], 0, grid)):
+        assert refusal(call) == "bid grid must be at least 0, got -5.0"
+
+
+@pytest.mark.parametrize("name", ["plottery", "pqlottery", "vickrey", "logprice", "rsol",
+                                  "mix", "bayes", "firstprice"])
+@pytest.mark.parametrize("values, bids, message", [
+    pytest.param([3.0, -1.0], [1.0], "profile values must be finite and nonnegative",
+                 id="negative-value"),
+    pytest.param([3.0, np.nan], [1.0], "profile values must be finite and nonnegative",
+                 id="nan-value"),
+    pytest.param([[3.0, 1.0]], [1.0], "profile must be one-dimensional", id="2-d-values"),
+    pytest.param([3.0, 1.0], [1.0, -np.inf], "bids must be finite, got -inf", id="-inf-bid"),
+    pytest.param([3.0, 1.0], [np.nan], "bids must be finite, got nan", id="nan-bid"),
+    pytest.param([3.0, 1.0], [np.inf], "bids must be finite, got inf", id="inf-bid"),
+    pytest.param([3.0, 1.0], [2.0, -1.0], "bids must be at least 0, got -1.0",
+                 id="negative-bid")])
+def test_interim_refuses_what_no_value_can_be(iv_exp, name, values, bids, message):
+    # the audit's interim once answered these: rsol gave x = 0.5 on (3, -1),
+    # a bid of -1 won under rsol and mix, and a -inf bid paid NaN under
+    # vickrey, logprice and mix
+    params = {"plottery": {"p": 0.5}, "pqlottery": {"p": 2.0, "q": 0.5}, "bayes": {"iv": iv_exp}}
+    mech = audit_mechanism(name, 1, **params.get(name, {}))
+    assert refusal(lambda: mech.interim(values, 0, bids)) == message
+
+
 @pytest.mark.parametrize("name", ["vickrey", "rsol"])
 @pytest.mark.parametrize("i, bad", [(3, "3"), (-1, "-1"), (1.0, "1.0"),
                                     (np.array([0, 1, 2]), None),
@@ -591,11 +622,12 @@ def rsol_interim_oracle(values, i, bids, k):
 def test_rsol_interim_matches_halving_oracle(vals, k, extra, data):
     # values on a coarse grid, so ties are common; bids at, between and
     # beside the values, -inf, and NaN, at which every comparison fails, so
-    # that it answers as a bid below every value
+    # that it answers as a bid below every value. The audit's interim
+    # refuses the last two, so the kernel's own door takes them
     i = data.draw(st.integers(0, len(vals) - 1))
     bids = np.array([-np.inf, *sorted({0.0, *vals, *extra, *(v + 0.125 for v in vals)}),
                      np.nan])
-    x, pay = audit_mechanism("rsol", k).interim(np.array(vals), i, bids)
+    x, pay = _rsol_interim(k, np.array(vals), i, bids)
     ref_x, ref_pay = rsol_interim_oracle(vals, i, bids, k)
     np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(pay, ref_pay, rtol=1e-12, atol=1e-12)

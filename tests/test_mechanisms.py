@@ -503,8 +503,7 @@ def test_rsol_exact_matches_plain_loop(vals, k):
     assert abs(expected_rsol(vals, k).mean - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("n", [14, 15])
-def test_rsol_exact_splits_tied_rows(n):
+def split_tied_rows(n):
     # distinct values but for a pair at the top, a pair at the bottom, or two
     # pairs: more than _PASS_CELLS states, so the pass steps the first runs
     # for one row and the tails for groups of those states, the last group
@@ -514,11 +513,17 @@ def test_rsol_exact_splits_tied_rows(n):
     V[0, 1] = V[0, 0]
     V[1, :2], V[1, 2:] = 0.5, V[1, 2:] + 1.0
     V[2, [3, 6]] = V[2, [4, 7]]
+    return V
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_rsol_exact_splits_tied_rows(n):
+    V = split_tied_rows(n)
     short = []
     for row in V:
         desc = np.sort(row)[::-1]
         key = int(np.append(True, desc[1:] != desc[:-1]) @ (1 << np.arange(n)))
-        _, _, w_head, w_tail, _ = _rsol_plan(n, key)
+        _, _, w_head, w_tail, *_ = _rsol_plan(n, key)
         assert w_tail.size > 1
         short.append(w_head.size % (_PASS_CELLS // w_tail.size) > 0)
     assert any(short)
@@ -536,15 +541,55 @@ def test_rsol_exact_batching_is_bitwise(rows, n):
         assert got[r] == _rsol_exact(V[r:r + 1], 2)[0]
 
 
+@st.composite
+def rsol_blocks(draw):
+    # up to 15 agents, so that distinct rows take the split path; a block
+    # mixes tied and distinct rows; the unit counts repeat, run past n and
+    # come in any order
+    n, rows = draw(st.integers(1, 15)), draw(st.integers(1, 3))
+    value_st = st.one_of(st.integers(0, 12).map(lambda j: j / 10),
+                         st.floats(0.0, 10.0))
+    V = np.array(draw(st.lists(value_st, min_size=rows * n, max_size=rows * n)))
+    ks = draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=4))
+    return V.reshape(rows, n), tuple(ks)
+
+
+@given(rsol_blocks())
+# tied rows split into groups, the last one short, at k > n and a repeated k
+@example((split_tied_rows(14), (4, 1, 16, 1)))
+# a tied and a distinct row, where the smaller count's lottery differs
+@example((np.array([[3.0, 2.0, 1.0, 0.5, 0.25], [1.0, 1.0, 0.5, 0.5, 0.0]]), (3, 1)))
+@settings(max_examples=60, deadline=None)
+def test_rsol_exact_columns_match_single_k(case):
+    # one pass at several unit counts gives each column bit for bit the pass
+    # at that count alone
+    V, ks = case
+    got = _rsol_exact(V, ks)
+    assert got.shape == (len(V), len(ks))
+    for c, k in enumerate(ks):
+        assert got[:, c].tobytes() == _rsol_exact(V, k).tobytes(), (c, k)
+
+
+def test_rsol_exact_checks_every_k():
+    V = np.array([[2.0, 1.0]])
+    for ks, match in [((), "^need at least one unit$"), ((1, 0), "^need at least one unit$"),
+                      ((2, 1.0), "^k: need an integer number of units, got 1.0$")]:
+        with pytest.raises(ValueError, match=match):
+            _rsol_exact(V, ks)
+
+
 def test_rsol_exact_memory_is_blocked():
+    # one count, then four in one pass, each adding two fields of at most
+    # _PASS_CELLS cells
     V = substream(5, "rsol-memory").random((1, 20))
-    tracemalloc.start()
-    try:
-        _rsol_exact(V, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    for k in (2, (1, 2, 3, 4)):
+        tracemalloc.start()
+        try:
+            _rsol_exact(V, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, (k, peak)
 
 
 @pytest.mark.parametrize("values, k", [

@@ -70,10 +70,17 @@ MUTANTS = {
     "leaves-pool-tie-largest-price": (
         mechanisms, "_rsol_exact", "(coef[m] * ps >= best)", "(coef[m] * ps > best)",
         [test_mechanisms.test_rsol_exact_matches_plain_loop]),
-    # the last agent joins the pool but is left out of its count
+    # the last agent joins the pool but is left out of its count: in the
+    # last run of c, block t < c counts c - t - 1
     "leaves-pool-count-misses-last-agent": (
-        mechanisms, "_rsol_expand", "pm[:, :s] += 1", "pm[:, :s] += j < V_desc.shape[1] - 1",
+        mechanisms, "_rsol_plan", "np.add.outer(c - np.arange(c + 1), pool[i >= cut])",
+        "np.add.outer(c - np.arange(c + 1) - (i == runs.size - 1) * (np.arange(c + 1) < c),"
+        " pool[i >= cut])",
         [test_rsol_golden.test_rsol_ratio_rows_golden]),
+    # every count's lottery at the offered price shares the first count's units
+    "pass-lot-first-count-share": (
+        mechanisms, "_rsol_expand", "coef[sr] * serve_less", "coefs[0][sr] * serve_less",
+        [test_mechanisms.test_rsol_exact_columns_match_single_k]),
     "learned-price-largest-on-ties": (
         mechanisms, "_learned_price", "prices, np.inf).min(axis=-1)",
         "prices, -np.inf).max(axis=-1)",
@@ -140,6 +147,21 @@ MUTANTS = {
     "rsol-table-cuts-miss-a-value": (
         mechanisms, "_rsol_table", "np.unique(np.append(v, 0.0))",
         "np.unique(np.append(v[1:], 0.0))", [test_audit.test_rsol_region_interim_is_bitwise]),
+    # the interim door lets through a negative value, a negative bid, or
+    # (in the grid too) any bid at least -inf
+    "door-takes-any-values": (
+        audit, "audit_mechanism", "as_profile(values).values", "np.asarray(values, dtype=float)",
+        [functools.partial(test_audit.test_interim_refuses_what_no_value_can_be, name="rsol",
+                           values=[3.0, -1.0], bids=[1.0],
+                           message="profile values must be finite and nonnegative")]),
+    "door-takes-any-bids": (
+        audit, "audit_mechanism", '_bids(bids, "bids")', "np.asarray(bids, dtype=float)",
+        [functools.partial(test_audit.test_interim_refuses_what_no_value_can_be, name="rsol",
+                           values=[3.0, 1.0], bids=[2.0, -1.0],
+                           message="bids must be at least 0, got -1.0")]),
+    "bids-negative-pass": (
+        audit, "_bids", "(b >= 0) & (b < np.inf)", "(b >= -np.inf) & (b < np.inf)",
+        [test_audit.test_audits_reject_negative_grid_bid]),
     # each agent reads the scan's answers for the agent before it
     "dsic-scan-one-agent-off": (
         audit, "_scan", "return x.reshape(n, -1), pay.reshape(n, -1)",

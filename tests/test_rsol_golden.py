@@ -9,7 +9,7 @@ distinct values kept their bits, and 17 of the 63 values of tied rows moved
 by one or two ulps from the doubling pass at d80fabc. The inputs: the
 rsol-ratio corpus at n = 4, 8 and 16 with k = 1, 2 and 4, and seeded rows
 with ties, zeros and subnormals at n = 13 to 18. Each input is checked as
-one block of rows and row by row.
+one block of rows and row by row, and each V at all its k in one pass.
 
 rsol_fraction enumerates every halving in exact rationals. Its profiles are
 dyadic, in eighths: on tenths the learned price's tie between two candidate
@@ -109,6 +109,20 @@ def test_rsol_exact_golden(key, rows, n, k):
     V = rows(n)
     assert [x.hex() for x in _rsol_exact(V, k).tolist()] == GOLDEN[key]
     assert [_rsol_exact(V[r:r + 1], k)[0].hex() for r in range(len(V))] == GOLDEN[key]
+
+
+# each golden V's counts, asked of one pass together
+BLOCKS = {}
+for key, rows, n, k in CASES:
+    BLOCKS.setdefault(key.rsplit("-k", 1)[0], (rows, n, []))[2].append((key, k))
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+def test_rsol_exact_golden_every_k_in_one_pass(name):
+    rows, n, keys = BLOCKS[name]
+    got = _rsol_exact(rows(n), tuple(k for _, k in keys))
+    for c, (key, _) in enumerate(keys):
+        assert [x.hex() for x in got[:, c].tolist()] == GOLDEN[key]
 
 
 def test_rsol_ratio_rows_golden():
